@@ -1,6 +1,6 @@
 //! Thermal-substrate benchmarks (Figs. 7a, 11a, 14a): the zone model, the
-//! CFD-lite transient, heat-matrix extraction, and end-to-end simulator
-//! throughput.
+//! CFD-lite transient, heat-matrix extraction, year-long trace synthesis,
+//! and end-to-end simulator throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -19,6 +19,7 @@ use hbm_thermal::{
     clear_heat_matrix_cache, extract_heat_matrix, CfdConfig, CfdModel, HeatMatrixModel, ZoneModel,
 };
 use hbm_units::{Duration, Power, Temperature};
+use hbm_workload::{generate, TraceConfig};
 
 fn zone_model(c: &mut Criterion) {
     c.bench_function("zone_step_one_minute", |b| {
@@ -339,6 +340,16 @@ fn learning_fleet_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// One year of 1-minute default-shape benign power (525 600 slots): the
+/// trace synthesis every simulator construction pays, and what a
+/// `fork_vs_rerun/rerun` pays that a fork does not.
+fn trace_synthesis(c: &mut Criterion) {
+    c.bench_function("trace_year_generation", |b| {
+        let config = TraceConfig::paper_default_year(1);
+        b.iter(|| generate(black_box(&config)).mean());
+    });
+}
+
 /// What-if branching cost: answering "what if the attack intensifies at
 /// slot 7200?" by forking the live run (`Simulation::fork` + a
 /// [`StateTree`] branch stepped 60 slots) versus re-simulating the whole
@@ -394,6 +405,7 @@ criterion_group!(
     sim_throughput,
     fleet_throughput,
     learning_fleet_throughput,
+    trace_synthesis,
     fork_vs_rerun
 );
 criterion_main!(benches);

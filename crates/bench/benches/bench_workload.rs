@@ -1,5 +1,6 @@
 //! Workload-generation benchmarks (Figs. 6b, 13a): default and alternate
-//! trace synthesis.
+//! trace synthesis at day and month lengths. The full-year trace every
+//! simulation pays for is pinned in `bench_thermal` (`trace_year_generation`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -23,11 +24,6 @@ fn traces(c: &mut Criterion) {
         }
     }
     group.finish();
-
-    c.bench_function("trace_year_generation", |b| {
-        let config = TraceConfig::paper_default_year(1);
-        b.iter(|| generate(black_box(&config)).mean());
-    });
 }
 
 criterion_group!(benches, traces);

@@ -170,14 +170,22 @@ impl Scenario {
         }
     }
 
-    /// Measured slots.
+    /// Measured slots (saturating; parsed scenarios never overflow, see
+    /// [`Scenario::total_slots`]).
     pub fn slots(&self) -> u64 {
-        self.days * 24 * 60
+        self.days.saturating_mul(24 * 60)
     }
 
-    /// Warm-up slots.
+    /// Warm-up slots (saturating, like [`Scenario::slots`]).
     pub fn warmup_slots(&self) -> u64 {
-        self.warmup_days * 24 * 60
+        self.warmup_days.saturating_mul(24 * 60)
+    }
+
+    /// Warm-up plus measured slots, or `None` when the count overflows
+    /// `u64` — such a horizon is rejected by [`Scenario::from_flat_json`].
+    pub fn total_slots(&self) -> Option<u64> {
+        let measured = self.days.checked_mul(24 * 60)?;
+        self.warmup_days.checked_mul(24 * 60)?.checked_add(measured)
     }
 
     /// The scenario for site `i` of a batch: identical overrides and
@@ -409,6 +417,12 @@ impl Scenario {
         }
         if scenario.policy.is_empty() {
             return Err("missing required field \"policy\"".into());
+        }
+        if scenario.total_slots().is_none() {
+            return Err(format!(
+                "horizon of {} warm-up + {} measured days overflows the slot count",
+                scenario.warmup_days, scenario.days
+            ));
         }
         Ok(scenario)
     }
@@ -734,6 +748,26 @@ mod tests {
         assert!(Scenario::from_flat_json("{\"policy\":\"myopic\",\"days\":1.5}").is_err());
         assert!(Scenario::from_flat_json("{\"policy\":3}").is_err());
         assert!(Scenario::from_flat_json("not json").is_err());
+    }
+
+    #[test]
+    fn from_flat_json_rejects_overflowing_horizons() {
+        // 1e17 days × 1440 slots overflows u64 on its own; two halves of
+        // u64::MAX / 1440 overflow only when added.
+        let half = u64::MAX / 1440 / 2 + 1;
+        for body in [
+            "{\"policy\":\"myopic\",\"days\":1e17}".to_string(),
+            "{\"policy\":\"myopic\",\"warmup_days\":1e17}".to_string(),
+            format!("{{\"policy\":\"myopic\",\"days\":{half},\"warmup_days\":{half}}}"),
+        ] {
+            let err = Scenario::from_flat_json(&body).expect_err(&body);
+            assert!(err.contains("overflows"), "{body}: {err}");
+        }
+        let big = Scenario::from_flat_json("{\"policy\":\"myopic\",\"days\":1e12}").unwrap();
+        assert_eq!(
+            big.total_slots(),
+            Some(1_000_000_000_000 * 1440 + 180 * 1440)
+        );
     }
 
     #[test]

@@ -29,7 +29,9 @@ const USAGE: &str = "usage: hbm-serve [--addr HOST:PORT] [--workers N] [--queue 
   --state-dir DIR       checkpoint experiments under DIR and restore them at boot
   --max-experiments N   live-experiment capacity; creates beyond it answer 429 (default 64)
   --experiment-ttl SECS evict experiments idle longer than SECS (default: never)
-  --max-step-slots N    largest slots one step request may ask for (default 1000000)
+  --max-step-slots N    largest slots one step request, or warm-up plus measured
+                        horizon one simulate/batch site/create, may ask for
+                        (default 1000000)
   --max-branches N      what-if branch capacity per experiment (default 16)
   --max-branch-slots N  largest slots one branch-step request may ask for (default 100000)
   --surrogate FILE      load an hbm-surrogate-v1 artifact (from `experiments surrogate fit`)

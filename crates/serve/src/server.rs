@@ -63,8 +63,10 @@ pub struct ServeConfig {
     /// Evict experiments idle longer than this (`None`: never). Eviction
     /// is lazy: swept when experiment requests arrive.
     pub experiment_ttl: Option<Duration>,
-    /// Largest `slots` one step request may ask for; larger requests are
-    /// rejected with `413` so a single op cannot pin a worker for long.
+    /// Largest `slots` one step request may ask for, and largest warm-up
+    /// plus measured horizon one simulate, batch site or experiment create
+    /// may ask for; larger requests are rejected with `413` so a single op
+    /// cannot pin a worker for long.
     pub max_step_slots: u64,
     /// Maximum what-if branches per experiment; forks beyond this answer
     /// `429`.
@@ -479,17 +481,42 @@ fn parse_scenario(body: &[u8]) -> Result<Scenario, String> {
         })
 }
 
+/// Answers `413` (counted as a bad request) when a scenario's warm-up
+/// plus measured slots exceed [`ServeConfig::max_step_slots`], so one
+/// request cannot pin a worker for hours; otherwise hands the stream back.
+fn within_horizon_limit(
+    shared: &Shared,
+    scenario: &Scenario,
+    mut stream: TcpStream,
+) -> Option<TcpStream> {
+    // Parsed scenarios never overflow; saturate rather than trust that.
+    let slots = scenario.total_slots().unwrap_or(u64::MAX);
+    if slots <= shared.config.max_step_slots {
+        return Some(stream);
+    }
+    let message = format!(
+        "horizon of {slots} warm-up plus measured slots exceeds the step limit {}",
+        shared.config.max_step_slots
+    );
+    respond_api_error(shared, &mut stream, (413, message));
+    None
+}
+
 /// Validates a `/v1/simulate` body and enqueues the job.
 fn simulate(shared: &Shared, request: Request, mut stream: TcpStream) {
     match parse_scenario(&request.body) {
-        Ok(scenario) => enqueue(
-            shared,
-            JobKind::Simulate {
-                canonical: scenario.config_canonical(),
-                scenario,
-            },
-            stream,
-        ),
+        Ok(scenario) => {
+            if let Some(stream) = within_horizon_limit(shared, &scenario, stream) {
+                enqueue(
+                    shared,
+                    JobKind::Simulate {
+                        canonical: scenario.config_canonical(),
+                        scenario,
+                    },
+                    stream,
+                );
+            }
+        }
         Err(message) => {
             ServeMetrics::bump(&shared.metrics.bad_requests);
             let _ = http::write_response(&mut stream, 400, &[], &http::error_body(&message));
@@ -499,8 +526,9 @@ fn simulate(shared: &Shared, request: Request, mut stream: TcpStream) {
 
 /// Validates a `/v1/batch-simulate` body and enqueues the job: one
 /// scenario template plus a site count, rejected with `413` when the count
-/// exceeds [`ServeConfig::max_batch`]. The worker runs the sites through
-/// the batch engine.
+/// exceeds [`ServeConfig::max_batch`] or a site's horizon exceeds
+/// [`ServeConfig::max_step_slots`]. The worker runs the sites through the
+/// batch engine.
 fn batch_simulate(shared: &Shared, request: Request, mut stream: TcpStream) {
     let parsed = std::str::from_utf8(&request.body)
         .map_err(|_| "body is not valid UTF-8".to_string())
@@ -538,14 +566,16 @@ fn batch_simulate(shared: &Shared, request: Request, mut stream: TcpStream) {
         );
         return;
     }
-    enqueue(
-        shared,
-        JobKind::Batch {
-            scenario: batch.scenario,
-            count: batch.count,
-        },
-        stream,
-    );
+    if let Some(stream) = within_horizon_limit(shared, &batch.scenario, stream) {
+        enqueue(
+            shared,
+            JobKind::Batch {
+                scenario: batch.scenario,
+                count: batch.count,
+            },
+            stream,
+        );
+    }
 }
 
 /// Validates a `POST /v1/experiments` body and enqueues the create (the
@@ -553,7 +583,11 @@ fn batch_simulate(shared: &Shared, request: Request, mut stream: TcpStream) {
 fn experiment_create(shared: &Shared, request: Request, mut stream: TcpStream) {
     sweep_experiments(shared);
     match parse_scenario(&request.body) {
-        Ok(scenario) => enqueue(shared, JobKind::ExperimentCreate { scenario }, stream),
+        Ok(scenario) => {
+            if let Some(stream) = within_horizon_limit(shared, &scenario, stream) {
+                enqueue(shared, JobKind::ExperimentCreate { scenario }, stream);
+            }
+        }
         Err(message) => {
             ServeMetrics::bump(&shared.metrics.bad_requests);
             let _ = http::write_response(&mut stream, 400, &[], &http::error_body(&message));

@@ -226,6 +226,54 @@ fn bad_requests_get_4xx_not_a_hang() {
 }
 
 #[test]
+fn oversized_horizons_fail_closed() {
+    let (addr, handle, thread) = boot(ServeConfig {
+        workers: 1,
+        max_step_slots: 2 * 1440,
+        ..ServeConfig::default()
+    });
+
+    // A slot count that overflows u64 is malformed: 400 on every
+    // scenario-accepting route.
+    let overflow = "{\"policy\":\"myopic\",\"days\":1e17}";
+    let batch_overflow = "{\"policy\":\"myopic\",\"days\":1e17,\"count\":2}";
+    assert_eq!(post_simulate(addr, overflow).0, 400);
+    assert_eq!(post_batch_simulate(addr, batch_overflow).0, 400);
+    assert_eq!(req(addr, "POST", "/v1/experiments", overflow).0, 400);
+
+    // A horizon that fits but exceeds the step limit answers 413 before
+    // any worker sees it: `{"days":1e12}` would otherwise run for hours.
+    // The limit counts warm-up plus measured slots.
+    for body in [
+        "{\"policy\":\"myopic\",\"days\":1e12}",
+        "{\"policy\":\"foresighted\",\"days\":2,\"warmup_days\":1}",
+    ] {
+        let (status, _, answer) = post_simulate(addr, body);
+        assert_eq!(status, 413, "{body}: {answer}");
+        assert!(answer.contains("step limit"), "{answer}");
+        let batch = body.replace('}', ",\"count\":2}");
+        assert_eq!(post_batch_simulate(addr, &batch).0, 413, "{batch}");
+        assert_eq!(req(addr, "POST", "/v1/experiments", body).0, 413, "{body}");
+    }
+
+    // Exactly at the limit is accepted.
+    let at_limit = "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":1}";
+    let (status, _, body) = post_simulate(addr, at_limit);
+    assert_eq!(status, 200, "body: {body}");
+
+    let (_, _, metrics) = get(addr, "/v1/metrics");
+    assert_eq!(json_u64(&metrics, "bad_requests"), 9, "metrics: {metrics}");
+    assert_eq!(
+        json_u64(&metrics, "simulate_accepted"),
+        1,
+        "metrics: {metrics}"
+    );
+
+    handle.stop();
+    thread.join().unwrap();
+}
+
+#[test]
 fn batch_simulate_parity_cache_reuse_and_bounds() {
     let (addr, handle, thread) = boot(ServeConfig {
         workers: 2,

@@ -183,19 +183,8 @@ impl PowerTrace {
     /// clamping at zero (the paper scales traces to 75 % mean utilization
     /// while "maintaining the peak power at 8 kW").
     pub fn rescale(&self, mean: Power, peak: Power) -> PowerTrace {
-        let m = self.mean().as_watts();
-        let hi = self.peak().as_watts();
-        let samples = if (hi - m).abs() < f64::EPSILON {
-            // Degenerate flat trace: just set it to the mean target.
-            vec![mean; self.samples.len()]
-        } else {
-            let b = (peak.as_watts() - mean.as_watts()) / (hi - m);
-            let a = mean.as_watts() - b * m;
-            self.samples
-                .iter()
-                .map(|p| Power::from_watts((a + b * p.as_watts()).max(0.0)))
-                .collect()
-        };
+        let mut samples = self.samples.clone();
+        rescale_in_place(&mut samples, self.mean(), self.peak(), mean, peak);
         PowerTrace {
             slot: self.slot,
             samples,
@@ -217,11 +206,40 @@ impl<'a> IntoIterator for &'a PowerTrace {
     }
 }
 
+/// Maps `samples` affinely from their current `mean`/`peak` onto the
+/// targets, clamping at zero; a degenerate flat trace is set to the mean
+/// target.
+fn rescale_in_place(
+    samples: &mut [Power],
+    current_mean: Power,
+    current_peak: Power,
+    mean: Power,
+    peak: Power,
+) {
+    let m = current_mean.as_watts();
+    let hi = current_peak.as_watts();
+    if (hi - m).abs() < f64::EPSILON {
+        samples.fill(mean);
+    } else {
+        let b = (peak.as_watts() - mean.as_watts()) / (hi - m);
+        let a = mean.as_watts() - b * m;
+        for p in samples {
+            *p = Power::from_watts((a + b * p.as_watts()).max(0.0));
+        }
+    }
+}
+
 /// Generates a synthetic power trace for the given configuration.
 ///
 /// The raw shape is built from (a) a diurnal profile, (b) a weekly factor,
 /// (c) AR(1) noise, and (d) exponentially decaying bursts, then affinely
 /// rescaled to the requested mean and peak.
+///
+/// The result is bit-identical to building the raw samples and calling
+/// [`PowerTrace::rescale`]: the running sum and peak fold the samples in
+/// the same order, from zero, as [`PowerTrace::mean`] and
+/// [`PowerTrace::peak`] do, and the diurnal memo returns exactly what the
+/// profile would compute for the same phase bits.
 ///
 /// # Examples
 ///
@@ -243,7 +261,10 @@ pub fn generate(config: &TraceConfig) -> PowerTrace {
     let params = ShapeParams::for_shape(config.shape);
 
     let slot_hours = config.slot.as_hours();
-    let mut raw = Vec::with_capacity(config.len);
+    let mut memo = DiurnalMemo::new(config.len);
+    let mut samples = Vec::with_capacity(config.len);
+    let mut sum = Power::ZERO;
+    let mut peak = Power::ZERO;
     let mut ar = 0.0_f64;
     let mut burst = 0.0_f64;
     for k in 0..config.len {
@@ -251,7 +272,7 @@ pub fn generate(config: &TraceConfig) -> PowerTrace {
         let day_phase = (hours / 24.0).fract();
         let weekday = ((hours / 24.0).floor() as u64) % 7;
 
-        let diurnal = params.diurnal(day_phase);
+        let diurnal = memo.diurnal(&params, day_phase);
         let weekly = if weekday >= 5 {
             params.weekend_factor
         } else {
@@ -265,10 +286,72 @@ pub fn generate(config: &TraceConfig) -> PowerTrace {
         burst *= params.burst_decay;
 
         let v = (params.base + params.amplitude * diurnal) * weekly + ar + burst;
-        raw.push(Power::from_watts(v.max(0.0)));
+        let p = Power::from_watts(v.max(0.0));
+        sum += p;
+        peak = peak.max(p);
+        samples.push(p);
     }
 
-    PowerTrace::new(config.slot, raw).rescale(config.mean, config.peak)
+    let mean = sum / config.len as f64;
+    rescale_in_place(&mut samples, mean, peak, config.mean, config.peak);
+    PowerTrace::new(config.slot, samples)
+}
+
+/// Per-call memo of [`ShapeParams::diurnal`], keyed by the exact bits of
+/// the day phase, so a cached value is the very value the profile would
+/// compute. A year of 1-minute slots has only ~12.4 k distinct phases
+/// against 525.6 k slots.
+///
+/// Open addressing with linear probing. The table is sized from the trace
+/// length and capped at [`DiurnalMemo::MAX_ENTRIES`]; it stops inserting
+/// once half full, so memory stays bounded, a probe always meets an empty
+/// entry, and phases past that point are evaluated directly.
+struct DiurnalMemo {
+    entries: Vec<(u64, f64)>,
+    shift: u32,
+    inserts_left: usize,
+}
+
+impl DiurnalMemo {
+    const MAX_ENTRIES: usize = 1 << 15;
+    /// Marks a free entry. A NaN bit pattern, never produced by
+    /// `f64::fract` (and looked up directly if it were).
+    const EMPTY: u64 = u64::MAX;
+
+    fn new(len: usize) -> Self {
+        let capacity = len
+            .saturating_mul(2)
+            .next_power_of_two()
+            .clamp(2, Self::MAX_ENTRIES);
+        DiurnalMemo {
+            entries: vec![(Self::EMPTY, 0.0); capacity],
+            shift: u64::BITS - capacity.trailing_zeros(),
+            inserts_left: capacity / 2,
+        }
+    }
+
+    fn diurnal(&mut self, params: &ShapeParams, phase: f64) -> f64 {
+        let key = phase.to_bits();
+        if key == Self::EMPTY {
+            return params.diurnal(phase);
+        }
+        let mask = self.entries.len() - 1;
+        // Fibonacci hashing: the top bits of the product mix every key bit.
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            match self.entries[i] {
+                (k, value) if k == key => return value,
+                (Self::EMPTY, _) => break,
+                _ => i = (i + 1) & mask,
+            }
+        }
+        let value = params.diurnal(phase);
+        if self.inserts_left > 0 {
+            self.inserts_left -= 1;
+            self.entries[i] = (key, value);
+        }
+        value
+    }
 }
 
 fn shape_salt(shape: TraceShape) -> u64 {
@@ -436,6 +519,30 @@ mod tests {
             swing(&gg),
             swing(&fb)
         );
+    }
+
+    #[test]
+    fn diurnal_memo_stops_inserting_when_half_full() {
+        // 7 s slots: every slot of a day has its own phase, so 40 000 slots
+        // overflow the 2^15-entry table's half-full insert budget.
+        let params = ShapeParams::for_shape(TraceShape::FacebookBaidu);
+        let slot_hours = Duration::from_seconds(7.0).as_hours();
+        let mut memo = DiurnalMemo::new(40_000);
+        assert_eq!(memo.entries.len(), DiurnalMemo::MAX_ENTRIES);
+        for pass in 0..2 {
+            for k in 0..40_000 {
+                let phase = (k as f64 * slot_hours / 24.0).fract();
+                let got = memo.diurnal(&params, phase);
+                assert_eq!(
+                    got.to_bits(),
+                    params.diurnal(phase).to_bits(),
+                    "pass {pass}"
+                );
+            }
+        }
+        assert_eq!(memo.inserts_left, 0);
+        let filled = memo.entries.iter().filter(|e| e.0 != DiurnalMemo::EMPTY);
+        assert_eq!(filled.count(), DiurnalMemo::MAX_ENTRIES / 2);
     }
 
     #[test]

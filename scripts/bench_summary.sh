@@ -9,6 +9,7 @@
 #   * CFD substep: flat buffers vs the nested-Vec baseline
 #   * heat-matrix model step
 #   * heat-matrix extraction: cold vs memoized (cached)
+#   * year-long benign trace synthesis (trace_year_generation)
 #
 # A short traced fig9 run then contributes its kernel timing spans
 # (entries named span/<name>, same shape), and a short hbm-serve-bench
@@ -165,6 +166,10 @@ awk -F'"' '
         if (sns > 0)
             printf "hbm-serve sessionful throughput: %.2fM slots/s aggregate (%.0f ns/slot)\n",
                 1e3 / sns, sns
+        year = median["trace_year_generation"]
+        if (year > 0)
+            printf "year-long trace synthesis (525600 slots): %.1f ms (%.0f ns/slot)\n",
+                year / 1e6, year / 525600
         fork = median["fork_vs_rerun/fork"]
         rerun = median["fork_vs_rerun/rerun"]
         if (fork > 0 && rerun > 0)

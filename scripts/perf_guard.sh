@@ -10,6 +10,7 @@
 #   * serve/session_slot_ns                     (sessionful serving, slot_ns)
 #   * fork_vs_rerun/fork                   (what-if fork cost, median_ns)
 #   * fork_vs_rerun/rerun                  (rerun-from-0 baseline, median_ns)
+#   * trace_year_generation                (one year of benign power, median_ns)
 #   * surrogate/predict_4_servers          (surrogate-tier predict, median_ns)
 #
 # Smoke runs on shared CI runners are noisy, hence the wide default
@@ -69,6 +70,7 @@ guard "learning_fleet_slots_per_sec/batched" median_ns
 guard "serve/session_slot_ns" slot_ns
 guard "fork_vs_rerun/fork" median_ns
 guard "fork_vs_rerun/rerun" median_ns
+guard "trace_year_generation" median_ns
 guard "surrogate/predict_4_servers" median_ns
 
 exit $status
