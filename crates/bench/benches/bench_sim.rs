@@ -20,11 +20,7 @@ fn sim_day(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let config = ColoConfig::paper_default().with_trace_len(2 * DAY as usize);
-                Simulation::new(
-                    config,
-                    Box::new(MyopicPolicy::new(Power::from_kilowatts(99.0))),
-                    1,
-                )
+                Simulation::new(config, MyopicPolicy::new(Power::from_kilowatts(99.0)), 1)
             },
             |mut sim| black_box(sim.run(DAY)),
             BatchSize::SmallInput,
@@ -36,7 +32,7 @@ fn sim_day(c: &mut Criterion) {
             || {
                 let config = ColoConfig::paper_default().with_trace_len(2 * DAY as usize);
                 let policy = RandomPolicy::new(0.08, config.attack_load, config.slot, 1);
-                Simulation::new(config, Box::new(policy), 1)
+                Simulation::new(config, policy, 1)
             },
             |mut sim| black_box(sim.run(DAY)),
             BatchSize::SmallInput,
@@ -47,11 +43,7 @@ fn sim_day(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let config = ColoConfig::paper_default().with_trace_len(2 * DAY as usize);
-                Simulation::new(
-                    config,
-                    Box::new(MyopicPolicy::new(Power::from_kilowatts(7.4))),
-                    1,
-                )
+                Simulation::new(config, MyopicPolicy::new(Power::from_kilowatts(7.4)), 1)
             },
             |mut sim| black_box(sim.run(DAY)),
             BatchSize::SmallInput,
@@ -62,11 +54,7 @@ fn sim_day(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let config = ColoConfig::paper_default().with_trace_len(2 * DAY as usize);
-                Simulation::new(
-                    config,
-                    Box::new(ForesightedPolicy::paper_default(14.0, 1)),
-                    1,
-                )
+                Simulation::new(config, ForesightedPolicy::paper_default(14.0, 1), 1)
             },
             |mut sim| black_box(sim.run(DAY)),
             BatchSize::SmallInput,
@@ -79,11 +67,7 @@ fn sim_day(c: &mut Criterion) {
                 let mut config = ColoConfig::paper_default().with_trace_len(2 * DAY as usize);
                 config.battery = BatterySpec::one_shot();
                 config.attack_load = Power::from_kilowatts(3.0);
-                Simulation::new(
-                    config,
-                    Box::new(OneShotPolicy::new(Power::from_kilowatts(7.6))),
-                    1,
-                )
+                Simulation::new(config, OneShotPolicy::new(Power::from_kilowatts(7.6)), 1)
             },
             |mut sim| black_box(sim.run(DAY)),
             BatchSize::SmallInput,

@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use hbm_bench::gather::GatherHeatMatrixModel;
-use hbm_bench::nested::NestedCfdModel;
 use hbm_core::{
     BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, Perturbation, Scenario, Simulation,
     StateTree,
@@ -81,18 +80,6 @@ fn cfd_model(c: &mut Criterion) {
         });
         hbm_telemetry::timing::set_timings_enabled(false);
         hbm_telemetry::timing::reset_timings();
-    });
-
-    // The pre-rewrite nested-Vec kernel, same work as above: this is the
-    // baseline the flat-buffer CfdModel is measured against.
-    c.bench_function("cfd_step_one_minute_40_servers_nested_baseline", |b| {
-        let config = CfdConfig::paper_default();
-        let mut cfd = NestedCfdModel::new(config);
-        let powers = vec![Power::from_watts(195.0); config.server_count()];
-        b.iter(|| {
-            cfd.step(black_box(&powers), Duration::from_minutes(1.0));
-            cfd.mean_inlet()
-        });
     });
 
     c.bench_function("heat_matrix_model_step_40_servers", |b| {
@@ -228,25 +215,28 @@ fn sim_throughput(c: &mut Criterion) {
 
     group.bench_function("recorder_off", |b| {
         let config = ColoConfig::paper_default().with_trace_len(2 * 1440);
-        let mut sim = Simulation::new(
-            config,
-            Box::new(ForesightedPolicy::paper_default(14.0, 1)),
-            1,
-        );
+        let mut sim = Simulation::new(config, ForesightedPolicy::paper_default(14.0, 1), 1);
         sim.warmup(1440);
         b.iter(|| black_box(sim.step()));
     });
 
     group.bench_function("recorder_on", |b| {
         let config = ColoConfig::paper_default().with_trace_len(2 * 1440);
-        let mut sim = Simulation::new(
-            config,
-            Box::new(ForesightedPolicy::paper_default(14.0, 1)),
-            1,
-        );
+        let mut sim = Simulation::new(config, ForesightedPolicy::paper_default(14.0, 1), 1);
         sim.warmup(1440);
         sim.set_recorder(Box::new(MemoryRecorder::new()));
         b.iter(|| black_box(sim.step()));
+    });
+
+    // The `recorder_off` scenario as the only lane of a `BatchSim`: what a
+    // `Simulation` built as a one-lane handle on the batch engine would pay
+    // per slot.
+    group.bench_function("one_lane_batch", |b| {
+        let config = ColoConfig::paper_default().with_trace_len(2 * 1440);
+        let mut sim = Simulation::new(config, ForesightedPolicy::paper_default(14.0, 1), 1);
+        sim.warmup(1440);
+        let mut batch = BatchSim::new(vec![sim]);
+        b.iter(|| black_box(batch.step_all()));
     });
 
     group.finish();
@@ -266,7 +256,7 @@ fn fleet_throughput(c: &mut Criterion) {
                 let seed = 1u64.wrapping_add(1 + i as u64 * 1299721);
                 Simulation::new(
                     config.clone(),
-                    Box::new(MyopicPolicy::new(Power::from_kilowatts(7.4))),
+                    MyopicPolicy::new(Power::from_kilowatts(7.4)),
                     seed,
                 )
             })
@@ -299,10 +289,10 @@ fn fleet_throughput(c: &mut Criterion) {
 /// `fleet_slots_per_sec`, but every site runs the foresighted Q-learning
 /// attacker with the teacher phase disabled, so each slot performs the
 /// full learning step — ε/learning-rate schedule evaluation, ε-greedy
-/// action selection, and the TD update. The batched engine packs all 1000
-/// Q-tables into one lane-major matrix and sweeps the schedules as packed
-/// columns; the independent baseline steps the identical fleet through the
-/// scalar learner, so the ratio is pure learning-lane speedup.
+/// action selection, and the TD update. Both engines call the same
+/// `Policy::decide`/`learn`; the independent baseline steps the identical
+/// fleet one `Simulation` at a time, so the ratio is pure batch-engine
+/// speedup.
 fn learning_fleet_throughput(c: &mut Criterion) {
     const SITES: usize = 1000;
     let fleet = || -> Vec<Simulation> {
@@ -312,7 +302,7 @@ fn learning_fleet_throughput(c: &mut Criterion) {
                 let seed = 1u64.wrapping_add(1 + i as u64 * 1299721);
                 let mut policy = ForesightedPolicy::paper_default(14.0, seed);
                 policy.set_teacher(Power::from_kilowatts(7.56), 0);
-                Simulation::new(config.clone(), Box::new(policy), seed)
+                Simulation::new(config.clone(), policy, seed)
             })
             .collect()
     };
@@ -322,7 +312,6 @@ fn learning_fleet_throughput(c: &mut Criterion) {
 
     group.bench_function("batched", |b| {
         let mut batch = BatchSim::new(fleet());
-        assert!(batch.learning_devirtualized());
         b.iter(|| black_box(batch.step_all()));
     });
 

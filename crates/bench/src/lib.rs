@@ -1,12 +1,10 @@
 //! Criterion benchmark harness for the paper's tables and figures.
 //!
-//! Besides the (empty) crate root, this library carries two reference
-//! implementations kept verbatim as benchmark baselines and equivalence
-//! oracles for the optimized kernels in `hbm-thermal`:
-//!
-//! * [`nested`] — the pre-optimization `Vec<Vec<f64>>` CFD-lite kernel;
-//! * [`gather`] — the pre-scatter heat-matrix convolution that re-summed
-//!   `receivers × lags × sources` every step.
+//! Besides the (empty) crate root, this library carries one reference
+//! implementation kept verbatim as a benchmark baseline and equivalence
+//! oracle for an optimized kernel in `hbm-thermal`: [`gather`], the
+//! pre-scatter heat-matrix convolution that re-summed
+//! `receivers × lags × sources` every step.
 #![forbid(unsafe_code)]
 
 pub mod gather {
@@ -227,172 +225,6 @@ pub mod gather {
                         "step {step} server {s}: gather {a} vs scatter {b}"
                     );
                 }
-            }
-        }
-    }
-}
-
-pub mod nested {
-    //! The original nested-`Vec` CFD-lite kernel, kept verbatim (minus the
-    //! public API it doesn't need) as the benchmark baseline for
-    //! `hbm_thermal::CfdModel`. Do not optimize this copy.
-
-    use hbm_thermal::CfdConfig;
-    use hbm_units::{Duration, Power, Temperature};
-
-    /// Specific heat of air, J/(kg·K).
-    const CP_AIR: f64 = 1005.0;
-
-    /// Transient CFD-lite state with the pre-rewrite `[rack][height]`
-    /// nested-`Vec` layout and per-substep buffer clones.
-    #[derive(Debug, Clone)]
-    pub struct NestedCfdModel {
-        config: CfdConfig,
-        cold: Vec<Vec<f64>>,
-        hot: Vec<Vec<f64>>,
-        duct: f64,
-        ret: f64,
-        dt: f64,
-    }
-
-    impl NestedCfdModel {
-        /// Creates a model at thermal equilibrium, exactly as
-        /// `CfdModel::new` does.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `config` fails validation.
-        pub fn new(config: CfdConfig) -> Self {
-            config.validate().expect("invalid CFD configuration");
-            let sup = config.cooling.supply.as_celsius();
-            let max_flow = config.servers_per_rack as f64
-                * config.per_server_flow_kg_s
-                * (1.0 - config.leakage_fraction)
-                + config.per_server_flow_kg_s;
-            let dt = (0.4 * config.cell_mass_kg / max_flow).min(0.5);
-            NestedCfdModel {
-                cold: vec![vec![sup; config.servers_per_rack]; config.racks],
-                hot: vec![vec![sup; config.servers_per_rack]; config.racks],
-                duct: sup,
-                ret: sup,
-                dt,
-                config,
-            }
-        }
-
-        /// Mean server inlet temperature.
-        pub fn mean_inlet(&self) -> Temperature {
-            let n = self.config.server_count() as f64;
-            let sum: f64 = self.cold.iter().flatten().sum();
-            Temperature::from_celsius(sum / n)
-        }
-
-        /// Advances the model by `span` with constant per-server powers.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `powers.len()` differs from the server count.
-        pub fn step(&mut self, powers: &[Power], span: Duration) {
-            assert_eq!(
-                powers.len(),
-                self.config.server_count(),
-                "one power per server required"
-            );
-            let mut remaining = span.as_seconds();
-            while remaining > 0.0 {
-                let h = remaining.min(self.dt);
-                self.substep(powers, h);
-                remaining -= h;
-            }
-        }
-
-        fn substep(&mut self, powers: &[Power], h: f64) {
-            let cfg = &self.config;
-            let m = cfg.per_server_flow_kg_s;
-            let lam = cfg.leakage_fraction;
-            let keep = 1.0 - lam;
-            let n_h = cfg.servers_per_rack;
-            let rack_supply = n_h as f64 * m * keep;
-            let cell_mass = cfg.cell_mass_kg;
-
-            let ac_flow = cfg.ac_flow_kg_s();
-            let capacity = cfg.cooling.effective_capacity(self.mean_inlet());
-            let sup = cfg.cooling.supply.as_celsius();
-            let q_needed = ac_flow * CP_AIR * (self.ret - sup).max(0.0);
-            let q = q_needed.min(capacity.as_watts());
-            let ac_out = self.ret - q / (ac_flow * CP_AIR);
-
-            let duct_next = self.duct + h * ac_flow / cfg.plenum_mass_kg * (ac_out - self.duct);
-
-            let mut cold_next = self.cold.clone();
-            let mut hot_next = self.hot.clone();
-            let mut return_inflow_temp = 0.0;
-
-            for r in 0..cfg.racks {
-                for i in 0..n_h {
-                    let s = r * n_h + i;
-                    let p = powers[s].as_watts();
-                    let t_in = self.cold[r][i];
-                    let t_out = t_in + p / (m * CP_AIR);
-
-                    let below_t = if i == 0 {
-                        self.duct
-                    } else {
-                        self.cold[r][i - 1]
-                    };
-                    let inflow_below = if i == 0 {
-                        rack_supply
-                    } else {
-                        (n_h - i) as f64 * m * keep
-                    };
-                    let d_cold = inflow_below * (below_t - t_in) + lam * m * (t_out - t_in);
-                    cold_next[r][i] = t_in + h * d_cold / cell_mass;
-
-                    let t_hot = self.hot[r][i];
-                    let hot_below_t = if i == 0 { t_hot } else { self.hot[r][i - 1] };
-                    let hot_inflow_below = if i == 0 { 0.0 } else { i as f64 * m * keep };
-                    let d_hot =
-                        keep * m * (t_out - t_hot) + hot_inflow_below * (hot_below_t - t_hot);
-                    hot_next[r][i] = t_hot + h * d_hot / cell_mass;
-                }
-                return_inflow_temp += self.hot[r][n_h - 1];
-            }
-
-            let mean_top = return_inflow_temp / cfg.racks as f64;
-            let ret_next = self.ret + h * ac_flow / cfg.plenum_mass_kg * (mean_top - self.ret);
-
-            self.cold = cold_next;
-            self.hot = hot_next;
-            self.duct = duct_next;
-            self.ret = ret_next;
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use hbm_thermal::CfdModel;
-
-        #[test]
-        fn reference_matches_the_flat_rewrite() {
-            let config = CfdConfig::paper_default();
-            let mut nested = NestedCfdModel::new(config);
-            let mut flat = CfdModel::new(config);
-            let n = config.server_count();
-            for step in 0..50 {
-                let powers: Vec<Power> = (0..n)
-                    .map(|s| {
-                        Power::from_watts(150.0 + 50.0 * ((s * 7 + step * 13) % 16) as f64 / 16.0)
-                    })
-                    .collect();
-                nested.step(&powers, Duration::from_minutes(0.5));
-                flat.step(&powers, Duration::from_minutes(0.5));
-                let a = nested.mean_inlet().as_celsius();
-                let b = flat.mean_inlet().as_celsius();
-                assert!(
-                    (a - b).abs() <= 1e-12,
-                    "step {step}: nested {a} vs flat {b}"
-                );
             }
         }
     }

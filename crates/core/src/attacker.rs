@@ -93,49 +93,101 @@ pub struct Transition {
     pub day: u64,
 }
 
-/// A thermal-attack timing policy.
+/// A thermal-attack timing policy: the closed set of attackers the
+/// simulator runs (the paper's Random and Myopic baselines, its Foresighted
+/// attacker, and Section III-C's one-shot attack).
 ///
-/// The simulator calls [`AttackPolicy::decide`] once per slot and
-/// [`AttackPolicy::learn`] after the slot's outcome is known. Non-learning
-/// policies keep the default no-op `learn`.
+/// Both engines call [`Policy::decide`] once per slot and
+/// [`Policy::learn`] once the slot's outcome is known; only the
+/// foresighted attacker learns. A simulation holds its policy by value and
+/// every call is a `match`, so a batch keeps its lanes' policies inline in
+/// one `Vec` and dispatch is static. `Clone` deep-copies RNG state and
+/// learnt tables, which is what makes [`crate::Simulation::fork`] cheap.
+/// Inspect a concrete policy after a run by matching on the variant (e.g.
+/// the learnt [`ForesightedPolicy::policy_matrix`] for Fig. 10).
 ///
-/// `Send` is a supertrait so boxed policies can move into the worker
-/// threads of the parallel experiment harness.
-pub trait AttackPolicy: std::any::Any + Send {
+/// The variants are held inline because a batch steps its lanes' policies
+/// in order, and a box per policy costs a dependent cache miss per lane per
+/// slot. That keeps [`ForesightedPolicy`] within 256 bytes (clippy's
+/// `large_enum_variant` bound over the next-largest variant), which is why
+/// its fixed design parameters are associated constants, not fields.
+#[derive(Debug, Clone)]
+pub enum Policy {
+    /// See [`RandomPolicy`].
+    Random(RandomPolicy),
+    /// See [`MyopicPolicy`].
+    Myopic(MyopicPolicy),
+    /// See [`OneShotPolicy`].
+    OneShot(OneShotPolicy),
+    /// See [`ForesightedPolicy`].
+    Foresighted(ForesightedPolicy),
+}
+
+impl Policy {
     /// Short policy name for reports ("random", "myopic", …).
-    fn name(&self) -> &str;
+    pub fn name(&self) -> &'static str {
+        match self {
+            Policy::Random(_) => "random",
+            Policy::Myopic(_) => "myopic",
+            Policy::OneShot(_) => "one-shot",
+            Policy::Foresighted(_) => "foresighted",
+        }
+    }
 
     /// Chooses the action for the upcoming slot.
-    fn decide(&mut self, obs: &Observation) -> AttackAction;
-
-    /// Feeds back the completed slot (used by learning policies).
-    fn learn(&mut self, transition: &Transition) {
-        let _ = transition;
+    pub fn decide(&mut self, obs: &Observation) -> AttackAction {
+        match self {
+            Policy::Random(p) => p.decide(obs),
+            Policy::Myopic(p) => p.decide(obs),
+            Policy::OneShot(p) => p.decide(obs),
+            Policy::Foresighted(p) => p.decide(obs),
+        }
     }
 
-    /// Whether [`AttackPolicy::learn`] does anything. The batch engine skips
-    /// building [`Transition`]s for policies that return `false`; the default
-    /// is conservatively `true` so custom learning policies keep working.
-    fn wants_learn(&self) -> bool {
-        true
+    /// Feeds back the completed slot; a no-op for every policy but the
+    /// foresighted one.
+    pub fn learn(&mut self, transition: &Transition) {
+        if let Policy::Foresighted(p) = self {
+            p.learn(transition);
+        }
     }
+}
 
-    /// A boxed deep copy of the policy, RNG state and learnt tables
-    /// included. This is what makes [`crate::Simulation::fork`] cheap: the
-    /// forked lane continues bit-identically to the original without a
-    /// serialize/rebuild round trip.
-    fn clone_policy(&self) -> Box<dyn AttackPolicy>;
+impl From<RandomPolicy> for Policy {
+    fn from(p: RandomPolicy) -> Policy {
+        Policy::Random(p)
+    }
+}
 
-    /// Upcast for inspecting a concrete policy after a run (e.g. reading
-    /// the learnt [`ForesightedPolicy::policy_matrix`] for Fig. 10).
-    fn as_any(&self) -> &dyn std::any::Any;
+impl From<MyopicPolicy> for Policy {
+    fn from(p: MyopicPolicy) -> Policy {
+        Policy::Myopic(p)
+    }
+}
 
-    /// Mutable counterpart of [`AttackPolicy::as_any`].
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
+impl From<OneShotPolicy> for Policy {
+    fn from(p: OneShotPolicy) -> Policy {
+        Policy::OneShot(p)
+    }
+}
+
+impl From<ForesightedPolicy> for Policy {
+    fn from(p: ForesightedPolicy) -> Policy {
+        Policy::Foresighted(p)
+    }
+}
+
+/// Unboxes a policy. Policies are passed by value; this exists only so
+/// callers written against the earlier boxed-policy constructor
+/// (`Simulation::new(config, Box::new(policy), seed)`) keep compiling.
+impl<P: Into<Policy>> From<Box<P>> for Policy {
+    fn from(p: Box<P>) -> Policy {
+        (*p).into()
+    }
 }
 
 /// Whether the battery can sustain one full slot of attacking.
-pub(crate) fn can_attack(stored: Energy, attack_load: Power, slot: Duration) -> bool {
+fn can_attack(stored: Energy, attack_load: Power, slot: Duration) -> bool {
     stored >= attack_load * slot * 0.999
 }
 
@@ -178,30 +230,9 @@ impl RandomPolicy {
     pub(crate) fn restore_rng(&mut self, state: [u64; 4]) {
         self.rng = StdRng::from_state(state);
     }
-}
 
-impl AttackPolicy for RandomPolicy {
-    fn name(&self) -> &str {
-        "random"
-    }
-
-    fn wants_learn(&self) -> bool {
-        false
-    }
-
-    fn clone_policy(&self) -> Box<dyn AttackPolicy> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn decide(&mut self, obs: &Observation) -> AttackAction {
+    /// Chooses the action for the upcoming slot.
+    pub fn decide(&mut self, obs: &Observation) -> AttackAction {
         if obs.capping {
             return AttackAction::Standby;
         }
@@ -252,37 +283,8 @@ impl MyopicPolicy {
         self.threshold
     }
 
-    /// The minimum stored energy at which the attack arms, computed with
-    /// the exact arithmetic [`decide`](AttackPolicy::decide) uses. Batch
-    /// engines precompute this per lane so a fleet of myopic attackers can
-    /// be decided without going through the trait object.
-    pub fn arm_energy(&self) -> Energy {
-        self.attack_load * self.slot * 0.999
-    }
-}
-
-impl AttackPolicy for MyopicPolicy {
-    fn name(&self) -> &str {
-        "myopic"
-    }
-
-    fn wants_learn(&self) -> bool {
-        false
-    }
-
-    fn clone_policy(&self) -> Box<dyn AttackPolicy> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn decide(&mut self, obs: &Observation) -> AttackAction {
+    /// Chooses the action for the upcoming slot.
+    pub fn decide(&mut self, obs: &Observation) -> AttackAction {
         if obs.capping {
             return AttackAction::Standby;
         }
@@ -329,30 +331,9 @@ impl OneShotPolicy {
     pub(crate) fn set_triggered(&mut self, triggered: bool) {
         self.triggered = triggered;
     }
-}
 
-impl AttackPolicy for OneShotPolicy {
-    fn name(&self) -> &str {
-        "one-shot"
-    }
-
-    fn wants_learn(&self) -> bool {
-        false
-    }
-
-    fn clone_policy(&self) -> Box<dyn AttackPolicy> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn decide(&mut self, obs: &Observation) -> AttackAction {
+    /// Chooses the action for the upcoming slot.
+    pub fn decide(&mut self, obs: &Observation) -> AttackAction {
         if self.triggered {
             // Ride it out: discharge until the battery is empty or the
             // colocation is down.
@@ -437,13 +418,8 @@ impl Learner {
 #[derive(Debug, Clone)]
 pub struct ForesightedPolicy {
     agent: Learner,
-    battery_grid: UniformGrid,
     load_grid: UniformGrid,
-    temp_grid: UniformGrid,
     w: f64,
-    setpoint: Temperature,
-    learning_rate: LearningRate,
-    epsilon: EpsilonSchedule,
     rng: StdRng,
     attack_load: Power,
     slot: Duration,
@@ -464,6 +440,18 @@ pub struct ForesightedPolicy {
     min_launch_soc: f64,
     /// Attack-campaign execution state; see [`Campaign`].
     campaign: Campaign,
+    /// Estimated total load when the current campaign launched (stale
+    /// while idle).
+    launch_est: Power,
+    /// `decide`'s day divisor, `(1 day / slot)` truncated, computed once at
+    /// construction. (Learning transitions carry their own day, bucketed
+    /// with the simulator's rounded slots per day.)
+    decide_slots_per_day: u64,
+    /// The last `(day, ε)` and `(day, δ)` pairs. Both schedules are pure
+    /// functions of the day, so a memoized value has the same bits as a
+    /// fresh `at` call; it is re-evaluated only when the day moves.
+    epsilon_memo: (u64, f64),
+    rate_memo: (u64, f64),
 }
 
 /// Execution state of a sustained attack campaign (the cycle the paper's
@@ -476,21 +464,15 @@ pub struct ForesightedPolicy {
 /// tabular learner to hold a consistent plan across ~40 consecutive
 /// decisions, which the coarse battery grid cannot represent.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Campaign {
+enum Campaign {
     /// No campaign; the learnt policy decides freely.
     Idle,
     /// Mid-attack: keep discharging until the emergency, dry battery, or
     /// load collapse.
-    Attacking {
-        /// Estimated total load when the campaign launched.
-        launch_est: Power,
-    },
+    Attacking,
     /// Between attacks of a campaign: recharge, then relaunch while the
     /// load still holds near the launch level.
-    Recharging {
-        /// Estimated total load when the campaign launched.
-        launch_est: Power,
-    },
+    Recharging,
 }
 
 impl ForesightedPolicy {
@@ -500,6 +482,22 @@ impl ForesightedPolicy {
     pub const LOAD_BINS: usize = 16;
     /// Default number of inlet-temperature-rise bins.
     pub const TEMP_BINS: usize = 4;
+    const STATES: usize = Self::BATTERY_BINS * Self::LOAD_BINS * Self::TEMP_BINS;
+    /// The state-of-charge coordinate of the state.
+    const BATTERY_GRID: UniformGrid = UniformGrid::new(0.0, 1.0, Self::BATTERY_BINS);
+    /// The inlet-temperature-rise coordinate, °C above the setpoint.
+    const TEMP_GRID: UniformGrid = UniformGrid::new(0.0, 6.0, Self::TEMP_BINS);
+    /// The setpoint Eqn. 2 measures the temperature rise against.
+    const SETPOINT: Temperature = Temperature::from_celsius(27.0);
+    /// The paper's `δ(t) = 1/t^0.85`.
+    const LEARNING_RATE: LearningRate = LearningRate::Polynomial { exponent: 0.85 };
+    /// Gentle exploration: a random action inside an attack run breaks the
+    /// temperature dwell, so keep ε low and fast-decaying.
+    const EPSILON: EpsilonSchedule = EpsilonSchedule {
+        initial: 0.05,
+        decay: 0.90,
+        floor: 0.002,
+    };
 
     /// Creates the policy.
     ///
@@ -526,7 +524,6 @@ impl ForesightedPolicy {
             battery_capacity > Energy::ZERO,
             "battery capacity must be positive"
         );
-        let battery_grid = UniformGrid::new(0.0, 1.0, Self::BATTERY_BINS);
         // The decision-relevant load range is the top of the capacity band
         // (everything below cannot overload the cooling even with the attack
         // load on top); the grid clamps lower loads into its bottom bin.
@@ -535,28 +532,15 @@ impl ForesightedPolicy {
             capacity.as_kilowatts() * 1.05,
             Self::LOAD_BINS,
         );
-        let temp_grid = UniformGrid::new(0.0, 6.0, Self::TEMP_BINS);
-        let states = battery_grid.len() * load_grid.len() * temp_grid.len();
         ForesightedPolicy {
             agent: Learner::Batch(BatchQLearning::new(
-                states,
+                Self::STATES,
                 AttackAction::COUNT,
-                states,
+                Self::STATES,
                 0.99,
             )),
-            battery_grid,
             load_grid,
-            temp_grid,
             w,
-            setpoint: Temperature::from_celsius(27.0),
-            learning_rate: LearningRate::paper_default(),
-            // Gentle exploration: a random action inside an attack run
-            // breaks the temperature dwell, so keep ε low and fast-decaying.
-            epsilon: EpsilonSchedule {
-                initial: 0.05,
-                decay: 0.90,
-                floor: 0.002,
-            },
             rng: StdRng::seed_from_u64(seed),
             attack_load,
             slot,
@@ -571,6 +555,10 @@ impl ForesightedPolicy {
             // w = 9, ≈40 % at w = 14). Encode that dependence directly.
             min_launch_soc: (0.9 - 0.02 * w).clamp(0.55, 0.9),
             campaign: Campaign::Idle,
+            launch_est: Power::ZERO,
+            decide_slots_per_day: (Duration::from_days(1.0) / slot) as u64,
+            epsilon_memo: (0, Self::EPSILON.at(0)),
+            rate_memo: (0, Self::LEARNING_RATE.at(0)),
         }
     }
 
@@ -590,8 +578,7 @@ impl ForesightedPolicy {
     /// Replaces the learning rule with classic Q-learning (the ablation
     /// baseline of the paper's batch variant); tables restart from zero.
     pub fn with_standard_q(mut self) -> Self {
-        let states = self.battery_grid.len() * self.load_grid.len() * self.temp_grid.len();
-        self.agent = Learner::Standard(QLearning::new(states, AttackAction::COUNT, 0.99));
+        self.agent = Learner::Standard(QLearning::new(Self::STATES, AttackAction::COUNT, 0.99));
         self
     }
 
@@ -629,11 +616,11 @@ impl ForesightedPolicy {
     }
 
     fn state_of(&self, soc: f64, estimated_total: Power, inlet: Temperature) -> usize {
-        let b = self.battery_grid.index(soc);
+        let b = Self::BATTERY_GRID.index(soc);
         let u = self.load_grid.index(estimated_total.as_kilowatts());
-        let rise = (inlet - self.setpoint).positive_part().as_celsius();
-        let t = self.temp_grid.index(rise);
-        (b * self.load_grid.len() + u) * self.temp_grid.len() + t
+        let rise = (inlet - Self::SETPOINT).positive_part().as_celsius();
+        let t = Self::TEMP_GRID.index(rise);
+        (b * Self::LOAD_BINS + u) * Self::TEMP_BINS + t
     }
 
     /// Actions available in a state. Order matters: greedy ties break to
@@ -665,14 +652,45 @@ impl ForesightedPolicy {
     }
 
     /// The deterministic post-state map `f(s, a)` (Eqn. 4): only the battery
-    /// coordinate moves; the load and temperature coordinates stay.
-    fn post_state(&self, s: usize, a: usize) -> usize {
-        post_state_for(self, s, a)
+    /// coordinate moves; the load and temperature coordinates stay. A closure
+    /// over copied parameters, so it can run while the learner is borrowed
+    /// mutably.
+    fn post_map(&self) -> impl Fn(usize, usize) -> usize + Copy {
+        let (charge_soc, attack_soc) = (self.charge_soc_per_slot, self.attack_soc_per_slot);
+        move |s, a| {
+            let t = s % Self::TEMP_BINS;
+            let bu = s / Self::TEMP_BINS;
+            let b = bu / Self::LOAD_BINS;
+            let u = bu % Self::LOAD_BINS;
+            let soc = Self::BATTERY_GRID.center(b);
+            let soc_next = match AttackAction::from_index(a) {
+                AttackAction::Charge => (soc + charge_soc).min(1.0),
+                AttackAction::Attack => (soc - attack_soc).max(0.0),
+                AttackAction::Standby => soc,
+            };
+            (Self::BATTERY_GRID.index(soc_next) * Self::LOAD_BINS + u) * Self::TEMP_BINS + t
+        }
+    }
+
+    /// ε at `day`, memoized per day.
+    fn epsilon_at(&mut self, day: u64) -> f64 {
+        if self.epsilon_memo.0 != day {
+            self.epsilon_memo = (day, Self::EPSILON.at(day));
+        }
+        self.epsilon_memo.1
+    }
+
+    /// δ at `day`, memoized per day.
+    fn rate_at(&mut self, day: u64) -> f64 {
+        if self.rate_memo.0 != day {
+            self.rate_memo = (day, Self::LEARNING_RATE.at(day));
+        }
+        self.rate_memo.1
     }
 
     /// Eqn. 2 reward.
     fn reward(&self, inlet: Temperature, action: AttackAction) -> f64 {
-        let dt = (inlet - self.setpoint).positive_part().as_celsius();
+        let dt = (inlet - Self::SETPOINT).positive_part().as_celsius();
         let beta = if action == AttackAction::Attack {
             1.0
         } else {
@@ -686,20 +704,18 @@ impl ForesightedPolicy {
     /// decision whether to *start* an attack). Rows are battery bins
     /// (low→high), columns load bins (low→high).
     pub fn policy_matrix(&self) -> Vec<Vec<AttackAction>> {
-        (0..self.battery_grid.len())
+        (0..Self::BATTERY_BINS)
             .map(|b| {
-                let soc = self.battery_grid.center(b);
-                (0..self.load_grid.len())
+                let soc = Self::BATTERY_GRID.center(b);
+                (0..Self::LOAD_BINS)
                     .map(|u| {
                         // Temperature bin 0: inlet at the setpoint.
-                        let s = (b * self.load_grid.len() + u) * self.temp_grid.len();
+                        let s = (b * Self::LOAD_BINS + u) * Self::TEMP_BINS;
                         // Attack is feasible whenever the bin's SoC covers
                         // one slot; mirror `allowed_for_soc`.
                         let stored_ok = soc >= self.attack_soc_per_slot;
                         let allowed = self.allowed_for_soc(soc, stored_ok);
-                        let a = self
-                            .agent
-                            .select_greedy(s, &allowed, |s, a| self.post_state(s, a));
+                        let a = self.agent.select_greedy(s, &allowed, self.post_map());
                         AttackAction::from_index(a)
                     })
                     .collect()
@@ -720,7 +736,7 @@ impl ForesightedPolicy {
             .map(|a| match &self.agent {
                 Learner::Batch(agent) => {
                     let q = agent.q_table().get(s, a);
-                    let v = agent.post_values()[self.post_state(s, a)];
+                    let v = agent.post_values()[self.post_map()(s, a)];
                     (AttackAction::from_index(a), q, v, q + agent.gamma() * v)
                 }
                 Learner::Standard(agent) => {
@@ -757,8 +773,8 @@ impl ForesightedPolicy {
     pub(crate) fn campaign_code(&self) -> (u64, f64) {
         match self.campaign {
             Campaign::Idle => (0, 0.0),
-            Campaign::Attacking { launch_est } => (1, launch_est.as_watts()),
-            Campaign::Recharging { launch_est } => (2, launch_est.as_watts()),
+            Campaign::Attacking => (1, self.launch_est.as_watts()),
+            Campaign::Recharging => (2, self.launch_est.as_watts()),
         }
     }
 
@@ -767,192 +783,50 @@ impl ForesightedPolicy {
     pub(crate) fn restore_campaign(&mut self, code: u64, launch_watts: f64) -> Result<(), String> {
         self.campaign = match code {
             0 => Campaign::Idle,
-            1 => Campaign::Attacking {
-                launch_est: Power::from_watts(launch_watts),
-            },
-            2 => Campaign::Recharging {
-                launch_est: Power::from_watts(launch_watts),
-            },
+            1 => Campaign::Attacking,
+            2 => Campaign::Recharging,
             other => return Err(format!("invalid campaign code {other}")),
         };
+        self.launch_est = Power::from_watts(launch_watts);
         Ok(())
     }
 
-    /// The current campaign execution state (batch-engine lane packing).
-    pub(crate) fn campaign(&self) -> Campaign {
-        self.campaign
-    }
-
-    /// Overwrites the campaign execution state (batch-engine lane
-    /// sync-back when a devirtualized fleet hands its lanes back).
-    pub(crate) fn set_campaign(&mut self, campaign: Campaign) {
-        self.campaign = campaign;
-    }
-
-    /// A copy of the immutable per-lane parameters the batch engine hoists
-    /// into columns when it devirtualizes a fleet of foresighted lanes.
-    pub(crate) fn lane_params(&self) -> ForesightedLaneParams {
-        ForesightedLaneParams {
-            battery_grid: self.battery_grid,
-            load_grid: self.load_grid,
-            temp_grid: self.temp_grid,
-            w: self.w,
-            setpoint: self.setpoint,
-            learning_rate: self.learning_rate,
-            epsilon: self.epsilon,
-            attack_load: self.attack_load,
-            slot: self.slot,
-            capacity: self.capacity,
-            charge_soc_per_slot: self.charge_soc_per_slot,
-            attack_soc_per_slot: self.attack_soc_per_slot,
-            learning_enabled: self.learning_enabled,
-            teacher_threshold: self.teacher_threshold,
-            teacher_days: self.teacher_days,
-            min_launch_soc: self.min_launch_soc,
-        }
-    }
-
-    /// The load-bin centers of the policy matrix columns, in kW.
-    pub fn load_bin_centers_kw(&self) -> Vec<f64> {
-        (0..self.load_grid.len())
-            .map(|u| self.load_grid.center(u))
-            .collect()
-    }
-
-    /// The battery-bin centers of the policy matrix rows (state of charge).
-    pub fn battery_bin_centers(&self) -> Vec<f64> {
-        (0..self.battery_grid.len())
-            .map(|b| self.battery_grid.center(b))
-            .collect()
-    }
-}
-
-/// The immutable parameters of one [`ForesightedPolicy`] lane, copied out
-/// for the batch engine's column storage (see `batch::ForesightedLanes`).
-/// Everything the scalar `decide`/`learn` paths read, minus the mutable
-/// state (learner tables, RNG, campaign) that the lanes own directly.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ForesightedLaneParams {
-    pub(crate) battery_grid: UniformGrid,
-    pub(crate) load_grid: UniformGrid,
-    pub(crate) temp_grid: UniformGrid,
-    pub(crate) w: f64,
-    pub(crate) setpoint: Temperature,
-    pub(crate) learning_rate: LearningRate,
-    pub(crate) epsilon: EpsilonSchedule,
-    pub(crate) attack_load: Power,
-    pub(crate) slot: Duration,
-    pub(crate) capacity: Power,
-    pub(crate) charge_soc_per_slot: f64,
-    pub(crate) attack_soc_per_slot: f64,
-    pub(crate) learning_enabled: bool,
-    pub(crate) teacher_threshold: Power,
-    pub(crate) teacher_days: u64,
-    pub(crate) min_launch_soc: f64,
-}
-
-impl ForesightedLaneParams {
-    /// Mirror of the scalar policy's `state_of`, operation for operation —
-    /// the batch engine must produce bit-identical state indices.
-    pub(crate) fn state_of(&self, soc: f64, estimated_total: Power, inlet: Temperature) -> usize {
-        let b = self.battery_grid.index(soc);
-        let u = self.load_grid.index(estimated_total.as_kilowatts());
-        let rise = (inlet - self.setpoint).positive_part().as_celsius();
-        let t = self.temp_grid.index(rise);
-        (b * self.load_grid.len() + u) * self.temp_grid.len() + t
-    }
-
-    /// Mirror of the scalar policy's `allowed_for_soc` (same push order —
-    /// greedy ties must break identically).
-    pub(crate) fn allowed_for_soc(&self, soc: f64, stored_ok: bool) -> AllowedActions {
-        let mut allowed = AllowedActions::new();
-        if soc < 0.999 {
-            allowed.push(AttackAction::Charge.index());
-        }
-        allowed.push(AttackAction::Standby.index());
-        if stored_ok && soc >= self.min_launch_soc {
-            allowed.push(AttackAction::Attack.index());
-        }
-        allowed
-    }
-
-    /// Mirror of the scalar policy's Eqn. 2 reward.
-    pub(crate) fn reward(&self, inlet: Temperature, action: AttackAction) -> f64 {
-        let dt = (inlet - self.setpoint).positive_part().as_celsius();
-        let beta = if action == AttackAction::Attack {
-            1.0
-        } else {
-            0.0
-        };
-        self.w * dt - beta
-    }
-
-    /// Mirror of the scalar policy's deterministic post-state map.
-    pub(crate) fn post_state(&self, s: usize, a: usize) -> usize {
-        post_state_impl(
-            s,
-            a,
-            self.charge_soc_per_slot,
-            self.attack_soc_per_slot,
-            self.battery_grid,
-            self.load_grid.len(),
-            self.temp_grid.len(),
-        )
-    }
-}
-
-impl AttackPolicy for ForesightedPolicy {
-    fn name(&self) -> &str {
-        "foresighted"
-    }
-
-    fn clone_policy(&self) -> Box<dyn AttackPolicy> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn decide(&mut self, obs: &Observation) -> AttackAction {
+    /// Chooses the action for the upcoming slot.
+    pub fn decide(&mut self, obs: &Observation) -> AttackAction {
         if obs.capping {
             // Emergency declared: this attack achieved its goal. Comply,
             // and use the capped window to start regaining battery energy.
-            if let Campaign::Attacking { launch_est } = self.campaign {
-                self.campaign = Campaign::Recharging { launch_est };
+            if self.campaign == Campaign::Attacking {
+                self.campaign = Campaign::Recharging;
             }
             return AttackAction::Standby;
         }
         let s = self.state_of(obs.battery_soc, obs.estimated_total, obs.inlet);
         let stored_ok = can_attack(obs.battery_stored, self.attack_load, self.slot);
 
-        // Campaign execution (Fig. 9's cycle).
-        let load_collapsed =
-            |launch_est: Power| obs.estimated_total < launch_est - Power::from_kilowatts(0.4);
-        // The attacker knows the colocation capacity (its contract) and its
-        // own attack load: attacking is pointless once the estimated
+        // Campaign execution (Fig. 9's cycle): a campaign stands down when
+        // the load collapses below its launch level, or when attacking has
+        // become pointless — the attacker knows the colocation capacity (its
+        // contract) and its own attack load, so it sees when the estimated
         // cooling overload is marginal.
+        let load_collapsed = obs.estimated_total < self.launch_est - Power::from_kilowatts(0.4);
         let ineffective =
             obs.estimated_total + self.attack_load < self.capacity + Power::from_kilowatts(0.25);
         match self.campaign {
-            Campaign::Attacking { launch_est } => {
-                if load_collapsed(launch_est) || ineffective {
+            Campaign::Attacking => {
+                if load_collapsed || ineffective {
                     self.campaign = Campaign::Idle;
                 } else if !stored_ok {
-                    self.campaign = Campaign::Recharging { launch_est };
+                    self.campaign = Campaign::Recharging;
                 } else {
                     return AttackAction::Attack;
                 }
             }
-            Campaign::Recharging { launch_est } => {
-                if load_collapsed(launch_est) || ineffective {
+            Campaign::Recharging => {
+                if load_collapsed || ineffective {
                     self.campaign = Campaign::Idle;
                 } else if obs.battery_soc >= self.min_launch_soc && stored_ok {
-                    self.campaign = Campaign::Attacking { launch_est };
+                    self.campaign = Campaign::Attacking;
                     return AttackAction::Attack;
                 } else {
                     return AttackAction::Charge;
@@ -962,7 +836,7 @@ impl AttackPolicy for ForesightedPolicy {
         }
 
         let allowed = self.allowed_for_soc(obs.battery_soc, stored_ok);
-        let day = obs.slot / (Duration::from_days(1.0) / self.slot) as u64 + 1;
+        let day = obs.slot / self.decide_slots_per_day + 1;
 
         // Bootstrap phase: the initial attack policy drives behaviour while
         // the tables learn off-policy what a successful sustained attack
@@ -977,9 +851,7 @@ impl AttackPolicy for ForesightedPolicy {
                 && obs.battery_soc >= self.min_launch_soc
                 && stored_ok
             {
-                self.campaign = Campaign::Attacking {
-                    launch_est: obs.estimated_total,
-                };
+                self.launch(obs.estimated_total);
                 AttackAction::Attack
             } else if obs.battery_soc < 1.0 {
                 AttackAction::Charge
@@ -989,28 +861,32 @@ impl AttackPolicy for ForesightedPolicy {
         }
 
         let eps = if self.learning_enabled {
-            self.epsilon.at(day)
+            self.epsilon_at(day)
         } else {
             0.0
         };
-        // Split borrows: the closure must not capture &self while the RNG is
-        // borrowed mutably, so inline the selection here.
+        // No RNG output is consumed unless ε is strictly positive, and the
+        // index draw only happens on the explore branch.
         let a = if eps > 0.0 && self.rng.random::<f64>() < eps {
             allowed[self.rng.random_range(0..allowed.len())]
         } else {
-            self.agent
-                .select_greedy(s, &allowed, |s, a| post_state_for(self, s, a))
+            self.agent.select_greedy(s, &allowed, self.post_map())
         };
         let action = AttackAction::from_index(a);
         if action == AttackAction::Attack {
-            self.campaign = Campaign::Attacking {
-                launch_est: obs.estimated_total,
-            };
+            self.launch(obs.estimated_total);
         }
         action
     }
 
-    fn learn(&mut self, t: &Transition) {
+    /// Starts a campaign at the given estimated total load.
+    fn launch(&mut self, estimated_total: Power) {
+        self.campaign = Campaign::Attacking;
+        self.launch_est = estimated_total;
+    }
+
+    /// Feeds back a completed slot: one learner update (Eqns. 5–7).
+    pub fn learn(&mut self, t: &Transition) {
         if !self.learning_enabled {
             return;
         }
@@ -1030,15 +906,8 @@ impl AttackPolicy for ForesightedPolicy {
         let stored_ok = can_attack(t.next_battery_stored, self.attack_load, self.slot);
         let allowed_next = self.allowed_for_soc(t.next_battery_soc, stored_ok);
         let reward = self.reward(t.inlet, t.action);
-        let delta = self.learning_rate.at(t.day + 1);
-        let charge = self.charge_soc_per_slot;
-        let attack = self.attack_soc_per_slot;
-        let battery_grid = self.battery_grid;
-        let load_bins = self.load_grid.len();
-        let temp_bins = self.temp_grid.len();
-        let post = move |s: usize, a: usize| {
-            post_state_impl(s, a, charge, attack, battery_grid, load_bins, temp_bins)
-        };
+        let delta = self.rate_at(t.day + 1);
+        let post = self.post_map();
         self.agent.update(
             s,
             t.action.index(),
@@ -1049,6 +918,20 @@ impl AttackPolicy for ForesightedPolicy {
             delta,
         );
     }
+
+    /// The load-bin centers of the policy matrix columns, in kW.
+    pub fn load_bin_centers_kw(&self) -> Vec<f64> {
+        (0..self.load_grid.len())
+            .map(|u| self.load_grid.center(u))
+            .collect()
+    }
+
+    /// The battery-bin centers of the policy matrix rows (state of charge).
+    pub fn battery_bin_centers(&self) -> Vec<f64> {
+        (0..Self::BATTERY_BINS)
+            .map(|b| Self::BATTERY_GRID.center(b))
+            .collect()
+    }
 }
 
 /// Fixed-capacity list of allowed action indices, in the tie-breaking order
@@ -1056,20 +939,20 @@ impl AttackPolicy for ForesightedPolicy {
 /// slot, so this stays on the stack — a `Vec` here was the last per-slot
 /// heap allocation in the simulator's steady loop.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct AllowedActions {
+struct AllowedActions {
     actions: [usize; AttackAction::COUNT],
     len: usize,
 }
 
 impl AllowedActions {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         AllowedActions {
             actions: [0; AttackAction::COUNT],
             len: 0,
         }
     }
 
-    pub(crate) fn push(&mut self, action: usize) {
+    fn push(&mut self, action: usize) {
         self.actions[self.len] = action;
         self.len += 1;
     }
@@ -1080,42 +963,6 @@ impl std::ops::Deref for AllowedActions {
     fn deref(&self) -> &[usize] {
         &self.actions[..self.len]
     }
-}
-
-/// Free-function mirror of [`ForesightedPolicy::post_state`] usable inside
-/// closures that cannot capture `&self` twice.
-fn post_state_for(p: &ForesightedPolicy, s: usize, a: usize) -> usize {
-    post_state_impl(
-        s,
-        a,
-        p.charge_soc_per_slot,
-        p.attack_soc_per_slot,
-        p.battery_grid,
-        p.load_grid.len(),
-        p.temp_grid.len(),
-    )
-}
-
-pub(crate) fn post_state_impl(
-    s: usize,
-    a: usize,
-    charge_soc: f64,
-    attack_soc: f64,
-    battery_grid: UniformGrid,
-    load_bins: usize,
-    temp_bins: usize,
-) -> usize {
-    let t = s % temp_bins;
-    let bu = s / temp_bins;
-    let b = bu / load_bins;
-    let u = bu % load_bins;
-    let soc = battery_grid.center(b);
-    let soc_next = match AttackAction::from_index(a) {
-        AttackAction::Charge => (soc + charge_soc).min(1.0),
-        AttackAction::Attack => (soc - attack_soc).max(0.0),
-        AttackAction::Standby => soc,
-    };
-    (battery_grid.index(soc_next) * load_bins + u) * temp_bins + t
 }
 
 #[cfg(test)]
@@ -1298,6 +1145,40 @@ mod tests {
         // fresh launch (only campaigns in progress may continue there).
         let mut p = ForesightedPolicy::paper_default(14.0, 1);
         assert_eq!(p.decide(&obs(0.4, 7.9, false)), AttackAction::Charge);
+    }
+
+    proptest::proptest! {
+        /// The per-day ε memo returns exactly the bits a fresh
+        /// `EpsilonSchedule::at` call would, along any run of days (days
+        /// repeat for a whole simulated day, then step forward).
+        #[test]
+        fn epsilon_memo_is_bit_identical_to_scalar(
+            start in 0u64..1_000_000,
+            steps in proptest::prop::collection::vec(0u64..3, 1..200),
+        ) {
+            let mut p = ForesightedPolicy::paper_default(14.0, 1);
+            let mut day = start;
+            for step in steps {
+                day += step;
+                let want = ForesightedPolicy::EPSILON.at(day);
+                proptest::prop_assert_eq!(p.epsilon_at(day).to_bits(), want.to_bits());
+            }
+        }
+
+        /// Same pinning for the learning-rate memo.
+        #[test]
+        fn learning_rate_memo_is_bit_identical_to_scalar(
+            start in 0u64..1_000_000,
+            steps in proptest::prop::collection::vec(0u64..3, 1..200),
+        ) {
+            let mut p = ForesightedPolicy::paper_default(14.0, 1);
+            let mut day = start;
+            for step in steps {
+                day += step;
+                let want = ForesightedPolicy::LEARNING_RATE.at(day);
+                proptest::prop_assert_eq!(p.rate_at(day).to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

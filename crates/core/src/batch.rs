@@ -2,11 +2,11 @@
 //!
 //! [`BatchSim`] advances a whole batch of scenarios in lockstep: per-slot
 //! state lives in structure-of-arrays form so the hot kernels — the zone
-//! thermal sub-steps ([`ZoneLanes`]), the side channel's Box–Muller noise
-//! pass ([`box_muller_slice`]), and an all-foresighted fleet's Q-learning
-//! (packed `[lane × state × action]` tables plus schedule column sweeps,
-//! see [`ForesightedLanes`]) — run as tight, SIMD-friendly inner loops over
+//! thermal sub-steps ([`ZoneLanes`]) and the side channel's Box–Muller noise
+//! pass ([`box_muller_slice`]) — run as tight, SIMD-friendly inner loops over
 //! the batch dimension instead of re-entering one `Simulation` at a time.
+//! Each lane's [`Policy`] is held inline and called exactly as
+//! [`Simulation::step`] calls it, so the attacker is written once.
 //!
 //! # Determinism contract
 //!
@@ -29,21 +29,16 @@ use std::sync::Arc;
 
 use hbm_battery::Battery;
 use hbm_power::EmergencyProtocol;
-use hbm_rl::{epsilon_sweep, learning_rate_sweep, EpsilonSchedule, LearningRate};
 use hbm_sidechannel::math::box_muller_slice;
 use hbm_sidechannel::{ChannelLanes, VoltageSideChannel, NORMALS_PER_ESTIMATE};
 use hbm_telemetry::Recorder;
 use hbm_thermal::{ZoneLanes, ZoneModel};
 use hbm_units::{Duration, Energy, Power, Temperature};
 use hbm_workload::PowerTrace;
-use rand::rngs::StdRng;
-use rand::RngExt;
 
-use crate::attacker::{can_attack, Campaign, ForesightedLaneParams};
 use crate::sim::{emit_sample, slots_per_day_at, PendingTransition, SimParts};
 use crate::{
-    AttackAction, AttackPolicy, ColoConfig, ForesightedPolicy, Learner, Metrics, MyopicPolicy,
-    Observation, SimReport, Simulation, SlotRecord, Transition,
+    AttackAction, ColoConfig, Metrics, Observation, Policy, SimReport, Simulation, SlotRecord,
 };
 
 /// Lane-major histogram counts for a batch whose lanes all share one
@@ -206,362 +201,10 @@ fn blank_record() -> SlotRecord {
     }
 }
 
-fn blank_observation() -> Observation {
-    Observation {
-        slot: 0,
-        battery_soc: 0.0,
-        battery_stored: Energy::ZERO,
-        estimated_total: Power::ZERO,
-        inlet: Temperature::from_celsius(0.0),
-        capping: false,
-    }
-}
-
 /// A batch of simulations advanced in lockstep over structure-of-arrays
 /// state (see the module docs for the determinism contract).
 ///
 /// Build one from fully constructed [`Simulation`]s with [`BatchSim::new`],
-/// Per-lane decision constants of an all-myopic batch, in the raw
-/// representations `MyopicPolicy::decide` compares on (watts for the load
-/// threshold, kilowatt-hours for the arming energy). Replaying its three
-/// comparisons against these columns gives the exact same action sequence
-/// as the trait-object call.
-struct MyopicLanes {
-    thresholds_w: Vec<f64>,
-    arm_kwh: Vec<f64>,
-}
-
-/// Packed learner storage of an all-foresighted batch, one learner kind for
-/// every lane (mixed kinds fall back to virtual dispatch).
-enum LearnerLanes {
-    Batch(hbm_rl::BatchLanes),
-    Standard(hbm_rl::StandardLanes),
-}
-
-/// Devirtualized state of an all-[`ForesightedPolicy`] batch: per-lane
-/// Q-tables packed into one contiguous `[lane × state × action]` matrix
-/// (via `hbm_rl`'s lane containers), ε/learning-rate schedule evaluations
-/// as packed column sweeps, and the campaign/RNG state the scalar policy
-/// keeps privately hoisted into per-lane columns.
-///
-/// `learn_lane` and `decide_lane` replicate [`ForesightedPolicy::learn`] /
-/// [`ForesightedPolicy::decide`] **op for op** — same state encoding, same
-/// allowed-action order, same conditional RNG draws, same greedy comparison
-/// sequence — so lane `i` stays bit-identical to the scalar policy it was
-/// packed from (the batch determinism contract). The packed state is
-/// authoritative while batched and synced back in
-/// [`BatchSim::into_sims`].
-struct ForesightedLanes {
-    learner: LearnerLanes,
-    params: Vec<ForesightedLaneParams>,
-    campaigns: Vec<Campaign>,
-    rngs: Vec<StdRng>,
-    /// `decide`'s day divisor, `(1 day / slot)` truncated — deliberately
-    /// *not* the rounded [`slots_per_day_at`] that `learn` transitions use
-    /// (the scalar policy computes the two differently, and bit-identity
-    /// means replicating both).
-    decide_slots_per_day: Vec<u64>,
-    /// Per-lane schedule columns for the packed sweeps.
-    epsilons: Vec<EpsilonSchedule>,
-    learning_rates: Vec<LearningRate>,
-    /// Per-slot sweep scratch (preallocated; the steady loop allocates
-    /// nothing).
-    decide_days: Vec<u64>,
-    learn_days: Vec<u64>,
-    eps_col: Vec<f64>,
-    delta_col: Vec<f64>,
-    /// Day values the cached ε/δ columns were last evaluated at (0 =
-    /// never; real day indices start at 1). The schedules are pure
-    /// functions of the day index, so a cached column entry stays exact
-    /// until its lane's day moves — the sweeps then run compacted over
-    /// just the moved lanes.
-    swept_decide_days: Vec<u64>,
-    swept_learn_days: Vec<u64>,
-    /// Gather/scatter scratch for the compacted sweeps (preallocated).
-    sweep_idx: Vec<usize>,
-    sweep_days: Vec<u64>,
-    sweep_eps: Vec<EpsilonSchedule>,
-    sweep_rates: Vec<LearningRate>,
-    sweep_out: Vec<f64>,
-}
-
-impl ForesightedLanes {
-    /// Packs an all-foresighted policy set. `None` when any lane is not a
-    /// [`ForesightedPolicy`], the lanes mix learner kinds, or the table
-    /// shapes disagree — those batches keep the virtual dispatch path.
-    fn from_policies(policies: &[Box<dyn AttackPolicy>]) -> Option<ForesightedLanes> {
-        let ps: Vec<&ForesightedPolicy> = policies
-            .iter()
-            .map(|p| p.as_any().downcast_ref::<ForesightedPolicy>())
-            .collect::<Option<_>>()?;
-        let learner = match ps[0].learner() {
-            Learner::Batch(_) => {
-                let agents: Vec<&hbm_rl::BatchQLearning> = ps
-                    .iter()
-                    .map(|p| match p.learner() {
-                        Learner::Batch(a) => Some(a),
-                        Learner::Standard(_) => None,
-                    })
-                    .collect::<Option<_>>()?;
-                LearnerLanes::Batch(hbm_rl::BatchLanes::from_agents(&agents)?)
-            }
-            Learner::Standard(_) => {
-                let agents: Vec<&hbm_rl::QLearning> = ps
-                    .iter()
-                    .map(|p| match p.learner() {
-                        Learner::Standard(a) => Some(a),
-                        Learner::Batch(_) => None,
-                    })
-                    .collect::<Option<_>>()?;
-                LearnerLanes::Standard(hbm_rl::StandardLanes::from_agents(&agents)?)
-            }
-        };
-        let params: Vec<ForesightedLaneParams> = ps.iter().map(|p| p.lane_params()).collect();
-        let lanes = ps.len();
-        Some(ForesightedLanes {
-            learner,
-            campaigns: ps.iter().map(|p| p.campaign()).collect(),
-            rngs: ps
-                .iter()
-                .map(|p| StdRng::from_state(p.rng_state()))
-                .collect(),
-            decide_slots_per_day: params
-                .iter()
-                .map(|p| (Duration::from_days(1.0) / p.slot) as u64)
-                .collect(),
-            epsilons: params.iter().map(|p| p.epsilon).collect(),
-            learning_rates: params.iter().map(|p| p.learning_rate).collect(),
-            params,
-            decide_days: vec![0; lanes],
-            learn_days: vec![0; lanes],
-            eps_col: vec![0.0; lanes],
-            delta_col: vec![0.0; lanes],
-            swept_decide_days: vec![0; lanes],
-            swept_learn_days: vec![0; lanes],
-            sweep_idx: Vec::with_capacity(lanes),
-            sweep_days: Vec::with_capacity(lanes),
-            sweep_eps: Vec::with_capacity(lanes),
-            sweep_rates: Vec::with_capacity(lanes),
-            sweep_out: Vec::with_capacity(lanes),
-        })
-    }
-
-    /// Evaluates every lane's ε and δ schedules for this slot as two packed
-    /// column sweeps, memoized by day. The schedules are pure functions of
-    /// the day index, so eagerly evaluating lanes that end up not consuming
-    /// the value (teacher phase, campaign early returns, no pending
-    /// transition, outage) is value-neutral, and a cached entry can be
-    /// reused verbatim until the lane's day moves; where a lane *does*
-    /// consume it, the sweep element is bit-identical to the scalar `at`
-    /// call it replaces (property-pinned in `hbm-rl`).
-    ///
-    /// Must run before any pending transition is taken: the δ column is
-    /// derived from the pendings' observation slots.
-    fn sweep_schedules(
-        &mut self,
-        records: &[SlotRecord],
-        pendings: &[Option<PendingTransition>],
-        slots_per_day: u64,
-    ) {
-        for i in 0..self.params.len() {
-            // decide: `day = obs.slot / (1 day / slot) + 1` (un-rounded).
-            self.decide_days[i] = records[i].slot / self.decide_slots_per_day[i] + 1;
-            // learn: `δ = learning_rate.at(t.day + 1)` with
-            // `t.day = pending.observation.slot / slots_per_day` (rounded).
-            self.learn_days[i] = pendings[i]
-                .as_ref()
-                .map_or(0, |p| p.observation.slot / slots_per_day)
-                + 1;
-        }
-        // ε: re-evaluate only the lanes whose decide day moved (about once
-        // per simulated day per lane); the cached column entries are exact
-        // for unmoved days, so the packed sweep runs compacted.
-        self.sweep_idx.clear();
-        self.sweep_days.clear();
-        self.sweep_eps.clear();
-        for i in 0..self.decide_days.len() {
-            if self.decide_days[i] != self.swept_decide_days[i] {
-                self.sweep_idx.push(i);
-                self.sweep_days.push(self.decide_days[i]);
-                self.sweep_eps.push(self.epsilons[i]);
-            }
-        }
-        if !self.sweep_idx.is_empty() {
-            self.sweep_out.clear();
-            self.sweep_out.resize(self.sweep_idx.len(), 0.0);
-            epsilon_sweep(&self.sweep_eps, &self.sweep_days, &mut self.sweep_out);
-            for (k, &i) in self.sweep_idx.iter().enumerate() {
-                self.eps_col[i] = self.sweep_out[k];
-                self.swept_decide_days[i] = self.decide_days[i];
-            }
-        }
-        // δ: same compaction keyed on the learn day (moves when a lane's
-        // pending transition is re-armed).
-        self.sweep_idx.clear();
-        self.sweep_days.clear();
-        self.sweep_rates.clear();
-        for i in 0..self.learn_days.len() {
-            if self.learn_days[i] != self.swept_learn_days[i] {
-                self.sweep_idx.push(i);
-                self.sweep_days.push(self.learn_days[i]);
-                self.sweep_rates.push(self.learning_rates[i]);
-            }
-        }
-        if !self.sweep_idx.is_empty() {
-            self.sweep_out.clear();
-            self.sweep_out.resize(self.sweep_idx.len(), 0.0);
-            learning_rate_sweep(&self.sweep_rates, &self.sweep_days, &mut self.sweep_out);
-            for (k, &i) in self.sweep_idx.iter().enumerate() {
-                self.delta_col[i] = self.sweep_out[k];
-                self.swept_learn_days[i] = self.learn_days[i];
-            }
-        }
-    }
-
-    /// [`ForesightedPolicy::learn`] on lane `i`, against the packed tables.
-    fn learn_lane(&mut self, i: usize, t: &Transition) {
-        let p = self.params[i];
-        if !p.learning_enabled {
-            return;
-        }
-        let s = p.state_of(
-            t.observation.battery_soc,
-            t.observation.estimated_total,
-            t.observation.inlet,
-        );
-        let s_next = p.state_of(t.next_battery_soc, t.next_estimated_total, t.inlet);
-        let stored_ok = can_attack(t.next_battery_stored, p.attack_load, p.slot);
-        let allowed_next = p.allowed_for_soc(t.next_battery_soc, stored_ok);
-        let reward = p.reward(t.inlet, t.action);
-        // The sweep evaluated this lane's δ from the same pending this
-        // transition was built from.
-        debug_assert_eq!(self.learn_days[i], t.day + 1);
-        let delta = self.delta_col[i];
-        match &mut self.learner {
-            LearnerLanes::Batch(l) => l.update(
-                i,
-                s,
-                t.action.index(),
-                reward,
-                s_next,
-                &allowed_next,
-                |s, a| p.post_state(s, a),
-                delta,
-            ),
-            LearnerLanes::Standard(l) => l.update(
-                i,
-                s,
-                t.action.index(),
-                reward,
-                s_next,
-                &allowed_next,
-                delta,
-            ),
-        }
-    }
-
-    /// [`ForesightedPolicy::decide`] on lane `i`, against the packed tables
-    /// and hoisted campaign/RNG columns.
-    fn decide_lane(&mut self, i: usize, obs: &Observation) -> AttackAction {
-        let p = self.params[i];
-        if obs.capping {
-            if let Campaign::Attacking { launch_est } = self.campaigns[i] {
-                self.campaigns[i] = Campaign::Recharging { launch_est };
-            }
-            return AttackAction::Standby;
-        }
-        let s = p.state_of(obs.battery_soc, obs.estimated_total, obs.inlet);
-        let stored_ok = can_attack(obs.battery_stored, p.attack_load, p.slot);
-
-        let load_collapsed =
-            |launch_est: Power| obs.estimated_total < launch_est - Power::from_kilowatts(0.4);
-        let ineffective =
-            obs.estimated_total + p.attack_load < p.capacity + Power::from_kilowatts(0.25);
-        match self.campaigns[i] {
-            Campaign::Attacking { launch_est } => {
-                if load_collapsed(launch_est) || ineffective {
-                    self.campaigns[i] = Campaign::Idle;
-                } else if !stored_ok {
-                    self.campaigns[i] = Campaign::Recharging { launch_est };
-                } else {
-                    return AttackAction::Attack;
-                }
-            }
-            Campaign::Recharging { launch_est } => {
-                if load_collapsed(launch_est) || ineffective {
-                    self.campaigns[i] = Campaign::Idle;
-                } else if obs.battery_soc >= p.min_launch_soc && stored_ok {
-                    self.campaigns[i] = Campaign::Attacking { launch_est };
-                    return AttackAction::Attack;
-                } else {
-                    return AttackAction::Charge;
-                }
-            }
-            Campaign::Idle => {}
-        }
-
-        let allowed = p.allowed_for_soc(obs.battery_soc, stored_ok);
-        let day = self.decide_days[i];
-        debug_assert_eq!(day, obs.slot / self.decide_slots_per_day[i] + 1);
-
-        if p.learning_enabled && day <= p.teacher_days {
-            return if obs.estimated_total >= p.teacher_threshold
-                && obs.battery_soc >= p.min_launch_soc
-                && stored_ok
-            {
-                self.campaigns[i] = Campaign::Attacking {
-                    launch_est: obs.estimated_total,
-                };
-                AttackAction::Attack
-            } else if obs.battery_soc < 1.0 {
-                AttackAction::Charge
-            } else {
-                AttackAction::Standby
-            };
-        }
-
-        let eps = if p.learning_enabled {
-            self.eps_col[i]
-        } else {
-            0.0
-        };
-        // Same conditional draws as the scalar policy: no RNG output is
-        // consumed unless ε is strictly positive, and the index draw only
-        // happens on the explore branch.
-        let a = if eps > 0.0 && self.rngs[i].random::<f64>() < eps {
-            allowed[self.rngs[i].random_range(0..allowed.len())]
-        } else {
-            match &self.learner {
-                LearnerLanes::Batch(l) => l.select_greedy(i, s, &allowed, |s, a| p.post_state(s, a)),
-                LearnerLanes::Standard(l) => l.select_greedy(i, s, &allowed),
-            }
-        };
-        let action = AttackAction::from_index(a);
-        if action == AttackAction::Attack {
-            self.campaigns[i] = Campaign::Attacking {
-                launch_est: obs.estimated_total,
-            };
-        }
-        action
-    }
-
-    /// Flows lane `i`'s packed state (tables, RNG, campaign) back into the
-    /// scalar policy it was packed from.
-    fn sync_into_policy(&self, i: usize, policy: &mut ForesightedPolicy) {
-        match (&self.learner, policy.learner_mut()) {
-            (LearnerLanes::Batch(l), Learner::Batch(agent)) => {
-                l.sync_into(i, agent).expect("lane shape matches its source");
-            }
-            (LearnerLanes::Standard(l), Learner::Standard(agent)) => {
-                l.sync_into(i, agent).expect("lane shape matches its source");
-            }
-            _ => unreachable!("lane learner kind matches the policy it was packed from"),
-        }
-        policy.restore_rng(self.rngs[i].state());
-        policy.set_campaign(self.campaigns[i]);
-    }
-}
-
 /// drive it with [`step_all`](BatchSim::step_all) or
 /// [`run`](BatchSim::run), then collect results with
 /// [`take_reports`](BatchSim::take_reports) and hand the scenarios back with
@@ -575,7 +218,7 @@ pub struct BatchSim {
     protocols: Vec<EmergencyProtocol>,
     batteries: Vec<Battery>,
     side_channels: Vec<VoltageSideChannel>,
-    policies: Vec<Box<dyn AttackPolicy>>,
+    policies: Vec<Policy>,
     slot_indices: Vec<u64>,
     /// Per-lane result metrics. The per-slot accumulators live in
     /// `metric_lanes` while batched and are folded back in before metrics
@@ -592,20 +235,6 @@ pub struct BatchSim {
     filter_w: Vec<f64>,
     filter_set: Vec<bool>,
     recorders: Vec<Option<Box<dyn Recorder>>>,
-    /// Cached [`AttackPolicy::wants_learn`]; lanes with `false` skip the
-    /// pending-transition bookkeeping entirely.
-    wants_learn: Vec<bool>,
-    /// Set when every lane runs a [`MyopicPolicy`]: its `decide` is three
-    /// scalar comparisons on values the step loop already holds, so the
-    /// whole fleet skips the observation build and the trait-object call.
-    myopic: Option<MyopicLanes>,
-    /// Set when every lane runs a [`ForesightedPolicy`] with one learner
-    /// kind and one table shape: Q-tables pack into a single contiguous
-    /// lane-major matrix, schedule evaluations become packed column sweeps,
-    /// and learn/decide run without the trait-object call (see
-    /// [`ForesightedLanes`]). The packed state is authoritative while
-    /// batched; [`into_sims`](BatchSim::into_sims) syncs it back.
-    foresighted: Option<ForesightedLanes>,
 
     // ---- Per-lane config invariants, hoisted into dense arrays. ----
     // `ColoConfig` spans several cache lines per lane; the hot phases only
@@ -673,7 +302,6 @@ pub struct BatchSim {
     raw_estimates: Vec<Power>,
     att_metered: Vec<Power>,
     att_actual: Vec<Power>,
-    observations: Vec<Observation>,
     records: Vec<SlotRecord>,
 }
 
@@ -728,23 +356,6 @@ impl BatchSim {
         let metric_lanes = MetricLanes::from_metrics(&metrics);
         let zones = ZoneLanes::from_models(&zone_models);
         let sc_lanes = ChannelLanes::from_channels(&side_channels);
-        let wants_learn = policies.iter().map(|p| p.wants_learn()).collect();
-        let myopic = policies
-            .iter()
-            .map(|p| p.as_any().downcast_ref::<MyopicPolicy>())
-            .collect::<Option<Vec<_>>>()
-            .map(|ps| MyopicLanes {
-                thresholds_w: ps.iter().map(|p| p.threshold().as_watts()).collect(),
-                arm_kwh: ps
-                    .iter()
-                    .map(|p| p.arm_energy().as_kilowatt_hours())
-                    .collect(),
-            });
-        let foresighted = if myopic.is_some() {
-            None
-        } else {
-            ForesightedLanes::from_policies(&policies)
-        };
         let benign_caps = configs.iter().map(|c| c.benign_capacity()).collect();
         let benign_emergency_caps = configs.iter().map(|c| c.benign_emergency_cap()).collect();
         let attacker_caps: Vec<Power> = configs.iter().map(|c| c.attacker_capacity).collect();
@@ -795,9 +406,6 @@ impl BatchSim {
             filter_w,
             filter_set,
             recorders,
-            wants_learn,
-            myopic,
-            foresighted,
             benign_caps,
             benign_emergency_caps,
             attacker_caps,
@@ -828,7 +436,6 @@ impl BatchSim {
             raw_estimates: vec![Power::ZERO; lanes],
             att_metered: vec![Power::ZERO; lanes],
             att_actual: vec![Power::ZERO; lanes],
-            observations: vec![blank_observation(); lanes],
             records: vec![blank_record(); lanes],
         }
     }
@@ -848,12 +455,12 @@ impl BatchSim {
         self.slot
     }
 
-    /// Whether this batch devirtualized its learning lanes — true only for
-    /// an all-[`ForesightedPolicy`] batch with one learner kind and one
-    /// table shape. Tests assert on this so a silent fallback to virtual
-    /// dispatch (still correct, just slower) cannot hide.
+    /// Whether the lanes' learn/decide calls are statically dispatched.
+    /// Always `true`: policies are a closed enum held inline, so there is
+    /// no virtual-dispatch fallback left to detect. Kept for callers that
+    /// assert on it.
     pub fn learning_devirtualized(&self) -> bool {
-        self.foresighted.is_some()
+        true
     }
 
     /// The last slot's records, one per lane ([`blank`](SlotRecord) before
@@ -870,9 +477,8 @@ impl BatchSim {
     /// 1. slot bookkeeping and benign tenants (scalar sweep);
     /// 2. side-channel uniform draws, compacted over non-outage lanes;
     /// 3. one packed Box–Muller pass over all lanes' normals (vectorized);
-    /// 4. estimate → learn → decide → act (virtual dispatch per lane;
-    ///    all-myopic and all-foresighted fleets devirtualize — the latter
-    ///    with packed Q-table lanes and schedule column sweeps);
+    /// 4. estimate → learn → decide → act (each lane's [`Policy`], called
+    ///    as [`Simulation::step`] calls it);
     /// 5. zone thermal pass over the whole batch ([`ZoneLanes::step_all`]);
     /// 6. protocol, metrics, and record finalization (scalar sweep).
     pub fn step_all(&mut self) -> u32 {
@@ -1012,11 +618,6 @@ impl BatchSim {
                 self.est_w[i] = raw_estimate;
             }
         }
-        if let Some(fl) = &mut self.foresighted {
-            // Packed ε/δ schedule sweeps for the whole fleet, before any
-            // pending transition is taken (the δ column reads them).
-            fl.sweep_schedules(&self.records, &self.pendings, self.slots_per_day);
-        }
         for j in 0..n_active {
             let i = self.active[j] as usize;
             let k = self.records[i].slot;
@@ -1046,62 +647,21 @@ impl BatchSim {
                 self.filter_set[i] = true;
                 (raw_estimate, estimated_total)
             };
-            let action = if let Some(my) = &self.myopic {
-                // All-myopic fleet: replay `MyopicPolicy::decide`'s three
-                // comparisons directly (same order, same raw-unit
-                // representations), skipping the observation build and the
-                // indirect call. Myopic never learns, so the learn path
-                // below is dead for every lane of such a batch.
-                if capping {
-                    AttackAction::Standby
-                } else if estimated_total.as_watts() >= my.thresholds_w[i]
-                    && self.batteries[i].stored().as_kilowatt_hours() >= my.arm_kwh[i]
-                {
-                    AttackAction::Attack
-                } else if self.batteries[i].state_of_charge() < 1.0 {
-                    AttackAction::Charge
-                } else {
-                    AttackAction::Standby
-                }
-            } else {
-                let observation = Observation {
-                    slot: k,
-                    battery_soc: self.batteries[i].state_of_charge(),
-                    battery_stored: self.batteries[i].stored(),
-                    estimated_total,
-                    inlet: self.zones.inlet(i),
-                    capping,
-                };
-
-                // Non-learning lanes never have a pending transition and
-                // never read `observations` back (phase 6 skips them too),
-                // so the whole learn path — including the 100-byte
-                // `pendings` sweep — collapses to this one flag test.
-                if self.wants_learn[i] {
-                    if let Some(p) = self.pendings[i].take() {
-                        let transition = Transition {
-                            observation: p.observation,
-                            action: p.action,
-                            inlet: p.inlet,
-                            next_battery_soc: p.next_battery_soc,
-                            next_battery_stored: p.next_battery_stored,
-                            next_estimated_total: estimated_total,
-                            next_capping: capping,
-                            day: p.observation.slot / self.slots_per_day,
-                        };
-                        match &mut self.foresighted {
-                            Some(fl) => fl.learn_lane(i, &transition),
-                            None => self.policies[i].learn(&transition),
-                        }
-                    }
-                    self.observations[i] = observation;
-                }
-
-                match &mut self.foresighted {
-                    Some(fl) => fl.decide_lane(i, &observation),
-                    None => self.policies[i].decide(&observation),
-                }
+            let observation = Observation {
+                slot: k,
+                battery_soc: self.batteries[i].state_of_charge(),
+                battery_stored: self.batteries[i].stored(),
+                estimated_total,
+                inlet: self.zones.inlet(i),
+                capping,
             };
+            // Complete last slot's transition now that the new estimate
+            // exists, then decide, exactly as `Simulation::step` does.
+            if let Some(p) = self.pendings[i] {
+                let transition = p.complete(estimated_total, capping, self.slots_per_day);
+                self.policies[i].learn(&transition);
+            }
+            let action = self.policies[i].decide(&observation);
             let attacker_metered_limit = if capping {
                 self.attacker_emergency_caps[i]
             } else {
@@ -1134,13 +694,23 @@ impl BatchSim {
             self.att_metered[i] = attacker_metered;
             self.att_actual[i] = attacker_actual;
             self.raw_estimates[i] = raw_estimate;
+            let battery_soc = self.batteries[i].state_of_charge();
             let r = &mut self.records[i];
             r.metered_total = metered_total;
             r.actual_total = actual_total;
             r.attack_load = battery_attack;
-            r.battery_soc = self.batteries[i].state_of_charge();
+            r.battery_soc = battery_soc;
             r.estimated_total = estimated_total;
             r.action = action;
+            // Defer the learning feedback to the next slot; phase 6 fills in
+            // the inlet the zone pass produces.
+            self.pendings[i] = Some(PendingTransition {
+                observation,
+                action,
+                inlet: Temperature::from_celsius(0.0),
+                next_battery_soc: battery_soc,
+                next_battery_stored: self.batteries[i].stored(),
+            });
         }
 
         // ---- Phase 5: zone thermal pass over the whole batch. ----
@@ -1210,14 +780,8 @@ impl BatchSim {
                 self.metric_lanes.attacker_actual_kwh[i] +=
                     (self.att_actual[i] * slot).as_kilowatt_hours();
 
-                if self.wants_learn[i] {
-                    self.pendings[i] = Some(PendingTransition {
-                        observation: self.observations[i],
-                        action: self.records[i].action,
-                        inlet,
-                        next_battery_soc: self.batteries[i].state_of_charge(),
-                        next_battery_stored: self.batteries[i].stored(),
-                    });
+                if let Some(p) = &mut self.pendings[i] {
+                    p.inlet = inlet;
                 }
             }
             if let Some(rec) = self.recorders[i].as_mut() {
@@ -1277,19 +841,9 @@ impl BatchSim {
     pub fn into_sims(mut self) -> Vec<Simulation> {
         let lanes = self.len();
         // The column-wise RNG/wander/metric state is authoritative while
-        // batched; flow it back before handing the scenarios out. Same for
-        // a devirtualized foresighted fleet's packed tables/RNG/campaigns.
+        // batched; flow it back before handing the scenarios out.
         self.sc_lanes.sync_back(&mut self.side_channels);
         self.metric_lanes.fold_into(&mut self.metrics);
-        if let Some(fl) = self.foresighted.take() {
-            for i in 0..lanes {
-                let policy = self.policies[i]
-                    .as_any_mut()
-                    .downcast_mut::<ForesightedPolicy>()
-                    .expect("foresighted lanes only pack ForesightedPolicy");
-                fl.sync_into_policy(i, policy);
-            }
-        }
         let mut sims = Vec::with_capacity(lanes);
         for i in (0..lanes).rev() {
             let mut zone = self.zone_models[i];

@@ -14,7 +14,7 @@
 
 use hbm_units::{Duration, Power};
 
-use crate::{AttackPolicy, ColoConfig, SimReport, Simulation};
+use crate::{ColoConfig, Policy, SimReport, Simulation};
 
 /// Wide-area outcome of a fleet campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +56,7 @@ impl FleetReport {
 /// config.battery = BatterySpec::one_shot();
 /// config.attack_load = Power::from_kilowatts(3.0);
 /// let mut fleet = Fleet::new(config, 5, 1, |_, _| {
-///     Box::new(OneShotPolicy::new(Power::from_kilowatts(7.6)))
+///     OneShotPolicy::new(Power::from_kilowatts(7.6))
 /// });
 /// let report = fleet.run(3 * 1440, 0.5);
 /// assert!(report.wide_area_interrupted());
@@ -72,11 +72,11 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics if `count` is zero or the config is invalid.
-    pub fn new(
+    pub fn new<P: Into<Policy>>(
         config: ColoConfig,
         count: usize,
         base_seed: u64,
-        mut make_policy: impl FnMut(usize, u64) -> Box<dyn AttackPolicy>,
+        mut make_policy: impl FnMut(usize, u64) -> P,
     ) -> Self {
         assert!(count > 0, "fleet needs at least one site");
         let sites = (0..count)
@@ -175,7 +175,7 @@ pub fn coordinated_one_shot(
     config.battery = BatterySpec::one_shot();
     config.attack_load = Power::from_kilowatts(3.0);
     let mut fleet = Fleet::new(config, sites, base_seed, |_, _| {
-        Box::new(OneShotPolicy::new(Power::from_kilowatts(7.6)))
+        OneShotPolicy::new(Power::from_kilowatts(7.6))
     });
     fleet.run(horizon_slots, required_up_fraction)
 }
@@ -189,7 +189,7 @@ mod tests {
     fn benign_fleet_never_interrupted() {
         let config = ColoConfig::paper_default().with_trace_len(2 * 1440);
         let mut fleet = Fleet::new(config, 3, 7, |_, _| {
-            Box::new(MyopicPolicy::new(Power::from_kilowatts(99.0)))
+            MyopicPolicy::new(Power::from_kilowatts(99.0))
         });
         let report = fleet.run(2 * 1440, 1.0);
         assert_eq!(report.any_down_slots, 0);
@@ -212,7 +212,7 @@ mod tests {
     fn sites_have_independent_traces() {
         let config = ColoConfig::paper_default().with_trace_len(1440);
         let fleet = Fleet::new(config, 2, 3, |_, _| {
-            Box::new(MyopicPolicy::new(Power::from_kilowatts(7.4)))
+            MyopicPolicy::new(Power::from_kilowatts(7.4))
         });
         let a = fleet.sites()[0].trace();
         let b = fleet.sites()[1].trace();

@@ -31,7 +31,7 @@
 //!
 //! let config = ColoConfig::paper_default();
 //! let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-//! let mut sim = Simulation::new(config, Box::new(policy), 42);
+//! let mut sim = Simulation::new(config, policy, 42);
 //! let report = sim.run(2 * 24 * 60); // two simulated days
 //! assert!(report.metrics.attack_slots > 0);
 //! ```
@@ -51,8 +51,8 @@ mod state;
 mod tree;
 
 pub use attacker::{
-    AttackAction, AttackPolicy, ForesightedPolicy, Learner, MyopicPolicy, Observation,
-    OneShotPolicy, RandomPolicy, Transition,
+    AttackAction, ForesightedPolicy, Learner, MyopicPolicy, Observation, OneShotPolicy, Policy,
+    RandomPolicy, Transition,
 };
 pub use batch::{run_sharded, run_sharded_recorded, BatchRun, BatchRunRecorded, BatchSim};
 pub use config::ColoConfig;

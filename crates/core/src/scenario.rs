@@ -18,7 +18,7 @@ use hbm_thermal::HeatMatrixModel;
 use hbm_units::{Energy, Power, Temperature};
 
 use crate::{
-    AttackPolicy, ColoConfig, ForesightedPolicy, Metrics, MyopicPolicy, RandomPolicy, SimReport,
+    ColoConfig, ForesightedPolicy, Metrics, MyopicPolicy, Policy, RandomPolicy, SimReport,
     Simulation,
 };
 
@@ -39,27 +39,14 @@ pub fn config_canonical_base(ids: &str, days: u64, warmup_days: u64, seed: u64) 
 ///
 /// Returns a message naming the unknown policy and listing
 /// [`POLICY_NAMES`].
-#[allow(clippy::type_complexity)]
-pub fn build_policy(
-    name: &str,
-    config: &ColoConfig,
-    seed: u64,
-) -> Result<(Box<dyn AttackPolicy>, bool), String> {
+pub fn build_policy(name: &str, config: &ColoConfig, seed: u64) -> Result<(Policy, bool), String> {
     match name {
         "random" => Ok((
-            Box::new(RandomPolicy::new(
-                0.08,
-                config.attack_load,
-                config.slot,
-                seed,
-            )),
+            RandomPolicy::new(0.08, config.attack_load, config.slot, seed).into(),
             false,
         )),
-        "myopic" => Ok((
-            Box::new(MyopicPolicy::new(Power::from_kilowatts(7.4))),
-            false,
-        )),
-        "foresighted" => Ok((Box::new(ForesightedPolicy::paper_default(14.0, seed)), true)),
+        "myopic" => Ok((MyopicPolicy::new(Power::from_kilowatts(7.4)).into(), false)),
+        "foresighted" => Ok((ForesightedPolicy::paper_default(14.0, seed).into(), true)),
         other => Err(format!(
             "unknown policy {other:?} (expected one of {})",
             POLICY_NAMES.join(", ")
@@ -69,11 +56,7 @@ pub fn build_policy(
 
 /// The canonical trio of repeated-attack policies at their default
 /// settings, as `(name, policy, needs_warmup)` rows.
-#[allow(clippy::type_complexity)]
-pub fn default_policies(
-    config: &ColoConfig,
-    seed: u64,
-) -> Vec<(String, Box<dyn AttackPolicy>, bool)> {
+pub fn default_policies(config: &ColoConfig, seed: u64) -> Vec<(String, Policy, bool)> {
     POLICY_NAMES
         .iter()
         .map(|name| {
@@ -87,7 +70,7 @@ pub fn default_policies(
 /// Builds and runs a simulation, warming up learning policies first.
 pub fn run_policy(
     config: &ColoConfig,
-    policy: Box<dyn AttackPolicy>,
+    policy: impl Into<Policy>,
     seed: u64,
     warmup_slots: u64,
     slots: u64,

@@ -12,7 +12,7 @@ use hbm_thermal::ZoneModel;
 use hbm_units::{Duration, Energy, Power, Temperature};
 use hbm_workload::{generate, PowerTrace};
 
-use crate::{AttackAction, AttackPolicy, ColoConfig, Metrics, Observation, Transition};
+use crate::{AttackAction, ColoConfig, Metrics, Observation, Policy, Transition};
 
 /// One slot of recorded simulator state (drives the snapshot figures
 /// 8, 9, and 13).
@@ -54,8 +54,10 @@ pub struct SimReport {
 }
 
 /// Everything not yet known when the policy acted; completed (and fed to
-/// [`AttackPolicy::learn`]) at the start of the next slot, when the next
-/// side-channel estimate exists.
+/// [`Policy::learn`]) at the start of the next slot, when the next
+/// side-channel estimate exists. Both engines leave one after every
+/// non-outage slot, whatever the policy, so a checkpoint never depends on
+/// which engine stepped the run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PendingTransition {
     pub(crate) observation: Observation,
@@ -63,6 +65,28 @@ pub(crate) struct PendingTransition {
     pub(crate) inlet: Temperature,
     pub(crate) next_battery_soc: f64,
     pub(crate) next_battery_stored: Energy,
+}
+
+impl PendingTransition {
+    /// The learning [`Transition`], completed with what the next slot
+    /// observed (both engines go through here).
+    pub(crate) fn complete(
+        self,
+        next_estimated_total: Power,
+        next_capping: bool,
+        slots_per_day: u64,
+    ) -> Transition {
+        Transition {
+            observation: self.observation,
+            action: self.action,
+            inlet: self.inlet,
+            next_battery_soc: self.next_battery_soc,
+            next_battery_stored: self.next_battery_stored,
+            next_estimated_total,
+            next_capping,
+            day: self.observation.slot / slots_per_day,
+        }
+    }
 }
 
 /// A [`Simulation`] decomposed into its owned components, so the batch
@@ -75,7 +99,7 @@ pub(crate) struct SimParts {
     pub(crate) protocol: EmergencyProtocol,
     pub(crate) battery: Battery,
     pub(crate) side_channel: VoltageSideChannel,
-    pub(crate) policy: Box<dyn AttackPolicy>,
+    pub(crate) policy: Policy,
     pub(crate) slot_index: u64,
     pub(crate) metrics: Metrics,
     pub(crate) pending: Option<PendingTransition>,
@@ -136,7 +160,7 @@ pub struct Simulation {
     pub(crate) protocol: EmergencyProtocol,
     pub(crate) battery: Battery,
     pub(crate) side_channel: VoltageSideChannel,
-    pub(crate) policy: Box<dyn AttackPolicy>,
+    pub(crate) policy: Policy,
     pub(crate) slot_index: u64,
     pub(crate) metrics: Metrics,
     pub(crate) pending: Option<PendingTransition>,
@@ -158,11 +182,11 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if `config` fails [`ColoConfig::validate`].
-    pub fn new(config: ColoConfig, policy: Box<dyn AttackPolicy>, seed: u64) -> Self {
+    pub fn new(config: ColoConfig, policy: impl Into<Policy>, seed: u64) -> Self {
         let mut trace_config = config.trace;
         trace_config.seed = trace_config.seed.wrapping_add(seed);
         let trace = Arc::new(generate(&trace_config));
-        Self::with_trace(config, policy, seed, trace)
+        Self::with_trace(config, policy.into(), seed, trace)
     }
 
     /// Like [`Simulation::new`], but with an already-generated workload
@@ -172,7 +196,7 @@ impl Simulation {
     /// checks that before sharing a donor's `Arc`.
     pub(crate) fn with_trace(
         config: ColoConfig,
-        policy: Box<dyn AttackPolicy>,
+        policy: Policy,
         seed: u64,
         trace: Arc<PowerTrace>,
     ) -> Self {
@@ -235,15 +259,15 @@ impl Simulation {
         &self.metrics
     }
 
-    /// The attack policy (downcast via [`AttackPolicy::as_any`] to inspect
-    /// a concrete type, e.g. the learnt Foresighted policy for Fig. 10).
-    pub fn policy(&self) -> &dyn AttackPolicy {
-        self.policy.as_ref()
+    /// The attack policy (match on the variant to inspect a concrete type,
+    /// e.g. the learnt Foresighted policy for Fig. 10).
+    pub fn policy(&self) -> &Policy {
+        &self.policy
     }
 
     /// Mutable access to the attack policy.
-    pub fn policy_mut(&mut self) -> &mut dyn AttackPolicy {
-        self.policy.as_mut()
+    pub fn policy_mut(&mut self) -> &mut Policy {
+        &mut self.policy
     }
 
     /// Attaches a telemetry recorder; every subsequent slot emits one
@@ -393,16 +417,7 @@ impl Simulation {
 
         // Complete last slot's transition now that the new estimate exists.
         if let Some(p) = self.pending.take() {
-            let transition = Transition {
-                observation: p.observation,
-                action: p.action,
-                inlet: p.inlet,
-                next_battery_soc: p.next_battery_soc,
-                next_battery_stored: p.next_battery_stored,
-                next_estimated_total: estimated_total,
-                next_capping: capping,
-                day: p.observation.slot / self.slots_per_day(),
-            };
+            let transition = p.complete(estimated_total, capping, slots_per_day_at(slot));
             self.policy.learn(&transition);
         }
 
@@ -502,10 +517,6 @@ impl Simulation {
         )
     }
 
-    fn slots_per_day(&self) -> u64 {
-        slots_per_day_at(self.config.slot)
-    }
-
     /// The report for everything simulated so far, taking the metrics *by
     /// move*: the simulation's own metrics are reset to empty (as after
     /// [`Simulation::warmup`]), and the report carries the originals without
@@ -537,7 +548,7 @@ impl Simulation {
             protocol: self.protocol.clone(),
             battery: self.battery.clone(),
             side_channel: self.side_channel.clone(),
-            policy: self.policy.clone_policy(),
+            policy: self.policy.clone(),
             slot_index: self.slot_index,
             metrics: self.metrics.clone(),
             pending: self.pending,
@@ -600,8 +611,8 @@ mod tests {
         ColoConfig::paper_default().with_trace_len(7 * 1440)
     }
 
-    fn myopic(threshold_kw: f64) -> Box<dyn AttackPolicy> {
-        Box::new(MyopicPolicy::new(Power::from_kilowatts(threshold_kw)))
+    fn myopic(threshold_kw: f64) -> MyopicPolicy {
+        MyopicPolicy::new(Power::from_kilowatts(threshold_kw))
     }
 
     #[test]
@@ -690,7 +701,7 @@ mod tests {
         // battery budget over mostly-low-load slots.
         let config = short_config();
         let policy = RandomPolicy::new(0.08, config.attack_load, config.slot, 11);
-        let mut sim = Simulation::new(config, Box::new(policy), 1);
+        let mut sim = Simulation::new(config, policy, 1);
         let report = sim.run(7 * 1440);
         assert!(report.metrics.attack_slots > 0);
         assert_eq!(
@@ -707,7 +718,7 @@ mod tests {
         config.battery = BatterySpec::one_shot();
         config.attack_load = Power::from_kilowatts(3.0);
         let policy = OneShotPolicy::new(Power::from_kilowatts(7.6));
-        let mut sim = Simulation::new(config, Box::new(policy), 1);
+        let mut sim = Simulation::new(config, policy, 1);
         let report = sim.run(3 * 1440);
         assert!(
             report.metrics.outage_events >= 1,

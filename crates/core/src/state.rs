@@ -40,9 +40,9 @@ use hbm_telemetry::json::{
 };
 use hbm_units::{Duration, Energy, Power, Temperature};
 
-use crate::attacker::{ForesightedPolicy, Learner, OneShotPolicy, RandomPolicy};
+use crate::attacker::Learner;
 use crate::sim::PendingTransition;
-use crate::{AttackAction, Metrics, Observation, Simulation};
+use crate::{AttackAction, Metrics, Observation, Policy, Simulation};
 
 /// Schema tag of the checkpoint line; bump when the layout changes.
 pub const SNAPSHOT_SCHEMA: &str = "hbm-checkpoint-v1";
@@ -543,34 +543,32 @@ impl Simulation {
     }
 
     fn snapshot_policy(&self) -> PolicySnapshot {
-        let any = self.policy.as_any();
-        if let Some(p) = any.downcast_ref::<RandomPolicy>() {
-            PolicySnapshot::Random(p.rng_state())
-        } else if let Some(p) = any.downcast_ref::<OneShotPolicy>() {
-            PolicySnapshot::OneShot(p.triggered())
-        } else if let Some(p) = any.downcast_ref::<ForesightedPolicy>() {
-            let (campaign_code, campaign_launch_w) = p.campaign_code();
-            let learner = match p.learner() {
-                Learner::Batch(agent) => LearnerSnapshot::Batch {
-                    values: agent.q_table().values().to_vec(),
-                    visits: agent.q_table().visits().to_vec(),
-                    post: agent.post_values().to_vec(),
-                },
-                Learner::Standard(agent) => LearnerSnapshot::Standard {
-                    values: agent.table().values().to_vec(),
-                    visits: agent.table().visits().to_vec(),
-                },
-            };
-            PolicySnapshot::Foresighted {
-                rng: p.rng_state(),
-                campaign_code,
-                campaign_launch_w,
-                learning: p.learning_enabled(),
-                learner,
-            }
-        } else {
+        match &self.policy {
             // Myopic carries no dynamic state.
-            PolicySnapshot::Stateless
+            Policy::Myopic(_) => PolicySnapshot::Stateless,
+            Policy::Random(p) => PolicySnapshot::Random(p.rng_state()),
+            Policy::OneShot(p) => PolicySnapshot::OneShot(p.triggered()),
+            Policy::Foresighted(p) => {
+                let (campaign_code, campaign_launch_w) = p.campaign_code();
+                let learner = match p.learner() {
+                    Learner::Batch(agent) => LearnerSnapshot::Batch {
+                        values: agent.q_table().values().to_vec(),
+                        visits: agent.q_table().visits().to_vec(),
+                        post: agent.post_values().to_vec(),
+                    },
+                    Learner::Standard(agent) => LearnerSnapshot::Standard {
+                        values: agent.table().values().to_vec(),
+                        visits: agent.table().visits().to_vec(),
+                    },
+                };
+                PolicySnapshot::Foresighted {
+                    rng: p.rng_state(),
+                    campaign_code,
+                    campaign_launch_w,
+                    learning: p.learning_enabled(),
+                    learner,
+                }
+            }
         }
     }
 
@@ -636,33 +634,28 @@ impl Simulation {
     }
 
     fn restore_policy(&mut self, snap: &PolicySnapshot) -> Result<(), String> {
-        let any = self.policy.as_any_mut();
-        match snap {
-            PolicySnapshot::Stateless => Ok(()),
-            PolicySnapshot::Random(words) => match any.downcast_mut::<RandomPolicy>() {
-                Some(p) => {
-                    p.restore_rng(*words);
-                    Ok(())
-                }
-                None => Err("checkpoint carries random-policy state but the simulation's policy is not RandomPolicy".into()),
-            },
-            PolicySnapshot::OneShot(triggered) => match any.downcast_mut::<OneShotPolicy>() {
-                Some(p) => {
-                    p.set_triggered(*triggered);
-                    Ok(())
-                }
-                None => Err("checkpoint carries one-shot state but the simulation's policy is not OneShotPolicy".into()),
-            },
-            PolicySnapshot::Foresighted {
-                rng,
-                campaign_code,
-                campaign_launch_w,
-                learning,
-                learner,
-            } => {
-                let p = any.downcast_mut::<ForesightedPolicy>().ok_or(
-                    "checkpoint carries foresighted state but the simulation's policy is not ForesightedPolicy",
-                )?;
+        match (snap, &mut self.policy) {
+            (PolicySnapshot::Stateless, _) => Ok(()),
+            (PolicySnapshot::Random(words), Policy::Random(p)) => {
+                p.restore_rng(*words);
+                Ok(())
+            }
+            (PolicySnapshot::Random(_), _) => Err("checkpoint carries random-policy state but the simulation's policy is not RandomPolicy".into()),
+            (PolicySnapshot::OneShot(triggered), Policy::OneShot(p)) => {
+                p.set_triggered(*triggered);
+                Ok(())
+            }
+            (PolicySnapshot::OneShot(_), _) => Err("checkpoint carries one-shot state but the simulation's policy is not OneShotPolicy".into()),
+            (
+                PolicySnapshot::Foresighted {
+                    rng,
+                    campaign_code,
+                    campaign_launch_w,
+                    learning,
+                    learner,
+                },
+                Policy::Foresighted(p),
+            ) => {
                 p.restore_rng(*rng);
                 p.restore_campaign(*campaign_code, *campaign_launch_w)?;
                 p.set_learning(*learning);
@@ -702,6 +695,9 @@ impl Simulation {
                     }
                 }
             }
+            (PolicySnapshot::Foresighted { .. }, _) => Err(
+                "checkpoint carries foresighted state but the simulation's policy is not ForesightedPolicy".into(),
+            ),
         }
     }
 

@@ -21,29 +21,21 @@ fn scenarios() -> Vec<Simulation> {
     vec![
         Simulation::new(
             base.clone(),
-            Box::new(MyopicPolicy::new(Power::from_kilowatts(7.4))),
+            MyopicPolicy::new(Power::from_kilowatts(7.4)),
             1,
         ),
         Simulation::new(
             base.clone(),
-            Box::new(MyopicPolicy::new(Power::from_kilowatts(99.0))),
+            MyopicPolicy::new(Power::from_kilowatts(99.0)),
             2,
         ),
         Simulation::new(
             base.clone(),
-            Box::new(RandomPolicy::new(0.08, base.attack_load, base.slot, 11)),
+            RandomPolicy::new(0.08, base.attack_load, base.slot, 11),
             3,
         ),
-        Simulation::new(
-            base.clone(),
-            Box::new(ForesightedPolicy::paper_default(14.0, 4)),
-            4,
-        ),
-        Simulation::new(
-            outage,
-            Box::new(OneShotPolicy::new(Power::from_kilowatts(7.6))),
-            1,
-        ),
+        Simulation::new(base.clone(), ForesightedPolicy::paper_default(14.0, 4), 4),
+        Simulation::new(outage, OneShotPolicy::new(Power::from_kilowatts(7.6)), 1),
     ]
 }
 
@@ -91,10 +83,9 @@ fn batch_matches_sequential_slot_for_slot() {
     }
 }
 
-/// A batch whose every lane is a [`MyopicPolicy`] takes the devirtualized
-/// decide fast path (the mixed batch above never does), so the fleet-shaped
-/// case needs its own slot-for-slot check. Thresholds straddle the trace so
-/// attacking, charging, and idle lanes are all present.
+/// The fleet-shaped case: a batch whose every lane is a [`MyopicPolicy`].
+/// Thresholds straddle the trace so attacking, charging, and idle lanes are
+/// all present.
 #[test]
 fn all_myopic_batch_matches_sequential() {
     const SLOTS: u64 = 2 * 1440;
@@ -106,7 +97,7 @@ fn all_myopic_batch_matches_sequential() {
             .map(|(i, &kw)| {
                 Simulation::new(
                     base.clone(),
-                    Box::new(MyopicPolicy::new(Power::from_kilowatts(kw))),
+                    MyopicPolicy::new(Power::from_kilowatts(kw)),
                     1 + i as u64,
                 )
             })
@@ -141,9 +132,9 @@ fn all_myopic_batch_matches_sequential() {
 
 /// Builds an all-foresighted fleet covering every decide path: a lane still
 /// in its teacher phase, lanes past it (teacher disabled, so ε-greedy
-/// exploration and the packed greedy scan run from slot 0), and a frozen
+/// exploration and the greedy scan run from slot 0), and a frozen
 /// evaluation lane (no learning, no exploration). All lanes use the paper's
-/// batch learner, so the fleet devirtualizes onto packed Q-table lanes.
+/// batch learner.
 fn foresighted_fleet() -> Vec<Simulation> {
     let base = ColoConfig::paper_default().with_trace_len(7 * 1440);
     let mut sims = Vec::new();
@@ -161,14 +152,13 @@ fn foresighted_fleet() -> Vec<Simulation> {
             policy.set_teacher(Power::from_kilowatts(7.56), 0);
         }
         policy.set_learning(learning);
-        sims.push(Simulation::new(base.clone(), Box::new(policy), 4 + i as u64));
+        sims.push(Simulation::new(base.clone(), policy, 4 + i as u64));
     }
     sims
 }
 
-/// A batch whose every lane is a [`ForesightedPolicy`] devirtualizes onto
-/// packed Q-table lanes and schedule column sweeps; the mixed batch above
-/// never does, so the learning fleet needs its own slot-for-slot check.
+/// The learning fleet: a batch whose every lane is a [`ForesightedPolicy`],
+/// covering each decide path above slot for slot.
 #[test]
 fn all_foresighted_batch_matches_sequential() {
     const SLOTS: u64 = 3 * 1440;
@@ -182,10 +172,6 @@ fn all_foresighted_batch_matches_sequential() {
     );
 
     let mut batch = BatchSim::new(foresighted_fleet());
-    assert!(
-        batch.learning_devirtualized(),
-        "an all-foresighted batch-learner fleet must take the packed fast path"
-    );
     for k in 0..SLOTS {
         batch.step_all();
         for (i, (_, records)) in reference.iter().enumerate() {
@@ -209,65 +195,103 @@ fn all_foresighted_batch_matches_sequential() {
     }
 }
 
-/// Same contract for the classic-Q ablation learner: all-standard fleets
-/// pack onto `StandardLanes` (mixing learner kinds falls back to virtual
-/// dispatch, checked here too).
-#[test]
-fn all_foresighted_standard_q_batch_matches_sequential() {
-    const SLOTS: u64 = 2 * 1440;
-    let base = ColoConfig::paper_default().with_trace_len(7 * 1440);
-    let make = || -> Vec<Simulation> {
-        [9.0, 14.0]
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                let mut policy = ForesightedPolicy::paper_default(w, 21 + i as u64);
-                policy.set_teacher(Power::from_kilowatts(7.56), 0);
-                let policy = policy.with_standard_q();
-                Simulation::new(base.clone(), Box::new(policy), 21 + i as u64)
-            })
-            .collect()
-    };
-
+/// Steps `make()` scalar and batched for `slots` slots and asserts every
+/// lane's records and report match, record for record.
+fn assert_batch_matches_sequential(make: impl Fn() -> Vec<Simulation>, slots: u64, what: &str) {
     let reference: Vec<(SimReport, Vec<SlotRecord>)> = make()
         .into_iter()
-        .map(|mut sim| sim.run_recorded(SLOTS))
+        .map(|mut sim| sim.run_recorded(slots))
         .collect();
 
     let mut batch = BatchSim::new(make());
-    assert!(
-        batch.learning_devirtualized(),
-        "an all-standard-Q fleet must take the packed fast path"
-    );
-    for k in 0..SLOTS {
+    for k in 0..slots {
         batch.step_all();
         for (i, (_, records)) in reference.iter().enumerate() {
             assert_eq!(
                 batch.records()[i],
                 records[k as usize],
-                "standard-Q lane {i} diverged at slot {k}"
+                "{what} lane {i} diverged at slot {k}"
             );
         }
     }
     let reports = batch.take_reports();
     for (i, (want, _)) in reference.iter().enumerate() {
-        assert_eq!(reports[i], want.clone(), "standard-Q lane {i} report diverged");
+        assert_eq!(reports[i], want.clone(), "{what} lane {i} report diverged");
     }
-
-    // Mixed learner kinds cannot share one packed matrix; the batch must
-    // fall back to virtual dispatch (correctness is covered by the mixed
-    // batch tests above).
-    let mut mixed = make();
-    mixed.push(Simulation::new(
-        base,
-        Box::new(ForesightedPolicy::paper_default(14.0, 30)),
-        30,
-    ));
-    assert!(!BatchSim::new(mixed).learning_devirtualized());
 }
 
-/// The packed learner/RNG/campaign state is authoritative while batched;
-/// `into_sims` must flow it back so scalar stepping continues bit-exactly.
+/// Classic-Q ablation lanes, teacher disabled.
+fn standard_q_lanes(base: &ColoConfig) -> Vec<Simulation> {
+    [9.0, 14.0]
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| {
+            let mut policy = ForesightedPolicy::paper_default(w, 21 + i as u64);
+            policy.set_teacher(Power::from_kilowatts(7.56), 0);
+            let policy = policy.with_standard_q();
+            Simulation::new(base.clone(), policy, 21 + i as u64)
+        })
+        .collect()
+}
+
+/// Same contract for the classic-Q ablation learner.
+#[test]
+fn all_foresighted_standard_q_batch_matches_sequential() {
+    let base = ColoConfig::paper_default().with_trace_len(7 * 1440);
+    assert_batch_matches_sequential(|| standard_q_lanes(&base), 2 * 1440, "standard-Q");
+}
+
+/// A batch-Q lane among standard-Q lanes: learner kinds mix freely, since
+/// every lane calls its own policy.
+#[test]
+fn mixed_learner_batch_matches_sequential() {
+    let base = ColoConfig::paper_default().with_trace_len(7 * 1440);
+    let make = || {
+        let mut sims = standard_q_lanes(&base);
+        let policy = ForesightedPolicy::paper_default(14.0, 30);
+        sims.push(Simulation::new(base.clone(), policy, 30));
+        sims
+    };
+    assert_batch_matches_sequential(make, 2 * 1440, "mixed-learner");
+}
+
+/// A checkpoint must not depend on which engine stepped the run: for every
+/// policy kind, a lane batched and handed back snapshots to exactly the
+/// JSON of the same lane stepped scalar, pending transition included.
+#[test]
+fn handed_back_lanes_checkpoint_like_scalar_ones() {
+    const SLOTS: u64 = 600;
+    let base = ColoConfig::paper_default().with_trace_len(7 * 1440);
+    let make = |kind: usize| -> Simulation {
+        let threshold = Power::from_kilowatts(7.4);
+        match kind {
+            0 => Simulation::new(base.clone(), MyopicPolicy::new(threshold), 5),
+            1 => {
+                let policy = RandomPolicy::new(0.08, base.attack_load, base.slot, 5);
+                Simulation::new(base.clone(), policy, 5)
+            }
+            2 => Simulation::new(base.clone(), OneShotPolicy::new(threshold), 5),
+            _ => Simulation::new(base.clone(), ForesightedPolicy::paper_default(14.0, 5), 5),
+        }
+    };
+    let mut batch = BatchSim::new((0..4).map(make).collect());
+    batch.run(SLOTS);
+    for (kind, handed_back) in batch.into_sims().iter().enumerate() {
+        let mut scalar = make(kind);
+        scalar.run(SLOTS);
+        let want = scalar.snapshot_json();
+        assert!(want.contains("\"pending\":true"), "{want}");
+        assert_eq!(
+            handed_back.snapshot_json(),
+            want,
+            "the {} lane checkpoints differently after the batch",
+            scalar.policy().name()
+        );
+    }
+}
+
+/// `into_sims` hands each lane's policy (tables, RNG, campaign) back with
+/// its simulation, so scalar stepping continues bit-exactly.
 #[test]
 fn foresighted_batch_hands_back_resumable_sims() {
     const HALF: u64 = 1440;
@@ -277,7 +301,6 @@ fn foresighted_batch_hands_back_resumable_sims() {
         .collect();
 
     let mut batch = BatchSim::new(foresighted_fleet());
-    assert!(batch.learning_devirtualized());
     batch.run(HALF);
     let resumed: Vec<SimReport> = batch
         .into_sims()
@@ -286,7 +309,7 @@ fn foresighted_batch_hands_back_resumable_sims() {
         .collect();
     assert_eq!(
         resumed, full,
-        "scalar stepping must continue bit-exactly from the packed learning state"
+        "scalar stepping must continue bit-exactly from the batched learning state"
     );
 }
 

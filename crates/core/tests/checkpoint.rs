@@ -55,7 +55,7 @@ fn one_shot_policy_round_trips_through_the_trigger() {
         config.battery = hbm_battery::BatterySpec::one_shot();
         config.attack_load = Power::from_kilowatts(3.0);
         let policy = OneShotPolicy::new(Power::from_kilowatts(7.6));
-        Simulation::new(config, Box::new(policy), 1)
+        Simulation::new(config, policy, 1)
     };
     let mut reference = build();
     reference.run(1440);

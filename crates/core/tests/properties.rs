@@ -18,7 +18,7 @@ proptest! {
     ) {
         let config = ColoConfig::paper_default().with_trace_len(2 * 1440);
         let policy = MyopicPolicy::new(Power::from_kilowatts(threshold));
-        let mut sim = Simulation::new(config.clone(), Box::new(policy), seed);
+        let mut sim = Simulation::new(config.clone(), policy, seed);
         let (report, records) = sim.run_recorded(2 * 1440);
 
         for r in &records {
@@ -47,7 +47,7 @@ proptest! {
     ) {
         let config = ColoConfig::paper_default().with_trace_len(1440);
         let policy = RandomPolicy::new(p, config.attack_load, config.slot, seed);
-        let mut sim = Simulation::new(config.clone(), Box::new(policy), seed);
+        let mut sim = Simulation::new(config.clone(), policy, seed);
         let (report, records) = sim.run_recorded(1440);
         // No random schedule of 1 kW attacks may cause an outage.
         prop_assert_eq!(report.metrics.outage_events, 0);
@@ -65,7 +65,7 @@ proptest! {
         let config = ColoConfig::paper_default().with_trace_len(1440);
         let run = || {
             let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-            let mut sim = Simulation::new(config.clone(), Box::new(policy), seed);
+            let mut sim = Simulation::new(config.clone(), policy, seed);
             sim.run(1440).metrics
         };
         prop_assert_eq!(run(), run());

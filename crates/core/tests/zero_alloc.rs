@@ -69,7 +69,7 @@ fn steady_loop_allocates_nothing() {
     // zone model, protocol, metrics. Warm-up runs through the teacher
     // phase and several emergency/recovery cycles first.
     let policy = ForesightedPolicy::paper_default(14.0, 1);
-    let mut sim = Simulation::new(config.clone(), Box::new(policy), 1);
+    let mut sim = Simulation::new(config.clone(), policy, 1);
     sim.warmup(10 * 1440);
     let with_learning = allocations_during(&mut sim, 1440);
     assert_eq!(
@@ -79,7 +79,7 @@ fn steady_loop_allocates_nothing() {
 
     // The myopic policy covers the attack-triggering non-learning path.
     let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-    let mut sim = Simulation::new(config.clone(), Box::new(policy), 2);
+    let mut sim = Simulation::new(config.clone(), policy, 2);
     sim.warmup(2 * 1440);
     let myopic = allocations_during(&mut sim, 1440);
     assert_eq!(
@@ -93,10 +93,10 @@ fn steady_loop_allocates_nothing() {
     // zero allocations per slot.
     let sims: Vec<Simulation> = (0..8)
         .map(|i| {
-            let policy: Box<dyn hbm_core::AttackPolicy> = if i % 2 == 0 {
-                Box::new(MyopicPolicy::new(Power::from_kilowatts(7.4)))
+            let policy: hbm_core::Policy = if i % 2 == 0 {
+                MyopicPolicy::new(Power::from_kilowatts(7.4)).into()
             } else {
-                Box::new(ForesightedPolicy::paper_default(14.0, i))
+                ForesightedPolicy::paper_default(14.0, i).into()
             };
             Simulation::new(config.clone(), policy, i)
         })
@@ -116,21 +116,20 @@ fn steady_loop_allocates_nothing() {
         "batch steady loop must not touch the heap (got {batched} allocations over a day)"
     );
 
-    // The devirtualized learning fleet (all-foresighted batch): packed
-    // Q-table lanes, schedule column sweeps, per-lane campaign/RNG columns —
-    // all preallocated at construction. Teacher disabled on most lanes so
-    // the ε-greedy and packed greedy-scan paths run, not just the teacher's.
+    // The learning fleet (all-foresighted batch): every lane's Q-tables are
+    // allocated with its policy, and the per-day schedule memo lives inline.
+    // Teacher disabled on most lanes so the ε-greedy and greedy-scan paths
+    // run, not just the teacher's.
     let sims: Vec<Simulation> = (0..4)
         .map(|i| {
             let mut policy = ForesightedPolicy::paper_default(9.0 + 5.0 * i as f64, 40 + i);
             if i > 0 {
                 policy.set_teacher(Power::from_kilowatts(7.56), 0);
             }
-            Simulation::new(config.clone(), Box::new(policy), 40 + i)
+            Simulation::new(config.clone(), policy, 40 + i)
         })
         .collect();
     let mut batch = BatchSim::new(sims);
-    assert!(batch.learning_devirtualized());
     for _ in 0..2 * 1440 {
         batch.step_all(); // warm-up: Q-tables, campaigns, emergency episodes
     }

@@ -6,7 +6,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hbm_core::{scenario, AttackPolicy, ColoConfig, Metrics, SimReport, Simulation};
+use hbm_core::{scenario, ColoConfig, Metrics, Policy, SimReport, Simulation};
 
 /// Count of I/O failures (CSV, manifest, timings JSON) across the whole
 /// run; the driver exits nonzero when any write failed, so automation
@@ -226,7 +226,7 @@ pub fn heading(out: &mut Sink, title: &str) {
 /// path `hbm-serve` executes, so served and CLI metrics stay identical.
 pub fn run_policy(
     config: &ColoConfig,
-    policy: Box<dyn AttackPolicy>,
+    policy: impl Into<Policy>,
     opts: &Options,
     needs_warmup: bool,
 ) -> SimReport {
@@ -284,10 +284,7 @@ pub fn run_sims_batch(
 
 /// The canonical trio of repeated-attack policies at their default
 /// settings (shared with `hbm-serve` via [`hbm_core::scenario`]).
-pub fn default_policies(
-    config: &ColoConfig,
-    opts: &Options,
-) -> Vec<(String, Box<dyn AttackPolicy>, bool)> {
+pub fn default_policies(config: &ColoConfig, opts: &Options) -> Vec<(String, Policy, bool)> {
     scenario::default_policies(config, opts.seed)
 }
 

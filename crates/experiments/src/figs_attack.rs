@@ -3,8 +3,8 @@
 
 use hbm_battery::BatterySpec;
 use hbm_core::{
-    AttackAction, AttackPolicy, ColoConfig, CostModel, ForesightedPolicy, MyopicPolicy,
-    OneShotPolicy, RandomPolicy, Simulation, SlotRecord,
+    AttackAction, ColoConfig, CostModel, ForesightedPolicy, MyopicPolicy, OneShotPolicy, Policy,
+    RandomPolicy, Simulation, SlotRecord,
 };
 use hbm_units::Power;
 use hbm_workload::TraceShape;
@@ -22,7 +22,7 @@ pub fn fig8(opts: &Options, out: &mut Sink) {
     config.battery = BatterySpec::one_shot();
     config.attack_load = Power::from_kilowatts(3.0);
     let policy = OneShotPolicy::new(Power::from_kilowatts(7.6));
-    let mut sim = Simulation::new(config, Box::new(policy), opts.seed);
+    let mut sim = Simulation::new(config, policy, opts.seed);
     if let Some(rec) = trace_recorder(opts, "fig8") {
         sim.set_recorder(rec);
     }
@@ -64,25 +64,20 @@ pub fn fig9(opts: &Options, out: &mut Sink) {
         "Fig. 9 — 4 h snapshot of repeated attacks (3 policies)",
     );
     let config = ColoConfig::paper_default();
-    let policies: Vec<(&str, Box<dyn AttackPolicy>, bool)> = vec![
+    let policies: Vec<(&str, Policy, bool)> = vec![
         (
             "random",
-            Box::new(RandomPolicy::new(
-                0.08,
-                config.attack_load,
-                config.slot,
-                opts.seed,
-            )),
+            RandomPolicy::new(0.08, config.attack_load, config.slot, opts.seed).into(),
             false,
         ),
         (
             "myopic",
-            Box::new(MyopicPolicy::new(Power::from_kilowatts(7.4))),
+            MyopicPolicy::new(Power::from_kilowatts(7.4)).into(),
             false,
         ),
         (
             "foresighted",
-            Box::new(ForesightedPolicy::paper_default(14.0, opts.seed)),
+            ForesightedPolicy::paper_default(14.0, opts.seed).into(),
             true,
         ),
     ];
@@ -175,23 +170,21 @@ pub fn fig10(opts: &Options, out: &mut Sink) {
     );
     let config = ColoConfig::paper_default();
     // The two weights learn independently; train them as lanes of one
-    // sharded batch (one packed Q-table matrix), then read each learnt
-    // policy back out of the returned simulations.
+    // sharded batch, then read each learnt policy back out of the returned
+    // simulations.
     let weights = [9.0, 14.0];
     let sims: Vec<Simulation> = weights
         .iter()
         .map(|&w| {
             let policy = ForesightedPolicy::paper_default(w, opts.seed);
-            Simulation::new(config.clone(), Box::new(policy), opts.seed)
+            Simulation::new(config.clone(), policy, opts.seed)
         })
         .collect();
     let sims = hbm_core::run_sharded(sims, opts.warmup_slots()).sims;
     let results = weights.iter().zip(&sims).map(|(&w, sim)| {
-        let p = sim
-            .policy()
-            .as_any()
-            .downcast_ref::<ForesightedPolicy>()
-            .expect("foresighted policy");
+        let Policy::Foresighted(p) = sim.policy() else {
+            unreachable!("fig10 lanes run the foresighted policy")
+        };
         let matrix = p.policy_matrix();
         let loads = p.load_bin_centers_kw();
         let mut lines = Vec::new();
@@ -256,25 +249,19 @@ pub fn fig11bc(opts: &Options, out: &mut Sink) {
 
     // All 18 policy/knob combinations are independent year-long runs — the
     // heaviest sweep in the harness, and the flattest to batch: every
-    // combination becomes one lane of a sharded `BatchSim`, with the seven
-    // foresighted lanes sharing a packed Q-table matrix.
-    let mut jobs: Vec<(&str, String, Box<dyn AttackPolicy>, bool)> = Vec::new();
+    // combination becomes one lane of a sharded `BatchSim`.
+    let mut jobs: Vec<(&str, String, Policy, bool)> = Vec::new();
     for p in [0.0, 0.03, 0.08, 0.15] {
         let policy = RandomPolicy::new(p, config.attack_load, config.slot, opts.seed);
-        jobs.push(("random", format!("p={p}"), Box::new(policy), false));
+        jobs.push(("random", format!("p={p}"), policy.into(), false));
     }
     for threshold in [8.0, 7.8, 7.6, 7.4, 7.2, 7.0, 6.5] {
         let policy = MyopicPolicy::new(Power::from_kilowatts(threshold));
-        jobs.push((
-            "myopic",
-            format!("thr={threshold}"),
-            Box::new(policy),
-            false,
-        ));
+        jobs.push(("myopic", format!("thr={threshold}"), policy.into(), false));
     }
     for w in [0.0, 2.0, 5.0, 9.0, 14.0, 22.0, 30.0] {
         let policy = ForesightedPolicy::paper_default(w, opts.seed);
-        jobs.push(("foresighted", format!("w={w}"), Box::new(policy), true));
+        jobs.push(("foresighted", format!("w={w}"), policy.into(), true));
     }
     let mut labels: Vec<(&str, String)> = Vec::new();
     let mut lanes: Vec<(Simulation, bool)> = Vec::new();
@@ -363,7 +350,7 @@ pub fn cost(opts: &Options, out: &mut Sink) {
     );
     let config = ColoConfig::paper_default();
     let policy = ForesightedPolicy::paper_default(14.0, opts.seed);
-    let sim = Simulation::new(config.clone(), Box::new(policy), opts.seed);
+    let sim = Simulation::new(config.clone(), policy, opts.seed);
     let report = run_sims_batch(vec![(sim, true)], opts.warmup_slots(), opts.slots())
         .into_iter()
         .next()

@@ -34,7 +34,7 @@ pub fn ablation(opts: &Options, out: &mut Sink) {
             if standard {
                 policy = policy.with_standard_q();
             }
-            let mut sim = Simulation::new(config.clone(), Box::new(policy), opts.seed);
+            let mut sim = Simulation::new(config.clone(), policy, opts.seed);
             let mut curve = Vec::new();
             let mut prev_slots = 0u64;
             for _ in 0..fortnights {
@@ -83,7 +83,7 @@ pub fn defense_roc(opts: &Options, out: &mut Sink) {
     let mut recorded = hbm_par::par_map(vec![7.4, 99.0], |trigger_kw| {
         let mut sim = Simulation::new(
             config.clone(),
-            Box::new(MyopicPolicy::new(Power::from_kilowatts(trigger_kw))),
+            MyopicPolicy::new(Power::from_kilowatts(trigger_kw)),
             opts.seed,
         );
         sim.run_recorded(horizon).1
@@ -400,7 +400,7 @@ pub fn setpoint(opts: &Options, out: &mut Sink) {
             .cooling
             .with_supply(Temperature::from_celsius(supply_c));
         let policy = MyopicPolicy::new(hbm_units::Power::from_kilowatts(7.4));
-        let mut sim = Simulation::new(config, Box::new(policy), opts.seed);
+        let mut sim = Simulation::new(config, policy, opts.seed);
         let report = sim.run(opts.slots().min(90 * 1440));
         (supply_c, 100.0 * report.metrics.emergency_fraction())
     });

@@ -77,7 +77,7 @@ fn sweep<K: std::fmt::Display + Copy + Send>(
             if foresighted {
                 run_policy(
                     &config,
-                    Box::new(ForesightedPolicy::new(
+                    ForesightedPolicy::new(
                         14.0,
                         config.capacity,
                         config.battery.capacity,
@@ -85,18 +85,18 @@ fn sweep<K: std::fmt::Display + Copy + Send>(
                         config.attack_load,
                         config.slot,
                         opts.seed,
-                    )),
+                    ),
                     opts,
                     true,
                 )
             } else {
                 run_policy(
                     &config,
-                    Box::new(MyopicPolicy::with_attack(
+                    MyopicPolicy::with_attack(
                         Power::from_kilowatts(7.4),
                         config.attack_load,
                         config.slot,
-                    )),
+                    ),
                     opts,
                     false,
                 )
@@ -186,7 +186,7 @@ pub fn fig12e(opts: &Options, out: &mut Sink) {
     let baseline_config = ColoConfig::paper_default();
     let baseline = run_policy(
         &baseline_config,
-        Box::new(ForesightedPolicy::paper_default(14.0, opts.seed)),
+        ForesightedPolicy::paper_default(14.0, opts.seed),
         opts,
         true,
     );
@@ -212,7 +212,7 @@ pub fn fig12e(opts: &Options, out: &mut Sink) {
             // with headroom installed, that is what must be overloaded.
             let report = run_policy(
                 &config,
-                Box::new(ForesightedPolicy::new(
+                ForesightedPolicy::new(
                     14.0,
                     config.cooling.capacity,
                     config.battery.capacity,
@@ -220,7 +220,7 @@ pub fn fig12e(opts: &Options, out: &mut Sink) {
                     config.attack_load,
                     config.slot,
                     opts.seed,
-                )),
+                ),
                 opts,
                 true,
             );

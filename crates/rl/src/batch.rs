@@ -37,7 +37,7 @@ use crate::QTable;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchQLearning {
     q: QTable,
-    v: Vec<f64>,
+    v: Box<[f64]>,
     gamma: f64,
 }
 
@@ -52,7 +52,7 @@ impl BatchQLearning {
         assert!((0.0..1.0).contains(&gamma), "discount must be in [0, 1)");
         BatchQLearning {
             q: QTable::new(states, actions),
-            v: vec![0.0; post_states],
+            v: vec![0.0; post_states].into_boxed_slice(),
             gamma,
         }
     }

@@ -39,18 +39,12 @@
 #![warn(missing_docs)]
 
 mod batch;
-mod double_q;
-mod lanes;
 mod qtable;
 mod schedule;
 mod space;
 mod standard;
 
 pub use batch::BatchQLearning;
-pub use double_q::DoubleQLearning;
-pub use lanes::{
-    epsilon_sweep, learning_rate_sweep, BatchLanes, DoubleLanes, QTableLanes, StandardLanes,
-};
 pub use qtable::QTable;
 pub use schedule::{EpsilonSchedule, LearningRate};
 pub use space::UniformGrid;

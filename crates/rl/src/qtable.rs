@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 pub struct QTable {
     states: usize,
     actions: usize,
-    values: Vec<f64>,
-    visits: Vec<u64>,
+    values: Box<[f64]>,
+    visits: Box<[u64]>,
 }
 
 impl QTable {
@@ -34,8 +34,8 @@ impl QTable {
         QTable {
             states,
             actions,
-            values: vec![0.0; states * actions],
-            visits: vec![0; states * actions],
+            values: vec![0.0; states * actions].into_boxed_slice(),
+            visits: vec![0; states * actions].into_boxed_slice(),
         }
     }
 

@@ -33,7 +33,7 @@ impl UniformGrid {
     /// # Panics
     ///
     /// Panics if `bins` is zero or the interval is empty/non-finite.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
+    pub const fn new(lo: f64, hi: f64, bins: usize) -> Self {
         assert!(bins > 0, "grid needs at least one bin");
         assert!(lo.is_finite() && hi.is_finite() && hi > lo, "bad interval");
         UniformGrid { lo, hi, bins }

@@ -1,9 +1,6 @@
 //! Property-based tests of the tabular RL toolkit.
 
-use hbm_rl::{
-    epsilon_sweep, learning_rate_sweep, BatchQLearning, EpsilonSchedule, LearningRate, QTable,
-    UniformGrid,
-};
+use hbm_rl::{BatchQLearning, EpsilonSchedule, LearningRate, QTable, UniformGrid};
 use proptest::prelude::*;
 
 proptest! {
@@ -119,65 +116,6 @@ proptest! {
         }
         let chosen = agent.select_greedy(0, &allowed, post);
         prop_assert!((c - (qs[chosen] + 0.9 * vs[chosen])).abs() < 1e-9);
-    }
-
-    /// The packed column sweep the batch engine uses for per-lane ε
-    /// schedules must be bit-identical to the scalar `at` calls it
-    /// replaces, for any schedule parameters, seed-derived day offsets,
-    /// and slot counts.
-    #[test]
-    fn epsilon_sweep_is_bit_identical_to_scalar(
-        initial in 0.0..1.0f64,
-        decay in 0.5..1.0f64,
-        floor in 0.0..0.01f64,
-        start_day in 0u64..100_000,
-        slots in 1usize..64,
-        slots_per_day in 1u64..2000,
-    ) {
-        let schedules: Vec<EpsilonSchedule> = (0..4)
-            .map(|lane| EpsilonSchedule {
-                initial: initial * (1.0 + 0.1 * lane as f64).min(1.0),
-                decay,
-                floor,
-            })
-            .collect();
-        // Lanes step in lockstep: the day column is derived from slot
-        // indices exactly the way the batch engine derives it.
-        for slot in 0..slots as u64 {
-            let day = (start_day + slot) / slots_per_day + 1;
-            let days = vec![day; schedules.len()];
-            let mut out = vec![0.0; schedules.len()];
-            epsilon_sweep(&schedules, &days, &mut out);
-            for (o, s) in out.iter().zip(&schedules) {
-                prop_assert_eq!(o.to_bits(), s.at(day).to_bits());
-            }
-        }
-    }
-
-    /// Same pinning for the learning-rate sweep, across both schedule
-    /// variants and the full day range the simulator can reach.
-    #[test]
-    fn learning_rate_sweep_is_bit_identical_to_scalar(
-        exponent in 0.1..2.0f64,
-        constant in 0.0..1.5f64,
-        start_day in 0u64..1_000_000,
-        slots in 1usize..64,
-        slots_per_day in 1u64..2000,
-    ) {
-        let schedules = [
-            LearningRate::Polynomial { exponent },
-            LearningRate::Constant(constant),
-            LearningRate::paper_default(),
-        ];
-        for slot in 0..slots as u64 {
-            let day = (start_day + slot) / slots_per_day + 1;
-            let days = [day; 3];
-            let mut out = [0.0; 3];
-            learning_rate_sweep(&schedules, &days, &mut out);
-            for (o, s) in out.iter().zip(&schedules) {
-                prop_assert_eq!(o.to_bits(), s.at(day).to_bits());
-            }
-        }
     }
 
     #[test]

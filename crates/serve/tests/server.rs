@@ -333,7 +333,11 @@ fn batch_simulate_parity_cache_reuse_and_bounds() {
     // simulated: 3 fresh + 0 (pure hit) + 1 (the one new site of the wider
     // batch).
     let (_, _, metrics) = get(addr, "/v1/metrics");
-    assert_eq!(json_u64(&metrics, "batch_requests"), 3, "metrics: {metrics}");
+    assert_eq!(
+        json_u64(&metrics, "batch_requests"),
+        3,
+        "metrics: {metrics}"
+    );
     assert_eq!(
         json_u64(&metrics, "batch_lanes_simulated"),
         4,

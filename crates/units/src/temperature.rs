@@ -32,7 +32,7 @@ pub struct Temperature(f64);
 
 impl Temperature {
     /// Creates a temperature from degrees Celsius.
-    pub fn from_celsius(celsius: f64) -> Self {
+    pub const fn from_celsius(celsius: f64) -> Self {
         Temperature(celsius)
     }
 

@@ -15,7 +15,7 @@ use hbm_units::{Power, TemperatureDelta};
 fn main() {
     let config = ColoConfig::paper_default();
     let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-    let mut sim = Simulation::new(config.clone(), Box::new(policy), 3);
+    let mut sim = Simulation::new(config.clone(), policy, 3);
     let (_, records) = sim.run_recorded(14 * 24 * 60);
 
     // The operator's digital twin: same thermal model, fed METERED power.

@@ -6,13 +6,13 @@
 //! cargo run --release --example foresighted_campaign
 //! ```
 
-use hbm_core::{AttackAction, ColoConfig, CostModel, ForesightedPolicy, Simulation};
+use hbm_core::{AttackAction, ColoConfig, CostModel, ForesightedPolicy, Policy, Simulation};
 
 fn main() {
     let config = ColoConfig::paper_default();
     let policy = ForesightedPolicy::paper_default(14.0, 1);
 
-    let mut sim = Simulation::new(config.clone(), Box::new(policy), 1);
+    let mut sim = Simulation::new(config.clone(), policy, 1);
 
     // Offline initialization + online convergence (the paper reports
     // convergence within 1–4 weeks after its offline warm start).
@@ -44,11 +44,9 @@ fn main() {
     );
 
     // The learnt policy: attack only when battery AND load are high.
-    let policy = sim
-        .policy()
-        .as_any()
-        .downcast_ref::<ForesightedPolicy>()
-        .expect("the simulation runs a Foresighted policy");
+    let Policy::Foresighted(policy) = sim.policy() else {
+        unreachable!("the simulation runs a Foresighted policy")
+    };
     println!("\nlearnt policy (rows: battery high→low; columns: load low→high):");
     for (b, row) in policy.policy_matrix().iter().enumerate().rev() {
         let line: String = row

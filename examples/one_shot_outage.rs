@@ -19,7 +19,7 @@ fn main() {
     config.attack_load = Power::from_kilowatts(3.0);
 
     let policy = OneShotPolicy::new(Power::from_kilowatts(7.6));
-    let mut sim = Simulation::new(config, Box::new(policy), 7);
+    let mut sim = Simulation::new(config, policy, 7);
     let (report, records) = sim.run_recorded(3 * 24 * 60);
 
     let trigger = records

@@ -18,7 +18,7 @@ fn main() {
     // total load reaches 7.4 kW and the battery has energy.
     let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
 
-    let mut sim = Simulation::new(config, Box::new(policy), 42);
+    let mut sim = Simulation::new(config, policy, 42);
     let (report, records) = sim.run_recorded(7 * 24 * 60); // one week
 
     let m = &report.metrics;

@@ -6,7 +6,7 @@
 # serve/throughput carry one honestly-named field right after name), then
 # prints the headline comparisons:
 #
-#   * CFD substep: flat buffers vs the nested-Vec baseline
+#   * CFD substep (the flat-buffer kernel)
 #   * heat-matrix model step
 #   * heat-matrix extraction: cold vs memoized (cached)
 #   * year-long benign trace synthesis (trace_year_generation)
@@ -102,10 +102,8 @@ awk -F'"' '
     }
     END {
         flat = median["cfd_step_one_minute_40_servers"]
-        nested = median["cfd_step_one_minute_40_servers_nested_baseline"]
-        if (flat > 0 && nested > 0)
-            printf "CFD substep: flat %.1f us vs nested %.1f us  ->  %.2fx faster\n",
-                flat / 1000, nested / 1000, nested / flat
+        if (flat > 0)
+            printf "CFD substep: %.1f us per simulated minute\n", flat / 1000
         cold = median["matrix/heat_matrix_extraction_4_servers_cold"]
         cached = median["matrix/heat_matrix_extraction_4_servers_cached"]
         if (cold > 0 && cached > 0)
@@ -130,6 +128,10 @@ awk -F'"' '
             printf ", %.2fM slots/s (recorder on)", 1000 / on
         if (off > 0)
             printf "\n"
+        one = median["sim_step_slots_per_sec/one_lane_batch"]
+        if (off > 0 && one > 0)
+            printf "one-lane BatchSim: %.0f ns/slot vs scalar %.0f ns/slot  ->  %.2fx\n",
+                one, off, one / off
         fb = median["fleet_slots_per_sec/batched"]
         fi = median["fleet_slots_per_sec/independent_baseline"]
         if (fb > 0 && fi > 0)

@@ -21,7 +21,7 @@ fn benign_colocation_never_sees_an_emergency() {
     // With subscriptions sized to capacity and no battery games, the
     // operator's 27 °C conditioning holds all year round.
     let policy = MyopicPolicy::new(Power::from_kilowatts(99.0)); // never fires
-    let mut sim = Simulation::new(week_config(), Box::new(policy), 5);
+    let mut sim = Simulation::new(week_config(), policy, 5);
     let report = sim.run(14 * 1440);
     assert_eq!(report.metrics.emergency_events, 0);
     assert_eq!(report.metrics.outage_events, 0);
@@ -31,7 +31,7 @@ fn benign_colocation_never_sees_an_emergency() {
 #[test]
 fn full_pipeline_attack_to_emergency_to_recovery() {
     let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-    let mut sim = Simulation::new(week_config(), Box::new(policy), 1);
+    let mut sim = Simulation::new(week_config(), policy, 1);
     let (report, records) = sim.run_recorded(14 * 1440);
 
     // The attack produced emergencies…
@@ -56,7 +56,7 @@ fn full_pipeline_attack_to_emergency_to_recovery() {
 #[test]
 fn energy_accounting_is_consistent() {
     let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-    let mut sim = Simulation::new(week_config(), Box::new(policy), 2);
+    let mut sim = Simulation::new(week_config(), policy, 2);
     let (report, records) = sim.run_recorded(7 * 1440);
     let m = &report.metrics;
 
@@ -84,38 +84,27 @@ fn one_shot_requires_the_big_battery() {
     // attempt cannot push past 45 °C; with the 3 kW pack it can.
     let mut small = week_config();
     small.attack_load = Power::from_kilowatts(1.0);
-    let mut sim = Simulation::new(
-        small,
-        Box::new(OneShotPolicy::new(Power::from_kilowatts(7.6))),
-        1,
-    );
+    let mut sim = Simulation::new(small, OneShotPolicy::new(Power::from_kilowatts(7.6)), 1);
     assert_eq!(sim.run(3 * 1440).metrics.outage_events, 0);
 
     let mut big = week_config();
     big.battery = BatterySpec::one_shot();
     big.attack_load = Power::from_kilowatts(3.0);
-    let mut sim = Simulation::new(
-        big,
-        Box::new(OneShotPolicy::new(Power::from_kilowatts(7.6))),
-        1,
-    );
+    let mut sim = Simulation::new(big, OneShotPolicy::new(Power::from_kilowatts(7.6)), 1);
     assert!(sim.run(3 * 1440).metrics.outage_events >= 1);
 }
 
 #[test]
 fn foresighted_learns_and_beats_random() {
     let config = week_config();
-    let mut foresighted = Simulation::new(
-        config.clone(),
-        Box::new(ForesightedPolicy::paper_default(14.0, 1)),
-        1,
-    );
+    let mut foresighted =
+        Simulation::new(config.clone(), ForesightedPolicy::paper_default(14.0, 1), 1);
     foresighted.warmup(90 * 1440);
     let f = foresighted.run(14 * 1440);
 
     let mut random = Simulation::new(
         config.clone(),
-        Box::new(RandomPolicy::new(0.08, config.attack_load, config.slot, 1)),
+        RandomPolicy::new(0.08, config.attack_load, config.slot, 1),
         1,
     );
     let r = random.run(14 * 1440);
@@ -133,7 +122,7 @@ fn foresighted_learns_and_beats_random() {
 fn residual_detector_catches_the_simulated_attack() {
     let config = week_config();
     let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-    let mut sim = Simulation::new(config.clone(), Box::new(policy), 1);
+    let mut sim = Simulation::new(config.clone(), policy, 1);
     let (_, records) = sim.run_recorded(14 * 1440);
 
     let mut detector = ThermalResidualDetector::new(
@@ -162,7 +151,7 @@ fn residual_detector_catches_the_simulated_attack() {
 fn sla_monitor_distinguishes_attack_from_quiet_weeks() {
     let config = week_config();
 
-    let run = |policy: Box<dyn hbm_core::AttackPolicy>| {
+    let run = |policy: MyopicPolicy| {
         let mut sim = Simulation::new(config.clone(), policy, 1);
         let (_, records) = sim.run_recorded(14 * 1440);
         let mut monitor = SlaMonitor::new(0.0005, 0.001, 12.0);
@@ -173,17 +162,15 @@ fn sla_monitor_distinguishes_attack_from_quiet_weeks() {
         alarmed
     };
 
-    assert!(!run(Box::new(MyopicPolicy::new(Power::from_kilowatts(
-        99.0
-    )))));
-    assert!(run(Box::new(MyopicPolicy::new(Power::from_kilowatts(7.4)))));
+    assert!(!run(MyopicPolicy::new(Power::from_kilowatts(99.0))));
+    assert!(run(MyopicPolicy::new(Power::from_kilowatts(7.4))));
 }
 
 #[test]
 fn calorimetry_pinpoints_exactly_the_attack_servers() {
     let config = week_config();
     let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-    let mut sim = Simulation::new(config.clone(), Box::new(policy), 1);
+    let mut sim = Simulation::new(config.clone(), policy, 1);
     let (_, records) = sim.run_recorded(7 * 1440);
     let r = records
         .iter()
@@ -211,7 +198,7 @@ fn calorimetry_pinpoints_exactly_the_attack_servers() {
 fn cost_report_is_internally_consistent() {
     let config = week_config();
     let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-    let mut sim = Simulation::new(config.clone(), Box::new(policy), 1);
+    let mut sim = Simulation::new(config.clone(), policy, 1);
     let report = sim.run(14 * 1440);
     let costs = CostModel::paper_default().yearly_report(
         &report.metrics,
@@ -233,7 +220,7 @@ fn simulation_runs_a_full_year_quickly_enough() {
     // Year-long evaluation is the paper's methodology; keep it tractable.
     let config = ColoConfig::paper_default();
     let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-    let mut sim = Simulation::new(config, Box::new(policy), 1);
+    let mut sim = Simulation::new(config, policy, 1);
     let start = std::time::Instant::now();
     let report = sim.run(365 * 1440);
     assert_eq!(report.metrics.slots, 365 * 1440);
@@ -250,11 +237,7 @@ fn outage_downtime_is_respected() {
     config.battery = BatterySpec::one_shot();
     config.attack_load = Power::from_kilowatts(3.0);
     config.outage_downtime = Duration::from_minutes(30.0);
-    let mut sim = Simulation::new(
-        config,
-        Box::new(OneShotPolicy::new(Power::from_kilowatts(7.6))),
-        1,
-    );
+    let mut sim = Simulation::new(config, OneShotPolicy::new(Power::from_kilowatts(7.6)), 1);
     let (report, records) = sim.run_recorded(3 * 1440);
     assert!(report.metrics.outage_events >= 1);
     let first_outage = records.iter().position(|r| r.outage).unwrap();

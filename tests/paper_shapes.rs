@@ -12,21 +12,21 @@ const WARMUP_DAYS: u64 = 120;
 fn run_myopic(threshold_kw: f64) -> SimReport {
     let config = ColoConfig::paper_default();
     let policy = MyopicPolicy::new(Power::from_kilowatts(threshold_kw));
-    let mut sim = Simulation::new(config, Box::new(policy), 1);
+    let mut sim = Simulation::new(config, policy, 1);
     sim.run(MEASURE_DAYS * 1440)
 }
 
 fn run_random(p: f64) -> SimReport {
     let config = ColoConfig::paper_default();
     let policy = RandomPolicy::new(p, config.attack_load, config.slot, 1);
-    let mut sim = Simulation::new(config, Box::new(policy), 1);
+    let mut sim = Simulation::new(config, policy, 1);
     sim.run(MEASURE_DAYS * 1440)
 }
 
 fn run_foresighted(w: f64) -> SimReport {
     let config = ColoConfig::paper_default();
     let policy = ForesightedPolicy::paper_default(w, 1);
-    let mut sim = Simulation::new(config, Box::new(policy), 1);
+    let mut sim = Simulation::new(config, policy, 1);
     sim.warmup(WARMUP_DAYS * 1440);
     sim.run(MEASURE_DAYS * 1440)
 }
@@ -128,7 +128,7 @@ fn bigger_battery_more_emergencies() {
         let config =
             ColoConfig::paper_default().with_battery_capacity(Energy::from_kilowatt_hours(kwh));
         let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-        let mut sim = Simulation::new(config, Box::new(policy), 1);
+        let mut sim = Simulation::new(config, policy, 1);
         sim.run(MEASURE_DAYS * 1440)
     };
     let small = run(0.1);
@@ -149,7 +149,7 @@ fn side_channel_noise_blunts_the_attack() {
         let config =
             ColoConfig::paper_default().with_side_channel_noise(Power::from_kilowatts(noise_kw));
         let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-        let mut sim = Simulation::new(config, Box::new(policy), 1);
+        let mut sim = Simulation::new(config, policy, 1);
         sim.run(MEASURE_DAYS * 1440)
     };
     let clean = run(0.0);
@@ -168,7 +168,7 @@ fn higher_utilization_more_emergencies() {
     let run = |u: f64| {
         let config = ColoConfig::paper_default().with_mean_utilization(u);
         let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-        let mut sim = Simulation::new(config, Box::new(policy), 1);
+        let mut sim = Simulation::new(config, policy, 1);
         sim.run(MEASURE_DAYS * 1440)
     };
     let low = run(0.62);
@@ -188,7 +188,7 @@ fn extra_cooling_capacity_suppresses_the_attack() {
     let run = |extra: f64| {
         let config = ColoConfig::paper_default().with_extra_cooling(extra);
         let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
-        let mut sim = Simulation::new(config, Box::new(policy), 1);
+        let mut sim = Simulation::new(config, policy, 1);
         sim.run(MEASURE_DAYS * 1440)
     };
     let none = run(0.0);
@@ -210,14 +210,14 @@ fn alternate_trace_preserves_the_ordering() {
 
     let mut myopic = Simulation::new(
         config.clone(),
-        Box::new(MyopicPolicy::new(Power::from_kilowatts(7.4))),
+        MyopicPolicy::new(Power::from_kilowatts(7.4)),
         1,
     );
     let m = myopic.run(MEASURE_DAYS * 1440);
 
     let mut random = Simulation::new(
         config.clone(),
-        Box::new(RandomPolicy::new(0.08, config.attack_load, config.slot, 1)),
+        RandomPolicy::new(0.08, config.attack_load, config.slot, 1),
         1,
     );
     let r = random.run(MEASURE_DAYS * 1440);
