@@ -5,8 +5,9 @@
 //! thermal sub-steps ([`ZoneLanes`]) and the side channel's Box–Muller noise
 //! pass ([`box_muller_slice`]) — run as tight, SIMD-friendly inner loops over
 //! the batch dimension instead of re-entering one `Simulation` at a time.
-//! Each lane's [`Policy`] is held inline and called exactly as
-//! [`Simulation::step`] calls it, so the attacker is written once.
+//! Every other phase of a lane's slot — the benign cap, the estimate filter,
+//! the policy's learn/decide, act and settle — calls the same function
+//! [`Simulation::step`] calls, so the slot is written once.
 //!
 //! # Determinism contract
 //!
@@ -33,173 +34,14 @@ use hbm_sidechannel::math::box_muller_slice;
 use hbm_sidechannel::{ChannelLanes, VoltageSideChannel, NORMALS_PER_ESTIMATE};
 use hbm_telemetry::Recorder;
 use hbm_thermal::{ZoneLanes, ZoneModel};
-use hbm_units::{Duration, Energy, Power, Temperature};
+use hbm_units::{Duration, Power, Temperature};
 use hbm_workload::PowerTrace;
 
-use crate::sim::{emit_sample, slots_per_day_at, PendingTransition, SimParts};
-use crate::{
-    AttackAction, ColoConfig, Metrics, Observation, Policy, SimReport, Simulation, SlotRecord,
+use crate::sim::{
+    act, benign_cap, emit_sample, filter_estimate, settle, settle_outage, AttackerPower,
+    PendingTransition, SlotParams,
 };
-
-/// Lane-major histogram counts for a batch whose lanes all share one
-/// histogram shape (`lanes × bins` in one allocation, plus under/overflow
-/// columns). The binning arithmetic replicates [`Histogram::add`] op for op
-/// (`width` holds the value `Histogram::width` recomputes on every call).
-struct PackedHistograms {
-    lo: f64,
-    hi: f64,
-    width: f64,
-    bins: usize,
-    counts: Vec<u64>,
-    underflow: Vec<u64>,
-    overflow: Vec<u64>,
-}
-
-impl PackedHistograms {
-    #[inline]
-    fn add(&mut self, lane: usize, x: f64) {
-        if x < self.lo {
-            self.underflow[lane] += 1;
-        } else if x >= self.hi {
-            self.overflow[lane] += 1;
-        } else {
-            let idx = ((x - self.lo) / self.width) as usize;
-            let idx = idx.min(self.bins - 1);
-            self.counts[lane * self.bins + idx] += 1;
-        }
-    }
-}
-
-/// Per-slot metric accumulators as SoA columns, one entry per lane.
-///
-/// [`Metrics`] is the user-facing result type, but updating it in place
-/// keeps phase 6 bouncing between each lane's multi-cache-line struct and
-/// its separately allocated histogram bins. The batch instead accumulates
-/// into dense columns — seeded from each lane's starting `Metrics`, so every
-/// addition happens in the scalar path's exact order and the running sums
-/// stay bit-identical — and flows them back with
-/// [`fold_into`](MetricLanes::fold_into) when reports or scenarios leave the
-/// batch. Columns with unit-typed counterparts store the raw repr
-/// (kilowatt-hours for [`Energy`], Celsius degrees for
-/// [`hbm_units::TemperatureDelta`]); the unit wrappers are plain `f64`
-/// newtypes, so arithmetic on the raw values is the same IEEE-754 sequence.
-struct MetricLanes {
-    slots: Vec<u64>,
-    emergency_slots: Vec<u64>,
-    emergency_events: Vec<u64>,
-    outage_events: Vec<u64>,
-    outage_slots: Vec<u64>,
-    attack_slots: Vec<u64>,
-    attack_energy_kwh: Vec<f64>,
-    delta_t_sum_c: Vec<f64>,
-    degradation_sum: Vec<f64>,
-    degradation_slots: Vec<u64>,
-    attacker_metered_kwh: Vec<f64>,
-    attacker_actual_kwh: Vec<f64>,
-    /// Packed inlet histograms when every lane shares one shape; `None`
-    /// falls back to adding into each lane's `Metrics` directly.
-    hist: Option<PackedHistograms>,
-}
-
-impl MetricLanes {
-    fn from_metrics(metrics: &[Metrics]) -> MetricLanes {
-        let h0 = &metrics[0].inlet_histogram;
-        let uniform = metrics.iter().all(|m| {
-            let h = &m.inlet_histogram;
-            h.lo() == h0.lo() && h.hi() == h0.hi() && h.counts().len() == h0.counts().len()
-        });
-        let hist = uniform.then(|| {
-            let bins = h0.counts().len();
-            let mut counts = Vec::with_capacity(bins * metrics.len());
-            for m in metrics {
-                counts.extend_from_slice(m.inlet_histogram.counts());
-            }
-            PackedHistograms {
-                lo: h0.lo(),
-                hi: h0.hi(),
-                width: h0.width(),
-                bins,
-                counts,
-                underflow: metrics
-                    .iter()
-                    .map(|m| m.inlet_histogram.underflow())
-                    .collect(),
-                overflow: metrics
-                    .iter()
-                    .map(|m| m.inlet_histogram.overflow())
-                    .collect(),
-            }
-        });
-        MetricLanes {
-            slots: metrics.iter().map(|m| m.slots).collect(),
-            emergency_slots: metrics.iter().map(|m| m.emergency_slots).collect(),
-            emergency_events: metrics.iter().map(|m| m.emergency_events).collect(),
-            outage_events: metrics.iter().map(|m| m.outage_events).collect(),
-            outage_slots: metrics.iter().map(|m| m.outage_slots).collect(),
-            attack_slots: metrics.iter().map(|m| m.attack_slots).collect(),
-            attack_energy_kwh: metrics
-                .iter()
-                .map(|m| m.attack_energy.as_kilowatt_hours())
-                .collect(),
-            delta_t_sum_c: metrics.iter().map(|m| m.delta_t_sum.as_celsius()).collect(),
-            degradation_sum: metrics.iter().map(|m| m.degradation_sum).collect(),
-            degradation_slots: metrics.iter().map(|m| m.degradation_slots).collect(),
-            attacker_metered_kwh: metrics
-                .iter()
-                .map(|m| m.attacker_metered_energy.as_kilowatt_hours())
-                .collect(),
-            attacker_actual_kwh: metrics
-                .iter()
-                .map(|m| m.attacker_actual_energy.as_kilowatt_hours())
-                .collect(),
-            hist,
-        }
-    }
-
-    /// Writes the columns back into the lanes' `Metrics` (overwriting the
-    /// fields the columns are authoritative for).
-    fn fold_into(&self, metrics: &mut [Metrics]) {
-        for (i, m) in metrics.iter_mut().enumerate() {
-            m.slots = self.slots[i];
-            m.emergency_slots = self.emergency_slots[i];
-            m.emergency_events = self.emergency_events[i];
-            m.outage_events = self.outage_events[i];
-            m.outage_slots = self.outage_slots[i];
-            m.attack_slots = self.attack_slots[i];
-            m.attack_energy = Energy::from_kilowatt_hours(self.attack_energy_kwh[i]);
-            m.delta_t_sum = hbm_units::TemperatureDelta::from_celsius(self.delta_t_sum_c[i]);
-            m.degradation_sum = self.degradation_sum[i];
-            m.degradation_slots = self.degradation_slots[i];
-            m.attacker_metered_energy = Energy::from_kilowatt_hours(self.attacker_metered_kwh[i]);
-            m.attacker_actual_energy = Energy::from_kilowatt_hours(self.attacker_actual_kwh[i]);
-            if let Some(h) = &self.hist {
-                m.inlet_histogram.set_counts(
-                    &h.counts[i * h.bins..(i + 1) * h.bins],
-                    h.underflow[i],
-                    h.overflow[i],
-                );
-            }
-        }
-    }
-}
-
-/// A placeholder record for lanes that have not stepped yet.
-fn blank_record() -> SlotRecord {
-    SlotRecord {
-        slot: 0,
-        benign_demand: Power::ZERO,
-        benign_actual: Power::ZERO,
-        metered_total: Power::ZERO,
-        actual_total: Power::ZERO,
-        attack_load: Power::ZERO,
-        battery_soc: 0.0,
-        estimated_total: Power::ZERO,
-        action: AttackAction::Standby,
-        inlet: Temperature::from_celsius(0.0),
-        capping: false,
-        outage: false,
-    }
-}
+use crate::{ColoConfig, Metrics, Observation, Policy, SimReport, Simulation, SlotRecord};
 
 /// A batch of simulations advanced in lockstep over structure-of-arrays
 /// state (see the module docs for the determinism contract).
@@ -210,8 +52,10 @@ fn blank_record() -> SlotRecord {
 /// [`take_reports`](BatchSim::take_reports) and hand the scenarios back with
 /// [`into_sims`](BatchSim::into_sims).
 pub struct BatchSim {
-    // ---- Per-lane scenario components (AoS; cold per slot). ----
+    // ---- Per-lane scenario state, one entry per lane. ----
     configs: Vec<ColoConfig>,
+    /// Each lane's slot-kernel parameters.
+    params: Vec<SlotParams>,
     traces: Vec<Arc<PowerTrace>>,
     /// Parameter template per lane; live inlet state is in `zones`.
     zone_models: Vec<ZoneModel>,
@@ -220,40 +64,12 @@ pub struct BatchSim {
     side_channels: Vec<VoltageSideChannel>,
     policies: Vec<Policy>,
     slot_indices: Vec<u64>,
-    /// Per-lane result metrics. The per-slot accumulators live in
-    /// `metric_lanes` while batched and are folded back in before metrics
-    /// leave the batch (`take_reports` / `into_sims`).
     metrics: Vec<Metrics>,
-    metric_lanes: MetricLanes,
     pendings: Vec<Option<PendingTransition>>,
     outage_remainings: Vec<Option<Duration>>,
     prev_cappings: Vec<bool>,
-    /// The attacker's EMA estimate filter, split into SoA columns (value in
-    /// watts + initialized flag) so the dense path can update every lane in
-    /// one packed pass; `Option<Power>` is materialized on
-    /// [`into_sims`](BatchSim::into_sims).
-    filter_w: Vec<f64>,
-    filter_set: Vec<bool>,
+    estimate_filters: Vec<Option<Power>>,
     recorders: Vec<Option<Box<dyn Recorder>>>,
-
-    // ---- Per-lane config invariants, hoisted into dense arrays. ----
-    // `ColoConfig` spans several cache lines per lane; the hot phases only
-    // need these scalars, so precomputing them once (the same derivation
-    // `Simulation::step` performs per slot — identical values) turns the
-    // per-slot config traffic into sequential one-value-per-lane loads.
-    benign_caps: Vec<Power>,
-    benign_emergency_caps: Vec<Power>,
-    attacker_caps: Vec<Power>,
-    /// `attacker_caps` in raw watts, for the packed filter pass.
-    attacker_caps_w: Vec<f64>,
-    attacker_emergency_caps: Vec<Power>,
-    ema_alphas: Vec<f64>,
-    standby_powers: Vec<Power>,
-    attack_loads: Vec<Power>,
-    max_charge_rates: Vec<Power>,
-    charge_efficiencies: Vec<f64>,
-    supplies: Vec<Temperature>,
-    outage_downtimes: Vec<Duration>,
     /// Per-lane wrapping cursor into the trace (`slot_index % trace_len`,
     /// maintained incrementally — no per-slot integer division). Unused (and
     /// not maintained) while `packed_traces` is `Some`.
@@ -278,7 +94,6 @@ pub struct BatchSim {
 
     // ---- Shared batch invariants. ----
     slot: Duration,
-    slots_per_day: u64,
 
     // ---- Preallocated per-slot scratch (no steady-state allocations). ----
     /// Lane indices not in outage downtime this slot.
@@ -294,14 +109,11 @@ pub struct BatchSim {
     z: Vec<f64>,
     /// Benign actuals in watts (dense-path input to the packed estimate).
     benign_w: Vec<f64>,
-    /// Per-lane capping flags for the slot (written by phase 1, read by the
-    /// packed filter pass).
-    cappings: Vec<bool>,
-    /// Raw estimates in watts (dense-path output of the packed estimate).
-    est_w: Vec<f64>,
+    /// Sensed benign load in watts (dense-path output of the packed
+    /// estimate).
+    sensed_w: Vec<f64>,
     raw_estimates: Vec<Power>,
-    att_metered: Vec<Power>,
-    att_actual: Vec<Power>,
+    attackers: Vec<AttackerPower>,
     records: Vec<SlotRecord>,
 }
 
@@ -316,6 +128,7 @@ impl BatchSim {
         assert!(!sims.is_empty(), "batch needs at least one scenario");
         let lanes = sims.len();
         let mut configs = Vec::with_capacity(lanes);
+        let mut params = Vec::with_capacity(lanes);
         let mut traces = Vec::with_capacity(lanes);
         let mut zone_models = Vec::with_capacity(lanes);
         let mut protocols = Vec::with_capacity(lanes);
@@ -323,54 +136,39 @@ impl BatchSim {
         let mut side_channels = Vec::with_capacity(lanes);
         let mut policies = Vec::with_capacity(lanes);
         let mut slot_indices = Vec::with_capacity(lanes);
-        let mut metrics = Vec::with_capacity(lanes);
+        // Copied in lane order, so the lanes' histogram bins lie in lane
+        // order in memory. The bins of separately built simulations are
+        // scattered, and phase 6 of a 1000-lane learning fleet then ran
+        // ~1.5x slower, missing the cache on most histogram updates.
+        let metrics: Vec<Metrics> = sims.iter().map(|sim| sim.metrics.clone()).collect();
         let mut pendings = Vec::with_capacity(lanes);
         let mut outage_remainings = Vec::with_capacity(lanes);
         let mut prev_cappings = Vec::with_capacity(lanes);
-        let mut filter_w = Vec::with_capacity(lanes);
-        let mut filter_set = Vec::with_capacity(lanes);
+        let mut estimate_filters = Vec::with_capacity(lanes);
         let mut recorders = Vec::with_capacity(lanes);
         for sim in sims {
-            let parts = sim.into_parts();
-            configs.push(parts.config);
-            traces.push(parts.trace);
-            zone_models.push(parts.zone);
-            protocols.push(parts.protocol);
-            batteries.push(parts.battery);
-            side_channels.push(parts.side_channel);
-            policies.push(parts.policy);
-            slot_indices.push(parts.slot_index);
-            metrics.push(parts.metrics);
-            pendings.push(parts.pending);
-            outage_remainings.push(parts.outage_remaining);
-            prev_cappings.push(parts.prev_capping);
-            filter_w.push(parts.estimate_filter.map_or(0.0, |p| p.as_watts()));
-            filter_set.push(parts.estimate_filter.is_some());
-            recorders.push(parts.recorder);
+            configs.push(sim.config);
+            params.push(sim.params);
+            traces.push(sim.trace);
+            zone_models.push(sim.zone);
+            protocols.push(sim.protocol);
+            batteries.push(sim.battery);
+            side_channels.push(sim.side_channel);
+            policies.push(sim.policy);
+            slot_indices.push(sim.slot_index);
+            pendings.push(sim.pending);
+            outage_remainings.push(sim.outage_remaining);
+            prev_cappings.push(sim.prev_capping);
+            estimate_filters.push(sim.estimate_filter);
+            recorders.push(sim.recorder);
         }
         let slot = configs[0].slot;
         assert!(
             configs.iter().all(|c| c.slot == slot),
             "all lanes must share the slot length"
         );
-        let metric_lanes = MetricLanes::from_metrics(&metrics);
         let zones = ZoneLanes::from_models(&zone_models);
         let sc_lanes = ChannelLanes::from_channels(&side_channels);
-        let benign_caps = configs.iter().map(|c| c.benign_capacity()).collect();
-        let benign_emergency_caps = configs.iter().map(|c| c.benign_emergency_cap()).collect();
-        let attacker_caps: Vec<Power> = configs.iter().map(|c| c.attacker_capacity).collect();
-        let attacker_caps_w = attacker_caps.iter().map(|p| p.as_watts()).collect();
-        let attacker_emergency_caps = configs.iter().map(|c| c.attacker_emergency_cap()).collect();
-        let ema_alphas = configs.iter().map(|c| c.estimate_ema_alpha).collect();
-        let standby_powers = configs.iter().map(|c| c.standby_power).collect();
-        let attack_loads = configs.iter().map(|c| c.attack_load).collect();
-        let max_charge_rates = configs.iter().map(|c| c.battery.max_charge_rate).collect();
-        let charge_efficiencies = configs
-            .iter()
-            .map(|c| c.battery.charge_efficiency)
-            .collect();
-        let supplies = configs.iter().map(|c| c.cooling.supply).collect();
-        let outage_downtimes = configs.iter().map(|c| c.outage_downtime).collect();
         let trace_positions: Vec<u32> = slot_indices
             .iter()
             .zip(&traces)
@@ -391,6 +189,7 @@ impl BatchSim {
         let uniform_pos = trace_positions[0];
         BatchSim {
             configs,
+            params,
             traces,
             zone_models,
             protocols,
@@ -399,44 +198,27 @@ impl BatchSim {
             policies,
             slot_indices,
             metrics,
-            metric_lanes,
             pendings,
             outage_remainings,
             prev_cappings,
-            filter_w,
-            filter_set,
+            estimate_filters,
             recorders,
-            benign_caps,
-            benign_emergency_caps,
-            attacker_caps,
-            attacker_caps_w,
-            attacker_emergency_caps,
-            ema_alphas,
-            standby_powers,
-            attack_loads,
-            max_charge_rates,
-            charge_efficiencies,
-            supplies,
-            outage_downtimes,
             trace_positions,
             packed_traces,
             uniform_pos,
             zones,
             sc_lanes,
             slot,
-            slots_per_day: slots_per_day_at(slot),
             active: Vec::with_capacity(lanes),
             loads_w: vec![0.0; lanes],
             u1: vec![0.0; lanes * NORMALS_PER_ESTIMATE],
             u2: vec![0.0; lanes * NORMALS_PER_ESTIMATE],
             z: vec![0.0; lanes * NORMALS_PER_ESTIMATE],
             benign_w: vec![0.0; lanes],
-            cappings: vec![false; lanes],
-            est_w: vec![0.0; lanes],
+            sensed_w: vec![0.0; lanes],
             raw_estimates: vec![Power::ZERO; lanes],
-            att_metered: vec![Power::ZERO; lanes],
-            att_actual: vec![Power::ZERO; lanes],
-            records: vec![blank_record(); lanes],
+            attackers: vec![AttackerPower::default(); lanes],
+            records: vec![SlotRecord::blank(); lanes],
         }
     }
 
@@ -463,8 +245,8 @@ impl BatchSim {
         true
     }
 
-    /// The last slot's records, one per lane ([`blank`](SlotRecord) before
-    /// the first [`step_all`](BatchSim::step_all)).
+    /// The last slot's records, one per lane (all-zero before the first
+    /// [`step_all`](BatchSim::step_all)).
     pub fn records(&self) -> &[SlotRecord] {
         &self.records
     }
@@ -472,15 +254,17 @@ impl BatchSim {
     /// Advances every lane by one slot and returns the number of lanes that
     /// spent the slot in outage downtime.
     ///
-    /// Phase structure (matching [`Simulation::step`] per lane, op for op):
+    /// Each lane runs the slot kernels [`Simulation::step`] runs, in its
+    /// order; only the RNG draws, the side-channel measurement and the zone
+    /// physics are packed across lanes:
     ///
-    /// 1. slot bookkeeping and benign tenants (scalar sweep);
+    /// 1. slot bookkeeping and the benign cap;
     /// 2. side-channel uniform draws, compacted over non-outage lanes;
     /// 3. one packed Box–Muller pass over all lanes' normals (vectorized);
-    /// 4. estimate → learn → decide → act (each lane's [`Policy`], called
-    ///    as [`Simulation::step`] calls it);
+    /// 4. estimate → filter → learn → decide → act (each lane's
+    ///    [`Policy`], called as [`Simulation::step`] calls it);
     /// 5. zone thermal pass over the whole batch ([`ZoneLanes::step_all`]);
-    /// 6. protocol, metrics, and record finalization (scalar sweep).
+    /// 6. settle: protocol, metrics, and the record's inlet.
     pub fn step_all(&mut self) -> u32 {
         let started = hbm_telemetry::timing::start();
         let slot = self.slot;
@@ -516,42 +300,21 @@ impl BatchSim {
                 }
             };
             if self.outage_remainings[i].is_some() {
-                // Outage downtime: everything is off; the zone pass cools
-                // the lane at zero load and phase 6 finishes the books.
+                // The zone pass cools the lane at zero load; phase 6 fills
+                // in the inlet and settles the books.
                 self.loads_w[i] = 0.0;
-                self.benign_w[i] = 0.0;
                 self.raw_estimates[i] = Power::ZERO;
-                self.records[i] = SlotRecord {
-                    slot: k,
-                    benign_demand: Power::ZERO,
-                    benign_actual: Power::ZERO,
-                    metered_total: Power::ZERO,
-                    actual_total: Power::ZERO,
-                    attack_load: Power::ZERO,
-                    battery_soc: self.batteries[i].state_of_charge(),
-                    estimated_total: Power::ZERO,
-                    action: AttackAction::Standby,
-                    inlet: Temperature::from_celsius(0.0), // phase 6
-                    capping: false,
-                    outage: true,
-                };
+                let soc = self.batteries[i].state_of_charge();
+                self.records[i] = SlotRecord::outage(k, soc, Temperature::from_celsius(0.0));
             } else {
                 self.active.push(i as u32);
                 // `prev_cappings` is invariantly the protocol's capping
-                // state as of the end of the previous slot (phase 6 and the
-                // outage path both maintain it), so the protocol struct
-                // itself stays untouched until phase 6.
+                // state as of the end of the previous slot (phase 6 keeps
+                // it), so the protocol itself stays untouched until then.
                 let capping = self.prev_cappings[i];
                 debug_assert_eq!(capping, self.protocols[i].state().is_capping());
-                let benign_limit = if capping {
-                    self.benign_emergency_caps[i]
-                } else {
-                    self.benign_caps[i]
-                };
-                let benign_actual = benign_demand.min(benign_limit);
-                // Dense columns feeding the packed estimate + filter passes.
+                let benign_actual = benign_cap(&self.params[i], benign_demand, capping);
                 self.benign_w[i] = benign_actual.as_watts();
-                self.cappings[i] = capping;
                 let r = &mut self.records[i];
                 r.slot = k;
                 r.benign_demand = benign_demand;
@@ -565,6 +328,7 @@ impl BatchSim {
         // ---- Phase 2: side-channel uniforms. ----
         // Hoisting the draws ahead of the estimate is value-identical: the
         // uniforms are input-independent and drawn in the same RNG order.
+        // Outage lanes draw nothing, exactly as the scalar engine.
         let n_active = self.active.len();
         let dense = n_active == lanes;
         if dense {
@@ -592,200 +356,95 @@ impl BatchSim {
             &mut self.z[..packed],
         );
 
-        // ---- Phase 4: estimate, learn, decide, act. ----
+        // ---- Phase 4: estimate, filter, learn, decide, act. ----
         if dense {
             // Packed measurement-model pass over all lanes (inputs were laid
-            // down column-wise by phase 1), then a packed raw-estimate + EMA
-            // filter pass. Per lane these are the exact f64 sequences of the
-            // scalar path below — `Power` arithmetic is plain arithmetic on
-            // watts — just strip-mined over the batch.
+            // down column-wise by phase 1).
             self.sc_lanes
-                .estimate_all(&self.benign_w, &self.z, &mut self.est_w);
-            for i in 0..lanes {
-                let raw_estimate = self.est_w[i] + self.attacker_caps_w[i];
-                let alpha = self.ema_alphas[i];
-                let filtered = if !self.filter_set[i] {
-                    raw_estimate
-                } else if self.cappings[i] {
-                    // Capped slots carry no information about the underlying
-                    // demand; freeze the filter (see Simulation::step_inner).
-                    self.filter_w[i]
-                } else {
-                    self.filter_w[i] * (1.0 - alpha) + raw_estimate * alpha
-                };
-                self.filter_w[i] = filtered;
-                self.filter_set[i] = true;
-                self.est_w[i] = raw_estimate;
-            }
+                .estimate_all(&self.benign_w, &self.z, &mut self.sensed_w);
         }
         for j in 0..n_active {
             let i = self.active[j] as usize;
-            let k = self.records[i].slot;
-            let benign_actual = self.records[i].benign_actual;
-            let capping = self.records[i].capping;
-
-            let (raw_estimate, estimated_total) = if dense {
-                (
-                    Power::from_watts(self.est_w[i]),
-                    Power::from_watts(self.filter_w[i]),
-                )
+            let p = &self.params[i];
+            let r = &mut self.records[i];
+            let sensed = if dense {
+                Power::from_watts(self.sensed_w[i])
             } else {
                 let at = j * NORMALS_PER_ESTIMATE;
                 let mut z4 = [0.0; NORMALS_PER_ESTIMATE];
                 z4.copy_from_slice(&self.z[at..at + NORMALS_PER_ESTIMATE]);
-                let raw = self.sc_lanes.estimate_lane(i, benign_actual, &z4);
-                let raw_estimate = raw + self.attacker_caps[i];
-                let alpha = self.ema_alphas[i];
-                let estimated_total = if !self.filter_set[i] {
-                    raw_estimate
-                } else if capping {
-                    Power::from_watts(self.filter_w[i])
-                } else {
-                    Power::from_watts(self.filter_w[i]) * (1.0 - alpha) + raw_estimate * alpha
-                };
-                self.filter_w[i] = estimated_total.as_watts();
-                self.filter_set[i] = true;
-                (raw_estimate, estimated_total)
+                self.sc_lanes.estimate_lane(i, r.benign_actual, &z4)
             };
+            let (raw_estimate, estimated_total) =
+                filter_estimate(p, &mut self.estimate_filters[i], sensed, r.capping);
+            let battery = &mut self.batteries[i];
             let observation = Observation {
-                slot: k,
-                battery_soc: self.batteries[i].state_of_charge(),
-                battery_stored: self.batteries[i].stored(),
+                slot: r.slot,
+                battery_soc: battery.state_of_charge(),
+                battery_stored: battery.stored(),
                 estimated_total,
                 inlet: self.zones.inlet(i),
-                capping,
+                capping: r.capping,
             };
             // Complete last slot's transition now that the new estimate
             // exists, then decide, exactly as `Simulation::step` does.
-            if let Some(p) = self.pendings[i] {
-                let transition = p.complete(estimated_total, capping, self.slots_per_day);
+            if let Some(pending) = self.pendings[i] {
+                let transition = pending.complete(estimated_total, r.capping, p);
                 self.policies[i].learn(&transition);
             }
             let action = self.policies[i].decide(&observation);
-            let attacker_metered_limit = if capping {
-                self.attacker_emergency_caps[i]
-            } else {
-                self.attacker_caps[i]
-            };
-            let (attacker_metered, attacker_actual, battery_attack) = match action {
-                AttackAction::Attack => {
-                    let metered = attacker_metered_limit;
-                    let delivered = self.batteries[i].discharge(self.attack_loads[i], slot);
-                    (metered, metered + delivered, delivered)
-                }
-                AttackAction::Charge => {
-                    let headroom =
-                        (attacker_metered_limit - self.standby_powers[i]).positive_part();
-                    let drawn =
-                        self.batteries[i].charge(self.max_charge_rates[i].min(headroom), slot);
-                    let standby = self.standby_powers[i].min(attacker_metered_limit);
-                    let loss = drawn * (1.0 - self.charge_efficiencies[i]);
-                    (standby + drawn, standby + loss, Power::ZERO)
-                }
-                AttackAction::Standby => {
-                    let standby = self.standby_powers[i].min(attacker_metered_limit);
-                    (standby, standby, Power::ZERO)
-                }
-            };
-
-            let metered_total = benign_actual + attacker_metered;
-            let actual_total = benign_actual + attacker_actual;
-            self.loads_w[i] = actual_total.as_watts();
-            self.att_metered[i] = attacker_metered;
-            self.att_actual[i] = attacker_actual;
-            self.raw_estimates[i] = raw_estimate;
-            let battery_soc = self.batteries[i].state_of_charge();
-            let r = &mut self.records[i];
-            r.metered_total = metered_total;
-            r.actual_total = actual_total;
-            r.attack_load = battery_attack;
-            r.battery_soc = battery_soc;
             r.estimated_total = estimated_total;
             r.action = action;
+            self.attackers[i] = act(p, battery, r);
+            self.loads_w[i] = r.actual_total.as_watts();
+            self.raw_estimates[i] = raw_estimate;
             // Defer the learning feedback to the next slot; phase 6 fills in
             // the inlet the zone pass produces.
             self.pendings[i] = Some(PendingTransition {
                 observation,
                 action,
                 inlet: Temperature::from_celsius(0.0),
-                next_battery_soc: battery_soc,
-                next_battery_stored: self.batteries[i].stored(),
+                next_battery_soc: r.battery_soc,
+                next_battery_stored: battery.stored(),
             });
         }
 
         // ---- Phase 5: zone thermal pass over the whole batch. ----
         self.zones.step_all(&self.loads_w, slot);
 
-        // ---- Phase 6: protocol, metrics, record finalization. ----
+        // ---- Phase 6: settle. ----
         let mut down: u32 = 0;
         for i in 0..lanes {
             let inlet = self.zones.inlet(i);
-            let inlet_c = inlet.as_celsius();
-            self.records[i].inlet = inlet;
-            self.metric_lanes.slots[i] += 1;
-            if self.records[i].outage {
+            let r = &mut self.records[i];
+            r.inlet = inlet;
+            if r.outage {
                 down += 1;
-                self.metric_lanes.outage_slots[i] += 1;
-                match &mut self.metric_lanes.hist {
-                    Some(h) => h.add(i, inlet_c),
-                    None => self.metrics[i].inlet_histogram.add(inlet_c),
-                }
-                let left = self.outage_remainings[i].expect("outage lane") - slot;
-                if left > Duration::ZERO {
-                    self.outage_remainings[i] = Some(left);
-                } else {
-                    self.outage_remainings[i] = None;
-                    self.protocols[i].reset();
-                }
+                settle_outage(
+                    &self.params[i],
+                    inlet,
+                    &mut self.protocols[i],
+                    &mut self.prev_cappings[i],
+                    &mut self.outage_remainings[i],
+                    &mut self.metrics[i],
+                );
                 self.pendings[i] = None; // the attacker's episode is over
-                self.prev_cappings[i] = false;
             } else {
-                let capping = self.records[i].capping;
-                let next_state = self.protocols[i].step(inlet, slot);
-                if next_state.is_outage() {
-                    self.metric_lanes.outage_events[i] += 1;
-                    self.outage_remainings[i] = Some(self.outage_downtimes[i]);
-                }
-                let capping_next = next_state.is_capping();
-                if capping_next && !self.prev_cappings[i] {
-                    self.metric_lanes.emergency_events[i] += 1;
-                }
-                self.prev_cappings[i] = capping_next;
-
-                if capping {
-                    self.metric_lanes.emergency_slots[i] += 1;
-                    let u_inst =
-                        (self.records[i].benign_demand / self.benign_caps[i]).clamp(0.0, 1.0);
-                    let load_frac = self.configs[i].latency.rated_load() * u_inst;
-                    let degradation = self.configs[i]
-                        .latency
-                        .degradation(self.configs[i].emergency_cap_fraction(), load_frac);
-                    self.metric_lanes.degradation_sum[i] += degradation;
-                    self.metric_lanes.degradation_slots[i] += 1;
-                }
-                let battery_attack = self.records[i].attack_load;
-                if battery_attack > Power::ZERO {
-                    self.metric_lanes.attack_slots[i] += 1;
-                    self.metric_lanes.attack_energy_kwh[i] +=
-                        (battery_attack * slot).as_kilowatt_hours();
-                }
-                self.metric_lanes.delta_t_sum_c[i] +=
-                    (inlet - self.supplies[i]).positive_part().as_celsius();
-                match &mut self.metric_lanes.hist {
-                    Some(h) => h.add(i, inlet_c),
-                    None => self.metrics[i].inlet_histogram.add(inlet_c),
-                }
-                self.metric_lanes.attacker_metered_kwh[i] +=
-                    (self.att_metered[i] * slot).as_kilowatt_hours();
-                self.metric_lanes.attacker_actual_kwh[i] +=
-                    (self.att_actual[i] * slot).as_kilowatt_hours();
-
-                if let Some(p) = &mut self.pendings[i] {
-                    p.inlet = inlet;
+                settle(
+                    &self.params[i],
+                    r,
+                    self.attackers[i],
+                    &mut self.protocols[i],
+                    &mut self.prev_cappings[i],
+                    &mut self.outage_remainings[i],
+                    &mut self.metrics[i],
+                );
+                if let Some(pending) = &mut self.pendings[i] {
+                    pending.inlet = inlet;
                 }
             }
             if let Some(rec) = self.recorders[i].as_mut() {
-                emit_sample(rec.as_mut(), &self.records[i], self.raw_estimates[i]);
+                emit_sample(rec.as_mut(), r, self.raw_estimates[i]);
             }
         }
         hbm_telemetry::timing::record_span_units("batch.step", started, lanes as u64);
@@ -823,16 +482,14 @@ impl BatchSim {
     /// Per-lane reports, taking each lane's metrics *by move* (the lane
     /// continues with fresh metrics, as after [`Simulation::warmup`]).
     pub fn take_reports(&mut self) -> Vec<SimReport> {
-        self.metric_lanes.fold_into(&mut self.metrics);
-        let reports = (0..self.len())
-            .map(|i| SimReport {
-                policy: self.policies[i].name().to_string(),
-                metrics: std::mem::replace(&mut self.metrics[i], Metrics::new(self.slot)),
+        self.metrics
+            .iter_mut()
+            .zip(&self.policies)
+            .map(|(metrics, policy)| SimReport {
+                policy: policy.name().to_string(),
+                metrics: std::mem::replace(metrics, Metrics::new(self.slot)),
             })
-            .collect();
-        // Re-seed the columns from the fresh (zeroed) metrics.
-        self.metric_lanes = MetricLanes::from_metrics(&self.metrics);
-        reports
+            .collect()
     }
 
     /// Disassembles the batch back into standalone simulations, each
@@ -840,16 +497,16 @@ impl BatchSim {
     /// can keep stepping scalar from exactly where the batch left off.
     pub fn into_sims(mut self) -> Vec<Simulation> {
         let lanes = self.len();
-        // The column-wise RNG/wander/metric state is authoritative while
-        // batched; flow it back before handing the scenarios out.
+        // The column-wise RNG/wander state is authoritative while batched;
+        // flow it back before handing the scenarios out.
         self.sc_lanes.sync_back(&mut self.side_channels);
-        self.metric_lanes.fold_into(&mut self.metrics);
         let mut sims = Vec::with_capacity(lanes);
         for i in (0..lanes).rev() {
             let mut zone = self.zone_models[i];
             zone.set_inlet(self.zones.inlet(i));
-            let parts = SimParts {
+            sims.push(Simulation {
                 config: self.configs.pop().expect("lane"),
+                params: self.params[i],
                 trace: self.traces.pop().expect("lane"),
                 zone,
                 protocol: self.protocols.pop().expect("lane"),
@@ -858,13 +515,12 @@ impl BatchSim {
                 policy: self.policies.pop().expect("lane"),
                 slot_index: self.slot_indices[i],
                 metrics: self.metrics.pop().expect("lane"),
-                pending: self.pendings.pop().expect("lane"),
+                pending: self.pendings[i],
                 outage_remaining: self.outage_remainings[i],
                 prev_capping: self.prev_cappings[i],
-                estimate_filter: self.filter_set[i].then(|| Power::from_watts(self.filter_w[i])),
+                estimate_filter: self.estimate_filters[i],
                 recorder: self.recorders.pop().expect("lane"),
-            };
-            sims.push(Simulation::from_parts(parts));
+            });
         }
         sims.reverse();
         sims

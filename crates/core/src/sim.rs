@@ -10,6 +10,7 @@ use hbm_sidechannel::VoltageSideChannel;
 use hbm_telemetry::{ChannelValue, Recorder, Sample};
 use hbm_thermal::ZoneModel;
 use hbm_units::{Duration, Energy, Power, Temperature};
+use hbm_workload::latency::LatencyModel;
 use hbm_workload::{generate, PowerTrace};
 
 use crate::{AttackAction, ColoConfig, Metrics, Observation, Policy, Transition};
@@ -74,7 +75,7 @@ impl PendingTransition {
         self,
         next_estimated_total: Power,
         next_capping: bool,
-        slots_per_day: u64,
+        p: &SlotParams,
     ) -> Transition {
         Transition {
             observation: self.observation,
@@ -84,35 +85,228 @@ impl PendingTransition {
             next_battery_stored: self.next_battery_stored,
             next_estimated_total,
             next_capping,
-            day: self.observation.slot / slots_per_day,
+            day: self.observation.slot / p.slots_per_day,
         }
     }
 }
 
-/// A [`Simulation`] decomposed into its owned components, so the batch
-/// engine can host the same state in its structure-of-arrays layout and
-/// hand it back unchanged. Field-for-field mirror of [`Simulation`].
-pub(crate) struct SimParts {
-    pub(crate) config: ColoConfig,
-    pub(crate) trace: Arc<PowerTrace>,
-    pub(crate) zone: ZoneModel,
-    pub(crate) protocol: EmergencyProtocol,
-    pub(crate) battery: Battery,
-    pub(crate) side_channel: VoltageSideChannel,
-    pub(crate) policy: Policy,
-    pub(crate) slot_index: u64,
-    pub(crate) metrics: Metrics,
-    pub(crate) pending: Option<PendingTransition>,
-    pub(crate) outage_remaining: Option<Duration>,
-    pub(crate) prev_capping: bool,
-    pub(crate) estimate_filter: Option<Power>,
-    pub(crate) recorder: Option<Box<dyn Recorder>>,
+/// Per-slot scalars derived once from a [`ColoConfig`]: everything the slot
+/// kernels read. Both engines hold one per scenario (the batch as a column),
+/// so the hot path never walks the multi-cache-line config.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotParams {
+    slot: Duration,
+    slots_per_day: u64,
+    benign_cap: Power,
+    benign_emergency_cap: Power,
+    attacker_cap: Power,
+    attacker_emergency_cap: Power,
+    standby: Power,
+    attack_load: Power,
+    max_charge_rate: Power,
+    charge_efficiency: f64,
+    ema_alpha: f64,
+    supply: Temperature,
+    outage_downtime: Duration,
+    latency: LatencyModel,
+    emergency_cap_fraction: f64,
 }
 
-/// Slots per simulated day at a given slot length (shared by the scalar
-/// and batch engines so both bucket transitions into the same days).
-pub(crate) fn slots_per_day_at(slot: Duration) -> u64 {
-    (Duration::from_days(1.0) / slot).round().max(1.0) as u64
+impl SlotParams {
+    pub(crate) fn of(config: &ColoConfig) -> SlotParams {
+        SlotParams {
+            slot: config.slot,
+            slots_per_day: (Duration::from_days(1.0) / config.slot).round().max(1.0) as u64,
+            benign_cap: config.benign_capacity(),
+            benign_emergency_cap: config.benign_emergency_cap(),
+            attacker_cap: config.attacker_capacity,
+            attacker_emergency_cap: config.attacker_emergency_cap(),
+            standby: config.standby_power,
+            attack_load: config.attack_load,
+            max_charge_rate: config.battery.max_charge_rate,
+            charge_efficiency: config.battery.charge_efficiency,
+            ema_alpha: config.estimate_ema_alpha,
+            supply: config.cooling.supply,
+            outage_downtime: config.outage_downtime,
+            latency: config.latency,
+            emergency_cap_fraction: config.emergency_cap_fraction(),
+        }
+    }
+}
+
+/// The attacker's side of one slot's power.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AttackerPower {
+    /// What the operator's meters registered.
+    metered: Power,
+    /// What turned into heat.
+    actual: Power,
+}
+
+/// Benign tenants' actual power: their demand, capped to the emergency
+/// share while the operator is capping.
+#[inline]
+pub(crate) fn benign_cap(p: &SlotParams, demand: Power, capping: bool) -> Power {
+    let limit = if capping {
+        p.benign_emergency_cap
+    } else {
+        p.benign_cap
+    };
+    demand.min(limit)
+}
+
+/// The attacker's raw estimate (side-channel reading of the benign load plus
+/// its own subscription) and the EMA-filtered estimate it acts on.
+#[inline]
+pub(crate) fn filter_estimate(
+    p: &SlotParams,
+    filter: &mut Option<Power>,
+    sensed: Power,
+    capping: bool,
+) -> (Power, Power) {
+    let raw = sensed + p.attacker_cap;
+    let filtered = match *filter {
+        // Capped slots carry no information about the underlying demand;
+        // freeze the filter so the attacker's view of the load survives
+        // the 5-minute capping episodes.
+        Some(prev) if capping => prev,
+        Some(prev) => prev * (1.0 - p.ema_alpha) + raw * p.ema_alpha,
+        None => raw,
+    };
+    *filter = Some(filtered);
+    (raw, filtered)
+}
+
+/// Act: draws or charges the battery for `r.action` and splits the slot's
+/// power into metered and actual, filling `r`'s power fields and end-of-slot
+/// state of charge (`r.benign_actual`, `r.capping` and `r.action` are read).
+#[inline]
+pub(crate) fn act(p: &SlotParams, battery: &mut Battery, r: &mut SlotRecord) -> AttackerPower {
+    let metered_limit = if r.capping {
+        p.attacker_emergency_cap
+    } else {
+        p.attacker_cap
+    };
+    let (metered, actual, battery_attack) = match r.action {
+        AttackAction::Attack => {
+            let delivered = battery.discharge(p.attack_load, p.slot);
+            (metered_limit, metered_limit + delivered, delivered)
+        }
+        AttackAction::Charge => {
+            let headroom = (metered_limit - p.standby).positive_part();
+            let drawn = battery.charge(p.max_charge_rate.min(headroom), p.slot);
+            let standby = p.standby.min(metered_limit);
+            // Charging draws extra metered power; only conversion losses
+            // of it become heat — the rest is stored chemistry.
+            let loss = drawn * (1.0 - p.charge_efficiency);
+            (standby + drawn, standby + loss, Power::ZERO)
+        }
+        AttackAction::Standby => {
+            let standby = p.standby.min(metered_limit);
+            (standby, standby, Power::ZERO)
+        }
+    };
+    r.metered_total = r.benign_actual + metered;
+    r.actual_total = r.benign_actual + actual;
+    r.attack_load = battery_attack;
+    r.battery_soc = battery.state_of_charge();
+    AttackerPower { metered, actual }
+}
+
+/// Settle a slot that ran: steps the operator protocol on `r.inlet`,
+/// records emergency/outage edges, and accumulates the slot into `metrics`.
+#[inline]
+pub(crate) fn settle(
+    p: &SlotParams,
+    r: &SlotRecord,
+    attacker: AttackerPower,
+    protocol: &mut EmergencyProtocol,
+    prev_capping: &mut bool,
+    outage_remaining: &mut Option<Duration>,
+    metrics: &mut Metrics,
+) {
+    let next_state = protocol.step(r.inlet, p.slot);
+    if next_state.is_outage() {
+        metrics.outage_events += 1;
+        *outage_remaining = Some(p.outage_downtime);
+    }
+    let capping_next = next_state.is_capping();
+    if capping_next && !*prev_capping {
+        metrics.emergency_events += 1;
+    }
+    *prev_capping = capping_next;
+
+    metrics.slots += 1;
+    if r.capping {
+        metrics.emergency_slots += 1;
+        let u_inst = (r.benign_demand / p.benign_cap).clamp(0.0, 1.0);
+        let load_frac = p.latency.rated_load() * u_inst;
+        metrics.degradation_sum += p.latency.degradation(p.emergency_cap_fraction, load_frac);
+        metrics.degradation_slots += 1;
+    }
+    if r.attack_load > Power::ZERO {
+        metrics.attack_slots += 1;
+        metrics.attack_energy += r.attack_load * p.slot;
+    }
+    metrics.delta_t_sum += (r.inlet - p.supply).positive_part();
+    metrics.inlet_histogram.add(r.inlet.as_celsius());
+    metrics.attacker_metered_energy += attacker.metered * p.slot;
+    metrics.attacker_actual_energy += attacker.actual * p.slot;
+}
+
+/// [`settle`]'s outage twin: a slot of downtime counts down the outage,
+/// after which the protocol restarts from normal.
+#[inline]
+pub(crate) fn settle_outage(
+    p: &SlotParams,
+    inlet: Temperature,
+    protocol: &mut EmergencyProtocol,
+    prev_capping: &mut bool,
+    outage_remaining: &mut Option<Duration>,
+    metrics: &mut Metrics,
+) {
+    metrics.slots += 1;
+    metrics.outage_slots += 1;
+    metrics.inlet_histogram.add(inlet.as_celsius());
+    let left = outage_remaining.expect("settle_outage on a lane that is up") - p.slot;
+    if left > Duration::ZERO {
+        *outage_remaining = Some(left);
+    } else {
+        *outage_remaining = None;
+        protocol.reset();
+    }
+    *prev_capping = false;
+}
+
+impl SlotRecord {
+    /// An all-zero record: the placeholder a slot's phases fill in.
+    pub(crate) fn blank() -> SlotRecord {
+        SlotRecord {
+            slot: 0,
+            benign_demand: Power::ZERO,
+            benign_actual: Power::ZERO,
+            metered_total: Power::ZERO,
+            actual_total: Power::ZERO,
+            attack_load: Power::ZERO,
+            battery_soc: 0.0,
+            estimated_total: Power::ZERO,
+            action: AttackAction::Standby,
+            inlet: Temperature::from_celsius(0.0),
+            capping: false,
+            outage: false,
+        }
+    }
+
+    /// A slot of outage downtime: everything is off and nothing is sensed.
+    pub(crate) fn outage(slot: u64, battery_soc: f64, inlet: Temperature) -> SlotRecord {
+        SlotRecord {
+            slot,
+            battery_soc,
+            inlet,
+            outage: true,
+            ..SlotRecord::blank()
+        }
+    }
 }
 
 /// Emits one telemetry sample for a finished slot. Channel names mirror
@@ -152,6 +346,9 @@ pub(crate) fn emit_sample(rec: &mut dyn Recorder, r: &SlotRecord, raw_estimate: 
 /// serialize and restore the dynamic state bit-exactly.
 pub struct Simulation {
     pub(crate) config: ColoConfig,
+    /// The slot kernels' view of `config` (derived once; the config is
+    /// never mutated after construction).
+    pub(crate) params: SlotParams,
     /// The benign workload trace. Behind an [`Arc`] because it is the one
     /// large piece of *static* state: [`Simulation::fork`] shares it
     /// instead of copying megabytes of samples per branch.
@@ -211,6 +408,7 @@ impl Simulation {
         let side_channel = VoltageSideChannel::new(config.side_channel, seed.wrapping_mul(31) + 7);
         let slot = config.slot;
         Simulation {
+            params: SlotParams::of(&config),
             config,
             trace,
             zone,
@@ -344,68 +542,33 @@ impl Simulation {
     /// The slot body; returns the record plus the unfiltered side-channel
     /// estimate (zero during outages, when nothing can be sensed).
     fn step_inner(&mut self) -> (SlotRecord, Power) {
-        let slot = self.config.slot;
+        let p = &self.params;
         let k = self.slot_index;
         self.slot_index += 1;
-        self.metrics.slots += 1;
 
-        // ------ Outage downtime: everything is off. ------
-        if let Some(remaining) = self.outage_remaining {
-            let inlet = self.zone.step(Power::ZERO, slot);
-            self.metrics.outage_slots += 1;
-            self.metrics.inlet_histogram.add(inlet.as_celsius());
-            let left = remaining - slot;
-            if left > Duration::ZERO {
-                self.outage_remaining = Some(left);
-            } else {
-                self.outage_remaining = None;
-                self.protocol.reset();
-            }
-            self.pending = None; // the attacker's episode is over
-            self.prev_capping = false;
-            return (
-                SlotRecord {
-                    slot: k,
-                    benign_demand: Power::ZERO,
-                    benign_actual: Power::ZERO,
-                    metered_total: Power::ZERO,
-                    actual_total: Power::ZERO,
-                    attack_load: Power::ZERO,
-                    battery_soc: self.battery.state_of_charge(),
-                    estimated_total: Power::ZERO,
-                    action: AttackAction::Standby,
-                    inlet,
-                    capping: false,
-                    outage: true,
-                },
-                Power::ZERO,
+        if self.outage_remaining.is_some() {
+            let inlet = self.zone.step(Power::ZERO, p.slot);
+            settle_outage(
+                p,
+                inlet,
+                &mut self.protocol,
+                &mut self.prev_capping,
+                &mut self.outage_remaining,
+                &mut self.metrics,
             );
+            self.pending = None; // the attacker's episode is over
+            let record = SlotRecord::outage(k, self.battery.state_of_charge(), inlet);
+            return (record, Power::ZERO);
         }
 
         let capping = self.protocol.state().is_capping();
-
-        // ------ Benign tenants. ------
         let benign_demand = self.trace.get(k as usize);
-        let benign_limit = if capping {
-            self.config.benign_emergency_cap()
-        } else {
-            self.config.benign_capacity()
-        };
-        let benign_actual = benign_demand.min(benign_limit);
+        let benign_actual = benign_cap(p, benign_demand, capping);
 
         // ------ Attacker: observe, decide, act. ------
-        let raw_estimate =
-            self.side_channel.estimate(benign_actual) + self.config.attacker_capacity;
-        let alpha = self.config.estimate_ema_alpha;
-        let estimated_total = match self.estimate_filter {
-            // Capped slots carry no information about the underlying demand;
-            // freeze the filter so the attacker's view of the load survives
-            // the 5-minute capping episodes.
-            Some(prev) if capping => prev,
-            Some(prev) => prev * (1.0 - alpha) + raw_estimate * alpha,
-            None => raw_estimate,
-        };
-        self.estimate_filter = Some(estimated_total);
+        let sensed = self.side_channel.estimate(benign_actual);
+        let (raw_estimate, estimated_total) =
+            filter_estimate(p, &mut self.estimate_filter, sensed, capping);
         let observation = Observation {
             slot: k,
             battery_soc: self.battery.state_of_charge(),
@@ -414,107 +577,44 @@ impl Simulation {
             inlet: self.zone.inlet(),
             capping,
         };
-
         // Complete last slot's transition now that the new estimate exists.
-        if let Some(p) = self.pending.take() {
-            let transition = p.complete(estimated_total, capping, slots_per_day_at(slot));
+        if let Some(pending) = self.pending.take() {
+            let transition = pending.complete(estimated_total, capping, p);
             self.policy.learn(&transition);
         }
-
         let action = self.policy.decide(&observation);
-        let attacker_metered_limit = if capping {
-            self.config.attacker_emergency_cap()
-        } else {
-            self.config.attacker_capacity
+        let mut record = SlotRecord {
+            slot: k,
+            benign_demand,
+            benign_actual,
+            estimated_total,
+            action,
+            capping,
+            ..SlotRecord::blank()
         };
+        let attacker = act(p, &mut self.battery, &mut record);
 
-        let (attacker_metered, attacker_actual, battery_attack) = match action {
-            AttackAction::Attack => {
-                let metered = attacker_metered_limit;
-                let delivered = self.battery.discharge(self.config.attack_load, slot);
-                (metered, metered + delivered, delivered)
-            }
-            AttackAction::Charge => {
-                let headroom = (attacker_metered_limit - self.config.standby_power).positive_part();
-                let drawn = self
-                    .battery
-                    .charge(self.config.battery.max_charge_rate.min(headroom), slot);
-                let standby = self.config.standby_power.min(attacker_metered_limit);
-                // Charging draws extra metered power; only conversion losses
-                // of it become heat — the rest is stored chemistry.
-                let loss = drawn * (1.0 - self.config.battery.charge_efficiency);
-                (standby + drawn, standby + loss, Power::ZERO)
-            }
-            AttackAction::Standby => {
-                let standby = self.config.standby_power.min(attacker_metered_limit);
-                (standby, standby, Power::ZERO)
-            }
-        };
-
-        // ------ Physics. ------
-        let metered_total = benign_actual + attacker_metered;
-        let actual_total = benign_actual + attacker_actual;
-        let inlet = self.zone.step(actual_total, slot);
-
-        // ------ Operator protocol. ------
-        let next_state = self.protocol.step(inlet, slot);
-        if next_state.is_outage() {
-            self.metrics.outage_events += 1;
-            self.outage_remaining = Some(self.config.outage_downtime);
-        }
-        let capping_next = next_state.is_capping();
-        if capping_next && !self.prev_capping {
-            self.metrics.emergency_events += 1;
-        }
-        self.prev_capping = capping_next;
-
-        // ------ Metrics. ------
-        if capping {
-            self.metrics.emergency_slots += 1;
-            let u_inst = (benign_demand / self.config.benign_capacity()).clamp(0.0, 1.0);
-            let load_frac = self.config.latency.rated_load() * u_inst;
-            let degradation = self
-                .config
-                .latency
-                .degradation(self.config.emergency_cap_fraction(), load_frac);
-            self.metrics.degradation_sum += degradation;
-            self.metrics.degradation_slots += 1;
-        }
-        if battery_attack > Power::ZERO {
-            self.metrics.attack_slots += 1;
-            self.metrics.attack_energy += battery_attack * slot;
-        }
-        self.metrics.delta_t_sum += (inlet - self.config.cooling.supply).positive_part();
-        self.metrics.inlet_histogram.add(inlet.as_celsius());
-        self.metrics.attacker_metered_energy += attacker_metered * slot;
-        self.metrics.attacker_actual_energy += attacker_actual * slot;
+        // ------ Physics, protocol, metrics. ------
+        record.inlet = self.zone.step(record.actual_total, p.slot);
+        settle(
+            p,
+            &record,
+            attacker,
+            &mut self.protocol,
+            &mut self.prev_capping,
+            &mut self.outage_remaining,
+            &mut self.metrics,
+        );
 
         // ------ Defer the learning feedback to the next slot. ------
         self.pending = Some(PendingTransition {
             observation,
             action,
-            inlet,
-            next_battery_soc: self.battery.state_of_charge(),
+            inlet: record.inlet,
+            next_battery_soc: record.battery_soc,
             next_battery_stored: self.battery.stored(),
         });
-
-        (
-            SlotRecord {
-                slot: k,
-                benign_demand,
-                benign_actual,
-                metered_total,
-                actual_total,
-                attack_load: battery_attack,
-                battery_soc: self.battery.state_of_charge(),
-                estimated_total,
-                action,
-                inlet,
-                capping,
-                outage: false,
-            },
-            raw_estimate,
-        )
+        (record, raw_estimate)
     }
 
     /// The report for everything simulated so far, taking the metrics *by
@@ -543,6 +643,7 @@ impl Simulation {
     pub fn fork(&self) -> Simulation {
         Simulation {
             config: self.config.clone(),
+            params: self.params,
             trace: Arc::clone(&self.trace),
             zone: self.zone,
             protocol: self.protocol.clone(),
@@ -556,46 +657,6 @@ impl Simulation {
             prev_capping: self.prev_capping,
             estimate_filter: self.estimate_filter,
             recorder: None,
-        }
-    }
-
-    /// Decomposes the simulation into its components (batch-engine intake).
-    pub(crate) fn into_parts(self) -> SimParts {
-        SimParts {
-            config: self.config,
-            trace: self.trace,
-            zone: self.zone,
-            protocol: self.protocol,
-            battery: self.battery,
-            side_channel: self.side_channel,
-            policy: self.policy,
-            slot_index: self.slot_index,
-            metrics: self.metrics,
-            pending: self.pending,
-            outage_remaining: self.outage_remaining,
-            prev_capping: self.prev_capping,
-            estimate_filter: self.estimate_filter,
-            recorder: self.recorder,
-        }
-    }
-
-    /// Rebuilds a simulation from components (batch-engine hand-back).
-    pub(crate) fn from_parts(parts: SimParts) -> Simulation {
-        Simulation {
-            config: parts.config,
-            trace: parts.trace,
-            zone: parts.zone,
-            protocol: parts.protocol,
-            battery: parts.battery,
-            side_channel: parts.side_channel,
-            policy: parts.policy,
-            slot_index: parts.slot_index,
-            metrics: parts.metrics,
-            pending: parts.pending,
-            outage_remaining: parts.outage_remaining,
-            prev_capping: parts.prev_capping,
-            estimate_filter: parts.estimate_filter,
-            recorder: parts.recorder,
         }
     }
 }

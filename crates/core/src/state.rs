@@ -312,8 +312,9 @@ impl Snapshot {
     /// # Errors
     ///
     /// Returns a message on malformed JSON, a schema mismatch, or
-    /// malformed fields. Shape and policy-kind mismatches against a
-    /// concrete simulation surface later, in [`Simulation::restore`].
+    /// malformed fields (including a non-finite inlet). Shape and
+    /// policy-kind mismatches against a concrete simulation surface later,
+    /// in [`Simulation::restore`].
     pub fn from_json(line: &str) -> Result<Snapshot, String> {
         let f = Fields(parse_flat_object(line)?);
         let schema = f.str("schema")?;
@@ -377,10 +378,14 @@ impl Snapshot {
             }
             _ => PolicySnapshot::Stateless,
         };
+        let inlet_c = f.f64("inlet_c")?;
+        if !inlet_c.is_finite() {
+            return Err(format!("field \"inlet_c\" is not finite: {inlet_c}"));
+        }
         Ok(Snapshot {
             policy_name,
             slot_index: f.u64("slot_index")?,
-            inlet: Temperature::from_celsius(f.f64("inlet_c")?),
+            inlet: Temperature::from_celsius(inlet_c),
             protocol,
             battery_stored: Energy::from_kilowatt_hours(f.f64("battery_kwh")?.max(0.0)),
             sc_rng: f.hex4("sc_rng")?,

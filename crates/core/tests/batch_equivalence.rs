@@ -255,6 +255,41 @@ fn mixed_learner_batch_matches_sequential() {
     assert_batch_matches_sequential(make, 2 * 1440, "mixed-learner");
 }
 
+/// A ragged batch: trace lengths differ and one lane starts mid-trace, so
+/// every lane reads its own wrapping trace cursor instead of the transposed
+/// trace, and the one-shot outage lane mixes per-lane draws into the slots
+/// it spends down.
+#[test]
+fn ragged_batch_matches_sequential() {
+    let make = || {
+        let short = ColoConfig::paper_default().with_trace_len(1440);
+        let long = ColoConfig::paper_default().with_trace_len(2000);
+        let mut outage = ColoConfig::paper_default().with_trace_len(1700);
+        outage.battery = BatterySpec::one_shot();
+        outage.attack_load = Power::from_kilowatts(3.0);
+        let mut pre_stepped = Simulation::new(
+            short.clone(),
+            MyopicPolicy::new(Power::from_kilowatts(7.4)),
+            1,
+        );
+        pre_stepped.run(40);
+        vec![
+            pre_stepped,
+            Simulation::new(long, ForesightedPolicy::paper_default(14.0, 4), 4),
+            Simulation::new(outage, OneShotPolicy::new(Power::from_kilowatts(7.6)), 1),
+            Simulation::new(
+                short.clone(),
+                RandomPolicy::new(0.08, short.attack_load, short.slot, 11),
+                3,
+            ),
+        ]
+    };
+    let slots = 3 * 1440;
+    let outage_slots = make()[2].run(slots).metrics.outage_slots;
+    assert!(outage_slots > 0, "the one-shot lane must go down");
+    assert_batch_matches_sequential(make, slots, "ragged");
+}
+
 /// A checkpoint must not depend on which engine stepped the run: for every
 /// policy kind, a lane batched and handed back snapshots to exactly the
 /// JSON of the same lane stepped scalar, pending transition included.

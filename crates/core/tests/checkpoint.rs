@@ -172,6 +172,16 @@ fn restore_rejects_mismatches_loudly() {
         .restore_from_json("{\"schema\":\"hbm-checkpoint-v1\",\"policy\":\"myopic\"}")
         .unwrap_err()
         .contains("missing"));
+
+    // An inlet that parses to an infinity fails closed instead of panicking.
+    let at = snap.find("\"inlet_c\":").unwrap() + "\"inlet_c\":".len();
+    let end = at + snap[at..].find(',').unwrap();
+    for inlet in ["1e999", "-1e999"] {
+        let bad = format!("{}{inlet}{}", &snap[..at], &snap[end..]);
+        let (mut e, _) = myopic.build_sim().unwrap();
+        let err = e.restore_from_json(&bad).unwrap_err();
+        assert!(err.contains("inlet_c"), "{inlet}: {err}");
+    }
 }
 
 #[test]

@@ -870,6 +870,37 @@ mod tests {
     }
 
     #[test]
+    fn recover_skips_a_checkpoint_with_an_infinite_inlet() {
+        let dir = temp_dir("inf_inlet");
+        let sup = Supervisor::new(
+            SupervisorConfig::default(),
+            Some(ExperimentStore::open(&dir).unwrap()),
+        );
+        let corrupt = sup.create(scenario()).unwrap().id;
+        let healthy = sup.create(scenario()).unwrap().id;
+        sup.step(&healthy, 100).unwrap();
+        drop(sup);
+
+        let path = dir
+            .join("experiments")
+            .join(&corrupt)
+            .join("checkpoint.json");
+        let line = std::fs::read_to_string(&path).unwrap();
+        let at = line.find("\"inlet_c\":").unwrap() + "\"inlet_c\":".len();
+        let end = at + line[at..].find(',').unwrap();
+        let bad = format!("{}1e999{}", &line[..at], &line[end..]);
+        std::fs::write(&path, bad).unwrap();
+
+        let sup = Supervisor::new(
+            SupervisorConfig::default(),
+            Some(ExperimentStore::open(&dir).unwrap()),
+        );
+        assert_eq!(sup.recover(), 1);
+        assert_eq!(sup.list(), vec![(healthy, 100)]);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn perturb_is_durable_and_bit_exact_across_recovery() {
         let dir = temp_dir("perturb");
         let sup = Supervisor::new(

@@ -74,21 +74,8 @@ impl Histogram {
         (self.hi - self.lo) / self.bins.len() as f64
     }
 
-    /// Lower edge of the range.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper edge of the range (exclusive).
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
-    /// Overwrites the counts wholesale (range and bin count are unchanged).
-    ///
-    /// This is the write-back half of keeping many same-shaped histograms in
-    /// a packed lane-major matrix: accumulate externally with the exact
-    /// [`add`](Histogram::add) binning arithmetic, then flow the counts back.
+    /// Overwrites the counts wholesale (range and bin count are unchanged),
+    /// e.g. when restoring a checkpoint.
     ///
     /// # Panics
     ///
