@@ -17,8 +17,10 @@
 //! * every lane applies exactly the op-for-op IEEE-754 sequence of
 //!   [`Simulation::step`] (the shared kernels are the single source of truth
 //!   for the math);
-//! * lanes never interact — each carries its own trace, side-channel RNG,
-//!   battery, protocol, and policy;
+//! * lanes never interact — each carries its own side-channel RNG, battery,
+//!   protocol, and policy, and reads its trace (which lanes built from one
+//!   [`crate::TraceStore`] may share, since traces are immutable) at its own
+//!   slot index;
 //! * sharding ([`run_sharded`]) partitions lanes contiguously and merges
 //!   order-independent per-slot down counts, so results are byte-identical
 //!   at any thread count, including fully sequential.
@@ -71,18 +73,14 @@ pub struct BatchSim {
     estimate_filters: Vec<Option<Power>>,
     recorders: Vec<Option<Box<dyn Recorder>>>,
     /// Per-lane wrapping cursor into the trace (`slot_index % trace_len`,
-    /// maintained incrementally — no per-slot integer division). Unused (and
-    /// not maintained) while `packed_traces` is `Some`.
+    /// maintained incrementally — no per-slot integer division). Only the
+    /// [`TraceRows::Ragged`] path reads (and maintains) it.
     trace_positions: Vec<u32>,
-    /// Slot-major transpose of all lanes' traces (`[pos · lanes + i]`),
-    /// built when every lane shares one trace length and one starting
-    /// cursor. Phase 1 then reads one contiguous lanes-wide row per slot
-    /// instead of gathering from `lanes` separate heap allocations. Costs
-    /// one extra copy of the trace data; `None` on ragged batches.
-    packed_traces: Option<Vec<Power>>,
-    /// Shared trace cursor for the `packed_traces` fast path. Lanes advance
-    /// their cursors in lockstep (every lane, every slot, outage or not), so
-    /// a batch that starts uniform stays uniform forever.
+    /// Where phase 1 reads each slot's benign demand.
+    trace_rows: TraceRows,
+    /// Shared trace cursor for the uniform (shared and packed) paths. Lanes
+    /// advance their cursors in lockstep (every lane, every slot, outage or
+    /// not), so a batch that starts uniform stays uniform forever.
     uniform_pos: u32,
 
     // ---- SoA hot state. ----
@@ -115,6 +113,30 @@ pub struct BatchSim {
     raw_estimates: Vec<Power>,
     attackers: Vec<AttackerPower>,
     records: Vec<SlotRecord>,
+}
+
+/// Where phase 1 reads the benign demand, chosen once in [`BatchSim::new`].
+enum TraceRows {
+    /// Every lane holds the same trace allocation at the same cursor: one
+    /// sample per slot serves the whole batch, and no copy is made.
+    Shared,
+    /// Slot-major transpose of all lanes' traces (`[pos · lanes + i]`),
+    /// built when the lanes' traces differ but share one length and one
+    /// starting cursor. Phase 1 then reads one contiguous lanes-wide row per
+    /// slot instead of gathering from `lanes` separate heap allocations, at
+    /// the cost of one extra copy of the trace data.
+    Packed(Vec<Power>),
+    /// Anything else: each lane reads its own trace at its own cursor.
+    Ragged,
+}
+
+/// One slot's benign-demand source, resolved from [`TraceRows`] before the
+/// lane loop.
+#[derive(Clone, Copy)]
+enum DemandRow<'a> {
+    Shared(Power),
+    Packed(&'a [Power]),
+    Ragged,
 }
 
 impl BatchSim {
@@ -177,14 +199,16 @@ impl BatchSim {
         let trace_len = traces[0].len();
         let uniform = traces.iter().all(|t| t.len() == trace_len)
             && trace_positions.iter().all(|&p| p == trace_positions[0]);
-        let packed_traces = if uniform {
+        let trace_rows = if !uniform {
+            TraceRows::Ragged
+        } else if traces.iter().all(|t| Arc::ptr_eq(t, &traces[0])) {
+            TraceRows::Shared
+        } else {
             let mut packed = Vec::with_capacity(trace_len * lanes);
             for pos in 0..trace_len {
                 packed.extend(traces.iter().map(|t| t.samples()[pos]));
             }
-            Some(packed)
-        } else {
-            None
+            TraceRows::Packed(packed)
         };
         let uniform_pos = trace_positions[0];
         BatchSim {
@@ -204,7 +228,7 @@ impl BatchSim {
             estimate_filters,
             recorders,
             trace_positions,
-            packed_traces,
+            trace_rows,
             uniform_pos,
             zones,
             sc_lanes,
@@ -271,26 +295,28 @@ impl BatchSim {
         let lanes = self.len();
         self.active.clear();
         // ---- Phase 1: slot bookkeeping + benign tenants. ----
-        // Take the transposed traces out of `self` so the demand row can be
-        // borrowed across the (mutating) lane loop; restored right after.
-        let packed_traces = self.packed_traces.take();
-        let row: Option<&[Power]> = packed_traces.as_deref().map(|packed| {
-            let at = self.uniform_pos as usize * lanes;
+        let pos = self.uniform_pos as usize;
+        let row = match &self.trace_rows {
+            TraceRows::Shared => DemandRow::Shared(self.traces[0].samples()[pos]),
+            TraceRows::Packed(packed) => DemandRow::Packed(&packed[pos * lanes..(pos + 1) * lanes]),
+            TraceRows::Ragged => DemandRow::Ragged,
+        };
+        if !matches!(row, DemandRow::Ragged) {
             self.uniform_pos += 1;
-            if self.uniform_pos as usize * lanes == packed.len() {
+            if self.uniform_pos as usize == self.traces[0].len() {
                 self.uniform_pos = 0;
             }
-            &packed[at..at + lanes]
-        });
+        }
         for i in 0..lanes {
             let k = self.slot_indices[i];
             self.slot_indices[i] += 1;
-            // One contiguous lanes-wide row on the uniform fast path; the
-            // ragged fallback gathers from each lane's own trace (and is the
-            // only consumer of the per-lane cursors).
+            // One shared sample or one contiguous lanes-wide row on the
+            // uniform paths; the ragged fallback gathers from each lane's
+            // own trace (and is the only consumer of the per-lane cursors).
             let benign_demand = match row {
-                Some(r) => r[i],
-                None => {
+                DemandRow::Shared(demand) => demand,
+                DemandRow::Packed(r) => r[i],
+                DemandRow::Ragged => {
                     let pos = self.trace_positions[i] as usize;
                     self.trace_positions[i] += 1;
                     if self.trace_positions[i] as usize == self.traces[i].len() {
@@ -323,7 +349,6 @@ impl BatchSim {
                 r.outage = false;
             }
         }
-        self.packed_traces = packed_traces;
 
         // ---- Phase 2: side-channel uniforms. ----
         // Hoisting the draws ahead of the estimate is value-identical: the

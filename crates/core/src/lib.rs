@@ -48,6 +48,7 @@ mod metrics;
 pub mod scenario;
 mod sim;
 mod state;
+mod traces;
 mod tree;
 
 pub use attacker::{
@@ -62,6 +63,7 @@ pub use metrics::Metrics;
 pub use scenario::{install_thermal_tier, installed_thermal_tier, Perturbation, Scenario};
 pub use sim::{SimReport, Simulation, SlotRecord};
 pub use state::{Snapshot, SNAPSHOT_SCHEMA};
+pub use traces::TraceStore;
 pub use tree::{BranchOutcome, StateTree};
 
 /// The crate version, for run manifests.

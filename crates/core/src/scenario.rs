@@ -17,6 +17,7 @@ use hbm_telemetry::json::{parse_flat_object, JsonObject, JsonValue};
 use hbm_thermal::HeatMatrixModel;
 use hbm_units::{Energy, Power, Temperature};
 
+use crate::traces::TraceKey;
 use crate::{
     ColoConfig, ForesightedPolicy, Metrics, MyopicPolicy, Policy, RandomPolicy, SimReport,
     Simulation,
@@ -76,7 +77,22 @@ pub fn run_policy(
     slots: u64,
     needs_warmup: bool,
 ) -> SimReport {
-    let mut sim = Simulation::new(config.clone(), policy, seed);
+    run_sim(
+        Simulation::new(config.clone(), policy, seed),
+        warmup_slots,
+        slots,
+        needs_warmup,
+    )
+}
+
+/// Runs a built simulation the way [`run_policy`] does: warm-up first when
+/// `needs_warmup`, then `slots` measured slots.
+pub fn run_sim(
+    mut sim: Simulation,
+    warmup_slots: u64,
+    slots: u64,
+    needs_warmup: bool,
+) -> SimReport {
     if needs_warmup {
         sim.warmup(warmup_slots);
     }
@@ -296,10 +312,11 @@ impl Scenario {
     }
 
     /// Like [`Scenario::build_sim`], but reuses `donor`'s benign workload
-    /// trace when this scenario would generate the identical one — same
-    /// trace configuration and same seed as `donor_seed` (the seed `donor`
-    /// was built with). Trace synthesis dominates simulator construction,
-    /// so this turns a fork-and-perturb rebuild into a cheap state copy;
+    /// trace when this scenario would generate the identical one: the same
+    /// effective trace configuration (the configured trace plus the seed)
+    /// as `donor` built with `donor_seed`, the key a [`crate::TraceStore`]
+    /// shares under. Trace synthesis dominates simulator construction, so
+    /// this turns a fork-and-perturb rebuild into a cheap state copy;
     /// scenarios that *do* change the workload (a `utilization` override,
     /// a different seed) fall back to generating, so the result is always
     /// bit-identical to [`Scenario::build_sim`].
@@ -314,8 +331,10 @@ impl Scenario {
     ) -> Result<(Simulation, bool), String> {
         let config = self.build_config()?;
         let (policy, needs_warmup) = build_policy(&self.policy, &config, self.seed)?;
-        let sim = if self.seed == donor_seed && config.trace == donor.config().trace {
-            Simulation::with_trace(config, policy, self.seed, donor.trace_arc())
+        let sim = if TraceKey::new(&config.trace, self.seed)
+            == TraceKey::new(&donor.config().trace, donor_seed)
+        {
+            Simulation::with_trace(config, policy, self.seed, Arc::clone(&donor.trace))
         } else {
             Simulation::new(config, policy, self.seed)
         };
@@ -658,6 +677,31 @@ mod tests {
         s.warmup_days = 0;
         s.seed = 7;
         s
+    }
+
+    /// A rebuild shares the donor's trace exactly when its effective trace
+    /// key matches, and either way runs on the trace `build_sim` makes.
+    #[test]
+    fn sharing_trace_follows_the_effective_trace_key() {
+        let donor_scenario = golden();
+        let (donor, _) = donor_scenario.build_sim().unwrap();
+        let shares = |s: &Scenario| {
+            let (sim, _) = s
+                .build_sim_sharing_trace(&donor, donor_scenario.seed)
+                .unwrap();
+            let (fresh, _) = s.build_sim().unwrap();
+            assert_eq!(sim.trace(), fresh.trace());
+            std::ptr::eq(sim.trace(), donor.trace())
+        };
+        let mut other_policy = golden();
+        other_policy.policy = "random".into();
+        assert!(shares(&other_policy));
+        let mut busier = golden();
+        busier.utilization = Some(0.68);
+        assert!(!shares(&busier));
+        let mut reseeded = golden();
+        reseeded.seed += 1;
+        assert!(!shares(&reseeded));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use hbm_units::{Duration, Energy, Power, Temperature};
 use hbm_workload::latency::LatencyModel;
 use hbm_workload::{generate, PowerTrace};
 
+use crate::traces::effective_trace_config;
 use crate::{AttackAction, ColoConfig, Metrics, Observation, Policy, Transition};
 
 /// One slot of recorded simulator state (drives the snapshot figures
@@ -380,17 +381,16 @@ impl Simulation {
     ///
     /// Panics if `config` fails [`ColoConfig::validate`].
     pub fn new(config: ColoConfig, policy: impl Into<Policy>, seed: u64) -> Self {
-        let mut trace_config = config.trace;
-        trace_config.seed = trace_config.seed.wrapping_add(seed);
-        let trace = Arc::new(generate(&trace_config));
+        let trace = Arc::new(generate(&effective_trace_config(&config.trace, seed)));
         Self::with_trace(config, policy.into(), seed, trace)
     }
 
     /// Like [`Simulation::new`], but with an already-generated workload
     /// trace instead of synthesizing one. The caller is responsible for
     /// passing exactly the trace [`Simulation::new`] would generate for
-    /// this `config`/`seed` pair — [`crate::Scenario::build_sim_sharing_trace`]
-    /// checks that before sharing a donor's `Arc`.
+    /// this `config`/`seed` pair: [`crate::TraceStore`] and
+    /// [`crate::Scenario::build_sim_sharing_trace`] key it by the effective
+    /// trace configuration.
     pub(crate) fn with_trace(
         config: ColoConfig,
         policy: Policy,
@@ -434,12 +434,6 @@ impl Simulation {
     /// The benign workload trace in use.
     pub fn trace(&self) -> &PowerTrace {
         &self.trace
-    }
-
-    /// A shared handle to the workload trace (traces are immutable, so
-    /// forked and rebuilt simulators can alias one allocation).
-    pub(crate) fn trace_arc(&self) -> Arc<PowerTrace> {
-        Arc::clone(&self.trace)
     }
 
     /// Current inlet temperature.

@@ -5,8 +5,8 @@
 
 use hbm_battery::BatterySpec;
 use hbm_core::{
-    run_sharded, BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, OneShotPolicy,
-    RandomPolicy, SimReport, Simulation, SlotRecord,
+    run_sharded, BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, OneShotPolicy, Policy,
+    RandomPolicy, SimReport, Simulation, SlotRecord, TraceStore,
 };
 use hbm_units::Power;
 
@@ -198,12 +198,23 @@ fn all_foresighted_batch_matches_sequential() {
 /// Steps `make()` scalar and batched for `slots` slots and asserts every
 /// lane's records and report match, record for record.
 fn assert_batch_matches_sequential(make: impl Fn() -> Vec<Simulation>, slots: u64, what: &str) {
-    let reference: Vec<(SimReport, Vec<SlotRecord>)> = make()
+    assert_batch_matches(make(), make(), slots, what);
+}
+
+/// Steps `reference` scalar and `batched` as one batch for `slots` slots and
+/// asserts every lane's records and report match, record for record.
+fn assert_batch_matches(
+    reference: Vec<Simulation>,
+    batched: Vec<Simulation>,
+    slots: u64,
+    what: &str,
+) {
+    let reference: Vec<(SimReport, Vec<SlotRecord>)> = reference
         .into_iter()
         .map(|mut sim| sim.run_recorded(slots))
         .collect();
 
-    let mut batch = BatchSim::new(make());
+    let mut batch = BatchSim::new(batched);
     for k in 0..slots {
         batch.step_all();
         for (i, (_, records)) in reference.iter().enumerate() {
@@ -288,6 +299,76 @@ fn ragged_batch_matches_sequential() {
     let outage_slots = make()[2].run(slots).metrics.outage_slots;
     assert!(outage_slots > 0, "the one-shot lane must go down");
     assert_batch_matches_sequential(make, slots, "ragged");
+}
+
+/// Mixed policies on one seed, the one-shot outage lane included: the
+/// lanes' trace configurations agree, so a [`TraceStore`] hands every lane
+/// the same trace.
+fn one_seed_lanes(build: impl Fn(ColoConfig, Policy) -> Simulation) -> Vec<Simulation> {
+    let base = ColoConfig::paper_default().with_trace_len(2000);
+    let mut outage = base.clone();
+    outage.battery = BatterySpec::one_shot();
+    outage.attack_load = Power::from_kilowatts(3.0);
+    vec![
+        build(
+            base.clone(),
+            MyopicPolicy::new(Power::from_kilowatts(7.4)).into(),
+        ),
+        build(
+            base.clone(),
+            RandomPolicy::new(0.08, base.attack_load, base.slot, 11).into(),
+        ),
+        build(
+            base.clone(),
+            ForesightedPolicy::paper_default(14.0, 4).into(),
+        ),
+        build(
+            outage,
+            OneShotPolicy::new(Power::from_kilowatts(7.6)).into(),
+        ),
+    ]
+}
+
+/// A batch whose lanes all hold one shared trace at one cursor reads a
+/// single sample per slot, and still matches lanes built with their own
+/// freshly synthesized traces, slot for slot.
+#[test]
+fn shared_trace_batch_matches_sequential() {
+    let store = TraceStore::new();
+    let shared = one_seed_lanes(|config, policy| store.simulation(config, policy, 1));
+    assert!(shared
+        .iter()
+        .all(|sim| std::ptr::eq(sim.trace(), shared[0].trace())));
+    assert_eq!(store.len(), 1);
+    let fresh = || one_seed_lanes(|config, policy| Simulation::new(config, policy, 1));
+    let slots = 3 * 1440;
+    let mut one_shot = fresh().pop().expect("one-shot lane");
+    assert!(
+        one_shot.run(slots).metrics.outage_slots > 0,
+        "the one-shot lane must go down"
+    );
+    assert_batch_matches(fresh(), shared, slots, "shared-trace");
+}
+
+/// Lanes that share one trace but start at different cursors (one lane
+/// pre-stepped) take the ragged path and still match.
+#[test]
+fn shared_trace_at_different_cursors_matches_sequential() {
+    let store = TraceStore::new();
+    let pre_step_first = |mut sims: Vec<Simulation>| {
+        sims[0].run(40);
+        sims
+    };
+    let shared = pre_step_first(one_seed_lanes(|config, policy| {
+        store.simulation(config, policy, 1)
+    }));
+    assert!(shared
+        .iter()
+        .all(|sim| std::ptr::eq(sim.trace(), shared[0].trace())));
+    let fresh = pre_step_first(one_seed_lanes(|config, policy| {
+        Simulation::new(config, policy, 1)
+    }));
+    assert_batch_matches(fresh, shared, 3 * 1440, "shared-trace ragged");
 }
 
 /// A checkpoint must not depend on which engine stepped the run: for every

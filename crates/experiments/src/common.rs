@@ -5,8 +5,9 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use hbm_core::{scenario, ColoConfig, Metrics, Policy, SimReport, Simulation};
+use hbm_core::{scenario, ColoConfig, Metrics, Policy, SimReport, Simulation, TraceStore};
 
 /// Count of I/O failures (CSV, manifest, timings JSON) across the whole
 /// run; the driver exits nonzero when any write failed, so automation
@@ -42,6 +43,10 @@ pub struct Options {
     /// Optional file for the span timings as criterion-shaped JSON
     /// (`--timings-json FILE`; implies `--timings`).
     pub timings_json: Option<PathBuf>,
+    /// The run's trace store (not a flag): every experiment builds its
+    /// simulations through it, so each distinct tenant trace is synthesized
+    /// once per run and shared.
+    pub traces: Arc<TraceStore>,
 }
 
 impl Default for Options {
@@ -55,6 +60,7 @@ impl Default for Options {
             trace: None,
             timings: false,
             timings_json: None,
+            traces: Arc::new(TraceStore::new()),
         }
     }
 }
@@ -121,6 +127,12 @@ impl Options {
     /// Warm-up slots.
     pub fn warmup_slots(&self) -> u64 {
         self.warmup_days * 24 * 60
+    }
+
+    /// [`Simulation::new`] for `config` and `policy` at the run seed, over the
+    /// run's shared trace (bit-identical to a fresh build).
+    pub fn simulation(&self, config: ColoConfig, policy: impl Into<Policy>) -> Simulation {
+        self.traces.simulation(config, policy, self.seed)
     }
 
     /// Canonical one-line description of the run configuration, hashed into
@@ -222,18 +234,17 @@ pub fn heading(out: &mut Sink, title: &str) {
 }
 
 /// Builds and runs a simulation, warming up learning policies first.
-/// Thin wrapper over [`hbm_core::scenario::run_policy`] — the same code
-/// path `hbm-serve` executes, so served and CLI metrics stay identical.
+/// [`hbm_core::scenario::run_policy`] over the run's shared trace — the
+/// same code path `hbm-serve` executes, so served and CLI metrics stay
+/// identical.
 pub fn run_policy(
     config: &ColoConfig,
     policy: impl Into<Policy>,
     opts: &Options,
     needs_warmup: bool,
 ) -> SimReport {
-    scenario::run_policy(
-        config,
-        policy,
-        opts.seed,
+    scenario::run_sim(
+        opts.simulation(config.clone(), policy),
         opts.warmup_slots(),
         opts.slots(),
         needs_warmup,

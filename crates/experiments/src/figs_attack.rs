@@ -22,7 +22,7 @@ pub fn fig8(opts: &Options, out: &mut Sink) {
     config.battery = BatterySpec::one_shot();
     config.attack_load = Power::from_kilowatts(3.0);
     let policy = OneShotPolicy::new(Power::from_kilowatts(7.6));
-    let mut sim = Simulation::new(config, policy, opts.seed);
+    let mut sim = opts.simulation(config, policy);
     if let Some(rec) = trace_recorder(opts, "fig8") {
         sim.set_recorder(rec);
     }
@@ -88,7 +88,7 @@ pub fn fig9(opts: &Options, out: &mut Sink) {
     let names: Vec<&str> = policies.iter().map(|(name, _, _)| *name).collect();
     let lanes: Vec<(Simulation, bool)> = policies
         .into_iter()
-        .map(|(_, policy, warmup)| (Simulation::new(config.clone(), policy, opts.seed), warmup))
+        .map(|(_, policy, warmup)| (opts.simulation(config.clone(), policy), warmup))
         .collect();
     let mut sims = warmup_sims_batch(lanes, opts.warmup_slots());
     for (sim, name) in sims.iter_mut().zip(&names) {
@@ -177,7 +177,7 @@ pub fn fig10(opts: &Options, out: &mut Sink) {
         .iter()
         .map(|&w| {
             let policy = ForesightedPolicy::paper_default(w, opts.seed);
-            Simulation::new(config.clone(), policy, opts.seed)
+            opts.simulation(config.clone(), policy)
         })
         .collect();
     let sims = hbm_core::run_sharded(sims, opts.warmup_slots()).sims;
@@ -267,7 +267,7 @@ pub fn fig11bc(opts: &Options, out: &mut Sink) {
     let mut lanes: Vec<(Simulation, bool)> = Vec::new();
     for (policy_name, knob, policy, warmup) in jobs {
         labels.push((policy_name, knob));
-        lanes.push((Simulation::new(config.clone(), policy, opts.seed), warmup));
+        lanes.push((opts.simulation(config.clone(), policy), warmup));
     }
     let reports = run_sims_batch(lanes, opts.warmup_slots(), opts.slots());
     for ((policy, knob), report) in labels.into_iter().zip(reports) {
@@ -322,7 +322,7 @@ fn run_degradation(opts: &Options, out: &mut Sink, config: &ColoConfig, name: &s
     let mut lanes: Vec<(Simulation, bool)> = Vec::new();
     for (pname, policy, warmup) in crate::common::default_policies(config, opts) {
         names.push(pname);
-        lanes.push((Simulation::new(config.clone(), policy, opts.seed), warmup));
+        lanes.push((opts.simulation(config.clone(), policy), warmup));
     }
     let reports = run_sims_batch(lanes, opts.warmup_slots(), opts.slots());
     for (pname, report) in names.into_iter().zip(reports) {
@@ -350,7 +350,7 @@ pub fn cost(opts: &Options, out: &mut Sink) {
     );
     let config = ColoConfig::paper_default();
     let policy = ForesightedPolicy::paper_default(14.0, opts.seed);
-    let sim = Simulation::new(config.clone(), policy, opts.seed);
+    let sim = opts.simulation(config.clone(), policy);
     let report = run_sims_batch(vec![(sim, true)], opts.warmup_slots(), opts.slots())
         .into_iter()
         .next()

@@ -1,6 +1,6 @@
 //! Section VII defense evaluation.
 
-use hbm_core::{ColoConfig, ForesightedPolicy, Simulation};
+use hbm_core::{ColoConfig, ForesightedPolicy};
 use hbm_defense::{
     prevention::jamming_noise_for_accuracy, MoveInInspection, ServerCalorimeter, SlaMonitor,
     ThermalResidualDetector,
@@ -19,7 +19,7 @@ pub fn defense(opts: &Options, out: &mut Sink) {
     );
     let config = ColoConfig::paper_default();
     let policy = ForesightedPolicy::paper_default(14.0, opts.seed);
-    let sim = Simulation::new(config.clone(), policy, opts.seed);
+    let sim = opts.simulation(config.clone(), policy);
     // One-lane batch: same sharded engine as the attack sweeps, and the
     // determinism contract keeps the records bit-identical to a scalar run.
     let sims = hbm_core::run_sharded(vec![sim], opts.warmup_slots()).sims;

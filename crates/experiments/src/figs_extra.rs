@@ -1,7 +1,7 @@
 //! Extensions beyond the paper's figures: the learning-rule ablation and
 //! the defense operating-characteristic sweep.
 
-use hbm_core::{ColoConfig, ForesightedPolicy, MyopicPolicy, Simulation};
+use hbm_core::{ColoConfig, ForesightedPolicy, MyopicPolicy};
 use hbm_defense::ThermalResidualDetector;
 use hbm_thermal::ZoneModel;
 use hbm_thermal::{CfdConfig, CfdModel};
@@ -34,7 +34,7 @@ pub fn ablation(opts: &Options, out: &mut Sink) {
             if standard {
                 policy = policy.with_standard_q();
             }
-            let mut sim = Simulation::new(config.clone(), policy, opts.seed);
+            let mut sim = opts.simulation(config.clone(), policy);
             let mut curve = Vec::new();
             let mut prev_slots = 0u64;
             for _ in 0..fortnights {
@@ -81,10 +81,9 @@ pub fn defense_roc(opts: &Options, out: &mut Sink) {
     // Attack-campaign and clean (no-attack, same trace) records: two
     // independent simulations, shared by every threshold below.
     let mut recorded = hbm_par::par_map(vec![7.4, 99.0], |trigger_kw| {
-        let mut sim = Simulation::new(
+        let mut sim = opts.simulation(
             config.clone(),
             MyopicPolicy::new(Power::from_kilowatts(trigger_kw)),
-            opts.seed,
         );
         sim.run_recorded(horizon).1
     });
@@ -400,7 +399,7 @@ pub fn setpoint(opts: &Options, out: &mut Sink) {
             .cooling
             .with_supply(Temperature::from_celsius(supply_c));
         let policy = MyopicPolicy::new(hbm_units::Power::from_kilowatts(7.4));
-        let mut sim = Simulation::new(config, policy, opts.seed);
+        let mut sim = opts.simulation(config, policy);
         let report = sim.run(opts.slots().min(90 * 1440));
         (supply_c, 100.0 * report.metrics.emergency_fraction())
     });
