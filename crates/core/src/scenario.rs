@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use hbm_surrogate::{ThermalTier, TieredExtractor};
 use hbm_telemetry::fnv1a64;
-use hbm_telemetry::json::{parse_flat_object, JsonObject, JsonValue};
+use hbm_telemetry::json::{Fields, JsonObject};
 use hbm_thermal::HeatMatrixModel;
 use hbm_units::{Energy, Power, Temperature};
 
@@ -394,32 +394,22 @@ impl Scenario {
     ///
     /// Returns a message describing the first malformed field.
     pub fn from_flat_json(body: &str) -> Result<Scenario, String> {
-        Scenario::from_fields(parse_flat_object(body)?)
+        Scenario::from_fields(Fields::parse(body)?)
     }
 
-    /// Builds a scenario from already-parsed flat-JSON fields (shared with
-    /// [`BatchScenario::from_flat_json`], which strips its own keys first).
-    fn from_fields(fields: Vec<(String, JsonValue)>) -> Result<Scenario, String> {
-        let mut scenario = Scenario::new("");
-        for (key, value) in fields {
-            match key.as_str() {
-                "policy" => {
-                    scenario.policy = value.as_str().ok_or("policy must be a string")?.to_string();
-                }
-                "days" => scenario.days = json_u64(&key, &value)?,
-                "warmup_days" => scenario.warmup_days = json_u64(&key, &value)?,
-                "seed" => scenario.seed = json_u64(&key, &value)?,
-                "utilization" => scenario.utilization = Some(json_f64(&key, &value)?),
-                "attack_load_kw" => scenario.attack_load_kw = Some(json_f64(&key, &value)?),
-                "battery_kwh" => scenario.battery_kwh = Some(json_f64(&key, &value)?),
-                "threshold_c" => scenario.threshold_c = Some(json_f64(&key, &value)?),
-                "cap_w" => scenario.cap_w = Some(json_f64(&key, &value)?),
-                other => return Err(format!("unknown field {other:?}")),
-            }
+    /// Reads a scenario from the fields of one flat JSON object and
+    /// finishes the read (shared with [`BatchScenario::from_flat_json`],
+    /// which takes its own keys first).
+    fn from_fields(mut f: Fields) -> Result<Scenario, String> {
+        let mut base = Scenario::new(f.str("policy")?);
+        if base.policy.is_empty() {
+            return Err("field \"policy\" must not be empty".into());
         }
-        if scenario.policy.is_empty() {
-            return Err("missing required field \"policy\"".into());
-        }
+        base.days = f.opt_u64("days")?.unwrap_or(base.days);
+        base.warmup_days = f.opt_u64("warmup_days")?.unwrap_or(base.warmup_days);
+        base.seed = f.opt_u64("seed")?.unwrap_or(base.seed);
+        let scenario = Perturbation::read(&mut f)?.apply(&base);
+        f.finish()?;
         if scenario.total_slots().is_none() {
             return Err(format!(
                 "horizon of {} warm-up + {} measured days overflows the slot count",
@@ -462,18 +452,27 @@ impl Perturbation {
     ///
     /// Returns a message describing the first malformed field.
     pub fn from_flat_json(body: &str) -> Result<Perturbation, String> {
-        let mut p = Perturbation::default();
-        for (key, value) in parse_flat_object(body)? {
-            match key.as_str() {
-                "utilization" => p.utilization = Some(json_f64(&key, &value)?),
-                "attack_load_kw" => p.attack_load_kw = Some(json_f64(&key, &value)?),
-                "battery_kwh" => p.battery_kwh = Some(json_f64(&key, &value)?),
-                "threshold_c" => p.threshold_c = Some(json_f64(&key, &value)?),
-                "cap_w" => p.cap_w = Some(json_f64(&key, &value)?),
-                other => return Err(format!("unknown field {other:?}")),
-            }
-        }
+        let mut f = Fields::parse(body)?;
+        let p = Perturbation::read(&mut f)?;
+        f.finish()?;
         Ok(p)
+    }
+
+    /// Takes the five override keys, all optional, from `f`, leaving any
+    /// other key for the caller (a fork body's `label`, a scenario's
+    /// horizon) and for [`Fields::finish`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first malformed field.
+    pub fn read(f: &mut Fields) -> Result<Perturbation, String> {
+        Ok(Perturbation {
+            utilization: f.opt_f64("utilization")?,
+            attack_load_kw: f.opt_f64("attack_load_kw")?,
+            battery_kwh: f.opt_f64("battery_kwh")?,
+            threshold_c: f.opt_f64("threshold_c")?,
+            cap_w: f.opt_f64("cap_w")?,
+        })
     }
 
     /// Serializes the perturbation as one flat JSON object — the inverse
@@ -504,23 +503,14 @@ impl Perturbation {
     /// fields keep the base value. The result's canonical string is the
     /// effective configuration the experiment runs from here on.
     pub fn apply(&self, base: &Scenario) -> Scenario {
-        let mut s = base.clone();
-        if self.utilization.is_some() {
-            s.utilization = self.utilization;
+        Scenario {
+            utilization: self.utilization.or(base.utilization),
+            attack_load_kw: self.attack_load_kw.or(base.attack_load_kw),
+            battery_kwh: self.battery_kwh.or(base.battery_kwh),
+            threshold_c: self.threshold_c.or(base.threshold_c),
+            cap_w: self.cap_w.or(base.cap_w),
+            ..base.clone()
         }
-        if self.attack_load_kw.is_some() {
-            s.attack_load_kw = self.attack_load_kw;
-        }
-        if self.battery_kwh.is_some() {
-            s.battery_kwh = self.battery_kwh;
-        }
-        if self.threshold_c.is_some() {
-            s.threshold_c = self.threshold_c;
-        }
-        if self.cap_w.is_some() {
-            s.cap_w = self.cap_w;
-        }
-        s
     }
 }
 
@@ -547,17 +537,13 @@ impl BatchScenario {
     ///
     /// Returns a message describing the first malformed field.
     pub fn from_flat_json(body: &str) -> Result<BatchScenario, String> {
-        let mut fields = parse_flat_object(body)?;
-        let mut count = 1u64;
-        if let Some(pos) = fields.iter().position(|(key, _)| key == "count") {
-            let (key, value) = fields.remove(pos);
-            count = json_u64(&key, &value)?;
-        }
+        let mut f = Fields::parse(body)?;
+        let count = f.opt_u64("count")?.unwrap_or(1);
         if count == 0 {
             return Err("count must be at least 1".into());
         }
         Ok(BatchScenario {
-            scenario: Scenario::from_fields(fields)?,
+            scenario: Scenario::from_fields(f)?,
             count,
         })
     }
@@ -620,20 +606,6 @@ pub fn run_scenarios_batch(sites: &[Scenario]) -> Result<Vec<crate::SimReport>, 
         sims
     };
     Ok(crate::run_sharded(sims, first.slots()).reports)
-}
-
-fn json_f64(key: &str, value: &JsonValue) -> Result<f64, String> {
-    value
-        .as_f64()
-        .ok_or_else(|| format!("{key} must be a number"))
-}
-
-fn json_u64(key: &str, value: &JsonValue) -> Result<u64, String> {
-    let v = json_f64(key, value)?;
-    if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
-        return Err(format!("{key} must be a non-negative integer, got {v}"));
-    }
-    Ok(v as u64)
 }
 
 /// Serializes a run's aggregate metrics as one flat JSON line — the
@@ -775,6 +747,29 @@ mod tests {
         assert!(Scenario::from_flat_json("{\"policy\":\"myopic\",\"days\":1.5}").is_err());
         assert!(Scenario::from_flat_json("{\"policy\":3}").is_err());
         assert!(Scenario::from_flat_json("not json").is_err());
+        // A duplicate key, a non-finite number, and an integer JSON cannot
+        // hold exactly used to parse (to the last value, `inf`, and the
+        // nearest double).
+        for (body, why) in [
+            (
+                "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":3,\"seed\":4}",
+                "duplicate field \"seed\"",
+            ),
+            (
+                "{\"policy\":\"myopic\",\"cap_w\":1e999}",
+                "\"cap_w\" must be a finite",
+            ),
+            (
+                "{\"policy\":\"myopic\",\"seed\":9007199254740993}",
+                "\"seed\" overflows",
+            ),
+            ("{\"policy\":\"myopic\",\"cap_w\":[[90]]}", "nested"),
+        ] {
+            let err = Scenario::from_flat_json(body).expect_err(body);
+            assert!(err.contains(why), "{body}: {err}");
+        }
+        let max = format!("{{\"policy\":\"myopic\",\"seed\":{}}}", (1u64 << 53) - 1);
+        assert_eq!(Scenario::from_flat_json(&max).unwrap().seed, (1 << 53) - 1);
     }
 
     #[test]
@@ -836,7 +831,7 @@ mod tests {
         let a = metrics_json(&s.config_canonical(), &report.metrics);
         let b = metrics_json(&s.config_canonical(), &report.metrics);
         assert_eq!(a, b);
-        let fields = parse_flat_object(&a).unwrap();
+        let fields = hbm_telemetry::json::parse_flat_object(&a).unwrap();
         assert_eq!(fields[0].0, "config_hash");
         assert!(fields.iter().any(|(k, _)| k == "attack_slots"));
     }

@@ -35,9 +35,7 @@
 //!
 //! [`Scenario`]: crate::Scenario
 
-use hbm_telemetry::json::{
-    parse_flat_object, push_json_f64_array, push_json_u64_array, JsonObject, JsonValue,
-};
+use hbm_telemetry::json::{push_json_f64_array, push_json_u64_array, Fields, JsonObject};
 use hbm_units::{Duration, Energy, Power, Temperature};
 
 use crate::attacker::Learner;
@@ -311,21 +309,21 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed JSON, a schema mismatch, or
-    /// malformed fields (including a non-finite inlet). Shape and
-    /// policy-kind mismatches against a concrete simulation surface later,
-    /// in [`Simulation::restore`].
+    /// Returns a message on malformed JSON, a schema mismatch, or a
+    /// missing, duplicate, unknown or malformed field (see [`Fields`]).
+    /// Shape and policy-kind mismatches against a concrete simulation
+    /// surface later, in [`Simulation::restore`].
     pub fn from_json(line: &str) -> Result<Snapshot, String> {
-        let f = Fields(parse_flat_object(line)?);
+        let mut f = Fields::parse(line)?;
         let schema = f.str("schema")?;
         if schema != SNAPSHOT_SCHEMA {
             return Err(format!(
                 "checkpoint schema {schema:?} (expected {SNAPSHOT_SCHEMA:?})"
             ));
         }
-        let policy_name = f.str("policy")?.to_string();
+        let policy_name = f.str("policy")?;
         let secs = Duration::from_seconds(f.f64("protocol_secs")?.max(0.0));
-        let protocol = match f.str("protocol")? {
+        let protocol = match f.str("protocol")?.as_str() {
             "normal" => hbm_power::ProtocolState::Normal,
             "watch" => hbm_power::ProtocolState::Watch {
                 over_threshold_for: secs,
@@ -334,32 +332,50 @@ impl Snapshot {
             "outage" => hbm_power::ProtocolState::Outage,
             other => return Err(format!("unknown protocol state {other:?}")),
         };
-        let pending = if f.bool("pending")? {
-            Some(PendingTransition {
-                observation: Observation {
-                    slot: f.u64("pend_slot")?,
-                    battery_soc: f.f64("pend_soc")?,
-                    battery_stored: Energy::from_kilowatt_hours(f.f64("pend_stored_kwh")?),
-                    estimated_total: Power::from_watts(f.f64("pend_est_w")?),
-                    inlet: Temperature::from_celsius(f.f64("pend_obs_inlet_c")?),
-                    capping: f.bool("pend_capping")?,
-                },
-                action: action_from_name(f.str("pend_action")?)?,
-                inlet: Temperature::from_celsius(f.f64("pend_inlet_c")?),
-                next_battery_soc: f.f64("pend_next_soc")?,
-                next_battery_stored: Energy::from_kilowatt_hours(f.f64("pend_next_stored_kwh")?),
-            })
-        } else {
-            None
+        // The pending transition is always written, blank when absent.
+        let has_pending = f.bool("pending")?;
+        let pending = PendingTransition {
+            observation: Observation {
+                slot: f.u64("pend_slot")?,
+                battery_soc: f.f64("pend_soc")?,
+                battery_stored: Energy::from_kilowatt_hours(f.f64("pend_stored_kwh")?),
+                estimated_total: Power::from_watts(f.f64("pend_est_w")?),
+                inlet: Temperature::from_celsius(f.f64("pend_obs_inlet_c")?),
+                capping: f.bool("pend_capping")?,
+            },
+            action: action_from_name(&f.str("pend_action")?)?,
+            inlet: Temperature::from_celsius(f.f64("pend_inlet_c")?),
+            next_battery_soc: f.f64("pend_next_soc")?,
+            next_battery_stored: Energy::from_kilowatt_hours(f.f64("pend_next_stored_kwh")?),
         };
-        let policy = match policy_name.as_str() {
-            "random" => PolicySnapshot::Random(f.hex4("p_rng")?),
+        let snapshot = Snapshot {
+            slot_index: f.u64("slot_index")?,
+            inlet: Temperature::from_celsius(f.f64("inlet_c")?),
+            protocol,
+            battery_stored: Energy::from_kilowatt_hours(f.f64("battery_kwh")?.max(0.0)),
+            sc_rng: hex4(&mut f, "sc_rng")?,
+            sc_wander: f.f64("sc_wander")?,
+            estimate_filter: f.f64_or_null("filter_w")?.map(Power::from_watts),
+            prev_capping: f.bool("prev_capping")?,
+            outage_remaining: f.f64_or_null("outage_secs")?.map(Duration::from_seconds),
+            pending: has_pending.then_some(pending),
+            metrics: Self::metrics_from_json(&mut f)?,
+            policy: Self::policy_from_json(&policy_name, &mut f)?,
+            policy_name,
+        };
+        f.finish()?;
+        Ok(snapshot)
+    }
+
+    fn policy_from_json(name: &str, f: &mut Fields) -> Result<PolicySnapshot, String> {
+        Ok(match name {
+            "random" => PolicySnapshot::Random(hex4(f, "p_rng")?),
             "one-shot" => PolicySnapshot::OneShot(f.bool("p_triggered")?),
             "foresighted" => {
                 let kind = f.str("p_learner")?;
                 let values = f.f64_array("p_q_values")?;
                 let visits = f.u64_array("p_q_visits")?;
-                let learner = match kind {
+                let learner = match kind.as_str() {
                     "batch" => LearnerSnapshot::Batch {
                         values,
                         visits,
@@ -369,7 +385,7 @@ impl Snapshot {
                     other => return Err(format!("unknown learner kind {other:?}")),
                 };
                 PolicySnapshot::Foresighted {
-                    rng: f.hex4("p_rng")?,
+                    rng: hex4(f, "p_rng")?,
                     campaign_code: f.u64("p_campaign")?,
                     campaign_launch_w: f.f64("p_campaign_w")?,
                     learning: f.bool("p_learning")?,
@@ -377,29 +393,10 @@ impl Snapshot {
                 }
             }
             _ => PolicySnapshot::Stateless,
-        };
-        let inlet_c = f.f64("inlet_c")?;
-        if !inlet_c.is_finite() {
-            return Err(format!("field \"inlet_c\" is not finite: {inlet_c}"));
-        }
-        Ok(Snapshot {
-            policy_name,
-            slot_index: f.u64("slot_index")?,
-            inlet: Temperature::from_celsius(inlet_c),
-            protocol,
-            battery_stored: Energy::from_kilowatt_hours(f.f64("battery_kwh")?.max(0.0)),
-            sc_rng: f.hex4("sc_rng")?,
-            sc_wander: f.f64("sc_wander")?,
-            estimate_filter: f.opt_f64("filter_w")?.map(Power::from_watts),
-            prev_capping: f.bool("prev_capping")?,
-            outage_remaining: f.opt_f64("outage_secs")?.map(Duration::from_seconds),
-            pending,
-            metrics: Self::metrics_from_json(&f)?,
-            policy,
         })
     }
 
-    fn metrics_from_json(f: &Fields) -> Result<Metrics, String> {
+    fn metrics_from_json(f: &mut Fields) -> Result<Metrics, String> {
         // The slot length is static state (it re-derives from the scenario)
         // and is overwritten by `Simulation::restore`; the placeholder here
         // never escapes.
@@ -430,96 +427,21 @@ impl Snapshot {
     }
 }
 
-/// Decoded checkpoint fields with typed, error-reporting accessors.
-struct Fields(Vec<(String, JsonValue)>);
-
-impl Fields {
-    fn get(&self, key: &str) -> Result<&JsonValue, String> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("checkpoint missing field {key:?}"))
+/// A 4-word RNG state, stored as an array of hex strings.
+fn hex4(f: &mut Fields, key: &str) -> Result<[u64; 4], String> {
+    let items = f.array(key)?;
+    if items.len() != 4 {
+        return Err(format!("field {key:?} must hold 4 RNG words"));
     }
-
-    fn f64(&self, key: &str) -> Result<f64, String> {
-        self.get(key)?
-            .as_f64()
-            .ok_or_else(|| format!("field {key:?} is not a number"))
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        let v = self.f64(key)?;
-        if v < 0.0 || v.fract() != 0.0 || v > 9e15 {
-            return Err(format!("field {key:?} is not a u64: {v}"));
-        }
-        Ok(v as u64)
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        self.get(key)?
-            .as_bool()
-            .ok_or_else(|| format!("field {key:?} is not a boolean"))
-    }
-
-    fn str(&self, key: &str) -> Result<&str, String> {
-        self.get(key)?
+    let mut words = [0u64; 4];
+    for (w, v) in words.iter_mut().zip(&items) {
+        let s = v
             .as_str()
-            .ok_or_else(|| format!("field {key:?} is not a string"))
+            .ok_or_else(|| format!("field {key:?} has a non-string word"))?;
+        *w = u64::from_str_radix(s, 16)
+            .map_err(|e| format!("field {key:?} has a bad hex word {s:?}: {e}"))?;
     }
-
-    /// A number-or-null field, `null` meaning `None`.
-    fn opt_f64(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.get(key)? {
-            JsonValue::Null => Ok(None),
-            v => v
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| format!("field {key:?} is not a number or null")),
-        }
-    }
-
-    fn arr(&self, key: &str) -> Result<&[JsonValue], String> {
-        self.get(key)?
-            .as_array()
-            .ok_or_else(|| format!("field {key:?} is not an array"))
-    }
-
-    fn f64_array(&self, key: &str) -> Result<Vec<f64>, String> {
-        self.arr(key)?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| format!("field {key:?} has a non-number element"))
-            })
-            .collect()
-    }
-
-    fn u64_array(&self, key: &str) -> Result<Vec<u64>, String> {
-        self.arr(key)?
-            .iter()
-            .map(|v| match v.as_f64() {
-                Some(x) if x >= 0.0 && x.fract() == 0.0 && x <= 9e15 => Ok(x as u64),
-                _ => Err(format!("field {key:?} has a non-u64 element")),
-            })
-            .collect()
-    }
-
-    fn hex4(&self, key: &str) -> Result<[u64; 4], String> {
-        let items = self.arr(key)?;
-        if items.len() != 4 {
-            return Err(format!("field {key:?} must hold 4 RNG words"));
-        }
-        let mut words = [0u64; 4];
-        for (w, v) in words.iter_mut().zip(items) {
-            let s = v
-                .as_str()
-                .ok_or_else(|| format!("field {key:?} has a non-string word"))?;
-            *w = u64::from_str_radix(s, 16)
-                .map_err(|e| format!("field {key:?} has a bad hex word {s:?}: {e}"))?;
-        }
-        Ok(words)
-    }
+    Ok(words)
 }
 
 impl Simulation {

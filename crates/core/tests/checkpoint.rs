@@ -182,6 +182,12 @@ fn restore_rejects_mismatches_loudly() {
         let err = e.restore_from_json(&bad).unwrap_err();
         assert!(err.contains("inlet_c"), "{inlet}: {err}");
     }
+
+    // A duplicated key is refused, whichever copy a reader would have kept.
+    let dup = snap.replacen("\"slot_index\":", "\"slot_index\":0,\"slot_index\":", 1);
+    let (mut g, _) = myopic.build_sim().unwrap();
+    let err = g.restore_from_json(&dup).unwrap_err();
+    assert!(err.contains("duplicate field \"slot_index\""), "{err}");
 }
 
 #[test]

@@ -71,3 +71,128 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 }
+
+/// Bytes that random inputs draw from, so most of them get past the
+/// opening brace into the field reader.
+const JSONISH: &[u8] = b"{}[]\":,-+.eE0123456789 truefalsnul\\policyseedcount";
+
+fn jsonish(picks: &[usize]) -> String {
+    picks
+        .iter()
+        .map(|&i| JSONISH[i % JSONISH.len()] as char)
+        .collect()
+}
+
+/// `valid` (ASCII) with the byte at `pos` (mod its length) replaced.
+fn mutate(valid: &str, pos: usize, byte: u8) -> String {
+    let mut bytes = valid.as_bytes().to_vec();
+    let i = pos % bytes.len();
+    bytes[i] = byte;
+    String::from_utf8(bytes).expect("ASCII input, ASCII byte")
+}
+
+/// `valid` (a writer's output, flat) with its `n`-th key (mod the key
+/// count) written a second time, value and all, at the front.
+fn with_duplicate(valid: &str, n: usize) -> String {
+    let fields = hbm_telemetry::json::parse_flat_object(valid).unwrap();
+    let key = format!("\"{}\":", fields[n % fields.len()].0);
+    let field = &valid[valid.find(&key).unwrap()..];
+    let end = if field[key.len()..].starts_with('[') {
+        field.find(']').unwrap() + 1
+    } else {
+        field.find([',', '}']).unwrap()
+    };
+    format!("{{{},{}", &field[..end], &valid[1..])
+}
+
+/// One valid input per flat-JSON reader in this crate, each with the
+/// index (in [`read_all`]'s answer) of the reader it is valid for:
+/// scenario, batch and perturbation bodies, and checkpoints of a stateless
+/// and of a learning policy.
+fn valid_inputs() -> &'static [(String, usize)] {
+    static INPUTS: std::sync::OnceLock<Vec<(String, usize)>> = std::sync::OnceLock::new();
+    INPUTS.get_or_init(|| {
+        let mut scenario = hbm_core::Scenario::new("foresighted");
+        scenario.days = 2;
+        scenario.warmup_days = 0;
+        scenario.seed = 5;
+        let p = hbm_core::Perturbation {
+            utilization: Some(0.6),
+            attack_load_kw: Some(2.5),
+            battery_kwh: Some(0.8),
+            threshold_c: Some(31.5),
+            cap_w: Some(110.0),
+        };
+        let body = p.apply(&scenario).to_flat_json();
+        let batch = format!("{},\"count\":3}}", &body[..body.len() - 1]);
+        let mut inputs = vec![(body, 0), (batch, 1), (p.to_flat_json(), 2)];
+        for policy in ["myopic", "foresighted"] {
+            scenario.policy = policy.into();
+            let (mut sim, _) = scenario.build_sim().unwrap();
+            sim.run(300);
+            inputs.push((sim.snapshot_json(), 3));
+        }
+        inputs
+    })
+}
+
+/// Runs every reader on `text` and reports which accepted it; none may
+/// panic. A parsed checkpoint is also restored into a simulation of its
+/// policy.
+fn read_all(text: &str) -> [bool; 4] {
+    let checkpoint = hbm_core::Snapshot::from_json(text);
+    if let Ok(snap) = &checkpoint {
+        let mut scenario = hbm_core::Scenario::new(snap.policy());
+        scenario.days = 2;
+        scenario.warmup_days = 0;
+        if let Ok((mut sim, _)) = scenario.build_sim() {
+            let _ = sim.restore(snap);
+        }
+    }
+    [
+        hbm_core::Scenario::from_flat_json(text).is_ok(),
+        hbm_core::scenario::BatchScenario::from_flat_json(text).is_ok(),
+        hbm_core::Perturbation::from_flat_json(text).is_ok(),
+        checkpoint.is_ok(),
+    ]
+}
+
+#[test]
+fn valid_inputs_are_read() {
+    for (text, reader) in valid_inputs() {
+        assert!(read_all(text)[*reader], "{text}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn readers_answer_random_bytes(
+        picks in prop::collection::vec(0usize..64, 0..96),
+        raw in prop::collection::vec(0u8..255, 0..48),
+    ) {
+        read_all(&jsonish(&picks));
+        read_all(&format!("{{{}", jsonish(&picks)));
+        read_all(&String::from_utf8_lossy(&raw));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn readers_answer_single_byte_mutations(pos in 0usize..1_000_000, byte in 0u8..128) {
+        for (valid, _) in valid_inputs() {
+            read_all(&mutate(valid, pos, byte));
+        }
+    }
+
+    #[test]
+    fn readers_reject_every_duplicated_key(n in 0usize..1_000) {
+        for (valid, _) in valid_inputs() {
+            let dup = with_duplicate(valid, n);
+            prop_assert_eq!(read_all(&dup), [false; 4], "{}", dup);
+        }
+    }
+}

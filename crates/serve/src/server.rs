@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use hbm_core::scenario::{metrics_json, run_scenarios_batch, BatchScenario};
 use hbm_core::{installed_thermal_tier, Perturbation, Scenario};
-use hbm_telemetry::json::JsonObject;
+use hbm_telemetry::json::{Fields, JsonObject};
 use hbm_telemetry::{timing, RunManifest};
 
 use crate::cache::ScenarioCache;
@@ -461,24 +461,34 @@ fn enqueue(shared: &Shared, kind: JobKind, stream: TcpStream) {
     }
 }
 
-/// Parses a scenario body and validates it end to end (config build plus
-/// policy name), so workers only ever see runnable scenarios.
-fn parse_scenario(body: &[u8]) -> Result<Scenario, String> {
+/// A request body as trimmed UTF-8 text.
+fn body_text(body: &[u8]) -> Result<&str, String> {
     std::str::from_utf8(body)
+        .map(str::trim)
         .map_err(|_| "body is not valid UTF-8".to_string())
-        .and_then(|body| Scenario::from_flat_json(body.trim()))
-        .and_then(|scenario| scenario.build_config().map(|_| scenario))
-        .and_then(|scenario| {
-            if hbm_core::scenario::POLICY_NAMES.contains(&scenario.policy.as_str()) {
-                Ok(scenario)
-            } else {
-                Err(format!(
-                    "unknown policy {:?} (expected one of {})",
-                    scenario.policy,
-                    hbm_core::scenario::POLICY_NAMES.join(", ")
-                ))
-            }
-        })
+}
+
+/// Checks a parsed scenario end to end (config build plus policy name),
+/// so workers only ever see runnable scenarios. Every scenario-carrying
+/// body — simulate, batch-simulate and experiment create — passes here.
+fn runnable(scenario: &Scenario) -> Result<(), String> {
+    scenario.build_config()?;
+    if hbm_core::scenario::POLICY_NAMES.contains(&scenario.policy.as_str()) {
+        Ok(())
+    } else {
+        Err(format!(
+            "unknown policy {:?} (expected one of {})",
+            scenario.policy,
+            hbm_core::scenario::POLICY_NAMES.join(", ")
+        ))
+    }
+}
+
+/// Parses a scenario body and checks it is [`runnable`].
+fn parse_scenario(body: &[u8]) -> Result<Scenario, String> {
+    let scenario = Scenario::from_flat_json(body_text(body)?)?;
+    runnable(&scenario)?;
+    Ok(scenario)
 }
 
 /// Answers `413` (counted as a bad request) when a scenario's warm-up
@@ -517,10 +527,7 @@ fn simulate(shared: &Shared, request: Request, mut stream: TcpStream) {
                 );
             }
         }
-        Err(message) => {
-            ServeMetrics::bump(&shared.metrics.bad_requests);
-            let _ = http::write_response(&mut stream, 400, &[], &http::error_body(&message));
-        }
+        Err(message) => respond_api_error(shared, &mut stream, (400, message)),
     }
 }
 
@@ -530,41 +537,19 @@ fn simulate(shared: &Shared, request: Request, mut stream: TcpStream) {
 /// [`ServeConfig::max_step_slots`]. The worker runs the sites through the
 /// batch engine.
 fn batch_simulate(shared: &Shared, request: Request, mut stream: TcpStream) {
-    let parsed = std::str::from_utf8(&request.body)
-        .map_err(|_| "body is not valid UTF-8".to_string())
-        .and_then(|body| BatchScenario::from_flat_json(body.trim()))
-        .and_then(|batch| batch.scenario.build_config().map(|_| batch))
-        .and_then(|batch| {
-            if hbm_core::scenario::POLICY_NAMES.contains(&batch.scenario.policy.as_str()) {
-                Ok(batch)
-            } else {
-                Err(format!(
-                    "unknown policy {:?} (expected one of {})",
-                    batch.scenario.policy,
-                    hbm_core::scenario::POLICY_NAMES.join(", ")
-                ))
-            }
-        });
+    let parsed = body_text(&request.body)
+        .and_then(BatchScenario::from_flat_json)
+        .and_then(|batch| runnable(&batch.scenario).map(|()| batch));
     let batch = match parsed {
         Ok(batch) => batch,
-        Err(message) => {
-            ServeMetrics::bump(&shared.metrics.bad_requests);
-            let _ = http::write_response(&mut stream, 400, &[], &http::error_body(&message));
-            return;
-        }
+        Err(message) => return respond_api_error(shared, &mut stream, (400, message)),
     };
     if batch.count > shared.config.max_batch as u64 {
-        ServeMetrics::bump(&shared.metrics.bad_requests);
-        let _ = http::write_response(
-            &mut stream,
-            413,
-            &[],
-            &http::error_body(&format!(
-                "count {} exceeds the batch limit {}",
-                batch.count, shared.config.max_batch
-            )),
+        let message = format!(
+            "count {} exceeds the batch limit {}",
+            batch.count, shared.config.max_batch
         );
-        return;
+        return respond_api_error(shared, &mut stream, (413, message));
     }
     if let Some(stream) = within_horizon_limit(shared, &batch.scenario, stream) {
         enqueue(
@@ -588,33 +573,19 @@ fn experiment_create(shared: &Shared, request: Request, mut stream: TcpStream) {
                 enqueue(shared, JobKind::ExperimentCreate { scenario }, stream);
             }
         }
-        Err(message) => {
-            ServeMetrics::bump(&shared.metrics.bad_requests);
-            let _ = http::write_response(&mut stream, 400, &[], &http::error_body(&message));
-        }
+        Err(message) => respond_api_error(shared, &mut stream, (400, message)),
     }
 }
 
 /// Parses a `{"slots": N}` body, `N ≥ 1` and integral.
 fn parse_slots_body(body: &[u8]) -> Result<u64, String> {
-    std::str::from_utf8(body)
-        .map_err(|_| "body is not valid UTF-8".to_string())
-        .and_then(|body| hbm_telemetry::json::parse_flat_object(body.trim()))
-        .and_then(|fields| {
-            let mut slots = None;
-            for (key, value) in fields {
-                match key.as_str() {
-                    "slots" => match value.as_f64() {
-                        Some(v) if v >= 1.0 && v.fract() == 0.0 && v <= 9e15 => {
-                            slots = Some(v as u64)
-                        }
-                        _ => return Err("slots must be a positive integer".into()),
-                    },
-                    other => return Err(format!("unknown field {other:?}")),
-                }
-            }
-            slots.ok_or_else(|| "missing required field \"slots\"".to_string())
-        })
+    let mut f = Fields::parse(body_text(body)?)?;
+    let slots = f.u64("slots")?;
+    f.finish()?;
+    if slots == 0 {
+        return Err("slots must be a positive integer".into());
+    }
+    Ok(slots)
 }
 
 /// Validates a slots body against `max_step_slots`, answering `400`/`413`
@@ -624,28 +595,19 @@ fn validated_slots(
     request: &Request,
     mut stream: TcpStream,
 ) -> Option<(u64, TcpStream)> {
-    let slots = match parse_slots_body(&request.body) {
-        Ok(slots) => slots,
-        Err(message) => {
-            ServeMetrics::bump(&shared.metrics.bad_requests);
-            let _ = http::write_response(&mut stream, 400, &[], &http::error_body(&message));
-            return None;
-        }
-    };
-    if slots > shared.config.max_step_slots {
-        ServeMetrics::bump(&shared.metrics.bad_requests);
-        let _ = http::write_response(
-            &mut stream,
+    let status = match parse_slots_body(&request.body) {
+        Ok(slots) if slots <= shared.config.max_step_slots => return Some((slots, stream)),
+        Ok(slots) => (
             413,
-            &[],
-            &http::error_body(&format!(
+            format!(
                 "slots {slots} exceeds the step limit {}",
                 shared.config.max_step_slots
-            )),
-        );
-        return None;
-    }
-    Some((slots, stream))
+            ),
+        ),
+        Err(message) => (400, message),
+    };
+    respond_api_error(shared, &mut stream, status);
+    None
 }
 
 /// Validates a step body (`{"slots": N}`, `1 ..= max_step_slots`) and
@@ -664,53 +626,33 @@ fn experiment_branch_step(shared: &Shared, id: String, request: Request, stream:
     }
 }
 
-/// Validates a fork body — an optional `label` plus [`Perturbation`]
-/// fields, all optional (an empty body forks the control branch) — and
-/// enqueues the fork.
+/// Parses a fork body: an optional `label`, then [`Perturbation`] fields,
+/// all optional (an empty body forks the control branch).
+fn parse_fork_body(body: &[u8]) -> Result<(Option<String>, Perturbation), String> {
+    let body = body_text(body)?;
+    if body.is_empty() {
+        return Ok((None, Perturbation::default()));
+    }
+    let mut f = Fields::parse(body)?;
+    let label = f.opt_str("label")?;
+    if let Some(label) = &label {
+        let ok = !label.is_empty()
+            && label.len() <= 64
+            && label
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c));
+        if !ok {
+            return Err("label must be 1-64 characters of [A-Za-z0-9._-]".to_string());
+        }
+    }
+    let perturbation = Perturbation::read(&mut f)?;
+    f.finish()?;
+    Ok((label, perturbation))
+}
+
+/// Validates a fork body ([`parse_fork_body`]) and enqueues the fork.
 fn experiment_fork(shared: &Shared, id: String, request: Request, mut stream: TcpStream) {
-    let parsed = std::str::from_utf8(&request.body)
-        .map_err(|_| "body is not valid UTF-8".to_string())
-        .and_then(|body| {
-            let body = body.trim();
-            if body.is_empty() {
-                return Ok((None, Perturbation::default()));
-            }
-            let fields = hbm_telemetry::json::parse_flat_object(body)?;
-            let mut label = None;
-            let mut p = Perturbation::default();
-            for (key, value) in fields {
-                let number = |value: &hbm_telemetry::json::JsonValue, key: &str| {
-                    value
-                        .as_f64()
-                        .ok_or_else(|| format!("{key} must be a number"))
-                };
-                match key.as_str() {
-                    "label" => {
-                        let v = value
-                            .as_str()
-                            .ok_or_else(|| "label must be a string".to_string())?;
-                        let ok = !v.is_empty()
-                            && v.len() <= 64
-                            && v.chars()
-                                .all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c));
-                        if !ok {
-                            return Err(
-                                "label must be 1-64 characters of [A-Za-z0-9._-]".to_string()
-                            );
-                        }
-                        label = Some(v.to_string());
-                    }
-                    "utilization" => p.utilization = Some(number(&value, "utilization")?),
-                    "attack_load_kw" => p.attack_load_kw = Some(number(&value, "attack_load_kw")?),
-                    "battery_kwh" => p.battery_kwh = Some(number(&value, "battery_kwh")?),
-                    "threshold_c" => p.threshold_c = Some(number(&value, "threshold_c")?),
-                    "cap_w" => p.cap_w = Some(number(&value, "cap_w")?),
-                    other => return Err(format!("unknown field {other:?}")),
-                }
-            }
-            Ok((label, p))
-        });
-    match parsed {
+    match parse_fork_body(&request.body) {
         Ok((label, perturbation)) => enqueue(
             shared,
             JobKind::ExperimentFork {
@@ -720,19 +662,15 @@ fn experiment_fork(shared: &Shared, id: String, request: Request, mut stream: Tc
             },
             stream,
         ),
-        Err(message) => {
-            ServeMetrics::bump(&shared.metrics.bad_requests);
-            let _ = http::write_response(&mut stream, 400, &[], &http::error_body(&message));
-        }
+        Err(message) => respond_api_error(shared, &mut stream, (400, message)),
     }
 }
 
 /// Validates a perturb body ([`Perturbation`] flat JSON, at least one
 /// field) and enqueues the perturb.
 fn experiment_perturb(shared: &Shared, id: String, request: Request, mut stream: TcpStream) {
-    let parsed = std::str::from_utf8(&request.body)
-        .map_err(|_| "body is not valid UTF-8".to_string())
-        .and_then(|body| Perturbation::from_flat_json(body.trim()))
+    let parsed = body_text(&request.body)
+        .and_then(Perturbation::from_flat_json)
         .and_then(|p| {
             if p.is_empty() {
                 Err("perturbation must set at least one field".into())
@@ -746,10 +684,7 @@ fn experiment_perturb(shared: &Shared, id: String, request: Request, mut stream:
             JobKind::ExperimentPerturb { id, perturbation },
             stream,
         ),
-        Err(message) => {
-            ServeMetrics::bump(&shared.metrics.bad_requests);
-            let _ = http::write_response(&mut stream, 400, &[], &http::error_body(&message));
-        }
+        Err(message) => respond_api_error(shared, &mut stream, (400, message)),
     }
 }
 
@@ -1153,4 +1088,64 @@ fn metrics_body(shared: &Shared, workers: usize) -> Vec<u8> {
     let mut body = o.finish().into_bytes();
     body.push(b'\n');
     body
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const FORK: &str = r#"{"label":"hot-1","attack_load_kw":3.0,"cap_w":95.5}"#;
+    const SLOTS: &str = r#"{"slots":300}"#;
+
+    #[test]
+    fn body_readers_read_valid_bodies() {
+        let (label, p) = parse_fork_body(FORK.as_bytes()).unwrap();
+        assert_eq!(label.as_deref(), Some("hot-1"));
+        assert_eq!((p.attack_load_kw, p.cap_w), (Some(3.0), Some(95.5)));
+        assert_eq!(parse_slots_body(SLOTS.as_bytes()), Ok(300));
+    }
+
+    #[test]
+    fn body_readers_answer_every_single_byte_mutation() {
+        for valid in [FORK, SLOTS] {
+            for i in 0..valid.len() {
+                for byte in 0..=u8::MAX {
+                    let mut body = valid.as_bytes().to_vec();
+                    body[i] = byte;
+                    let _ = parse_fork_body(&body);
+                    let _ = parse_slots_body(&body);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn body_readers_refuse_every_duplicated_key() {
+        for field in [
+            r#""label":"hot-1""#,
+            r#""attack_load_kw":3.0"#,
+            r#""cap_w":95.5"#,
+        ] {
+            let dup = format!("{{{field},{}", &FORK[1..]);
+            let err = parse_fork_body(dup.as_bytes()).unwrap_err();
+            assert!(err.contains("duplicate field"), "{dup}: {err}");
+        }
+        let err = parse_slots_body(br#"{"slots":300,"slots":3}"#).unwrap_err();
+        assert!(err.contains("duplicate field"), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn body_readers_answer_random_bytes(raw in prop::collection::vec(0u8..255, 0..64)) {
+            let _ = parse_fork_body(&raw);
+            let _ = parse_slots_body(&raw);
+            let mut braced = b"{".to_vec();
+            braced.extend(&raw);
+            let _ = parse_fork_body(&braced);
+            let _ = parse_slots_body(&braced);
+        }
+    }
 }

@@ -21,7 +21,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use hbm_telemetry::json::JsonObject;
+use hbm_telemetry::json::{Fields, JsonObject};
 
 /// Schema tag of the manifest meta line.
 pub const MANIFEST_SCHEMA: &str = "hbm-experiment-v1";
@@ -141,26 +141,8 @@ impl ExperimentStore {
             .next()
             .ok_or("manifest.json is missing the scenario line")?
             .to_string();
-        let meta = hbm_telemetry::json::parse_flat_object(meta_line)
-            .map_err(|e| format!("manifest meta line: {e}"))?;
-        let field = |key: &str| {
-            meta.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("manifest meta line is missing {key:?}"))
-        };
-        let schema = field("schema")?.as_str().unwrap_or_default();
-        if schema != MANIFEST_SCHEMA {
-            return Err(format!(
-                "manifest schema {schema:?} (expected {MANIFEST_SCHEMA:?})"
-            ));
-        }
-        let counter = |key: &str| -> Result<u64, String> {
-            let v = field(key)?
-                .as_f64()
-                .ok_or_else(|| format!("manifest field {key:?} is not a number"))?;
-            Ok(v as u64)
-        };
+        let (warmup_slots, steps, perturbs) =
+            read_meta(meta_line).map_err(|e| format!("manifest meta line: {e}"))?;
         let snapshot = std::fs::read_to_string(dir.join("checkpoint.json"))
             .map_err(|e| format!("reading checkpoint.json: {e}"))?
             .trim_end()
@@ -170,13 +152,31 @@ impl ExperimentStore {
         }
         Ok(PersistedExperiment {
             id: id.to_string(),
-            warmup_slots: counter("warmup_slots")?,
-            steps: counter("steps")?,
-            perturbs: counter("perturbs")?,
+            warmup_slots,
+            steps,
+            perturbs,
             scenario_json,
             snapshot,
         })
     }
+}
+
+/// Reads a manifest meta line: `(warmup_slots, steps, perturbs)`.
+fn read_meta(line: &str) -> Result<(u64, u64, u64), String> {
+    let mut meta = Fields::parse(line)?;
+    let schema = meta.str("schema")?;
+    if schema != MANIFEST_SCHEMA {
+        return Err(format!("schema {schema:?} (expected {MANIFEST_SCHEMA:?})"));
+    }
+    // The directory name is the id; the copy in the line is informational.
+    meta.str("id")?;
+    let counters = (
+        meta.u64("warmup_slots")?,
+        meta.u64("steps")?,
+        meta.u64("perturbs")?,
+    );
+    meta.finish()?;
+    Ok(counters)
 }
 
 /// Writes `bytes` to `path` through a sibling temp file + rename, so
@@ -257,6 +257,69 @@ mod tests {
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].id, "exp-000001");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn malformed_counters_and_duplicates_are_skipped_not_restored() {
+        let (dir, store) = temp_store("counters");
+        for (id, meta) in [
+            // A negative counter used to restore, saturated to 0.
+            (
+                "exp-000001",
+                "\"warmup_slots\":0,\"steps\":-3,\"perturbs\":0",
+            ),
+            (
+                "exp-000002",
+                "\"warmup_slots\":0,\"steps\":1.5,\"perturbs\":0",
+            ),
+            (
+                "exp-000003",
+                "\"warmup_slots\":0,\"steps\":1,\"steps\":2,\"perturbs\":0",
+            ),
+            (
+                "exp-000004",
+                "\"warmup_slots\":0,\"steps\":1,\"perturbs\":0,\"extra\":1",
+            ),
+            (
+                "exp-000005",
+                "\"warmup_slots\":0,\"steps\":4,\"perturbs\":0",
+            ),
+        ] {
+            store.save(id, 0, 0, 0, "{}", "{\"s\":1}").unwrap();
+            let manifest =
+                format!("{{\"schema\":\"{MANIFEST_SCHEMA}\",\"id\":\"{id}\",{meta}}}\n{{}}\n");
+            std::fs::write(
+                dir.join("experiments").join(id).join("manifest.json"),
+                manifest,
+            )
+            .unwrap();
+        }
+        let all = store.load_all();
+        assert_eq!(all.len(), 1, "{all:?}");
+        assert_eq!((all[0].id.as_str(), all[0].steps), ("exp-000005", 4));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn meta_reader_answers_every_single_byte_mutation_and_refuses_duplicates() {
+        let valid = format!(
+            "{{\"schema\":\"{MANIFEST_SCHEMA}\",\"id\":\"exp-000001\",\"warmup_slots\":10,\"steps\":3,\"perturbs\":1}}"
+        );
+        assert_eq!(read_meta(&valid), Ok((10, 3, 1)));
+        for i in 0..valid.len() {
+            for byte in 0..128u8 {
+                let mut line = valid.clone().into_bytes();
+                line[i] = byte;
+                let _ = read_meta(std::str::from_utf8(&line).unwrap());
+            }
+        }
+        for field in valid[1..valid.len() - 1].split(',') {
+            let dup = format!("{{{field},{}", &valid[1..]);
+            assert!(
+                read_meta(&dup).unwrap_err().contains("duplicate field"),
+                "{dup}"
+            );
+        }
     }
 
     #[test]

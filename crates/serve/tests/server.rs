@@ -226,6 +226,46 @@ fn bad_requests_get_4xx_not_a_hang() {
 }
 
 #[test]
+fn deeply_nested_body_is_400_and_the_daemon_survives() {
+    let (addr, handle, thread) = boot(ServeConfig::default());
+
+    // 60 011 bytes, under the 64 KiB body cap: the parser must refuse the
+    // nesting, not recurse into it on the accept thread's stack.
+    let body = format!("{{\"policy\":{}}}", "[".repeat(60_000));
+    let (status, _, answer) = post_simulate(addr, &body);
+    assert_eq!(status, 400, "{answer}");
+    let (status, _, _) = get(addr, "/v1/health");
+    assert_eq!(status, 200);
+
+    handle.stop();
+    thread.join().unwrap();
+}
+
+#[test]
+fn ambiguous_bodies_get_400_not_a_guess() {
+    let (addr, handle, thread) = boot(ServeConfig::default());
+
+    // Each of these used to run: seed 4, cap_w=inf, seed 2^53.
+    for body in [
+        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":3,\"seed\":4}",
+        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"cap_w\":1e999}",
+        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":9007199254740993}",
+    ] {
+        let (status, _, answer) = post_simulate(addr, body);
+        assert_eq!(status, 400, "{body}: {answer}");
+    }
+    let (status, _, answer) = post_batch_simulate(
+        addr,
+        "{\"policy\":\"myopic\",\"days\":1,\"count\":2,\"count\":3}",
+    );
+    assert_eq!(status, 400, "{answer}");
+    assert!(answer.contains("duplicate field"), "{answer}");
+
+    handle.stop();
+    thread.join().unwrap();
+}
+
+#[test]
 fn oversized_horizons_fail_closed() {
     let (addr, handle, thread) = boot(ServeConfig {
         workers: 1,

@@ -1,7 +1,7 @@
 //! The trained surrogate: fitting, prediction, and the serialized
 //! `hbm-surrogate-v1` artifact.
 
-use hbm_telemetry::json::{parse_flat_object, push_json_f64_array, JsonObject, JsonValue};
+use hbm_telemetry::json::{push_json_f64_array, Fields, JsonObject};
 use hbm_telemetry::timing;
 use hbm_thermal::{CfdConfig, CoolingSystem, HeatMatrix, HeatMatrixModel};
 use hbm_units::{Duration, Power, Temperature};
@@ -442,7 +442,7 @@ impl SurrogateModel {
     /// a coefficient count that disagrees with the declared dimensions, or
     /// a physically invalid embedded configuration.
     pub fn from_flat_json(line: &str) -> Result<SurrogateModel, String> {
-        let mut fields = Fields(parse_flat_object(line)?);
+        let mut fields = Fields::parse(line)?;
         let schema = fields.str("schema")?;
         if schema != SCHEMA {
             return Err(format!(
@@ -450,8 +450,8 @@ impl SurrogateModel {
             ));
         }
         let config = CfdConfig {
-            racks: fields.usize("racks")?,
-            servers_per_rack: fields.usize("servers_per_rack")?,
+            racks: fields.u64("racks")? as usize,
+            servers_per_rack: fields.u64("servers_per_rack")? as usize,
             cooling: CoolingSystem {
                 capacity: Power::from_watts(fields.f64("cooling_capacity_w")?),
                 supply: Temperature::from_celsius(fields.f64("cooling_supply_c")?),
@@ -471,47 +471,52 @@ impl SurrogateModel {
             window: Duration::from_seconds(fields.f64("window_s")?),
             lag_step: Duration::from_seconds(fields.f64("lag_step_s")?),
         };
-        if settings.spike.as_watts() <= 0.0 || settings.spike.as_watts().is_nan() {
+        if settings.spike.as_watts() <= 0.0 {
             return Err("spike_w must be positive".into());
         }
         if !(settings.lag_step > Duration::ZERO && settings.window >= settings.lag_step) {
             return Err("window_s must cover at least one positive lag_step_s".into());
         }
-        let servers = fields.usize("servers")?;
-        let lags = fields.usize("lags")?;
-        if servers != config.server_count() {
+        let servers = fields.u64("servers")? as usize;
+        let lags = fields.u64("lags")? as usize;
+        if Some(servers) != config.racks.checked_mul(config.servers_per_rack) {
             return Err(format!(
-                "servers field ({servers}) disagrees with the configuration ({})",
-                config.server_count()
+                "servers field ({servers}) disagrees with the configuration ({} x {})",
+                config.racks, config.servers_per_rack
             ));
         }
         let domain = SurrogateDomain {
-            lo: fields.f64_triple("domain_lo")?,
-            hi: fields.f64_triple("domain_hi")?,
+            lo: f64_triple(&mut fields, "domain_lo")?,
+            hi: f64_triple(&mut fields, "domain_hi")?,
         };
         domain.validate()?;
         let coeffs = fields.f64_array("coeffs")?;
-        let outputs = servers * servers * lags + servers;
-        if coeffs.len() != FEATURES * outputs {
+        let outputs = servers
+            .checked_mul(servers)
+            .and_then(|n| n.checked_mul(lags))
+            .and_then(|n| n.checked_add(servers));
+        if outputs.and_then(|n| n.checked_mul(FEATURES)) != Some(coeffs.len()) {
             return Err(format!(
-                "coeffs length {} disagrees with {FEATURES} features x {outputs} outputs",
+                "coeffs length {} disagrees with {FEATURES} features x {servers}^2 x {lags} + {servers} outputs",
                 coeffs.len()
             ));
         }
-        Ok(SurrogateModel {
+        let model = SurrogateModel {
             settings,
             domain,
             servers,
             lags,
             lambda: fields.f64("lambda")?,
             coeffs,
-            train_samples: fields.usize("train_samples")?,
-            holdout_samples: fields.usize("holdout_samples")?,
+            train_samples: fields.u64("train_samples")? as usize,
+            holdout_samples: fields.u64("holdout_samples")? as usize,
             max_abs_err_response: fields.f64("max_abs_err_response")?,
             mean_abs_err_response: fields.f64("mean_abs_err_response")?,
             max_abs_err_inlet_c: fields.f64("max_abs_err_inlet_c")?,
             mean_abs_err_inlet_c: fields.f64("mean_abs_err_inlet_c")?,
-        })
+        };
+        fields.finish()?;
+        Ok(model)
     }
 
     /// Builds a model directly from its parts — the deserialization shape,
@@ -574,57 +579,12 @@ fn extraction_outputs(model: &HeatMatrixModel, servers: usize, lags: usize, out:
     }
 }
 
-/// Field lookup over one parsed flat object, with typed extraction.
-struct Fields(Vec<(String, JsonValue)>);
-
-impl Fields {
-    fn get(&mut self, key: &str) -> Result<JsonValue, String> {
-        let pos = self
-            .0
-            .iter()
-            .position(|(k, _)| k == key)
-            .ok_or_else(|| format!("missing field {key:?}"))?;
-        Ok(self.0.remove(pos).1)
-    }
-
-    fn f64(&mut self, key: &str) -> Result<f64, String> {
-        self.get(key)?
-            .as_f64()
-            .ok_or_else(|| format!("{key} must be a number"))
-    }
-
-    fn usize(&mut self, key: &str) -> Result<usize, String> {
-        let v = self.f64(key)?;
-        if v < 0.0 || v.fract() != 0.0 || v > u32::MAX as f64 {
-            return Err(format!(
-                "{key} must be a small non-negative integer, got {v}"
-            ));
-        }
-        Ok(v as usize)
-    }
-
-    fn str(&mut self, key: &str) -> Result<String, String> {
-        match self.get(key)? {
-            JsonValue::Str(s) => Ok(s),
-            _ => Err(format!("{key} must be a string")),
-        }
-    }
-
-    fn f64_array(&mut self, key: &str) -> Result<Vec<f64>, String> {
-        match self.get(key)? {
-            JsonValue::Arr(items) => items
-                .iter()
-                .map(|v| v.as_f64().ok_or_else(|| format!("{key} must hold numbers")))
-                .collect(),
-            _ => Err(format!("{key} must be an array")),
-        }
-    }
-
-    fn f64_triple(&mut self, key: &str) -> Result<[f64; KNOBS], String> {
-        let v = self.f64_array(key)?;
-        v.try_into()
-            .map_err(|v: Vec<f64>| format!("{key} must hold {KNOBS} numbers, got {}", v.len()))
-    }
+/// A required array of exactly [`KNOBS`] finite numbers.
+fn f64_triple(fields: &mut Fields, key: &str) -> Result<[f64; KNOBS], String> {
+    fields
+        .f64_array(key)?
+        .try_into()
+        .map_err(|v: Vec<f64>| format!("{key} must hold {KNOBS} numbers, got {}", v.len()))
 }
 
 #[cfg(test)]

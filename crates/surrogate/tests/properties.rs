@@ -132,4 +132,59 @@ fn malformed_artifacts_are_rejected() {
     assert!(SurrogateModel::from_flat_json(&wrong_schema).is_err());
     let wrong_servers = line.replacen("\"servers\":2", "\"servers\":3", 1);
     assert!(SurrogateModel::from_flat_json(&wrong_servers).is_err());
+    // Dimensions whose products overflow are refused, not wrapped.
+    let huge = line
+        .replacen("\"racks\":1", "\"racks\":4294967295", 1)
+        .replacen("\"servers_per_rack\":2", "\"servers_per_rack\":4294967295", 1);
+    assert!(SurrogateModel::from_flat_json(&huge).is_err());
+    let huge = line
+        .replacen("\"racks\":1", "\"racks\":2147483648", 1)
+        .replacen("\"servers_per_rack\":2", "\"servers_per_rack\":1", 1)
+        .replacen("\"servers\":2", "\"servers\":2147483648", 1);
+    assert!(SurrogateModel::from_flat_json(&huge).is_err());
+}
+
+/// A valid artifact line (ASCII) for the adversarial properties below.
+fn valid_artifact() -> String {
+    let domain = SurrogateDomain {
+        lo: [130.0, 26.0, 0.05],
+        hi: [170.0, 28.0, 0.08],
+    };
+    synthetic_model(domain, &[0.25, -0.5, 0.75], (1e-6, 1e-7, 1e-3, 1e-4)).to_flat_json()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random bytes and single-byte corruptions of a valid artifact are
+    /// answered with `Ok` or `Err`, never a panic.
+    #[test]
+    fn corrupted_artifacts_never_panic(
+        raw in prop::collection::vec(0u8..255, 0..64),
+        pos in 0usize..1_000_000,
+        byte in 0u8..128,
+    ) {
+        let _ = SurrogateModel::from_flat_json(&String::from_utf8_lossy(&raw));
+        let mut bytes = valid_artifact().into_bytes();
+        let i = pos % bytes.len();
+        bytes[i] = byte;
+        let _ = SurrogateModel::from_flat_json(&String::from_utf8(bytes).unwrap());
+    }
+
+    /// An artifact with any one key written twice is refused.
+    #[test]
+    fn duplicated_keys_are_refused(n in 0usize..1_000) {
+        let valid = valid_artifact();
+        let fields = hbm_telemetry::json::parse_flat_object(&valid).unwrap();
+        let key = format!("\"{}\":", fields[n % fields.len()].0);
+        let field = &valid[valid.find(&key).unwrap()..];
+        let end = if field[key.len()..].starts_with('[') {
+            field.find(']').unwrap() + 1
+        } else {
+            field.find([',', '}']).unwrap()
+        };
+        let dup = format!("{{{},{}", &field[..end], &valid[1..]);
+        let err = SurrogateModel::from_flat_json(&dup).unwrap_err();
+        prop_assert!(err.contains("duplicate field"), "{}", err);
+    }
 }

@@ -117,7 +117,7 @@ pub enum JsonValue {
     Str(String),
     /// `null`.
     Null,
-    /// An array of values (one nesting level; used by checkpoint schemas
+    /// An array of scalars (one nesting level; used by checkpoint schemas
     /// for Q-table rows and histogram counts).
     Arr(Vec<JsonValue>),
 }
@@ -189,8 +189,9 @@ pub fn push_json_u64_array(out: &mut String, values: &[u64]) {
 /// Decodes one flat JSON object (one JSONL line) into `(key, value)` pairs
 /// in document order. Values may be scalars or arrays of scalars (the
 /// checkpoint schema stores Q-table rows and histogram counts as arrays);
-/// nested objects are not supported — the telemetry record and manifest
-/// schemas are deliberately flat.
+/// nested arrays and objects are errors — the telemetry record and
+/// manifest schemas are deliberately flat. Duplicate keys are kept; read
+/// untrusted input through [`Fields`], which rejects them.
 ///
 /// # Errors
 ///
@@ -232,6 +233,177 @@ pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String>
         return Err("trailing bytes after object".into());
     }
     Ok(fields)
+}
+
+/// Largest integer the [`Fields`] integer accessors accept, 2⁵³ − 1. JSON
+/// numbers decode as `f64`, which holds every integer up to here exactly;
+/// 2⁵³ itself is refused because `9007199254740993` decodes to it too.
+pub const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
+/// The fields of one flat JSON object, read by key through typed
+/// accessors — the one reader for request bodies, checkpoints, manifests
+/// and surrogate artifacts.
+///
+/// Construction rejects duplicate keys. Each accessor takes its key, so a
+/// key is read at most once, and its error names the key: a required key
+/// that is missing, a value of the wrong type, a non-finite number, or an
+/// integer that is fractional, negative or above [`MAX_EXACT_INT`].
+/// [`Fields::finish`] rejects any key no accessor took, so typos fail
+/// loudly.
+///
+/// ```
+/// use hbm_telemetry::json::Fields;
+///
+/// let mut f = Fields::parse(r#"{"seed":3,"cap_w":90.5,"sede":4}"#).unwrap();
+/// assert_eq!(f.u64("seed"), Ok(3));
+/// assert_eq!(f.opt_f64("cap_w"), Ok(Some(90.5)));
+/// assert_eq!(f.opt_f64("days"), Ok(None));
+/// assert_eq!(f.finish().unwrap_err(), r#"unknown field "sede""#);
+/// assert!(Fields::parse(r#"{"seed":3,"seed":4}"#).is_err());
+/// ```
+#[derive(Debug)]
+pub struct Fields(Vec<(String, JsonValue)>);
+
+impl Fields {
+    /// Parses one flat JSON object (see [`parse_flat_object`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for a syntax error or a duplicate key.
+    pub fn parse(text: &str) -> Result<Fields, String> {
+        let fields = parse_flat_object(text)?;
+        let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        if let Some(pair) = keys.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!("duplicate field {:?}", pair[0]));
+        }
+        Ok(Fields(fields))
+    }
+
+    fn take(&mut self, key: &str) -> Option<JsonValue> {
+        let pos = self.0.iter().position(|(k, _)| k == key)?;
+        Some(self.0.remove(pos).1)
+    }
+
+    fn value(&mut self, key: &str) -> Result<JsonValue, String> {
+        self.take(key)
+            .ok_or_else(|| format!("missing required field {key:?}"))
+    }
+
+    /// A required finite number.
+    pub fn f64(&mut self, key: &str) -> Result<f64, String> {
+        named(key, finite(&self.value(key)?))
+    }
+
+    /// An optional finite number; `None` when the key is absent.
+    pub fn opt_f64(&mut self, key: &str) -> Result<Option<f64>, String> {
+        self.take(key).map(|v| named(key, finite(&v))).transpose()
+    }
+
+    /// A required key holding a finite number or `null` (`None`).
+    pub fn f64_or_null(&mut self, key: &str) -> Result<Option<f64>, String> {
+        match self.value(key)? {
+            JsonValue::Null => Ok(None),
+            v => named(key, finite(&v)).map(Some),
+        }
+    }
+
+    /// A required integer in `[0, MAX_EXACT_INT]`.
+    pub fn u64(&mut self, key: &str) -> Result<u64, String> {
+        named(key, exact_u64(&self.value(key)?))
+    }
+
+    /// An optional integer in `[0, MAX_EXACT_INT]`; `None` when absent.
+    pub fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, String> {
+        self.take(key)
+            .map(|v| named(key, exact_u64(&v)))
+            .transpose()
+    }
+
+    /// A required boolean.
+    pub fn bool(&mut self, key: &str) -> Result<bool, String> {
+        named(key, self.value(key)?.as_bool().ok_or("must be a boolean"))
+    }
+
+    /// A required string.
+    pub fn str(&mut self, key: &str) -> Result<String, String> {
+        named(key, string(self.value(key)?))
+    }
+
+    /// An optional string; `None` when the key is absent.
+    pub fn opt_str(&mut self, key: &str) -> Result<Option<String>, String> {
+        self.take(key).map(|v| named(key, string(v))).transpose()
+    }
+
+    /// A required array, its elements unchecked.
+    pub fn array(&mut self, key: &str) -> Result<Vec<JsonValue>, String> {
+        match self.value(key)? {
+            JsonValue::Arr(items) => Ok(items),
+            _ => named(key, Err("must be an array")),
+        }
+    }
+
+    /// A required array of finite numbers.
+    pub fn f64_array(&mut self, key: &str) -> Result<Vec<f64>, String> {
+        self.elements(key, finite)
+    }
+
+    /// A required array of integers in `[0, MAX_EXACT_INT]`.
+    pub fn u64_array(&mut self, key: &str) -> Result<Vec<u64>, String> {
+        self.elements(key, exact_u64)
+    }
+
+    fn elements<T>(
+        &mut self,
+        key: &str,
+        convert: fn(&JsonValue) -> Result<T, &'static str>,
+    ) -> Result<Vec<T>, String> {
+        self.array(key)?
+            .iter()
+            .enumerate()
+            .map(|(i, v)| convert(v).map_err(|why| format!("field {key:?} element {i} {why}")))
+            .collect()
+    }
+
+    /// Ends the read.
+    ///
+    /// # Errors
+    ///
+    /// Names the first key, in document order, that no accessor took.
+    pub fn finish(self) -> Result<(), String> {
+        match self.0.first() {
+            Some((key, _)) => Err(format!("unknown field {key:?}")),
+            None => Ok(()),
+        }
+    }
+}
+
+fn named<T>(key: &str, converted: Result<T, &'static str>) -> Result<T, String> {
+    converted.map_err(|why| format!("field {key:?} {why}"))
+}
+
+fn finite(v: &JsonValue) -> Result<f64, &'static str> {
+    v.as_f64()
+        .filter(|x| x.is_finite())
+        .ok_or("must be a finite number")
+}
+
+fn exact_u64(v: &JsonValue) -> Result<u64, &'static str> {
+    let x = finite(v)?;
+    if x < 0.0 || x.fract() != 0.0 {
+        Err("must be a non-negative integer")
+    } else if x > MAX_EXACT_INT as f64 {
+        Err("overflows the exact integer range [0, 2^53)")
+    } else {
+        Ok(x as u64)
+    }
+}
+
+fn string(v: JsonValue) -> Result<String, &'static str> {
+    match v {
+        JsonValue::Str(s) => Ok(s),
+        _ => Err("must be a string"),
+    }
 }
 
 struct Parser<'a> {
@@ -304,12 +476,23 @@ impl Parser<'_> {
     }
 
     fn value(&mut self) -> Result<JsonValue, String> {
+        if self.peek() == Some(b'[') {
+            self.array()
+        } else {
+            self.scalar()
+        }
+    }
+
+    /// A non-array value. Arrays hold only scalars, so a `[` here is an
+    /// error rather than a recursive descent that deep nesting could use
+    /// to overflow the stack.
+    fn scalar(&mut self) -> Result<JsonValue, String> {
         match self.peek().ok_or("missing value")? {
             b'"' => Ok(JsonValue::Str(self.string()?)),
             b't' => self.literal("true", JsonValue::Bool(true)),
             b'f' => self.literal("false", JsonValue::Bool(false)),
             b'n' => self.literal("null", JsonValue::Null),
-            b'[' => self.array(),
+            b'[' => Err("nested arrays are not supported".into()),
             _ => {
                 let start = self.pos;
                 while matches!(
@@ -336,7 +519,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.scalar()?);
             self.skip_ws();
             match self.next() {
                 Some(b',') => continue,
@@ -445,5 +628,50 @@ mod tests {
         assert_eq!(w[0].as_bool(), Some(true));
         assert_eq!(w[1], JsonValue::Null);
         assert_eq!(w[2].as_str(), Some("s"));
+    }
+
+    #[test]
+    fn deeply_nested_arrays_fail_without_recursing() {
+        let body = format!("{{\"policy\":{}", "[".repeat(60_000));
+        let err = parse_flat_object(&body).unwrap_err();
+        assert!(err.contains("nested"), "{err}");
+        assert!(parse_flat_object("{\"a\":[[1]]}").is_err());
+        assert!(parse_flat_object("{\"a\":[1,[2]]}").is_err());
+    }
+
+    #[test]
+    fn fields_reject_duplicates_and_untaken_keys() {
+        let err = Fields::parse("{\"a\":1,\"b\":2,\"a\":1}").unwrap_err();
+        assert!(err.contains("duplicate field \"a\""), "{err}");
+        let mut f = Fields::parse("{\"a\":1,\"typo\":2}").unwrap();
+        assert_eq!(f.u64("a"), Ok(1));
+        assert!(f.u64("a").unwrap_err().contains("missing"));
+        assert!(f.finish().unwrap_err().contains("unknown field \"typo\""));
+    }
+
+    #[test]
+    fn fields_check_types_and_ranges() {
+        let mut f = Fields::parse(
+            "{\"inf\":1e999,\"big\":9007199254740993,\"max\":9007199254740991,\
+             \"neg\":-3,\"half\":1.5,\"nil\":null,\"s\":\"x\",\"b\":true,\
+             \"q\":[1,2.5],\"h\":[1,-1],\"w\":[0,1e999]}",
+        )
+        .unwrap();
+        assert!(f
+            .f64("inf")
+            .unwrap_err()
+            .contains("\"inf\" must be a finite number"));
+        assert!(f.u64("big").unwrap_err().contains("overflows"));
+        assert_eq!(f.u64("max"), Ok(MAX_EXACT_INT));
+        assert!(f.u64("neg").unwrap_err().contains("non-negative integer"));
+        assert!(f.opt_u64("half").is_err());
+        assert_eq!(f.f64_or_null("nil"), Ok(None));
+        assert!(f.bool("s").is_err());
+        assert_eq!(f.opt_str("b").unwrap_err(), "field \"b\" must be a string");
+        assert_eq!(f.f64_array("q"), Ok(vec![1.0, 2.5]));
+        assert!(f.u64_array("h").unwrap_err().contains("element 1"));
+        assert!(f.f64_array("w").unwrap_err().contains("element 1"));
+        assert_eq!(f.opt_f64("absent"), Ok(None));
+        f.finish().unwrap();
     }
 }
