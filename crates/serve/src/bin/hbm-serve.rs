@@ -12,9 +12,11 @@
 //! Runs until killed. See `docs/SERVICE.md` for the endpoint reference
 //! and `docs/OPERATIONS.md` for deployment and crash recovery.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use hbm_serve::{declare_spans, ServeConfig, Server};
+use hbm_surrogate::{SurrogateModel, TieredExtractor};
 
 const USAGE: &str = "usage: hbm-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] \
 [--threads N] [--manifest-dir DIR] [--state-dir DIR] [--max-experiments N] \
@@ -39,8 +41,9 @@ const USAGE: &str = "usage: hbm-serve [--addr HOST:PORT] [--workers N] [--queue 
                         responses then carry an X-Thermal-Tier header and /v1/metrics
                         reports surrogate_hits/misses/fallbacks
   --surrogate-tolerance-c T
-                        max inlet error bound (°C) a surrogate answer may carry; models
-                        with a larger measured bound fall back to extraction (default 0.5)
+                        max inlet error bound (°C, finite, >= 0) a surrogate answer may
+                        carry; models with a larger measured bound fall back to
+                        extraction (default 0.5; requires --surrogate)
   --timings             enable kernel timing spans (reported via logs on exit)";
 
 struct Args {
@@ -48,7 +51,7 @@ struct Args {
     threads: usize,
     timings: bool,
     surrogate: Option<PathBuf>,
-    surrogate_tolerance_c: f64,
+    surrogate_tolerance_c: Option<f64>,
     config: ServeConfig,
 }
 
@@ -61,7 +64,7 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         threads: cores,
         timings: false,
         surrogate: None,
-        surrogate_tolerance_c: 0.5,
+        surrogate_tolerance_c: None,
         config: ServeConfig {
             workers: cores.saturating_sub(1).max(1),
             ..ServeConfig::default()
@@ -128,9 +131,15 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             }
             "--surrogate" => args.surrogate = Some(PathBuf::from(take("--surrogate")?)),
             "--surrogate-tolerance-c" => {
-                args.surrogate_tolerance_c = take("--surrogate-tolerance-c")?
+                let t: f64 = take("--surrogate-tolerance-c")?
                     .parse()
-                    .map_err(|e| format!("--surrogate-tolerance-c: {e}"))?
+                    .map_err(|e| format!("--surrogate-tolerance-c: {e}"))?;
+                if !(t.is_finite() && t >= 0.0) {
+                    return Err(format!(
+                        "--surrogate-tolerance-c must be finite and >= 0, got {t}"
+                    ));
+                }
+                args.surrogate_tolerance_c = Some(t);
             }
             "--timings" => args.timings = true,
             other => return Err(format!("unknown flag {other:?}")),
@@ -139,12 +148,24 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
     if args.config.workers == 0 {
         return Err("--workers must be at least 1".into());
     }
+    if args.surrogate_tolerance_c.is_some() && args.surrogate.is_none() {
+        return Err("--surrogate-tolerance-c requires --surrogate".into());
+    }
     Ok(args)
+}
+
+/// Loads the surrogate artifact at `path` into a tier with `tolerance_c`.
+fn load_tier(path: &Path, tolerance_c: f64) -> Result<TieredExtractor, String> {
+    let line = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let model = SurrogateModel::from_flat_json(line.trim())
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(TieredExtractor::with_model(model, tolerance_c))
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&raw) {
+    let mut args = match parse_args(&raw) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}");
@@ -159,35 +180,25 @@ fn main() {
         declare_spans();
     }
     if let Some(path) = &args.surrogate {
-        let line = match std::fs::read_to_string(path) {
-            Ok(line) => line,
+        let tolerance = args.surrogate_tolerance_c.unwrap_or(0.5);
+        let tier = match load_tier(path, tolerance) {
+            Ok(tier) => tier,
             Err(e) => {
-                eprintln!("error: cannot read {}: {e}", path.display());
+                eprintln!("error: {e}");
                 std::process::exit(1);
             }
         };
-        let model = match hbm_surrogate::SurrogateModel::from_flat_json(line.trim()) {
-            Ok(model) => model,
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        let bound = model.max_abs_err_inlet_c();
-        let within = bound <= args.surrogate_tolerance_c;
-        hbm_core::install_thermal_tier(Some(std::sync::Arc::new(
-            hbm_surrogate::TieredExtractor::with_model(model, args.surrogate_tolerance_c),
-        )));
+        let bound = tier.bound_c();
         println!(
-            "surrogate tier loaded from {} (inlet bound {bound:.3e} °C, tolerance {} °C{})",
+            "surrogate tier loaded from {} (inlet bound {bound:.3e} °C, tolerance {tolerance} °C{})",
             path.display(),
-            args.surrogate_tolerance_c,
-            if within {
+            if bound <= tolerance {
                 ""
             } else {
                 "; bound exceeds tolerance, all queries will fall back"
             },
         );
+        args.config.surrogate = Some(Arc::new(tier));
     }
     let workers = args.config.workers;
     let queue = args.config.queue_capacity;
@@ -209,5 +220,35 @@ fn main() {
     }
     if args.timings {
         println!("{}", hbm_telemetry::timing::render_timing_report());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        parse_args(&flags.iter().map(|f| f.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn surrogate_tolerance_must_be_finite_and_non_negative() {
+        for bad in ["nan", "inf", "-inf", "-0.1"] {
+            let err = parse(&["--surrogate", "m.json", "--surrogate-tolerance-c", bad])
+                .err()
+                .unwrap_or_else(|| panic!("tolerance {bad} was accepted"));
+            assert!(err.contains("--surrogate-tolerance-c"), "{err}");
+        }
+        let args = parse(&["--surrogate-tolerance-c", "0", "--surrogate", "m.json"]).unwrap();
+        assert_eq!(args.surrogate_tolerance_c, Some(0.0));
+        assert_eq!(args.surrogate, Some(PathBuf::from("m.json")));
+    }
+
+    #[test]
+    fn surrogate_tolerance_without_surrogate_is_an_error() {
+        let err = parse(&["--surrogate-tolerance-c", "0.25"]).err().unwrap();
+        assert!(err.contains("requires --surrogate"), "{err}");
+        let args = parse(&["--surrogate", "m.json"]).unwrap();
+        assert_eq!(args.surrogate_tolerance_c, None);
     }
 }

@@ -1,12 +1,11 @@
 //! Memoized scenario results, keyed by the canonical config string.
 //!
-//! Same two-level pattern as `hbm-thermal`'s heat-matrix extraction cache:
-//! the map lock is held only to look up a per-key cell, and concurrent
-//! requests for the *same* key block on that cell's `OnceLock` instead of
-//! running the scenario twice, while different keys proceed independently.
-//! Unlike the extraction cache this one is instance-owned (each server has
-//! its own) and bounded: at `capacity` distinct scenarios an arbitrary
-//! existing entry is evicted, so memory stays bounded under key churn.
+//! Two-level: the map lock is held only to look up a per-key cell, and
+//! concurrent requests for the *same* key block on that cell's `OnceLock`
+//! instead of running the scenario twice, while different keys proceed
+//! independently. The cache is instance-owned (each server has its own)
+//! and bounded: at `capacity` distinct scenarios an arbitrary existing
+//! entry is evicted, so memory stays bounded under key churn.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

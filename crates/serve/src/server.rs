@@ -15,7 +15,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hbm_core::scenario::{metrics_json, run_scenarios_batch, BatchScenario};
-use hbm_core::{installed_thermal_tier, Perturbation, Scenario};
+use hbm_core::{Perturbation, Scenario};
+use hbm_surrogate::TieredExtractor;
 use hbm_telemetry::json::{Fields, JsonObject};
 use hbm_telemetry::{timing, RunManifest};
 
@@ -74,6 +75,10 @@ pub struct ServeConfig {
     /// Largest cumulative slot horizon the branches of one experiment may
     /// advance; branch steps beyond it answer `413`.
     pub max_branch_slots: u64,
+    /// When set, simulate and fork responses carry an `X-Thermal-Tier`
+    /// header naming the tier that would answer the scenario's thermal
+    /// query, and `/v1/metrics` reports this tier's decision counters.
+    pub surrogate: Option<Arc<TieredExtractor>>,
 }
 
 impl Default for ServeConfig {
@@ -92,6 +97,7 @@ impl Default for ServeConfig {
             max_step_slots: 1_000_000,
             max_branches: 16,
             max_branch_slots: 100_000,
+            surrogate: None,
         }
     }
 }
@@ -185,25 +191,25 @@ pub fn declare_spans() {
     timing::declare_span("serve.simulate");
     timing::declare_span("serve.batch-simulate");
     timing::declare_span("serve.experiment");
-    timing::declare_span("surrogate.fit");
-    timing::declare_span("surrogate.predict");
 }
 
 /// Which tier would answer `scenario`'s thermal query, as a response
-/// header value — `None` when no surrogate tier is installed (the
+/// header value — `None` when the server has no surrogate tier (the
 /// default), so responses are byte-identical to a tier-less build.
 ///
-/// Consulting the tier is the hot-path integration point: it bumps the
-/// hit/miss/fallback counters `/v1/metrics` reports and warms the
-/// extraction cache for fallback queries.
-fn thermal_tier_label(scenario: &Scenario) -> Option<&'static str> {
-    installed_thermal_tier()?;
-    match scenario.thermal_model() {
-        Ok(answer) => answer.map(|(_, kind)| kind.as_str()),
-        // An unextractable query (invalid mapped config) never blocks the
-        // response; the header is simply omitted.
-        Err(_) => None,
-    }
+/// The query is the scenario's mean per-server power (benign trace mean
+/// plus attacker standby, spread over the container) at the tier's own
+/// supply and leakage. Deciding bumps the hit/miss/fallback counters
+/// `/v1/metrics` reports; no heat-matrix model is built.
+fn thermal_tier_label(tier: Option<&TieredExtractor>, scenario: &Scenario) -> Option<&'static str> {
+    let tier = tier?;
+    // An invalid scenario or mapped config never blocks the response;
+    // the header is simply omitted.
+    let config = scenario.build_config().ok()?;
+    let per_server_w =
+        (config.trace.mean + config.standby_power).as_watts() / config.server_count() as f64;
+    let query = tier.query_for_baseline(per_server_w);
+    tier.tier_for(&query).ok().map(|kind| kind.as_str())
 }
 
 impl Server {
@@ -792,7 +798,7 @@ fn run_simulate_job(shared: &Shared, scenario: &Scenario, canonical: &str, strea
                 ("X-Cache", if hit { "hit" } else { "miss" }.to_string()),
                 ("X-Config-Hash", scenario.config_hash()),
             ];
-            if let Some(tier) = thermal_tier_label(scenario) {
+            if let Some(tier) = thermal_tier_label(shared.config.surrogate.as_deref(), scenario) {
                 extra.push(("X-Thermal-Tier", tier.to_string()));
             }
             let _ = http::write_response(stream, 200, &extra, body.as_bytes());
@@ -864,7 +870,9 @@ fn run_experiment_job(shared: &Shared, kind: JobKind, stream: &mut TcpStream) {
                     .u64("branches", outcome.branches);
                 let body = o.finish() + "\n";
                 let mut extra = Vec::new();
-                if let Some(tier) = thermal_tier_label(&outcome.scenario) {
+                if let Some(tier) =
+                    thermal_tier_label(shared.config.surrogate.as_deref(), &outcome.scenario)
+                {
                     extra.push(("X-Thermal-Tier", tier.to_string()));
                 }
                 let _ = http::write_response(stream, 200, &extra, body.as_bytes());
@@ -1074,13 +1082,8 @@ fn metrics_body(shared: &Shared, workers: usize) -> Vec<u8> {
         "checkpoint_failures",
         shared.supervisor.checkpoint_failures(),
     );
-    // Process-wide heat-matrix extraction cache (the serve scenario cache
-    // above is request-level; this one counts CFD extractions saved).
-    let matrix_cache = hbm_thermal::heat_matrix_cache_stats();
-    o.u64("heat_matrix_cache_hits", matrix_cache.hits)
-        .u64("heat_matrix_cache_misses", matrix_cache.misses);
-    // Surrogate tier decisions; all-zero when no tier is installed.
-    let tier_stats = installed_thermal_tier().map(|t| t.stats());
+    // This server's surrogate tier decisions; all-zero without a tier.
+    let tier_stats = shared.config.surrogate.as_ref().map(|t| t.stats());
     o.u64("surrogate_hits", tier_stats.map_or(0, |s| s.hits))
         .u64("surrogate_misses", tier_stats.map_or(0, |s| s.misses))
         .u64("surrogate_fallbacks", tier_stats.map_or(0, |s| s.fallbacks))

@@ -105,7 +105,7 @@ fn json_str(body: &str, key: &str) -> String {
         .to_string()
 }
 
-fn json_u64(body: &str, key: &str) -> u64 {
+fn json_f64(body: &str, key: &str) -> f64 {
     let fields = hbm_telemetry::json::parse_flat_object(body.trim()).expect("flat json");
     fields
         .iter()
@@ -113,7 +113,11 @@ fn json_u64(body: &str, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("missing {key} in {body}"))
         .1
         .as_f64()
-        .expect("numeric") as u64
+        .expect("numeric")
+}
+
+fn json_u64(body: &str, key: &str) -> u64 {
+    json_f64(body, key) as u64
 }
 
 #[test]
@@ -162,17 +166,11 @@ fn golden_scenario_parity_cache_and_metrics() {
     assert_eq!(json_u64(&metrics, "cache_misses"), 1);
     assert!(json_u64(&metrics, "simulate_ok") >= 2);
     assert!(json_u64(&metrics, "requests_total") >= 3);
-    // Thermal-tier observability keys are always present (process-global
-    // counters, so only presence is asserted here).
-    json_u64(&metrics, "heat_matrix_cache_hits");
-    json_u64(&metrics, "heat_matrix_cache_misses");
-    json_u64(&metrics, "surrogate_hits");
-    json_u64(&metrics, "surrogate_misses");
-    json_u64(&metrics, "surrogate_fallbacks");
-    assert!(
-        metrics.contains("\"surrogate_bound_c\":"),
-        "metrics: {metrics}"
-    );
+    // Tier counters are per server, and this one has no tier.
+    for key in ["surrogate_hits", "surrogate_misses", "surrogate_fallbacks"] {
+        assert_eq!(json_u64(&metrics, key), 0, "{key}: {metrics}");
+    }
+    assert_eq!(json_f64(&metrics, "surrogate_bound_c"), 0.0, "{metrics}");
 
     handle.stop();
     thread.join().unwrap();
@@ -840,11 +838,56 @@ fn every_route_is_documented_in_service_md() {
     }
 }
 
+/// The `X-Thermal-Tier` header of each of a simulate (in-region), a
+/// fork (in-region) and a simulate at an out-of-region `utilization`,
+/// followed by the server's `/v1/metrics` body.
+fn tier_probe(addr: SocketAddr) -> ([Option<String>; 3], String) {
+    let label = |headers: &[(String, String)]| header(headers, "x-thermal-tier").map(String::from);
+    let (status, headers, body) = post_simulate(
+        addr,
+        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":3}",
+    );
+    assert_eq!(status, 200, "body: {body}");
+    let simulate = label(&headers);
+
+    let (status, _, body) = req(addr, "POST", "/v1/experiments", EXP_SCENARIO);
+    assert_eq!(status, 201, "body: {body}");
+    let id = json_str(&body, "id");
+    let (status, _, _) = req(
+        addr,
+        "POST",
+        &format!("/v1/experiments/{id}/step"),
+        "{\"slots\":10}",
+    );
+    assert_eq!(status, 200);
+    let (status, headers, body) = req(
+        addr,
+        "POST",
+        &format!("/v1/experiments/{id}/fork"),
+        "{\"label\":\"hot\",\"attack_load_kw\":2.0}",
+    );
+    assert_eq!(status, 200, "body: {body}");
+    let fork = label(&headers);
+
+    // 10 % utilization puts the per-server operating point below the
+    // trust region's 50 W floor.
+    let (status, headers, body) = post_simulate(
+        addr,
+        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":3,\"utilization\":0.1}",
+    );
+    assert_eq!(status, 200, "body: {body}");
+    let outside = label(&headers);
+
+    let (status, _, metrics) = get(addr, "/v1/metrics");
+    assert_eq!(status, 200);
+    ([simulate, fork, outside], metrics)
+}
+
 #[test]
 fn surrogate_tier_labels_responses_and_metrics() {
     // Fit a tiny real surrogate whose trust region covers the paper
-    // default's per-server operating point (~130 W) and install it
-    // process-wide, exactly as `hbm-serve --surrogate` does.
+    // default's per-server operating point (~130 W) and give it to one of
+    // two servers running side by side in this process.
     let settings = hbm_surrogate::ExtractionSettings {
         config: hbm_thermal::CfdConfig {
             racks: 1,
@@ -869,64 +912,44 @@ fn surrogate_tier_labels_responses_and_metrics() {
     )
     .expect("surrogate fits");
     let bound = model.max_abs_err_inlet_c();
-    hbm_core::install_thermal_tier(Some(std::sync::Arc::new(
-        hbm_surrogate::TieredExtractor::with_model(model, f64::INFINITY),
-    )));
 
-    let (addr, handle, thread) = boot(ServeConfig {
+    let (tier_addr, tier_handle, tier_thread) = boot(ServeConfig {
+        workers: 2,
+        surrogate: Some(std::sync::Arc::new(
+            hbm_surrogate::TieredExtractor::with_model(model, f64::INFINITY),
+        )),
+        ..ServeConfig::default()
+    });
+    let (plain_addr, plain_handle, plain_thread) = boot(ServeConfig {
         workers: 2,
         ..ServeConfig::default()
     });
+    let ((tier_labels, tier_metrics), (plain_labels, plain_metrics)) =
+        std::thread::scope(|scope| {
+            let tiered = scope.spawn(|| tier_probe(tier_addr));
+            let plain = scope.spawn(|| tier_probe(plain_addr));
+            (tiered.join().unwrap(), plain.join().unwrap())
+        });
 
-    // Simulate: in-region, so the response is labeled as surrogate-tier.
-    let (status, headers, body) = post_simulate(
-        addr,
-        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":3}",
-    );
-    assert_eq!(status, 200, "body: {body}");
-    assert_eq!(header(&headers, "x-thermal-tier"), Some("surrogate"));
+    let expected = ["surrogate", "surrogate", "extracted"].map(|l| Some(l.to_string()));
+    assert_eq!(tier_labels, expected);
+    for (key, want) in [
+        ("surrogate_hits", 2),
+        ("surrogate_misses", 0),
+        ("surrogate_fallbacks", 1),
+    ] {
+        assert_eq!(json_u64(&tier_metrics, key), want, "{key}: {tier_metrics}");
+    }
+    assert_eq!(json_f64(&tier_metrics, "surrogate_bound_c"), bound);
 
-    // Fork: the branch scenario consults the tier too.
-    let (status, _, body) = req(addr, "POST", "/v1/experiments", EXP_SCENARIO);
-    assert_eq!(status, 201, "body: {body}");
-    let id = json_str(&body, "id");
-    let (status, _, _) = req(
-        addr,
-        "POST",
-        &format!("/v1/experiments/{id}/step"),
-        "{\"slots\":10}",
-    );
-    assert_eq!(status, 200);
-    let (status, headers, body) = req(
-        addr,
-        "POST",
-        &format!("/v1/experiments/{id}/fork"),
-        "{\"label\":\"hot\",\"attack_load_kw\":2.0}",
-    );
-    assert_eq!(status, 200, "body: {body}");
-    assert_eq!(header(&headers, "x-thermal-tier"), Some("surrogate"));
+    assert_eq!(plain_labels, [None, None, None]);
+    for key in ["surrogate_hits", "surrogate_misses", "surrogate_fallbacks"] {
+        assert_eq!(json_u64(&plain_metrics, key), 0, "{key}: {plain_metrics}");
+    }
+    assert_eq!(json_f64(&plain_metrics, "surrogate_bound_c"), 0.0);
 
-    // Metrics carry the tier counters and the model's bound. Counters are
-    // process-global (other tests' simulations may consult the tier while
-    // it is installed), so assert lower bounds, not exact values.
-    let (_, _, metrics) = get(addr, "/v1/metrics");
-    assert!(
-        json_u64(&metrics, "surrogate_hits") >= 2,
-        "metrics: {metrics}"
-    );
-    let bound_key = format!("\"surrogate_bound_c\":{bound}");
-    assert!(metrics.contains(&bound_key), "metrics: {metrics}");
-
-    // Uninstall: back to the tier-less default for the rest of the suite.
-    hbm_core::install_thermal_tier(None);
-    let (_, headers, _) = post_simulate(
-        addr,
-        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":4}",
-    );
-    assert_eq!(header(&headers, "x-thermal-tier"), None);
-    let (_, _, metrics) = get(addr, "/v1/metrics");
-    assert_eq!(json_u64(&metrics, "surrogate_bound_c"), 0);
-
-    handle.stop();
-    thread.join().unwrap();
+    for (handle, thread) in [(tier_handle, tier_thread), (plain_handle, plain_thread)] {
+        handle.stop();
+        thread.join().unwrap();
+    }
 }

@@ -109,15 +109,15 @@ impl ExtractionSettings {
         (config, baseline)
     }
 
-    /// Full extraction at `q` through the process-wide memoized cache —
-    /// the tier-1 path the surrogate is fitted against and falls back to.
+    /// [`Self::apply`] plus the checks [`Self::extract`] makes before it
+    /// runs the CFD model.
     ///
     /// # Errors
     ///
     /// Returns a message when the mapped configuration is physically
     /// invalid (so arbitrary out-of-domain queries error instead of
     /// panicking inside the CFD model).
-    pub fn extract(&self, q: &SurrogateQuery) -> Result<HeatMatrixModel, String> {
+    pub fn checked_inputs(&self, q: &SurrogateQuery) -> Result<(CfdConfig, Vec<Power>), String> {
         let (config, baseline) = self.apply(q);
         config.validate()?;
         if !(q.baseline_w.is_finite() && q.baseline_w > 0.0) {
@@ -126,6 +126,17 @@ impl ExtractionSettings {
                 q.baseline_w
             ));
         }
+        Ok((config, baseline))
+    }
+
+    /// Full extraction at `q` — the path the surrogate is fitted against
+    /// and falls back to.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Self::checked_inputs`] message for an invalid query.
+    pub fn extract(&self, q: &SurrogateQuery) -> Result<HeatMatrixModel, String> {
+        let (config, baseline) = self.checked_inputs(q)?;
         Ok(HeatMatrixModel::from_cfd(
             &config,
             &baseline,

@@ -113,28 +113,40 @@ impl TieredExtractor {
         }
     }
 
-    /// Answers `q` from the cheapest admissible tier.
+    /// Decides which tier answers `q` and counts the decision, without
+    /// building a model.
     ///
     /// # Errors
     ///
     /// Returns a message when the query maps to a physically invalid
-    /// configuration (fallback and miss paths validate before extracting;
-    /// a fallback that then fails validation still counts as a fallback).
-    pub fn model_for(&self, q: &SurrogateQuery) -> Result<(HeatMatrixModel, ThermalTier), String> {
+    /// configuration (fallback and miss paths validate the extraction
+    /// inputs; a fallback that then fails validation still counts as a
+    /// fallback).
+    pub fn tier_for(&self, q: &SurrogateQuery) -> Result<ThermalTier, String> {
         match &self.model {
             Some(m) if m.domain().contains(q) && m.max_abs_err_inlet_c() <= self.tolerance_c => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok((m.predict(q), ThermalTier::Surrogate))
+                return Ok(ThermalTier::Surrogate);
             }
-            Some(_) => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                Ok((self.settings.extract(q)?, ThermalTier::Extracted))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Ok((self.settings.extract(q)?, ThermalTier::Extracted))
-            }
-        }
+            Some(_) => self.fallbacks.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        self.settings.checked_inputs(q)?;
+        Ok(ThermalTier::Extracted)
+    }
+
+    /// Answers `q` from the tier [`Self::tier_for`] picks.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Self::tier_for`] message for an invalid query.
+    pub fn model_for(&self, q: &SurrogateQuery) -> Result<(HeatMatrixModel, ThermalTier), String> {
+        let tier = self.tier_for(q)?;
+        let model = match (tier, &self.model) {
+            (ThermalTier::Surrogate, Some(m)) => m.predict(q),
+            _ => self.settings.extract(q)?,
+        };
+        Ok((model, tier))
     }
 
     /// Current decision counters plus the loaded model's bound.
@@ -155,7 +167,7 @@ impl TieredExtractor {
 
 #[cfg(test)]
 mod tests {
-    use hbm_thermal::{clear_heat_matrix_cache, CfdConfig, HeatMatrixModel};
+    use hbm_thermal::{CfdConfig, HeatMatrixModel};
     use hbm_units::{Duration, Power};
 
     use super::*;
@@ -205,9 +217,7 @@ mod tests {
     }
 
     /// The fallback contract: out-of-region queries through the tier are
-    /// byte-identical to calling the extraction path directly — with the
-    /// process cache cleared in between, so both sides recompute from the
-    /// CFD model rather than sharing one memoized result.
+    /// byte-identical to calling the extraction path directly.
     #[test]
     fn golden_fallback_is_byte_identical_to_direct_extraction() {
         let settings = small_settings();
@@ -228,12 +238,10 @@ mod tests {
             supply_c: 27.0,
             leakage: 0.06,
         };
-        clear_heat_matrix_cache();
         let (via_tier, kind) = tier.model_for(&q).unwrap();
         assert_eq!(kind, ThermalTier::Extracted);
         assert_eq!(tier.stats().fallbacks, 1);
 
-        clear_heat_matrix_cache();
         let (config, baseline) = settings.apply(&q);
         let direct = HeatMatrixModel::from_cfd(
             &config,
@@ -252,13 +260,11 @@ mod tests {
         let settings = small_settings();
         let tier = TieredExtractor::without_model(settings.clone(), 0.5);
         let q = tier.query_for_baseline(150.0);
-        clear_heat_matrix_cache();
         let (via_tier, kind) = tier.model_for(&q).unwrap();
         assert_eq!(kind, ThermalTier::Extracted);
         assert_eq!(tier.stats().misses, 1);
         assert_eq!(tier.stats().hits, 0);
 
-        clear_heat_matrix_cache();
         let direct = settings.extract(&q).unwrap();
         assert_eq!(bits(&via_tier), bits(&direct));
     }
@@ -293,5 +299,56 @@ mod tests {
         let (_, kind) = strict.model_for(&inside).unwrap();
         assert_eq!(kind, ThermalTier::Extracted);
         assert_eq!(strict.stats().fallbacks, 1);
+    }
+
+    /// `tier_for` makes exactly the decision `model_for` acts on: the same
+    /// tier, the same `Err` and the same counters for every query class.
+    #[test]
+    fn tier_for_agrees_with_model_for() {
+        let model = SurrogateModel::fit(
+            small_settings(),
+            small_domain(),
+            FitOptions {
+                grid_points: 2,
+                holdout_every: 4,
+                lambda: 1e-8,
+            },
+        )
+        .unwrap();
+        let inside = SurrogateQuery {
+            baseline_w: 150.0,
+            supply_c: 27.0,
+            leakage: 0.06,
+        };
+        let outside = SurrogateQuery {
+            baseline_w: 200.0,
+            ..inside
+        };
+        let invalid = SurrogateQuery {
+            leakage: 0.7,
+            ..inside
+        };
+        let tiers = || {
+            [
+                TieredExtractor::with_model(model.clone(), f64::INFINITY),
+                TieredExtractor::with_model(model.clone(), -1.0),
+                TieredExtractor::without_model(small_settings(), 0.5),
+            ]
+        };
+        use ThermalTier::{Extracted, Surrogate};
+        let expected = [
+            [Some(Surrogate), Some(Extracted), None],
+            [Some(Extracted), Some(Extracted), None],
+            [Some(Extracted), Some(Extracted), None],
+        ];
+        for ((deciding, building), want) in tiers().iter().zip(&tiers()).zip(expected) {
+            for (q, want) in [inside, outside, invalid].iter().zip(want) {
+                let decided = deciding.tier_for(q);
+                let built = building.model_for(q).map(|(_, tier)| tier);
+                assert_eq!(decided.clone().ok(), want, "query {q:?}");
+                assert_eq!(decided, built, "query {q:?}");
+                assert_eq!(deciding.stats(), building.stats(), "query {q:?}");
+            }
+        }
     }
 }

@@ -135,7 +135,11 @@ fn malformed_artifacts_are_rejected() {
     // Dimensions whose products overflow are refused, not wrapped.
     let huge = line
         .replacen("\"racks\":1", "\"racks\":4294967295", 1)
-        .replacen("\"servers_per_rack\":2", "\"servers_per_rack\":4294967295", 1);
+        .replacen(
+            "\"servers_per_rack\":2",
+            "\"servers_per_rack\":4294967295",
+            1,
+        );
     assert!(SurrogateModel::from_flat_json(&huge).is_err());
     let huge = line
         .replacen("\"racks\":1", "\"racks\":2147483648", 1)

@@ -48,8 +48,5 @@ mod zone;
 
 pub use cfd::{CfdConfig, CfdModel};
 pub use cooling::CoolingSystem;
-pub use matrix::{
-    clear_heat_matrix_cache, extract_heat_matrix, heat_matrix_cache_stats, HeatMatrix,
-    HeatMatrixCacheStats, HeatMatrixLanes, HeatMatrixModel,
-};
+pub use matrix::{extract_heat_matrix, HeatMatrix, HeatMatrixModel};
 pub use zone::{ZoneLanes, ZoneModel};

@@ -18,10 +18,6 @@
 //! CFD-extracted responses to an aggregate emergency model once the plant is
 //! overloaded.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
 use serde::{Deserialize, Serialize};
 
 use hbm_units::{Duration, Power, Temperature};
@@ -140,9 +136,7 @@ pub fn extract_heat_matrix(
     window: Duration,
     lag_step: Duration,
 ) -> HeatMatrix {
-    cached_extraction(config, baseline, spike, window, lag_step)
-        .matrix
-        .clone()
+    run_extraction(config, baseline, spike, window, lag_step).matrix
 }
 
 /// The full result of one extraction: the matrix plus the steady-state
@@ -153,108 +147,7 @@ struct Extraction {
     base_inlets: Vec<f64>,
 }
 
-/// Cache key: every scalar that influences the extraction, by exact bit
-/// pattern (two configs that differ in any ulp extract different matrices).
-#[derive(PartialEq, Eq, Hash)]
-struct ExtractionKey {
-    bits: Vec<u64>,
-}
-
-impl ExtractionKey {
-    fn new(
-        config: &CfdConfig,
-        baseline: &[Power],
-        spike: Power,
-        window: Duration,
-        lag_step: Duration,
-    ) -> Self {
-        let mut bits = vec![config.racks as u64, config.servers_per_rack as u64];
-        for f in [
-            config.cooling.capacity.as_watts(),
-            config.cooling.supply.as_celsius(),
-            config.cooling.derate_onset.as_celsius(),
-            config.cooling.derate_per_kelvin,
-            config.cooling.min_capacity_fraction,
-            config.per_server_flow_kg_s,
-            config.leakage_fraction,
-            config.cell_mass_kg,
-            config.plenum_mass_kg,
-            spike.as_watts(),
-            window.as_seconds(),
-            lag_step.as_seconds(),
-        ] {
-            bits.push(f.to_bits());
-        }
-        bits.extend(baseline.iter().map(|p| p.as_watts().to_bits()));
-        ExtractionKey { bits }
-    }
-}
-
-type ExtractionCache = Mutex<HashMap<ExtractionKey, Arc<OnceLock<Arc<Extraction>>>>>;
-
-static CACHE: OnceLock<ExtractionCache> = OnceLock::new();
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Hit/miss counters of the process-wide extraction cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeatMatrixCacheStats {
-    /// Extractions answered from the cache.
-    pub hits: u64,
-    /// Extractions actually computed.
-    pub misses: u64,
-}
-
-/// Snapshot of the extraction cache's hit/miss counters.
-pub fn heat_matrix_cache_stats() -> HeatMatrixCacheStats {
-    HeatMatrixCacheStats {
-        hits: CACHE_HITS.load(Ordering::Relaxed),
-        misses: CACHE_MISSES.load(Ordering::Relaxed),
-    }
-}
-
-/// Empties the extraction cache and resets its counters (mainly for tests
-/// and long-running processes sweeping many configurations).
-pub fn clear_heat_matrix_cache() {
-    if let Some(cache) = CACHE.get() {
-        cache.lock().expect("cache poisoned").clear();
-    }
-    CACHE_HITS.store(0, Ordering::Relaxed);
-    CACHE_MISSES.store(0, Ordering::Relaxed);
-}
-
-/// Memoized extraction: one computation per distinct (config, baseline,
-/// spike, window, lag step) for the life of the process.
-///
-/// The map lock is held only to look up the per-key cell; concurrent
-/// requests for the *same* key block on that cell's `OnceLock` instead of
-/// recomputing, while requests for different keys proceed independently.
-fn cached_extraction(
-    config: &CfdConfig,
-    baseline: &[Power],
-    spike: Power,
-    window: Duration,
-    lag_step: Duration,
-) -> Arc<Extraction> {
-    let key = ExtractionKey::new(config, baseline, spike, window, lag_step);
-    let cell = {
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = cache.lock().expect("cache poisoned");
-        Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
-    };
-    let mut computed = false;
-    let extraction = cell.get_or_init(|| {
-        computed = true;
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        Arc::new(run_extraction(config, baseline, spike, window, lag_step))
-    });
-    if !computed {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-    }
-    Arc::clone(extraction)
-}
-
-/// The actual spike-probing procedure (uncached).
+/// The actual spike-probing procedure.
 fn run_extraction(
     config: &CfdConfig,
     baseline: &[Power],
@@ -432,9 +325,8 @@ impl HeatMatrixModel {
     /// Convenience constructor: extracts the matrix and records the baseline
     /// in one go.
     ///
-    /// The extraction goes through the process-wide cache, and the cached
-    /// steady-state inlets double as the model's baseline — building many
-    /// models around the same operating point costs one CFD run total.
+    /// The extraction's steady-state inlets double as the model's
+    /// baseline, so one CFD run yields both.
     ///
     /// # Panics
     ///
@@ -446,11 +338,11 @@ impl HeatMatrixModel {
         window: Duration,
         lag_step: Duration,
     ) -> Self {
-        let extraction = cached_extraction(config, baseline, spike, window, lag_step);
+        let extraction = run_extraction(config, baseline, spike, window, lag_step);
         Self::from_parts(
-            extraction.matrix.clone(),
+            extraction.matrix,
             baseline.to_vec(),
-            extraction.base_inlets.clone(),
+            extraction.base_inlets,
             config.cooling.supply.as_celsius(),
         )
     }
@@ -483,15 +375,22 @@ impl HeatMatrixModel {
     /// step reads, matching the gather kernel's age-0 term).
     fn scatter_arrivals(&mut self, powers: &[Power]) {
         let started = hbm_telemetry::timing::start();
-        scatter_lane(
-            &self.resp_scatter,
-            &self.baseline_powers,
-            &mut self.pending,
-            self.head,
-            self.matrix.server_count(),
-            self.matrix.lag_count(),
-            powers,
-        );
+        let n = self.matrix.server_count();
+        let lags = self.matrix.lag_count();
+        for (source, (&p, &b)) in powers.iter().zip(&self.baseline_powers).enumerate() {
+            let dw = (p - b).as_watts();
+            if dw == 0.0 {
+                continue;
+            }
+            let resp = &self.resp_scatter[source * lags * n..(source + 1) * lags * n];
+            for (lag, row) in resp.chunks_exact(n).enumerate() {
+                let slot = (self.head + lag) % lags;
+                let pending = &mut self.pending[slot * n..(slot + 1) * n];
+                for (acc, &r) in pending.iter_mut().zip(row) {
+                    *acc += r * dw;
+                }
+            }
+        }
         hbm_telemetry::timing::record_span("matrix.scatter", started);
     }
 
@@ -563,138 +462,6 @@ impl HeatMatrixModel {
         // Every pending contribution came from past arrivals; zeroing the
         // ring forgets them all, which is exactly the operating point.
         self.pending.fill(0.0);
-    }
-}
-
-/// The scatter kernel shared by [`HeatMatrixModel`] and [`HeatMatrixLanes`]:
-/// accumulates one lane's nonzero power deviations into its pending ring.
-#[inline(always)]
-fn scatter_lane(
-    resp_scatter: &[f64],
-    baseline_powers: &[Power],
-    pending: &mut [f64],
-    head: usize,
-    n: usize,
-    lags: usize,
-    powers: &[Power],
-) {
-    for (source, (&p, &b)) in powers.iter().zip(baseline_powers).enumerate() {
-        let dw = (p - b).as_watts();
-        if dw == 0.0 {
-            continue;
-        }
-        let resp = &resp_scatter[source * lags * n..(source + 1) * lags * n];
-        for (lag, row) in resp.chunks_exact(n).enumerate() {
-            let slot = (head + lag) % lags;
-            let pending = &mut pending[slot * n..(slot + 1) * n];
-            for (acc, &r) in pending.iter_mut().zip(row) {
-                *acc += r * dw;
-            }
-        }
-    }
-}
-
-/// A batch of [`HeatMatrixModel`] instances advanced in lockstep around a
-/// shared operating point.
-///
-/// All lanes share one transposed response table and baseline (read-only,
-/// so the table stays hot in cache across the whole batch), while each lane
-/// owns its slice of one contiguous pending ring. Stepping the batch runs
-/// the scatter kernel lane after lane as a tight loop over contiguous
-/// memory — the batch-engine form of the `matrix.scatter` hot path, emitted
-/// under the `batch.scatter` telemetry span.
-///
-/// Each lane's predictions are bit-identical to a standalone
-/// [`HeatMatrixModel`] fed the same power sequence: both run
-/// the same scatter kernel, and lanes never interact.
-#[derive(Debug, Clone)]
-pub struct HeatMatrixLanes {
-    template: HeatMatrixModel,
-    lanes: usize,
-    /// Concatenated per-lane pending rings, `lanes × lags × servers`.
-    pending: Vec<f64>,
-    /// Shared ring position (lanes advance in lockstep).
-    head: usize,
-}
-
-impl HeatMatrixLanes {
-    /// Creates `lanes` copies of `model`'s operating point, each starting
-    /// from the model's *current* convolution state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new(model: &HeatMatrixModel, lanes: usize) -> Self {
-        assert!(lanes > 0, "at least one lane required");
-        let ring = model.pending.len();
-        let mut pending = Vec::with_capacity(lanes * ring);
-        for _ in 0..lanes {
-            pending.extend_from_slice(&model.pending);
-        }
-        HeatMatrixLanes {
-            template: model.clone(),
-            lanes,
-            pending,
-            head: model.head,
-        }
-    }
-
-    /// Number of lanes in the batch.
-    pub fn lane_count(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of servers per lane.
-    pub fn server_count(&self) -> usize {
-        self.template.matrix.server_count()
-    }
-
-    /// Advances every lane one lag step. `powers` holds one power per server
-    /// per lane (lane-major, `lanes × servers`); predicted inlet
-    /// temperatures (°C) are written to `out` in the same layout.
-    /// Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `powers` or `out` length differs from
-    /// `lane_count() × server_count()`.
-    pub fn step_all(&mut self, powers: &[Power], out: &mut [f64]) {
-        let n = self.server_count();
-        let lags = self.template.matrix.lag_count();
-        let total = self.lanes * n;
-        assert_eq!(powers.len(), total, "one power per server per lane");
-        assert_eq!(out.len(), total, "one output cell per server per lane");
-
-        let started = hbm_telemetry::timing::start();
-        let ring = lags * n;
-        for lane in 0..self.lanes {
-            scatter_lane(
-                &self.template.resp_scatter,
-                &self.template.baseline_powers,
-                &mut self.pending[lane * ring..(lane + 1) * ring],
-                self.head,
-                n,
-                lags,
-                &powers[lane * n..(lane + 1) * n],
-            );
-        }
-        hbm_telemetry::timing::record_span_units("batch.scatter", started, self.lanes as u64);
-
-        let cur = self.head * n;
-        for lane in 0..self.lanes {
-            let pending = &mut self.pending[lane * ring..(lane + 1) * ring];
-            let current = &pending[cur..cur + n];
-            let out = &mut out[lane * n..(lane + 1) * n];
-            for ((o, &dt), &base) in out
-                .iter_mut()
-                .zip(current)
-                .zip(&self.template.baseline_inlets)
-            {
-                *o = (base + dt).max(self.template.supply_celsius);
-            }
-            pending[cur..cur + n].fill(0.0);
-        }
-        self.head = (self.head + 1) % lags;
     }
 }
 
@@ -838,80 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn second_extraction_with_identical_config_hits_the_cache() {
-        let config = small_config();
-        let baseline = small_baseline();
-        // Distinct spike so this test owns its cache entry regardless of
-        // what other tests in the process have extracted.
-        let spike = Power::from_watts(97.0);
-        let window = Duration::from_minutes(5.0);
-        let lag = Duration::from_minutes(1.0);
-
-        let first = extract_heat_matrix(&config, &baseline, spike, window, lag);
-        let before = heat_matrix_cache_stats();
-        let started = std::time::Instant::now();
-        let second = extract_heat_matrix(&config, &baseline, spike, window, lag);
-        let elapsed = started.elapsed();
-        let after = heat_matrix_cache_stats();
-
-        assert_eq!(first, second, "cached result must be identical");
-        assert_eq!(
-            after.misses, before.misses,
-            "second call must not recompute"
-        );
-        assert_eq!(after.hits, before.hits + 1);
-        assert!(
-            elapsed < std::time::Duration::from_millis(1),
-            "cache hit took {elapsed:?}, expected < 1 ms"
-        );
-    }
-
-    #[test]
-    fn different_baselines_get_different_cache_entries() {
-        let config = small_config();
-        let spike = Power::from_watts(103.0);
-        let window = Duration::from_minutes(5.0);
-        let lag = Duration::from_minutes(1.0);
-        let a = extract_heat_matrix(&config, &[Power::from_watts(140.0); 4], spike, window, lag);
-        let before = heat_matrix_cache_stats();
-        let b = extract_heat_matrix(&config, &[Power::from_watts(160.0); 4], spike, window, lag);
-        let after = heat_matrix_cache_stats();
-        assert_eq!(after.misses, before.misses + 1, "new baseline must compute");
-        assert_ne!(a, b, "different operating points give different matrices");
-    }
-
-    #[test]
-    fn from_cfd_reuses_the_extraction_cache() {
-        let config = small_config();
-        let baseline = small_baseline();
-        let spike = Power::from_watts(111.0);
-        let window = Duration::from_minutes(5.0);
-        let lag = Duration::from_minutes(1.0);
-        let first = HeatMatrixModel::from_cfd(&config, &baseline, spike, window, lag);
-        let before = heat_matrix_cache_stats();
-        let second = HeatMatrixModel::from_cfd(&config, &baseline, spike, window, lag);
-        let after = heat_matrix_cache_stats();
-        assert_eq!(after.misses, before.misses);
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn cache_clear_forces_recomputation() {
-        let config = small_config();
-        let baseline = small_baseline();
-        let spike = Power::from_watts(119.0);
-        let window = Duration::from_minutes(5.0);
-        let lag = Duration::from_minutes(1.0);
-        let a = extract_heat_matrix(&config, &baseline, spike, window, lag);
-        clear_heat_matrix_cache();
-        let before = heat_matrix_cache_stats();
-        let b = extract_heat_matrix(&config, &baseline, spike, window, lag);
-        let after = heat_matrix_cache_stats();
-        assert_eq!(after.misses, before.misses + 1, "cleared entry recomputes");
-        assert_eq!(a, b, "recomputation is deterministic");
-    }
-
-    #[test]
     fn step_into_matches_step() {
         let config = small_config();
         let baseline = small_baseline();
@@ -997,48 +690,6 @@ mod tests {
                 base.max(model.supply_celsius()),
                 "expired excursion must leave no residue"
             );
-        }
-    }
-
-    #[test]
-    fn lanes_match_scalar_models_bitwise() {
-        let config = small_config();
-        let baseline = small_baseline();
-        let model = HeatMatrixModel::from_cfd(
-            &config,
-            &baseline,
-            Power::from_watts(120.0),
-            Duration::from_minutes(5.0),
-            Duration::from_minutes(1.0),
-        );
-        let lanes_n = 3;
-        let mut lanes = HeatMatrixLanes::new(&model, lanes_n);
-        let mut scalars = vec![model.clone(); lanes_n];
-        assert_eq!(lanes.lane_count(), lanes_n);
-        assert_eq!(lanes.server_count(), 4);
-
-        let n = 4;
-        let mut powers = vec![Power::ZERO; lanes_n * n];
-        let mut out = vec![0.0; lanes_n * n];
-        let mut scalar_out = vec![0.0; n];
-        for k in 0..12u32 {
-            for lane in 0..lanes_n {
-                for s in 0..n {
-                    let bump = f64::from(k * (lane as u32 + 1) % 7) * 23.0;
-                    powers[lane * n + s] = baseline[s] + Power::from_watts(bump);
-                }
-            }
-            lanes.step_all(&powers, &mut out);
-            for (lane, scalar) in scalars.iter_mut().enumerate() {
-                scalar.step_into(&powers[lane * n..(lane + 1) * n], &mut scalar_out);
-                for s in 0..n {
-                    assert_eq!(
-                        out[lane * n + s].to_bits(),
-                        scalar_out[s].to_bits(),
-                        "lane {lane} server {s} diverged at slot {k}"
-                    );
-                }
-            }
         }
     }
 

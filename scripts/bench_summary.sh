@@ -8,7 +8,7 @@
 #
 #   * CFD substep (the flat-buffer kernel)
 #   * heat-matrix model step
-#   * heat-matrix extraction: cold vs memoized (cached)
+#   * heat-matrix extraction vs surrogate predict
 #   * year-long benign trace synthesis (trace_year_generation)
 #
 # A short traced fig9 run then contributes its kernel timing spans
@@ -105,10 +105,6 @@ awk -F'"' '
         if (flat > 0)
             printf "CFD substep: %.1f us per simulated minute\n", flat / 1000
         cold = median["matrix/heat_matrix_extraction_4_servers_cold"]
-        cached = median["matrix/heat_matrix_extraction_4_servers_cached"]
-        if (cold > 0 && cached > 0)
-            printf "heat-matrix extraction: cold %.1f us vs cached %.3f us  ->  %.0fx faster\n",
-                cold / 1000, cached / 1000, cold / cached
         sur = median["surrogate/predict_4_servers"]
         if (cold > 0 && sur > 0)
             printf "surrogate predict vs cold extraction: %.3f us vs %.1f us  ->  %.0fx cheaper\n",
