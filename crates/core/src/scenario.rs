@@ -75,26 +75,25 @@ pub fn run_policy(
     slots: u64,
     needs_warmup: bool,
 ) -> SimReport {
-    run_sim(
-        Simulation::new(config.clone(), policy, seed),
-        warmup_slots,
-        slots,
-        needs_warmup,
-    )
-}
-
-/// Runs a built simulation the way [`run_policy`] does: warm-up first when
-/// `needs_warmup`, then `slots` measured slots.
-pub fn run_sim(
-    mut sim: Simulation,
-    warmup_slots: u64,
-    slots: u64,
-    needs_warmup: bool,
-) -> SimReport {
+    let mut sim = Simulation::new(config.clone(), policy, seed);
     if needs_warmup {
         sim.warmup(warmup_slots);
     }
     sim.run(slots)
+}
+
+/// Warm-up plus measured slots of a horizon given in days, or an error
+/// naming the overflow when the count does not fit `u64`. The one horizon
+/// rule of every front end: [`Scenario::from_flat_json`] and the
+/// experiments CLI both reject what it rejects.
+pub fn horizon_slots(warmup_days: u64, days: u64) -> Result<u64, String> {
+    days.checked_mul(24 * 60)
+        .and_then(|measured| warmup_days.checked_mul(24 * 60)?.checked_add(measured))
+        .ok_or_else(|| {
+            format!(
+                "horizon of {warmup_days} warm-up + {days} measured days overflows the slot count"
+            )
+        })
 }
 
 /// A declarative simulation request: the fields a front end (CLI flags or
@@ -159,8 +158,7 @@ impl Scenario {
     /// Warm-up plus measured slots, or `None` when the count overflows
     /// `u64` — such a horizon is rejected by [`Scenario::from_flat_json`].
     pub fn total_slots(&self) -> Option<u64> {
-        let measured = self.days.checked_mul(24 * 60)?;
-        self.warmup_days.checked_mul(24 * 60)?.checked_add(measured)
+        horizon_slots(self.warmup_days, self.days).ok()
     }
 
     /// The scenario for site `i` of a batch: identical overrides and
@@ -360,12 +358,7 @@ impl Scenario {
         base.seed = f.opt_u64("seed")?.unwrap_or(base.seed);
         let scenario = Perturbation::read(&mut f)?.apply(&base);
         f.finish()?;
-        if scenario.total_slots().is_none() {
-            return Err(format!(
-                "horizon of {} warm-up + {} measured days overflows the slot count",
-                scenario.warmup_days, scenario.days
-            ));
-        }
+        horizon_slots(scenario.warmup_days, scenario.days)?;
         Ok(scenario)
     }
 }

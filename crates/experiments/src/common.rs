@@ -69,7 +69,8 @@ impl Options {
     /// Parses `--days N`, `--warmup-days N`, `--seed N`, `--out DIR`,
     /// `--jobs N`, `--trace DIR`, `--timings`, and `--timings-json FILE`
     /// from the raw argument list, returning the remaining positional
-    /// arguments.
+    /// arguments. A horizon whose slot count overflows `u64` is an error
+    /// ([`scenario::horizon_slots`]).
     pub fn parse(args: &[String]) -> Result<(Options, Vec<String>), String> {
         let mut opts = Options::default();
         let mut rest = Vec::new();
@@ -116,6 +117,7 @@ impl Options {
                 other => rest.push(other.to_string()),
             }
         }
+        scenario::horizon_slots(opts.warmup_days, opts.days)?;
         Ok((opts, rest))
     }
 
@@ -233,24 +235,6 @@ pub fn heading(out: &mut Sink, title: &str) {
     out.line(format!("=== {title} ==="));
 }
 
-/// Builds and runs a simulation, warming up learning policies first.
-/// [`hbm_core::scenario::run_policy`] over the run's shared trace — the
-/// same code path `hbm-serve` executes, so served and CLI metrics stay
-/// identical.
-pub fn run_policy(
-    config: &ColoConfig,
-    policy: impl Into<Policy>,
-    opts: &Options,
-    needs_warmup: bool,
-) -> SimReport {
-    scenario::run_sim(
-        opts.simulation(config.clone(), policy),
-        opts.warmup_slots(),
-        opts.slots(),
-        needs_warmup,
-    )
-}
-
 /// Warms up the lanes of `sims` flagged `true` through the sharded batch
 /// engine and hands every simulation back in input order. Dropping the
 /// warm-up run's reports performs exactly the metric reset
@@ -278,19 +262,50 @@ pub fn warmup_sims_batch(sims: Vec<(Simulation, bool)>, warmup_slots: u64) -> Ve
     lanes.into_iter().map(|s| s.expect("lane")).collect()
 }
 
-/// Runs pre-built simulations through the sharded batch engine: the lanes
-/// flagged `true` (learning policies) warm up together first via
-/// [`warmup_sims_batch`], then every lane runs the measured horizon in
-/// lockstep. Reports come back in input order, byte-identical to running
-/// each simulation alone through [`run_policy`] — this is the batched
-/// counterpart the flat experiment sweeps ride.
+/// Runs pre-built simulations through the sharded batch engine, one batch
+/// per shared trace allocation: within each, the lanes flagged `true`
+/// (learning policies) warm up together first via [`warmup_sims_batch`],
+/// then every lane of the batch runs the measured horizon in lockstep.
+/// Reports come back in input order, byte-identical to a scalar
+/// [`Simulation::warmup`] (when flagged) plus [`Simulation::run`] of each
+/// simulation alone.
+///
+/// Grouping by trace keeps every batch off the engine's transposed-copy
+/// path: lanes over different traces at one cursor would copy all their
+/// traces into one slot-major buffer (a year-long trace per lane in a
+/// utilization sweep), while lanes over one trace read it in place.
 pub fn run_sims_batch(
     sims: Vec<(Simulation, bool)>,
     warmup_slots: u64,
     slots: u64,
 ) -> Vec<SimReport> {
-    let warmed = warmup_sims_batch(sims, warmup_slots);
-    hbm_core::run_sharded(warmed, slots).reports
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, (sim, _)) in sims.iter().enumerate() {
+        match groups
+            .iter_mut()
+            .find(|g| std::ptr::eq(sims[g[0]].0.trace(), sim.trace()))
+        {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    let mut lanes: Vec<Option<(Simulation, bool)>> = sims.into_iter().map(Some).collect();
+    let mut reports: Vec<Option<SimReport>> = lanes.iter().map(|_| None).collect();
+    for group in groups {
+        let batch = group
+            .iter()
+            .map(|&i| lanes[i].take().expect("each lane is in one group"))
+            .collect();
+        let warmed = warmup_sims_batch(batch, warmup_slots);
+        let run = hbm_core::run_sharded(warmed, slots);
+        for (i, report) in group.into_iter().zip(run.reports) {
+            reports[i] = Some(report);
+        }
+    }
+    reports
+        .into_iter()
+        .map(|r| r.expect("every lane reports"))
+        .collect()
 }
 
 /// The canonical trio of repeated-attack policies at their default
@@ -310,4 +325,72 @@ pub fn summary_line(name: &str, m: &Metrics) -> String {
         m.mean_emergency_degradation(),
         m.outage_events,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hbm_core::{ForesightedPolicy, MyopicPolicy};
+    use hbm_units::Power;
+
+    fn parse(flags: &[&str]) -> Result<(Options, Vec<String>), String> {
+        let args: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+        Options::parse(&args)
+    }
+
+    #[test]
+    fn parse_rejects_horizons_that_overflow_the_slot_count() {
+        // 1.3e16 days × 1440 slots overflows u64 on its own; two halves of
+        // u64::MAX / 1440 overflow only when added.
+        let half = (u64::MAX / 1440 / 2 + 1).to_string();
+        for flags in [
+            vec!["fig12a", "--days", "13000000000000000"],
+            vec!["fig12a", "--warmup-days", "13000000000000000"],
+            vec!["fig12a", "--days", &half, "--warmup-days", &half],
+        ] {
+            let err = parse(&flags).expect_err(&flags.join(" "));
+            assert!(err.contains("overflows"), "{flags:?}: {err}");
+        }
+        let max = (u64::MAX / 1440).to_string();
+        let (opts, ids) = parse(&["fig12a", "--days", &max, "--warmup-days", "0"]).unwrap();
+        assert_eq!(ids, ["fig12a"]);
+        assert_eq!(opts.slots(), u64::MAX / 1440 * 1440);
+    }
+
+    #[test]
+    fn run_sims_batch_matches_scalar_runs_in_input_order() {
+        let opts = Options {
+            seed: 5,
+            ..Options::default()
+        };
+        let low = ColoConfig::paper_default().with_mean_utilization(0.60);
+        let high = ColoConfig::paper_default().with_mean_utilization(0.90);
+        // Lanes interleaved over two traces, warm-up flags mixed within each.
+        let build = || -> Vec<(Simulation, bool)> {
+            let myopic = || MyopicPolicy::new(Power::from_kilowatts(7.4));
+            let foresighted = || ForesightedPolicy::paper_default(14.0, opts.seed);
+            vec![
+                (opts.simulation(low.clone(), myopic()), false),
+                (opts.simulation(high.clone(), foresighted()), true),
+                (opts.simulation(low.clone(), foresighted()), true),
+                (opts.simulation(high.clone(), myopic()), false),
+                (opts.simulation(low.clone(), myopic()), true),
+                (opts.simulation(high.clone(), foresighted()), false),
+            ]
+        };
+        let (warmup_slots, slots) = (1440, 720);
+        let lanes = build();
+        assert!(std::ptr::eq(lanes[0].0.trace(), lanes[2].0.trace()));
+        assert!(std::ptr::eq(lanes[1].0.trace(), lanes[3].0.trace()));
+        assert!(!std::ptr::eq(lanes[0].0.trace(), lanes[1].0.trace()));
+        let batched = run_sims_batch(lanes, warmup_slots, slots);
+        assert_eq!(batched.len(), 6);
+        for (i, ((mut sim, needs_warmup), report)) in build().into_iter().zip(batched).enumerate() {
+            if needs_warmup {
+                sim.warmup(warmup_slots);
+            }
+            let scalar = sim.run(slots);
+            assert_eq!(format!("{report:?}"), format!("{scalar:?}"), "lane {i}");
+        }
+    }
 }

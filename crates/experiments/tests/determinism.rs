@@ -1,8 +1,9 @@
 //! The parallel harness must be invisible in the results: the same
 //! experiments, seed, and horizon must produce byte-identical CSVs
-//! whatever `--jobs` is set to. The heaviest trace-sharing figures are
-//! also pinned to FNV-1a digests of their CSVs, so a change to what the
-//! binary writes fails here, not only when `results/` is regenerated.
+//! whatever `--jobs` is set to. The figures that ride the batch engine
+//! (fig11bc, fig12a–e, setpoint, ablation) are also pinned to FNV-1a
+//! digests of their CSVs, so a change to what the binary writes fails
+//! here, not only when `results/` is regenerated.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -83,28 +84,61 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The figures that share one tenant trace most: fig11bc batches 18 lanes
-/// over it (the shared-trace warm-up, then a ragged measured batch), and
-/// fig12e builds its 36 scalar runs on it. A two-day horizon with one day
-/// of warm-up keeps the debug build under a second per run.
-#[test]
-fn trace_sharing_figures_match_pinned_digests() {
-    let csvs = csvs_across_jobs(
-        "pinned_digests",
-        &["fig11bc", "fig12e"],
-        &["--days", "2", "--warmup-days", "1"],
-    );
+/// Runs `ids` at `--days 2 --warmup-days 1 --seed 42` (at `--jobs 1` and
+/// `--jobs 4`) and asserts the FNV-1a digests of their CSVs. A two-day
+/// horizon with one day of warm-up keeps each debug run within seconds.
+fn assert_pinned_digests(name: &str, ids: &[&str], pinned: &[(&str, u64)]) {
+    let csvs = csvs_across_jobs(name, ids, &["--days", "2", "--warmup-days", "1"]);
     let digests: Vec<(&str, u64)> = csvs
         .iter()
         .map(|(name, bytes)| (name.as_str(), fnv1a(bytes)))
         .collect();
-    assert_eq!(digests, PINNED_DIGESTS, "a pinned figure's CSV changed");
+    assert_eq!(digests, pinned, "a pinned figure's CSV changed");
+}
+
+/// The figures that share one tenant trace most: fig11bc batches 18 lanes
+/// over it (the shared-trace warm-up, then a ragged measured batch), and
+/// fig12e batches its baseline and 35 headroom × battery lanes on it.
+#[test]
+fn trace_sharing_figures_match_pinned_digests() {
+    assert_pinned_digests(
+        "pinned_digests",
+        &["fig11bc", "fig12e"],
+        &TRACE_SHARING_DIGESTS,
+    );
+}
+
+/// The batched sweeps: fig12a–d (a Myopic and a warmed-up Foresighted lane
+/// per knob value; fig12d's utilizations give each value its own trace),
+/// setpoint (four Myopic lanes) and ablation (both learning rules stepped
+/// a fortnight at a time over its fixed 140-day horizon).
+#[test]
+fn batched_sweeps_match_pinned_digests() {
+    assert_pinned_digests(
+        "pinned_sweeps",
+        &[
+            "fig12a", "fig12b", "fig12c", "fig12d", "setpoint", "ablation",
+        ],
+        &SWEEP_DIGESTS,
+    );
 }
 
 /// Digests of the CSVs `experiments fig11bc fig12e --days 2 --warmup-days 1
 /// --seed 42` writes. A change that alters them must update them and the
 /// committed `results/` together, and say why.
-const PINNED_DIGESTS: [(&str, u64); 2] = [
+const TRACE_SHARING_DIGESTS: [(&str, u64); 2] = [
     ("fig11bc.csv", 0xd802_676a_b1c2_ed6c),
     ("fig12e.csv", 0x618c_6aaf_da9f_ab6d),
+];
+
+/// Digests of the CSVs `experiments fig12a fig12b fig12c fig12d setpoint
+/// ablation --days 2 --warmup-days 1 --seed 42` writes, computed with the
+/// scalar sweeps these figures ran before they moved onto the batch engine.
+const SWEEP_DIGESTS: [(&str, u64); 6] = [
+    ("ablation.csv", 0xa4ab_2ce4_8612_2d88),
+    ("fig12a.csv", 0x95b8_eb9d_81f3_a21f),
+    ("fig12b.csv", 0x9c50_bde4_3b78_78ee),
+    ("fig12c.csv", 0x0ae7_7bd9_5d34_f17f),
+    ("fig12d.csv", 0xe3f6_528e_5d35_c392),
+    ("setpoint.csv", 0xe083_0872_ead9_f1d0),
 ];
