@@ -1,7 +1,5 @@
 //! Aggregation of per-server battery packs.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Duration, Energy, Power};
 
 use crate::{Battery, BatterySpec};
@@ -32,7 +30,7 @@ use crate::{Battery, BatterySpec};
 /// let p = bank.discharge(Power::from_kilowatts(1.0), Duration::from_minutes(1.0));
 /// assert_eq!(p.as_kilowatts(), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatteryBank {
     packs: Vec<Battery>,
 }

@@ -36,12 +36,10 @@ mod validation;
 pub use bank::BatteryBank;
 pub use validation::{ups_experiment, UpsExperiment, UpsSample};
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Duration, Energy, Power};
 
 /// Static parameters of a battery (pack) as installed in a server PSU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatterySpec {
     /// Usable energy capacity `B̄`.
     pub capacity: Energy,
@@ -171,7 +169,7 @@ impl std::error::Error for BatterySpecError {}
 /// Both operations report how much power actually flowed on the *external*
 /// side (PDU draw for charging, server delivery for discharging), so the
 /// caller can meter it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
     spec: BatterySpec,
     stored: Energy,

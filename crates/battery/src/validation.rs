@@ -8,14 +8,12 @@
 //! charging slope is shallower than the discharging slope because conversion
 //! losses ride on top of the desktop load.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Duration, Energy, Power};
 
 use crate::{Battery, BatterySpec};
 
 /// Configuration of the UPS charge/discharge validation experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpsExperiment {
     /// Battery under test.
     pub spec: BatterySpec,
@@ -50,7 +48,7 @@ impl Default for UpsExperiment {
 }
 
 /// One sample of the recorded battery-energy trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpsSample {
     /// Time since the start of the experiment.
     pub elapsed: Duration,

@@ -233,7 +233,7 @@ fn sim_throughput(c: &mut Criterion) {
 /// Fleet-scale aggregate throughput: one iteration advances all 1000 sites
 /// by one slot, so aggregate slots/sec = 1000 × 1e9 / median_ns (the
 /// headline `scripts/bench_summary.sh` prints). The batched engine and the
-/// independent baseline step identical fleets — Fleet's seed schedule, the
+/// independent baseline step identical fleets — one seed per site, the
 /// myopic always-on attacker — so the ratio is pure engine speedup.
 fn fleet_throughput(c: &mut Criterion) {
     const SITES: usize = 1000;

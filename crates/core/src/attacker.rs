@@ -3,13 +3,12 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use hbm_rl::{BatchQLearning, EpsilonSchedule, LearningRate, QLearning, UniformGrid};
 use hbm_units::{Duration, Energy, Power, Temperature};
 
 /// What the attacker does in one slot (Section IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackAction {
     /// Recharge the built-in batteries from the PDU.
     Charge,
@@ -51,7 +50,7 @@ impl std::fmt::Display for AttackAction {
 }
 
 /// What the attacker can observe at the start of a slot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Slot index since simulation start.
     pub slot: u64,
@@ -71,7 +70,7 @@ pub struct Observation {
 }
 
 /// One completed slot, fed back to learning policies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
     /// The observation the decision was made on.
     pub observation: Observation,
@@ -251,7 +250,7 @@ impl RandomPolicy {
 /// **Myopic**: attacks greedily whenever the estimated load is above a
 /// threshold and the battery has energy, with no regard for the future
 /// (Section VI's greedy baseline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MyopicPolicy {
     threshold: Power,
     attack_load: Power,
@@ -306,7 +305,7 @@ impl MyopicPolicy {
 /// policies it keeps its *actual* load at peak straight through the
 /// operator's capping — the metered draw complies, the battery-fed heat
 /// does not.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OneShotPolicy {
     threshold: Power,
     triggered: bool,
@@ -605,16 +604,6 @@ impl ForesightedPolicy {
         self.teacher_days = days;
     }
 
-    /// Sets the minimum state of charge required to launch an attack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `soc` is outside `[0, 1]`.
-    pub fn set_min_launch_soc(&mut self, soc: f64) {
-        assert!((0.0..=1.0).contains(&soc), "SoC must be in [0, 1]");
-        self.min_launch_soc = soc;
-    }
-
     fn state_of(&self, soc: f64, estimated_total: Power, inlet: Temperature) -> usize {
         let b = Self::BATTERY_GRID.index(soc);
         let u = self.load_grid.index(estimated_total.as_kilowatts());
@@ -719,30 +708,6 @@ impl ForesightedPolicy {
                         AttackAction::from_index(a)
                     })
                     .collect()
-            })
-            .collect()
-    }
-
-    /// Per-action `(Q, V(post), Q + γ·V(post))` at the state holding the
-    /// given continuous coordinates — diagnostic view of the learnt tables.
-    pub fn cell_values(
-        &self,
-        soc: f64,
-        estimated_total: Power,
-        inlet: Temperature,
-    ) -> Vec<(AttackAction, f64, f64, f64)> {
-        let s = self.state_of(soc, estimated_total, inlet);
-        (0..AttackAction::COUNT)
-            .map(|a| match &self.agent {
-                Learner::Batch(agent) => {
-                    let q = agent.q_table().get(s, a);
-                    let v = agent.post_values()[self.post_map()(s, a)];
-                    (AttackAction::from_index(a), q, v, q + agent.gamma() * v)
-                }
-                Learner::Standard(agent) => {
-                    let q = agent.table().get(s, a);
-                    (AttackAction::from_index(a), q, 0.0, q)
-                }
             })
             .collect()
     }

@@ -1,7 +1,5 @@
 //! Simulation configuration (the paper's Table I).
 
-use serde::{Deserialize, Serialize};
-
 use hbm_battery::BatterySpec;
 use hbm_power::{EmergencyProtocol, ServerSpec};
 use hbm_sidechannel::SideChannelConfig;
@@ -13,7 +11,7 @@ use hbm_workload::{latency::LatencyModel, TraceConfig};
 ///
 /// [`ColoConfig::paper_default`] reproduces Table I; the `with_*` methods
 /// support the sensitivity sweeps of Fig. 12.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColoConfig {
     /// Total power/cooling capacity `C` (8 kW).
     pub capacity: Power,

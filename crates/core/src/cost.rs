@@ -1,7 +1,5 @@
 //! Cost estimates (Section VI-C).
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Energy, Power};
 
 use crate::Metrics;
@@ -11,7 +9,7 @@ use crate::Metrics;
 /// (amortized over 4 years), and a victim-side cost calibrated so the
 /// default Foresighted attack lands near the paper's ≈$60 K+/year estimate
 /// for the 8 kW colocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Power-capacity subscription, $ per kW per month.
     pub subscription_per_kw_month: f64,
@@ -40,7 +38,7 @@ impl CostModel {
 }
 
 /// Yearly cost breakdown of an attack campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostReport {
     /// Attacker: colocation subscription, $/yr.
     pub attacker_subscription: f64,

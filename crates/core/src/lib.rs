@@ -43,7 +43,6 @@ mod attacker;
 mod batch;
 mod config;
 mod cost;
-mod fleet;
 mod metrics;
 pub mod scenario;
 mod sim;
@@ -58,7 +57,6 @@ pub use attacker::{
 pub use batch::{run_sharded, run_sharded_recorded, BatchRun, BatchRunRecorded, BatchSim};
 pub use config::ColoConfig;
 pub use cost::{CostModel, CostReport};
-pub use fleet::{coordinated_one_shot, Fleet, FleetReport};
 pub use metrics::Metrics;
 pub use scenario::{Perturbation, Scenario};
 pub use sim::{SimReport, Simulation, SlotRecord};

@@ -1,7 +1,5 @@
 //! Aggregated evaluation metrics (Section V-A, "Evaluation metrics").
 
-use serde::{Deserialize, Serialize};
-
 use hbm_sidechannel::stats::Histogram;
 use hbm_units::{Duration, Energy, TemperatureDelta};
 
@@ -11,7 +9,7 @@ use hbm_units::{Duration, Energy, TemperatureDelta};
 /// (average inlet-temperature increase, temperature distribution, emergency
 /// time) and tenant-performance metrics (normalized 95th-percentile response
 /// time during emergencies).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Total simulated slots.
     pub slots: u64,
@@ -98,14 +96,6 @@ impl Metrics {
             return 0.0;
         }
         (self.slot * self.attack_slots as f64).as_hours() / days
-    }
-
-    /// Fraction of slots spent attacking.
-    pub fn attack_fraction(&self) -> f64 {
-        if self.slots == 0 {
-            return 0.0;
-        }
-        self.attack_slots as f64 / self.slots as f64
     }
 
     /// Mean normalized 95th-percentile response time during emergencies

@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use hbm_battery::Battery;
 use hbm_power::EmergencyProtocol;
 use hbm_sidechannel::VoltageSideChannel;
@@ -18,7 +16,7 @@ use crate::{AttackAction, ColoConfig, Metrics, Observation, Policy, Transition};
 
 /// One slot of recorded simulator state (drives the snapshot figures
 /// 8, 9, and 13).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotRecord {
     /// Slot index.
     pub slot: u64,
@@ -47,7 +45,7 @@ pub struct SlotRecord {
 }
 
 /// Result of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Name of the attack policy that ran.
     pub policy: String,
@@ -457,11 +455,6 @@ impl Simulation {
         &self.policy
     }
 
-    /// Mutable access to the attack policy.
-    pub fn policy_mut(&mut self) -> &mut Policy {
-        &mut self.policy
-    }
-
     /// Attaches a telemetry recorder; every subsequent slot emits one
     /// [`Sample`] (see `docs/TELEMETRY.md` for the channel schema).
     ///
@@ -472,11 +465,9 @@ impl Simulation {
         self.recorder = Some(recorder);
     }
 
-    /// Detaches and returns the recorder, flushing it first.
+    /// Detaches and returns the recorder; [`Recorder::flush`] it to learn
+    /// whether every sample reached its sink.
     pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.flush();
-        }
         self.recorder.take()
     }
 
@@ -609,19 +600,6 @@ impl Simulation {
             next_battery_stored: self.battery.stored(),
         });
         (record, raw_estimate)
-    }
-
-    /// The report for everything simulated so far, taking the metrics *by
-    /// move*: the simulation's own metrics are reset to empty (as after
-    /// [`Simulation::warmup`]), and the report carries the originals without
-    /// a clone. This is the hot exit path for fleet-scale runs, where
-    /// cloning a [`Metrics`] (histogram included) per site adds up.
-    pub fn take_report(&mut self) -> SimReport {
-        let metrics = std::mem::replace(&mut self.metrics, Metrics::new(self.config.slot));
-        SimReport {
-            policy: self.policy.name().to_string(),
-            metrics,
-        }
     }
 
     /// A deep copy of the live simulation that continues bit-identically

@@ -1,7 +1,5 @@
 //! Per-server calorimetry: pinpointing the attacker's servers.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Power, Temperature, TemperatureDelta};
 
 /// Specific heat of air, J/(kg·K).
@@ -9,7 +7,7 @@ const CP_AIR: f64 = 1005.0;
 
 /// One per-server measurement: inlet/outlet temperatures, exhaust airflow,
 /// and the metered electrical power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalorimeterReading {
     /// Server inlet temperature.
     pub inlet: Temperature,
@@ -58,7 +56,7 @@ impl CalorimeterReading {
 /// };
 /// assert!(!calorimeter.is_suspicious(&honest));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerCalorimeter {
     tolerance: Power,
 }

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use hbm_units::Power;
 
@@ -24,7 +23,7 @@ use hbm_units::Power;
 /// let p = inspection.detection_probability(4);
 /// assert!(p > 0.95);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MoveInInspection {
     /// Probability that any given server is actually inspected.
     pub coverage: f64,

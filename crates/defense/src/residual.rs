@@ -1,7 +1,5 @@
 //! Power/temperature cross-check: the behind-the-meter heat detector.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_telemetry::{ChannelValue, Recorder, Sample};
 use hbm_thermal::ZoneModel;
 use hbm_units::{Duration, Power, Temperature, TemperatureDelta};
@@ -39,7 +37,7 @@ use hbm_units::{Duration, Power, Temperature, TemperatureDelta};
 /// }
 /// assert!(fired);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalResidualDetector {
     twin: ZoneModel,
     threshold: TemperatureDelta,

@@ -1,7 +1,5 @@
 //! SLA-statistics monitoring: catching the attacker hiding in the noise.
 
-use serde::{Deserialize, Serialize};
-
 /// CUSUM monitor over thermal-emergency occurrences.
 ///
 /// Open-air-flow colocations see occasional emergencies even without
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert!(fired);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlaMonitor {
     baseline_rate: f64,
     slack: f64,

@@ -38,11 +38,6 @@ pub fn configure_threads(total: usize) {
     EXTRA_THREAD_BUDGET.fetch_add(new_extra - old_extra, Ordering::SeqCst);
 }
 
-/// The configured total thread count (1 = sequential).
-pub fn configured_threads() -> usize {
-    CONFIGURED.load(Ordering::SeqCst) as usize + 1
-}
-
 /// A borrow of extra threads from the process-wide budget, returned to
 /// the pool on drop.
 ///

@@ -1,11 +1,9 @@
 //! Thermal-emergency handling: the operator's power-capping protocol.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Duration, Power, Temperature};
 
 /// Current state of the emergency protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProtocolState {
     /// Inlet temperature within limits; no action.
     Normal,
@@ -45,7 +43,7 @@ impl ProtocolState {
 ///
 /// Drive it with one [`EmergencyProtocol::step`] per slot; it returns the
 /// state to apply *during the next slot*.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmergencyProtocol {
     /// Emergency temperature threshold (32 °C, ASHRAE allowable limit).
     pub threshold: Temperature,

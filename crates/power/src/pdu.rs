@@ -1,7 +1,5 @@
 //! PDU: capacity enforcement and per-tenant metering.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::Power;
 
 use crate::{Tenant, TenantId};
@@ -12,7 +10,7 @@ use crate::{Tenant, TenantId};
 /// uses as a proxy for the cooling load. An attacker discharging built-in
 /// batteries makes its actual heat exceed its metered draw — the titular
 /// "heat behind the meter".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeterReading {
     per_tenant: Vec<(TenantId, Power)>,
     total: Power,
@@ -45,7 +43,7 @@ impl MeterReading {
 /// tenant to its subscription (the operator's enforcement) — the paper's
 /// attacker always stays below its subscription *in metered terms*, so the
 /// clamp never fires for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pdu {
     capacity: Power,
     tenants: Vec<Tenant>,

@@ -1,7 +1,5 @@
 //! Server power model.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::Power;
 
 /// Power model of one physical server: linear in utilization between idle
@@ -19,7 +17,7 @@ use hbm_units::Power;
 /// assert_eq!(s.power_at(1.0), Power::from_watts(200.0));
 /// assert_eq!(s.power_at(0.0), Power::from_watts(60.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSpec {
     /// Power drawn at zero utilization.
     pub idle: Power,

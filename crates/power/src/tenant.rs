@@ -1,13 +1,11 @@
 //! Tenants and their subscriptions.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::Power;
 
 use crate::ServerSpec;
 
 /// Opaque identifier of a tenant within one colocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub usize);
 
 impl std::fmt::Display for TenantId {
@@ -19,7 +17,7 @@ impl std::fmt::Display for TenantId {
 /// One tenant of the colocation: a subscribed power capacity and the servers
 /// it houses. The operator's contract is entirely in terms of the metered
 /// PDU draw staying below `subscribed`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tenant {
     /// Identifier within the colocation.
     pub id: TenantId,
@@ -67,11 +65,6 @@ impl Tenant {
     /// Sum of the servers' peak powers.
     pub fn total_peak(&self) -> Power {
         self.servers.iter().map(|s| s.peak).sum()
-    }
-
-    /// Sum of the servers' idle powers.
-    pub fn total_idle(&self) -> Power {
-        self.servers.iter().map(|s| s.idle).sum()
     }
 
     /// Whether the tenant's metered draw would stay within its subscription

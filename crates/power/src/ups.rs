@@ -1,7 +1,5 @@
 //! Facility UPS model: the head of the paper's tree-type power hierarchy.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::Power;
 
 /// The colocation's double-conversion UPS.
@@ -31,7 +29,7 @@ use hbm_units::Power;
 /// assert!(utility > Power::from_kilowatts(8.0)); // losses
 /// assert!(ups.efficiency_at(Power::from_kilowatts(8.0)) > 0.9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ups {
     /// Rated (critical) output power.
     pub rating: Power,

@@ -1,7 +1,6 @@
 //! Batch Q-learning with post-decision states (the paper's Eqns. 3–7).
 
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::QTable;
 
@@ -34,7 +33,7 @@ use crate::QTable;
 /// let a = agent.select_greedy(0, &[0, 1], post);
 /// agent.update(0, a, 0.5, 2, &[0, 1], post, 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchQLearning {
     q: QTable,
     v: Box<[f64]>,

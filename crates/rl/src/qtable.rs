@@ -1,7 +1,5 @@
 //! Dense state–action value table.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense `states × actions` table of action values with visit counts.
 ///
 /// # Examples
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(q.best_action(1, &[0, 1]), 0);
 /// assert_eq!(q.max(1, &[0, 1]), 2.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTable {
     states: usize,
     actions: usize,
@@ -37,16 +35,6 @@ impl QTable {
             values: vec![0.0; states * actions].into_boxed_slice(),
             visits: vec![0; states * actions].into_boxed_slice(),
         }
-    }
-
-    /// Number of states.
-    pub fn state_count(&self) -> usize {
-        self.states
-    }
-
-    /// Number of actions.
-    pub fn action_count(&self) -> usize {
-        self.actions
     }
 
     fn idx(&self, s: usize, a: usize) -> usize {

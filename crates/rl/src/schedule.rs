@@ -1,14 +1,12 @@
 //! Learning-rate and exploration schedules.
 
-use serde::{Deserialize, Serialize};
-
 /// A learning-rate schedule `δ(t)`.
 ///
 /// The paper uses `δ(t) = 1/t^0.85`, re-evaluated once per *day* of
 /// simulated time (`t` = days elapsed, starting at 1) — the exponent comes
 /// from the Even-Dar & Mansour analysis of polynomial learning rates it
 /// cites.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LearningRate {
     /// Constant rate.
     Constant(f64),
@@ -40,7 +38,7 @@ impl LearningRate {
 }
 
 /// An ε-greedy exploration schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpsilonSchedule {
     /// Exploration probability at period 1.
     pub initial: f64,

@@ -1,7 +1,5 @@
 //! State-space discretization.
 
-use serde::{Deserialize, Serialize};
-
 /// A uniform grid over a closed interval, mapping continuous observations to
 /// bin indices and back.
 ///
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(grid.index(1.5), 9);   // clamped
 /// assert!((grid.center(4) - 0.45).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UniformGrid {
     lo: f64,
     hi: f64,

@@ -1,7 +1,6 @@
 //! Classic tabular Q-learning (the baseline the paper extends).
 
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::QTable;
 
@@ -21,7 +20,7 @@ use crate::QTable;
 /// agent.update(0, 1, 1.0, 1, &[0, 1], 0.5);
 /// assert!(agent.table().get(0, 1) > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QLearning {
     table: QTable,
     gamma: f64,

@@ -1,7 +1,5 @@
 //! Analog-to-digital converter model for the attacker's voltage tap.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple ADC: uniform quantization over a full-scale range plus
 /// input-referred Gaussian noise (applied by the caller; the ADC itself is
 /// deterministic so it can be tested exactly).
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let back = adc.to_volts(code);
 /// assert!((back - 208.3).abs() < adc.lsb_volts());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Adc {
     bits: u8,
     min_volts: f64,

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use hbm_units::Power;
 
@@ -13,7 +12,7 @@ use crate::{Adc, PduLine, PfcRipple};
 pub const NORMALS_PER_ESTIMATE: usize = 4;
 
 /// Configuration of the attacker's voltage side channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SideChannelConfig {
     /// Electrical model of the shared feed.
     pub line: PduLine,

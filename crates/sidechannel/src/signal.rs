@@ -1,7 +1,5 @@
 //! Electrical models of the shared PDU feed and the PFC ripple.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::Power;
 
 /// Electrical model of the shared PDU supply line.
@@ -10,7 +8,7 @@ use hbm_units::Power;
 /// nominal supply minus the IR drop across the shared cable, so the *total*
 /// current (∝ total power) is readable from any outlet — the physical root of
 /// the side channel (Fig. 5a of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PduLine {
     /// Nominal RMS supply voltage at the PDU input, in volts.
     pub nominal_volts: f64,
@@ -51,7 +49,7 @@ impl PduLine {
 /// switching residue leaks onto the feed; its amplitude grows with the
 /// aggregate load. The paper's estimator keys off this ripple because it is
 /// easier to separate from slow grid-voltage wander than the DC sag.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PfcRipple {
     /// Ripple amplitude at zero load, in millivolts.
     pub baseline_mv: f64,

@@ -5,8 +5,6 @@
 //! metrics. This module provides the few primitives those need, with exact,
 //! easily testable semantics.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-range histogram over `f64` samples.
 ///
 /// # Examples
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.overflow(), 1);
 /// assert!((h.fraction_within(-0.5, 0.5) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -144,7 +142,7 @@ impl Histogram {
 }
 
 /// Summary statistics of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Arithmetic mean.
     pub mean: f64,

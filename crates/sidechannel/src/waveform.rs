@@ -11,14 +11,13 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use hbm_units::Power;
 
 use crate::{PduLine, PfcRipple};
 
 /// Parameters of the synthesized PDU voltage waveform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaveformConfig {
     /// Mains frequency, Hz.
     pub mains_hz: f64,

@@ -58,8 +58,8 @@ pub use manifest::{
     deterministic_manifest_fields, fnv1a64, git_describe, RunManifest, MANIFEST_SCHEMA,
 };
 pub use record::{
-    parse_jsonl_line, sample_to_jsonl, ChannelValue, JsonlRecorder, MemoryRecorder, NullRecorder,
-    OwnedSample, Recorder, Sample,
+    parse_jsonl_line, sample_to_jsonl, ChannelValue, JsonlRecorder, MemoryRecorder, OwnedSample,
+    Recorder, Sample,
 };
 
 /// The crate version, for run manifests.

@@ -80,16 +80,14 @@ pub trait Recorder: Send {
     fn record(&mut self, sample: &Sample<'_>);
 
     /// Flushes buffered output (called at the end of a run).
-    fn flush(&mut self) {}
-}
-
-/// A recorder that drops everything (for exercising the recording path
-/// without output).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&mut self, _sample: &Sample<'_>) {}
+    ///
+    /// # Errors
+    ///
+    /// Returns the first I/O error met since the last flush: `record`
+    /// cannot report one, so the sink keeps it for here.
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// One owned recorded step, as stored by [`MemoryRecorder`].
@@ -126,11 +124,6 @@ impl MemoryRecorder {
     /// Everything recorded so far.
     pub fn samples(&self) -> &[OwnedSample] {
         &self.samples
-    }
-
-    /// Consumes the recorder and returns its samples.
-    pub fn into_samples(self) -> Vec<OwnedSample> {
-        self.samples
     }
 }
 
@@ -183,7 +176,8 @@ pub fn parse_jsonl_line(line: &str) -> Result<(u64, Vec<(String, JsonValue)>), S
 #[derive(Debug)]
 pub struct JsonlRecorder {
     out: BufWriter<File>,
-    line: String,
+    /// The first write error, kept for [`Recorder::flush`] to return.
+    error: Option<std::io::Error>,
 }
 
 impl JsonlRecorder {
@@ -198,27 +192,28 @@ impl JsonlRecorder {
         }
         Ok(JsonlRecorder {
             out: BufWriter::new(File::create(path)?),
-            line: String::new(),
+            error: None,
         })
     }
 }
 
 impl Recorder for JsonlRecorder {
     fn record(&mut self, sample: &Sample<'_>) {
-        self.line.clear();
-        self.line.push_str(&sample_to_jsonl(sample));
-        self.line.push('\n');
-        let _ = self.out.write_all(self.line.as_bytes());
+        let line = sample_to_jsonl(sample);
+        if let Err(e) = self
+            .out
+            .write_all(line.as_bytes())
+            .and_then(|()| self.out.write_all(b"\n"))
+        {
+            self.error.get_or_insert(e);
+        }
     }
 
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-impl Drop for JsonlRecorder {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.out.flush(),
+        }
     }
 }
 
@@ -281,7 +276,7 @@ mod tests {
                     channels: &channels,
                 });
             }
-            rec.flush();
+            rec.flush().unwrap();
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();

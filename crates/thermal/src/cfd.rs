@@ -27,8 +27,6 @@
 //! hot aisle. Mass is conserved exactly; energy is integrated explicitly
 //! with a sub-step safely below the smallest cell residence time.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Duration, Power, Temperature, TemperatureDelta};
 
 use crate::CoolingSystem;
@@ -37,7 +35,7 @@ use crate::CoolingSystem;
 const CP_AIR: f64 = 1005.0;
 
 /// Geometry and airflow configuration of the CFD-lite model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfdConfig {
     /// Number of racks (columns of servers).
     pub racks: usize,
@@ -236,11 +234,6 @@ impl CfdModel {
     pub fn max_inlet(&self) -> Temperature {
         let m = self.cold.iter().cloned().fold(f64::MIN, f64::max);
         Temperature::from_celsius(m)
-    }
-
-    /// Return-air temperature at the AC intake.
-    pub fn return_air(&self) -> Temperature {
-        Temperature::from_celsius(self.ret)
     }
 
     /// All inlet temperatures, rack-major.

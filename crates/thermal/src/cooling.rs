@@ -1,8 +1,6 @@
 //! Cooling plant model.
 
-use serde::{Deserialize, Serialize};
-
-use hbm_units::{Power, Temperature, TemperatureDelta};
+use hbm_units::{Power, Temperature};
 
 /// The computer-room air conditioner of the edge colocation.
 ///
@@ -14,7 +12,7 @@ use hbm_units::{Power, Temperature, TemperatureDelta};
 /// once the room is hot, even a modest residual overload keeps it climbing to
 /// the 45 °C shutdown limit. That derating is modeled linearly above
 /// `derate_onset`, floored at `min_capacity_fraction`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoolingSystem {
     /// Nameplate heat-removal capacity at the design point.
     pub capacity: Power,
@@ -94,11 +92,6 @@ impl CoolingSystem {
             return Err("minimum capacity fraction must be in [0, 1]".into());
         }
         Ok(())
-    }
-
-    /// Convenience: temperature delta of the room above the supply setpoint.
-    pub fn rise_above_supply(&self, room: Temperature) -> TemperatureDelta {
-        room - self.supply
     }
 }
 

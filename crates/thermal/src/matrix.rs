@@ -18,8 +18,6 @@
 //! CFD-extracted responses to an aggregate emergency model once the plant is
 //! overloaded.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Duration, Power, Temperature};
 
 use crate::{CfdConfig, CfdModel};
@@ -29,7 +27,7 @@ use crate::{CfdConfig, CfdModel};
 /// `response(source, receiver, lag)` is the inlet-temperature impact (kelvin
 /// per watt of spike power) at `receiver`, `lag` steps after a one-step
 /// spike at `source`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeatMatrix {
     servers: usize,
     lags: usize,

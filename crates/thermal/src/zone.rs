@@ -1,7 +1,5 @@
 //! Lumped-capacitance zone model of the contained container air.
 
-use serde::{Deserialize, Serialize};
-
 use hbm_units::{Duration, Power, Temperature, TemperatureDelta};
 
 use crate::CoolingSystem;
@@ -29,7 +27,7 @@ use crate::CoolingSystem;
 /// margin in 200 s — within the "< 4 minutes" the paper reports (Fig. 11a) —
 /// and `G = 700 W/K`, consistent with the CFD model's loop airflow
 /// (`ṁ·c_p ≈ 0.68 kW/K`), a ≈60 s pull-down time constant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZoneModel {
     cooling: CoolingSystem,
     /// Thermal capacitance of the zone air, J/K.

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Duration, Power, SECONDS_PER_HOUR};
 
 /// An energy quantity, stored internally in kilowatt-hours.
@@ -23,8 +21,7 @@ use crate::{Duration, Power, SECONDS_PER_HOUR};
 /// let runtime = battery / Power::from_kilowatts(1.0);
 /// assert!((runtime.as_minutes() - 12.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Duration, Energy, SECONDS_PER_HOUR};
 
 /// A power quantity, stored internally in watts.
@@ -25,8 +23,7 @@ use crate::{Duration, Energy, SECONDS_PER_HOUR};
 /// let actual = subscribed + battery_boost;
 /// assert_eq!(actual.as_kilowatts(), 1.8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power(f64);
 
 impl Power {

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute temperature in degrees Celsius.
 ///
 /// Server inlet temperature is the paper's central thermal metric: the AC
@@ -26,8 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let margin = emergency - setpoint;
 /// assert_eq!(margin.as_celsius(), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Temperature(f64);
 
 impl Temperature {
@@ -107,8 +104,7 @@ impl SubAssign<TemperatureDelta> for Temperature {
 ///
 /// Used for temperature rises above the setpoint (the paper's ΔT) and for
 /// thermal-model increments.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct TemperatureDelta(f64);
 
 impl TemperatureDelta {

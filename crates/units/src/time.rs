@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::SECONDS_PER_HOUR;
 
 /// A span of simulated time, stored internally in seconds.
@@ -23,8 +21,7 @@ use crate::SECONDS_PER_HOUR;
 /// let year = Duration::from_days(365.0);
 /// assert_eq!((year / slot).round() as u64, 525_600);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Duration(f64);
 
 impl Duration {

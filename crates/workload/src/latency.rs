@@ -17,8 +17,6 @@
 //! paper's anchor points hold (≈100 ms at full power and rated load, ≈400 ms
 //! at a 60 % cap for Web Service).
 
-use serde::{Deserialize, Serialize};
-
 /// Tail-latency model of one interactive application.
 ///
 /// All powers and loads are normalized: `power_frac` is the per-server power
@@ -35,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// let capped = m.t95_millis(0.6, m.rated_load());
 /// assert!(capped / normal > 3.0 && capped / normal < 5.0); // ≈4× (Fig. 14b)
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Fixed (network + minimum service) latency in milliseconds.
     base_ms: f64,

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use hbm_units::{Duration, Power};
 
@@ -12,7 +11,7 @@ use hbm_units::{Duration, Power};
 /// for the attack study is the *statistical character* — how often and how
 /// long the aggregate load dwells near the capacity, which is when thermal
 /// attacks are worthwhile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceShape {
     /// Interactive web traffic (Facebook/Baidu-like): pronounced diurnal
     /// swing, mild weekend dip, moderate noise. Used for the default
@@ -39,7 +38,7 @@ impl std::fmt::Display for TraceShape {
 }
 
 /// Configuration of a synthetic power trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Shape family.
     pub shape: TraceShape,
@@ -100,7 +99,7 @@ impl TraceConfig {
 /// Stores one aggregate power sample per slot. Indexing past the end wraps
 /// around, so shorter generated traces can drive longer simulations (and the
 /// year-long experiments can be smoke-tested with day-long traces).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     slot: Duration,
     samples: Vec<Power>,
