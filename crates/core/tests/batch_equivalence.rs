@@ -371,6 +371,101 @@ fn shared_trace_at_different_cursors_matches_sequential() {
     assert_batch_matches(fresh, shared, 3 * 1440, "shared-trace ragged");
 }
 
+/// Slots spanning at least three refills of the batch's trace window.
+const THREE_WINDOWS: u64 = 3 * BatchSim::TRACE_WINDOW as u64 + 7;
+
+/// A lane whose trace is shorter than the trace window wraps inside one
+/// refill, more than once per refill for the shortest.
+#[test]
+fn trace_shorter_than_the_window_wraps_inside_a_refill() {
+    let w = BatchSim::TRACE_WINDOW;
+    let make = || {
+        [w / 4 + 1, w - 1, 2 * w]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let config = ColoConfig::paper_default().with_trace_len(len);
+                Simulation::new(
+                    config,
+                    MyopicPolicy::new(Power::from_kilowatts(7.4)),
+                    1 + i as u64,
+                )
+            })
+            .collect()
+    };
+    assert_batch_matches_sequential(make, THREE_WINDOWS, "short-trace");
+}
+
+/// Trace lengths the window does not divide, with lanes pre-stepped so
+/// their cursors start mid-window and reach their traces' ends at
+/// different rows of a refill: one lane's refill ends one sample short of
+/// its trace's end and another's ends exactly on it. The first eight lanes
+/// fill one tile of the window, which some refills copy in one piece (no
+/// lane wraps) and others lane by lane; the ninth sits in a tile of its own.
+#[test]
+fn cursors_starting_mid_window_wrap_at_their_own_rows() {
+    let w = BatchSim::TRACE_WINDOW as u64;
+    let make = || {
+        [
+            (3 * w + 5, 0),
+            (3 * w + 5, 4),
+            (2 * w + 1, 1),
+            (5 * w - 1, 7),
+            (5 * w - 1, w / 5),
+            (5 * w - 1, 2 * w / 3),
+            (5 * w - 1, 2 * w + 40),
+            (5 * w - 1, 3 * w + 60),
+            (2 * w + 3, w + 9),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &(len, pre_step))| {
+            let config = ColoConfig::paper_default().with_trace_len(len as usize);
+            let seed = 7 + i as u64;
+            let mut sim = if i % 3 == 0 {
+                Simulation::new(config, ForesightedPolicy::paper_default(14.0, seed), seed)
+            } else {
+                Simulation::new(config, MyopicPolicy::new(Power::from_kilowatts(7.4)), seed)
+            };
+            sim.run(pre_step);
+            sim
+        })
+        .collect()
+    };
+    assert_batch_matches_sequential(make, 2 * THREE_WINDOWS, "mid-window");
+}
+
+/// Lanes that share one trace allocation gather alongside lanes that do
+/// not: the shared trace is read once per lane, at each lane's cursor.
+#[test]
+fn shared_and_own_traces_mix_in_one_window() {
+    let config = ColoConfig::paper_default().with_trace_len(2 * BatchSim::TRACE_WINDOW + 11);
+    let myopic = || MyopicPolicy::new(Power::from_kilowatts(7.4));
+    let store = TraceStore::new();
+    // Even lanes share the store's seed-1 trace; odd lanes and the last
+    // build their own (lane 1 over the same samples, in its own allocation).
+    let seeds = [1, 1, 1, 2, 1, 3, 1, 4, 5];
+    let batched: Vec<Simulation> = seeds
+        .iter()
+        .enumerate()
+        .map(|(i, &seed)| {
+            if i % 2 == 0 && i < 8 {
+                store.simulation(config.clone(), myopic(), seed)
+            } else {
+                Simulation::new(config.clone(), myopic(), seed)
+            }
+        })
+        .collect();
+    assert!(std::ptr::eq(batched[0].trace(), batched[6].trace()));
+    assert!(!std::ptr::eq(batched[0].trace(), batched[1].trace()));
+    assert_eq!(store.len(), 1);
+    let reference = seeds
+        .iter()
+        .map(|&seed| Simulation::new(config.clone(), myopic(), seed))
+        .collect();
+    assert_batch_matches(reference, batched, THREE_WINDOWS, "shared-and-own");
+}
+
 /// A checkpoint must not depend on which engine stepped the run: for every
 /// policy kind, a lane batched and handed back snapshots to exactly the
 /// JSON of the same lane stepped scalar, pending transition included.

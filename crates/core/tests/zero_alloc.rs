@@ -1,16 +1,18 @@
 //! Proof that the simulator's steady loop performs zero heap allocations
-//! per slot.
+//! per slot, and that building a batch copies no trace.
 //!
 //! A counting wrapper around the system allocator measures `Simulation::step`
 //! after construction and warm-up. This lives in its own integration-test
-//! binary with a single `#[test]`, because the counter is process-global:
-//! any concurrently running test would pollute it.
+//! binary, and its tests hold one lock while they count, because the
+//! counters are process-global: any concurrently running test would pollute
+//! them.
 //!
 //! The library forbids `unsafe`; this test crate needs it only to implement
 //! `GlobalAlloc` for the counting wrapper.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use hbm_core::{BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, Simulation};
 use hbm_units::Power;
@@ -18,22 +20,31 @@ use hbm_units::Power;
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by allocations (a reallocation counts its new size).
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Held by each test while it counts.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: delegates every operation to the system allocator unchanged; the
-// only addition is a relaxed atomic increment, which allocates nothing.
+// only addition is two relaxed atomic increments, which allocate nothing.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -49,6 +60,16 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
+}
+
+fn counting() -> MutexGuard<'static, ()> {
+    COUNTING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Steps `sim` for `slots` slots and returns how many heap allocations the
 /// stepping performed.
 fn allocations_during(sim: &mut Simulation, slots: u64) -> u64 {
@@ -62,6 +83,7 @@ fn allocations_during(sim: &mut Simulation, slots: u64) -> u64 {
 
 #[test]
 fn steady_loop_allocates_nothing() {
+    let _counting = counting();
     let config = ColoConfig::paper_default().with_trace_len(1440);
 
     // The learning attacker exercises the most machinery per slot: side
@@ -90,7 +112,9 @@ fn steady_loop_allocates_nothing() {
     // The batch engine's steady loop must be just as clean: all per-slot
     // scratch is preallocated at construction, so advancing a whole batch
     // (learning and non-learning lanes, across emergency episodes) performs
-    // zero allocations per slot.
+    // zero allocations per slot. The lanes' traces differ (one seed each),
+    // so phase 1 gathers them through the trace window, refilled many
+    // times over the day.
     let sims: Vec<Simulation> = (0..8)
         .map(|i| {
             let policy: hbm_core::Policy = if i % 2 == 0 {
@@ -142,5 +166,29 @@ fn steady_loop_allocates_nothing() {
     assert_eq!(
         learning_batched, 0,
         "batched learning steady loop must not touch the heap (got {learning_batched} allocations over a day)"
+    );
+}
+
+/// `BatchSim::new` copies no trace: over 8 lanes of distinct year-long
+/// traces (4.2 MB each) it allocates only per-lane state and the trace
+/// window.
+#[test]
+fn batch_new_copies_no_trace() {
+    let _counting = counting();
+    let config = ColoConfig::paper_default();
+    let sims: Vec<Simulation> = (0..8)
+        .map(|i| {
+            let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
+            Simulation::new(config.clone(), policy, 1 + i)
+        })
+        .collect();
+    assert_eq!(sims[0].trace().len(), 365 * 1440);
+    let before = allocated_bytes();
+    let batch = BatchSim::new(sims);
+    let bytes = allocated_bytes() - before;
+    std::hint::black_box(&batch);
+    assert!(
+        bytes < 1 << 20,
+        "BatchSim::new allocated {bytes} bytes over 8 lanes"
     );
 }

@@ -287,50 +287,19 @@ pub fn warmup_sims_batch(sims: Vec<(Simulation, bool)>, warmup_slots: u64) -> Ve
     lanes.into_iter().map(|s| s.expect("lane")).collect()
 }
 
-/// Runs pre-built simulations through the sharded batch engine, one batch
-/// per shared trace allocation: within each, the lanes flagged `true`
-/// (learning policies) warm up together first via [`warmup_sims_batch`],
-/// then every lane of the batch runs the measured horizon in lockstep.
-/// Reports come back in input order, byte-identical to a scalar
-/// [`Simulation::warmup`] (when flagged) plus [`Simulation::run`] of each
-/// simulation alone.
-///
-/// Grouping by trace keeps every batch off the engine's transposed-copy
-/// path: lanes over different traces at one cursor would copy all their
-/// traces into one slot-major buffer (a year-long trace per lane in a
-/// utilization sweep), while lanes over one trace read it in place.
+/// Runs pre-built simulations through the sharded batch engine as one
+/// batch: the lanes flagged `true` (learning policies) warm up together
+/// first via [`warmup_sims_batch`], then every lane runs the measured
+/// horizon in lockstep. Reports come back in input order, byte-identical to
+/// a scalar [`Simulation::warmup`] (when flagged) plus [`Simulation::run`]
+/// of each simulation alone.
 pub fn run_sims_batch(
     sims: Vec<(Simulation, bool)>,
     warmup_slots: u64,
     slots: u64,
 ) -> Vec<SimReport> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, (sim, _)) in sims.iter().enumerate() {
-        match groups
-            .iter_mut()
-            .find(|g| std::ptr::eq(sims[g[0]].0.trace(), sim.trace()))
-        {
-            Some(group) => group.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    let mut lanes: Vec<Option<(Simulation, bool)>> = sims.into_iter().map(Some).collect();
-    let mut reports: Vec<Option<SimReport>> = lanes.iter().map(|_| None).collect();
-    for group in groups {
-        let batch = group
-            .iter()
-            .map(|&i| lanes[i].take().expect("each lane is in one group"))
-            .collect();
-        let warmed = warmup_sims_batch(batch, warmup_slots);
-        let run = hbm_core::run_sharded(warmed, slots);
-        for (i, report) in group.into_iter().zip(run.reports) {
-            reports[i] = Some(report);
-        }
-    }
-    reports
-        .into_iter()
-        .map(|r| r.expect("every lane reports"))
-        .collect()
+    let warmed = warmup_sims_batch(sims, warmup_slots);
+    hbm_core::run_sharded(warmed, slots).reports
 }
 
 /// The canonical trio of repeated-attack policies at their default

@@ -22,8 +22,9 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Extra worker threads the whole process may have in flight, beyond the
-/// threads that call [`par_map`]. Negative is never stored; 0 means every
-/// `par_map` call runs sequentially.
+/// threads that call [`par_map`]. 0 or less means every `par_map` call runs
+/// sequentially. It goes negative when [`configure_threads`] lowers the
+/// level while leases are out, and comes back up as they return.
 static EXTRA_THREAD_BUDGET: AtomicIsize = AtomicIsize::new(0);
 static CONFIGURED: AtomicIsize = AtomicIsize::new(0);
 
@@ -153,18 +154,29 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::MutexGuard;
 
-    // The budget is process-global state shared by all #[test] threads, so
-    // each test configures generously rather than asserting exact counts.
+    /// The budget is process-global state shared by all #[test] threads:
+    /// every test that configures it or takes leases holds this lock, so
+    /// each sees only its own leases.
+    static BUDGET: Mutex<()> = Mutex::new(());
+
+    fn budget() -> MutexGuard<'static, ()> {
+        BUDGET
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn sequential_when_budget_is_zero() {
+        let _budget = budget();
         let out = par_map(vec![1, 2, 3], |x| x * 10);
         assert_eq!(out, vec![10, 20, 30]);
     }
 
     #[test]
     fn parallel_results_stay_in_input_order() {
+        let _budget = budget();
         configure_threads(4);
         let items: Vec<usize> = (0..100).collect();
         let out = par_map(items, |x| {
@@ -178,6 +190,7 @@ mod tests {
 
     #[test]
     fn nested_calls_do_not_deadlock() {
+        let _budget = budget();
         configure_threads(4);
         let out = par_map(vec![0usize, 1, 2], |outer| {
             par_map((0..5usize).collect(), move |inner| outer * 100 + inner)
@@ -189,18 +202,22 @@ mod tests {
 
     #[test]
     fn budget_is_released_after_use() {
+        let _budget = budget();
         configure_threads(3);
         for _ in 0..50 {
             let _ = par_map(vec![1, 2, 3, 4], |x| x + 1);
         }
         // If leases leaked, the budget would be exhausted and this would
-        // still work (sequentially) — so instead check the counter itself.
+        // still work (sequentially) — so instead check the counter itself:
+        // with every lease back, it holds the two extra threads of
+        // `configure_threads(3)`.
         let extra = super::EXTRA_THREAD_BUDGET.load(Ordering::SeqCst);
-        assert!(extra >= 0, "budget must never stay negative: {extra}");
+        assert_eq!(extra, 2, "every lease must come back");
     }
 
     #[test]
     fn every_item_processed_exactly_once() {
+        let _budget = budget();
         configure_threads(4);
         static HITS: AtomicUsize = AtomicUsize::new(0);
         let out = par_map((0..256usize).collect::<Vec<_>>(), |x| {
@@ -213,20 +230,20 @@ mod tests {
 
     #[test]
     fn reserved_threads_come_back_on_drop() {
+        let _budget = budget();
         configure_threads(4);
-        // The budget is shared with concurrently running tests, so assert
-        // only lease-local invariants: the grant is bounded by the request
-        // and the counter never goes negative once the lease returns.
         for _ in 0..20 {
             let lease = reserve_threads(2);
-            assert!(lease.granted() <= 2);
+            assert_eq!(lease.granted(), 2);
+            assert_eq!(super::EXTRA_THREAD_BUDGET.load(Ordering::SeqCst), 1);
             drop(lease);
-            assert!(super::EXTRA_THREAD_BUDGET.load(Ordering::SeqCst) >= 0);
+            assert_eq!(super::EXTRA_THREAD_BUDGET.load(Ordering::SeqCst), 3);
         }
     }
 
     #[test]
     fn empty_and_single_inputs() {
+        let _budget = budget();
         let empty: Vec<u8> = vec![];
         assert!(par_map(empty, |x| x).is_empty());
         assert_eq!(par_map(vec![9], |x| x + 1), vec![10]);

@@ -260,23 +260,31 @@ pub fn generate(config: &TraceConfig) -> PowerTrace {
     let params = ShapeParams::for_shape(config.shape);
 
     let slot_hours = config.slot.as_hours();
-    let mut memo = DiurnalMemo::new(config.len);
+    let mut memo = DiurnalMemo::default();
     let mut samples = Vec::with_capacity(config.len);
     let mut sum = Power::ZERO;
     let mut peak = Power::ZERO;
     let mut ar = 0.0_f64;
     let mut burst = 0.0_f64;
+    // The current day, the slot's position within it, and its weekly factor.
+    let mut day = u64::MAX;
+    let mut at = 0;
+    let mut weekly = 1.0;
     for k in 0..config.len {
-        let hours = k as f64 * slot_hours;
-        let day_phase = (hours / 24.0).fract();
-        let weekday = ((hours / 24.0).floor() as u64) % 7;
-
-        let diurnal = memo.diurnal(&params, day_phase);
-        let weekly = if weekday >= 5 {
-            params.weekend_factor
-        } else {
-            1.0
-        };
+        let days = k as f64 * slot_hours / 24.0;
+        let day_phase = days.fract();
+        let d = days.floor() as u64;
+        if d != day {
+            day = d;
+            at = 0;
+            weekly = if d % 7 >= 5 {
+                params.weekend_factor
+            } else {
+                1.0
+            };
+        }
+        let diurnal = memo.diurnal(&params, at, day_phase);
+        at += 1;
 
         ar = params.ar_coeff * ar + params.ar_sigma * rng.random::<f64>().mul_add(2.0, -1.0);
         if rng.random::<f64>() < params.burst_rate_per_slot * slot_hours * 60.0 {
@@ -296,60 +304,45 @@ pub fn generate(config: &TraceConfig) -> PowerTrace {
     PowerTrace::new(config.slot, samples)
 }
 
-/// Per-call memo of [`ShapeParams::diurnal`], keyed by the exact bits of
-/// the day phase, so a cached value is the very value the profile would
-/// compute. A year of 1-minute slots has only ~12.4 k distinct phases
-/// against 525.6 k slots.
+/// Per-call memo of [`ShapeParams::diurnal`], indexed by the slot's
+/// position within its day and keyed by the exact bits of the day phase,
+/// so a cached value is the very value the profile would compute. Days
+/// that start on the same phase repeat their phases position for position
+/// (a year of 1-minute slots has ~12.4 k distinct phases against 525.6 k
+/// slots), and the table is read in order.
 ///
-/// Open addressing with linear probing. The table is sized from the trace
-/// length and capped at [`DiurnalMemo::MAX_ENTRIES`]; it stops inserting
-/// once half full, so memory stays bounded, a probe always meets an empty
-/// entry, and phases past that point are evaluated directly.
+/// One entry per position; a phase that differs from the stored one
+/// replaces it. Positions past [`DiurnalMemo::MAX_ENTRIES`] are evaluated
+/// directly, so memory stays bounded for very short slots.
+#[derive(Default)]
 struct DiurnalMemo {
     entries: Vec<(u64, f64)>,
-    shift: u32,
-    inserts_left: usize,
 }
 
 impl DiurnalMemo {
     const MAX_ENTRIES: usize = 1 << 15;
-    /// Marks a free entry. A NaN bit pattern, never produced by
-    /// `f64::fract` (and looked up directly if it were).
-    const EMPTY: u64 = u64::MAX;
 
-    fn new(len: usize) -> Self {
-        let capacity = len
-            .saturating_mul(2)
-            .next_power_of_two()
-            .clamp(2, Self::MAX_ENTRIES);
-        DiurnalMemo {
-            entries: vec![(Self::EMPTY, 0.0); capacity],
-            shift: u64::BITS - capacity.trailing_zeros(),
-            inserts_left: capacity / 2,
-        }
-    }
-
-    fn diurnal(&mut self, params: &ShapeParams, phase: f64) -> f64 {
+    /// The profile at `phase`, the day phase of the slot at position `at`
+    /// of its day. Positions run 0, 1, 2, … within each day.
+    fn diurnal(&mut self, params: &ShapeParams, at: usize, phase: f64) -> f64 {
         let key = phase.to_bits();
-        if key == Self::EMPTY {
-            return params.diurnal(phase);
-        }
-        let mask = self.entries.len() - 1;
-        // Fibonacci hashing: the top bits of the product mix every key bit.
-        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
-        loop {
-            match self.entries[i] {
-                (k, value) if k == key => return value,
-                (Self::EMPTY, _) => break,
-                _ => i = (i + 1) & mask,
+        match self.entries.get_mut(at) {
+            Some((k, value)) => {
+                if *k != key {
+                    *k = key;
+                    *value = params.diurnal(phase);
+                }
+                *value
+            }
+            None => {
+                let value = params.diurnal(phase);
+                if at < Self::MAX_ENTRIES {
+                    debug_assert_eq!(at, self.entries.len());
+                    self.entries.push((key, value));
+                }
+                value
             }
         }
-        let value = params.diurnal(phase);
-        if self.inserts_left > 0 {
-            self.inserts_left -= 1;
-            self.entries[i] = (key, value);
-        }
-        value
     }
 }
 
@@ -521,27 +514,19 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_memo_stops_inserting_when_half_full() {
-        // 7 s slots: every slot of a day has its own phase, so 40 000 slots
-        // overflow the 2^15-entry table's half-full insert budget.
+    fn diurnal_memo_stops_at_the_cap() {
+        // 1 s slots: 86 400 positions a day, past the 2^15-entry cap, so
+        // the day's tail is evaluated directly and the table stops growing.
         let params = ShapeParams::for_shape(TraceShape::FacebookBaidu);
-        let slot_hours = Duration::from_seconds(7.0).as_hours();
-        let mut memo = DiurnalMemo::new(40_000);
-        assert_eq!(memo.entries.len(), DiurnalMemo::MAX_ENTRIES);
-        for pass in 0..2 {
-            for k in 0..40_000 {
-                let phase = (k as f64 * slot_hours / 24.0).fract();
-                let got = memo.diurnal(&params, phase);
-                assert_eq!(
-                    got.to_bits(),
-                    params.diurnal(phase).to_bits(),
-                    "pass {pass}"
-                );
-            }
+        let slot_hours = Duration::from_seconds(1.0).as_hours();
+        let per_day = 86_400;
+        let mut memo = DiurnalMemo::default();
+        for k in 0..2 * per_day {
+            let phase = (k as f64 * slot_hours / 24.0).fract();
+            let got = memo.diurnal(&params, k % per_day, phase);
+            assert_eq!(got.to_bits(), params.diurnal(phase).to_bits(), "slot {k}");
         }
-        assert_eq!(memo.inserts_left, 0);
-        let filled = memo.entries.iter().filter(|e| e.0 != DiurnalMemo::EMPTY);
-        assert_eq!(filled.count(), DiurnalMemo::MAX_ENTRIES / 2);
+        assert_eq!(memo.entries.len(), DiurnalMemo::MAX_ENTRIES);
     }
 
     #[test]

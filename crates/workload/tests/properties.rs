@@ -127,16 +127,16 @@ const ALTERNATE_YEAR_DIGEST: u64 = 0xefd2_0b88_061f_d517;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `generate` matches the reference loop sample for sample. Lengths
-    /// run past the diurnal memo's 2^15-entry cap, and 7 s slots give more
-    /// distinct day phases than the memo holds, so the "table full,
-    /// evaluate directly" path runs too.
+    /// `generate` matches the reference loop sample for sample. 1 s slots
+    /// put a day's positions past the diurnal memo's 2^15-entry cap (so the
+    /// "evaluate directly" path runs), 7 s slots shift every day's phases
+    /// against the stored ones, and 2-day slots start a new day every slot.
     #[test]
     fn generate_matches_reference_bit_for_bit(
         shape in any_shape(),
         seed in 0u64..u64::MAX,
         len in prop_oneof![1usize..100, 100usize..50_000],
-        slot_s in prop_oneof![Just(7.0), Just(60.0), Just(300.0)],
+        slot_s in prop_oneof![Just(1.0), Just(7.0), Just(60.0), Just(300.0), Just(172_800.0)],
         mean_kw in 3.0..6.5f64,
     ) {
         let config = TraceConfig {
