@@ -254,13 +254,16 @@ fn fleet_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_slots_per_sec");
     group.sample_size(10);
 
-    group.bench_function("batched", |b| {
-        let mut batch = BatchSim::new(fleet());
-        b.iter(|| black_box(batch.step_all()));
-    });
+    // Built and stepped through its first trace window once, outside the
+    // per-sample closure: samples then time steady slots, with the window
+    // refill paid once per `BatchSim::TRACE_WINDOW` slots as in a real run,
+    // not a fresh batch's first steps.
+    let mut batch = BatchSim::new(fleet());
+    batch.run(BatchSim::TRACE_WINDOW as u64);
+    group.bench_function("batched", |b| b.iter(|| black_box(batch.step_all())));
 
+    let mut sims = fleet();
     group.bench_function("independent_baseline", |b| {
-        let mut sims = fleet();
         b.iter(|| {
             let mut down = 0u32;
             for sim in &mut sims {
@@ -298,13 +301,16 @@ fn learning_fleet_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("learning_fleet_slots_per_sec");
     group.sample_size(10);
 
-    group.bench_function("batched", |b| {
-        let mut batch = BatchSim::new(fleet());
-        b.iter(|| black_box(batch.step_all()));
-    });
+    // Built and stepped through its first trace window once, outside the
+    // per-sample closure: samples then time steady slots, with the window
+    // refill paid once per `BatchSim::TRACE_WINDOW` slots as in a real run,
+    // not a fresh batch's first steps.
+    let mut batch = BatchSim::new(fleet());
+    batch.run(BatchSim::TRACE_WINDOW as u64);
+    group.bench_function("batched", |b| b.iter(|| black_box(batch.step_all())));
 
+    let mut sims = fleet();
     group.bench_function("independent", |b| {
-        let mut sims = fleet();
         b.iter(|| {
             let mut down = 0u32;
             for sim in &mut sims {
@@ -352,9 +358,11 @@ fn fork_vs_rerun(c: &mut Criterion) {
     let mut group = c.benchmark_group("fork_vs_rerun");
     group.sample_size(10);
 
+    // One trunk for every sample, like the fleets above: a sample times
+    // forks of a live run, not the first fork after a fresh rebuild.
+    let (mut trunk, _) = scenario.build_sim().expect("bench scenario builds");
+    trunk.run(FORK_SLOT);
     group.bench_function("fork", |b| {
-        let (mut trunk, _) = scenario.build_sim().expect("bench scenario builds");
-        trunk.run(FORK_SLOT);
         b.iter(|| {
             let mut tree = StateTree::new(trunk.fork(), scenario.clone());
             tree.branch("hotter", &hotter).expect("branch applies");

@@ -624,13 +624,17 @@ impl BatchSim {
     }
 }
 
-/// Outcome of a sharded batch run ([`run_sharded`]).
+/// Outcome of a sharded batch run ([`run_sharded`] or
+/// [`run_sharded_recorded`]).
 pub struct BatchRun {
     /// The scenarios, in input order, ready to keep stepping (their metrics
     /// were moved into `reports`).
     pub sims: Vec<Simulation>,
     /// Per-scenario reports, in input order.
     pub reports: Vec<SimReport>,
+    /// Per-scenario, per-slot records (`records[i][t]`), in input order;
+    /// empty unless the run was recorded.
+    pub records: Vec<Vec<SlotRecord>>,
     /// Per-slot count of scenarios that were down across the whole batch.
     pub down_per_slot: Vec<u32>,
 }
@@ -645,86 +649,85 @@ pub struct BatchRun {
 /// Because lanes never interact, the results are **byte-identical at any
 /// thread count** — a budget of one simply runs the shards sequentially.
 pub fn run_sharded(sims: Vec<Simulation>, slots: u64) -> BatchRun {
-    let lanes = sims.len();
-    if lanes == 0 {
-        return BatchRun {
-            sims,
-            reports: Vec::new(),
-            down_per_slot: vec![0; slots as usize],
-        };
-    }
-    let outcomes = hbm_par::par_map(shard_lanes(sims), |shard| {
-        let mut batch = BatchSim::new(shard);
-        let down = batch.run(slots);
-        let reports = batch.take_reports();
-        (batch.into_sims(), reports, down)
-    });
-    let mut sims = Vec::with_capacity(lanes);
-    let mut reports = Vec::with_capacity(lanes);
-    let mut down_per_slot = vec![0u32; slots as usize];
-    for (shard_sims, shard_reports, shard_down) in outcomes {
-        sims.extend(shard_sims);
-        reports.extend(shard_reports);
-        for (acc, d) in down_per_slot.iter_mut().zip(shard_down) {
-            *acc += d;
-        }
-    }
-    BatchRun {
-        sims,
-        reports,
-        down_per_slot,
-    }
-}
-
-/// Outcome of a sharded recorded batch run ([`run_sharded_recorded`]).
-pub struct BatchRunRecorded {
-    /// The scenarios, in input order, ready to keep stepping.
-    pub sims: Vec<Simulation>,
-    /// Per-scenario reports, in input order.
-    pub reports: Vec<SimReport>,
-    /// Per-scenario, per-slot records (`records[i][t]`), in input order.
-    pub records: Vec<Vec<SlotRecord>>,
-    /// Per-slot count of scenarios that were down across the whole batch.
-    pub down_per_slot: Vec<u32>,
+    shard_and_merge(sims, slots, false)
 }
 
 /// [`run_sharded`] plus every lane's per-slot [`SlotRecord`]s — the batched
 /// counterpart of [`Simulation::run_recorded`], with the same determinism
 /// contract (byte-identical at any thread count).
-pub fn run_sharded_recorded(sims: Vec<Simulation>, slots: u64) -> BatchRunRecorded {
+pub fn run_sharded_recorded(sims: Vec<Simulation>, slots: u64) -> BatchRun {
+    shard_and_merge(sims, slots, true)
+}
+
+fn shard_and_merge(sims: Vec<Simulation>, slots: u64, record: bool) -> BatchRun {
     let lanes = sims.len();
-    if lanes == 0 {
-        return BatchRunRecorded {
-            sims,
-            reports: Vec::new(),
-            records: Vec::new(),
-            down_per_slot: vec![0; slots as usize],
-        };
-    }
     let outcomes = hbm_par::par_map(shard_lanes(sims), |shard| {
         let mut batch = BatchSim::new(shard);
-        let (down, records) = batch.run_recorded(slots);
+        let (down, records) = if record {
+            batch.run_recorded(slots)
+        } else {
+            (batch.run(slots), Vec::new())
+        };
         let reports = batch.take_reports();
         (batch.into_sims(), reports, records, down)
     });
-    let mut sims = Vec::with_capacity(lanes);
-    let mut reports = Vec::with_capacity(lanes);
-    let mut records = Vec::with_capacity(lanes);
-    let mut down_per_slot = vec![0u32; slots as usize];
+    let mut run = BatchRun {
+        sims: Vec::with_capacity(lanes),
+        reports: Vec::with_capacity(lanes),
+        records: Vec::new(),
+        down_per_slot: vec![0; slots as usize],
+    };
     for (shard_sims, shard_reports, shard_records, shard_down) in outcomes {
-        sims.extend(shard_sims);
-        reports.extend(shard_reports);
-        records.extend(shard_records);
-        for (acc, d) in down_per_slot.iter_mut().zip(shard_down) {
+        run.sims.extend(shard_sims);
+        run.reports.extend(shard_reports);
+        run.records.extend(shard_records);
+        for (acc, d) in run.down_per_slot.iter_mut().zip(shard_down) {
             *acc += d;
         }
     }
-    BatchRunRecorded {
-        sims,
-        reports,
-        records,
-        down_per_slot,
+    run
+}
+
+/// Warms up the lanes of `sims` flagged `true` through the sharded batch
+/// engine and hands every simulation back in input order. Dropping the
+/// warm-up run's reports performs exactly the metric reset
+/// [`Simulation::warmup`] does, so each lane continues bit-identically to a
+/// scalar `warmup` call (the batch determinism contract).
+pub fn warmup_sims_batch(sims: Vec<(Simulation, bool)>, warmup_slots: u64) -> Vec<Simulation> {
+    let mut lanes: Vec<Option<Simulation>> = Vec::with_capacity(sims.len());
+    let mut warm = Vec::new();
+    let mut warm_at = Vec::new();
+    for (i, (sim, needs_warmup)) in sims.into_iter().enumerate() {
+        if needs_warmup && warmup_slots > 0 {
+            warm_at.push(i);
+            warm.push(sim);
+            lanes.push(None);
+        } else {
+            lanes.push(Some(sim));
+        }
     }
+    if !warm.is_empty() {
+        let warmed = run_sharded(warm, warmup_slots).sims;
+        for (i, sim) in warm_at.into_iter().zip(warmed) {
+            lanes[i] = Some(sim);
+        }
+    }
+    lanes.into_iter().map(|s| s.expect("lane")).collect()
+}
+
+/// Runs pre-built simulations through the sharded batch engine as one
+/// batch: the lanes flagged `true` (learning policies) warm up together
+/// first via [`warmup_sims_batch`], then every lane runs the measured
+/// horizon in lockstep. Reports come back in input order, byte-identical to
+/// a scalar [`Simulation::warmup`] (when flagged) plus [`Simulation::run`]
+/// of each simulation alone.
+pub fn run_sims_batch(
+    sims: Vec<(Simulation, bool)>,
+    warmup_slots: u64,
+    slots: u64,
+) -> Vec<SimReport> {
+    let warmed = warmup_sims_batch(sims, warmup_slots);
+    run_sharded(warmed, slots).reports
 }
 
 /// Partitions lanes into contiguous shards, one per worker the `hbm_par`
@@ -732,6 +735,9 @@ pub fn run_sharded_recorded(sims: Vec<Simulation>, slots: u64) -> BatchRunRecord
 /// threads for the actual work).
 fn shard_lanes(sims: Vec<Simulation>) -> Vec<Vec<Simulation>> {
     let lanes = sims.len();
+    if lanes == 0 {
+        return Vec::new();
+    }
     let workers = {
         let lease = hbm_par::reserve_threads(lanes.saturating_sub(1));
         (lease.granted() + 1).min(lanes)

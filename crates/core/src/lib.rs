@@ -54,7 +54,9 @@ pub use attacker::{
     AttackAction, ForesightedPolicy, Learner, MyopicPolicy, Observation, OneShotPolicy, Policy,
     RandomPolicy, Transition,
 };
-pub use batch::{run_sharded, run_sharded_recorded, BatchRun, BatchRunRecorded, BatchSim};
+pub use batch::{
+    run_sharded, run_sharded_recorded, run_sims_batch, warmup_sims_batch, BatchRun, BatchSim,
+};
 pub use config::ColoConfig;
 pub use cost::{CostModel, CostReport};
 pub use metrics::Metrics;

@@ -5,9 +5,10 @@
 //! tenant-mix and defense overrides) into a configured [`Simulation`] and
 //! run it. This module is that single code path, so served results can
 //! never drift from CLI results: both build policies with
-//! [`build_policy`]/[`default_policies`], run them with [`run_policy`],
-//! derive the cache/manifest key with [`Scenario::config_canonical`], and
-//! serialize the outcome with [`metrics_json`].
+//! [`build_policy`]/[`default_policies`], run them with [`Scenario::run`]
+//! or [`run_scenarios_batch`], derive the cache/manifest key with
+//! [`Scenario::config_canonical`], and serialize the outcome with
+//! [`metrics_json`].
 
 use std::sync::Arc;
 
@@ -64,22 +65,6 @@ pub fn default_policies(config: &ColoConfig, seed: u64) -> Vec<(String, Policy, 
             (name.to_string(), policy, warmup)
         })
         .collect()
-}
-
-/// Builds and runs a simulation, warming up learning policies first.
-pub fn run_policy(
-    config: &ColoConfig,
-    policy: impl Into<Policy>,
-    seed: u64,
-    warmup_slots: u64,
-    slots: u64,
-    needs_warmup: bool,
-) -> SimReport {
-    let mut sim = Simulation::new(config.clone(), policy, seed);
-    if needs_warmup {
-        sim.warmup(warmup_slots);
-    }
-    sim.run(slots)
 }
 
 /// Warm-up plus measured slots of a horizon given in days, or an error
@@ -297,16 +282,11 @@ impl Scenario {
     /// Returns a message for an unknown policy or invalid configuration;
     /// never panics on bad input.
     pub fn run(&self) -> Result<SimReport, String> {
-        let config = self.build_config()?;
-        let (policy, needs_warmup) = build_policy(&self.policy, &config, self.seed)?;
-        Ok(run_policy(
-            &config,
-            policy,
-            self.seed,
-            self.warmup_slots(),
-            self.slots(),
-            needs_warmup,
-        ))
+        let (mut sim, needs_warmup) = self.build_sim()?;
+        if needs_warmup {
+            sim.warmup(self.warmup_slots());
+        }
+        Ok(sim.run(self.slots()))
     }
 
     /// Serializes the scenario as one flat JSON object — the inverse of
@@ -495,32 +475,28 @@ impl BatchScenario {
     pub fn sites(&self) -> Vec<Scenario> {
         (0..self.count).map(|i| self.scenario.site(i)).collect()
     }
-
-    /// Runs the whole batch and returns per-site reports in site order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for an unknown policy or invalid configuration.
-    pub fn run(&self) -> Result<Vec<crate::SimReport>, String> {
-        run_scenarios_batch(&self.sites())
-    }
 }
 
-/// Runs a set of scenarios through the batch engine and returns their
-/// reports in input order, byte-identical to [`Scenario::run`] on each.
+/// Runs a set of scenarios and returns their reports in input order,
+/// byte-identical to [`Scenario::run`] on each.
 ///
-/// The scenarios may differ in seed and overrides but must agree on the
-/// horizon and on whether their policy learns, because the batch advances
-/// all lanes in lockstep (warm-up included).
+/// One scenario runs on the scalar engine ([`Scenario::run`]): a one-lane
+/// batch steps slower than a lone simulation. Two or more run in lockstep
+/// on the sharded batch engine ([`crate::run_sims_batch`]), so they may
+/// differ in seed, overrides and policy but must share the horizon; the
+/// lanes whose policy learns warm up together first.
 ///
 /// # Errors
 ///
 /// Returns a message for an empty batch, mismatched horizons, an unknown
 /// policy, or an invalid configuration.
-pub fn run_scenarios_batch(sites: &[Scenario]) -> Result<Vec<crate::SimReport>, String> {
-    let first = sites.first().ok_or("batch needs at least one scenario")?;
+pub fn run_scenarios_batch(sites: &[Scenario]) -> Result<Vec<SimReport>, String> {
+    let first = match sites {
+        [] => return Err("batch needs at least one scenario".into()),
+        [only] => return Ok(vec![only.run()?]),
+        [first, ..] => first,
+    };
     let mut sims = Vec::with_capacity(sites.len());
-    let mut needs_warmup = false;
     for (i, site) in sites.iter().enumerate() {
         if (site.days, site.warmup_days) != (first.days, first.warmup_days) {
             return Err(format!(
@@ -528,27 +504,13 @@ pub fn run_scenarios_batch(sites: &[Scenario]) -> Result<Vec<crate::SimReport>, 
                 site.days, site.warmup_days, first.days, first.warmup_days
             ));
         }
-        let config = site.build_config()?;
-        let (policy, warmup) = build_policy(&site.policy, &config, site.seed)?;
-        if i == 0 {
-            needs_warmup = warmup;
-        } else if warmup != needs_warmup {
-            return Err(format!(
-                "batch scenarios must agree on learning warm-up: site {i} ({}) differs from site 0 ({})",
-                site.policy, first.policy
-            ));
-        }
-        sims.push(Simulation::new(config, policy, site.seed));
+        sims.push(site.build_sim()?);
     }
-    let sims = if needs_warmup && first.warmup_slots() > 0 {
-        // run_sharded moves the warm-up metrics out with its reports, so
-        // dropping them leaves each lane freshly metered — exactly
-        // `Simulation::warmup` semantics.
-        crate::run_sharded(sims, first.warmup_slots()).sims
-    } else {
-        sims
-    };
-    Ok(crate::run_sharded(sims, first.slots()).reports)
+    Ok(crate::run_sims_batch(
+        sims,
+        first.warmup_slots(),
+        first.slots(),
+    ))
 }
 
 /// Serializes a run's aggregate metrics as one flat JSON line — the
@@ -645,16 +607,21 @@ mod tests {
 
     #[test]
     fn scenario_run_matches_default_policies_path() {
-        // The CLI builds its trio through default_policies + run_policy;
-        // the server builds one policy through Scenario::run. Same
-        // canonical config must mean identical Metrics.
+        // The CLI's sweeps build their trio through default_policies and
+        // step a Simulation of each; the server and the CLI's `simulate`
+        // build one policy through Scenario::run. Same canonical config
+        // must mean identical Metrics.
         let s = golden();
         let config = ColoConfig::paper_default();
         let (name, policy, warmup) = default_policies(&config, s.seed)
             .into_iter()
             .find(|(name, _, _)| name == "myopic")
             .unwrap();
-        let cli = run_policy(&config, policy, s.seed, s.warmup_slots(), s.slots(), warmup);
+        let mut sim = Simulation::new(config, policy, s.seed);
+        if warmup {
+            sim.warmup(s.warmup_slots());
+        }
+        let cli = sim.run(s.slots());
         let served = s.run().unwrap();
         assert_eq!(name, s.policy);
         assert_eq!(cli.metrics, served.metrics);

@@ -4,9 +4,10 @@
 //! invariant.
 
 use hbm_battery::BatterySpec;
+use hbm_core::scenario::run_scenarios_batch;
 use hbm_core::{
     run_sharded, BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, OneShotPolicy, Policy,
-    RandomPolicy, SimReport, Simulation, SlotRecord, TraceStore,
+    RandomPolicy, Scenario, SimReport, Simulation, SlotRecord, TraceStore,
 };
 use hbm_units::Power;
 
@@ -596,4 +597,58 @@ fn sharded_run_is_thread_count_invariant() {
         assert_eq!(run.sims.len(), reports_ref.len());
     }
     hbm_par::configure_threads(1);
+}
+
+/// A `policy` scenario at `seed`: one warm-up day, then one measured day.
+fn short_scenario(policy: &str, seed: u64) -> Scenario {
+    let mut s = Scenario::new(policy);
+    s.days = 1;
+    s.warmup_days = 1;
+    s.seed = seed;
+    s
+}
+
+#[test]
+fn one_scenario_batch_is_the_scalar_run() {
+    let site = short_scenario("foresighted", 3);
+    let batch = run_scenarios_batch(std::slice::from_ref(&site)).unwrap();
+    let scalar = site.run().unwrap();
+    assert_eq!(batch.len(), 1);
+    assert_eq!(format!("{:?}", batch[0]), format!("{scalar:?}"));
+}
+
+#[test]
+fn scenario_batch_mixes_learning_and_fixed_policies() {
+    // Only the foresighted sites warm up; every site still matches its
+    // own scalar run, in input order.
+    let sites = [
+        short_scenario("myopic", 1),
+        short_scenario("foresighted", 2),
+        short_scenario("random", 3),
+        short_scenario("foresighted", 4),
+    ];
+    let batch = run_scenarios_batch(&sites).unwrap();
+    assert_eq!(batch.len(), sites.len());
+    for (site, report) in sites.iter().zip(&batch) {
+        let scalar = site.run().unwrap();
+        assert_eq!(
+            format!("{report:?}"),
+            format!("{scalar:?}"),
+            "{}",
+            site.policy
+        );
+    }
+}
+
+#[test]
+fn scenario_batch_refuses_mismatched_horizons() {
+    let mut longer = short_scenario("myopic", 2);
+    longer.days = 2;
+    let err = run_scenarios_batch(&[short_scenario("myopic", 1), longer]).unwrap_err();
+    assert!(err.contains("share the horizon"), "{err}");
+    let mut colder = short_scenario("myopic", 2);
+    colder.warmup_days = 0;
+    let err = run_scenarios_batch(&[short_scenario("myopic", 1), colder]).unwrap_err();
+    assert!(err.contains("share the horizon"), "{err}");
+    assert!(run_scenarios_batch(&[]).is_err());
 }

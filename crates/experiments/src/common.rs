@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hbm_core::{scenario, ColoConfig, Metrics, Policy, SimReport, Simulation, TraceStore};
+use hbm_core::{scenario, ColoConfig, Metrics, Policy, Simulation, TraceStore};
 
 /// Count of I/O failures (CSV, manifest, timings JSON) across the whole
 /// run; the driver exits nonzero when any write failed, so automation
@@ -260,48 +260,6 @@ pub fn heading(out: &mut Sink, title: &str) {
     out.line(format!("=== {title} ==="));
 }
 
-/// Warms up the lanes of `sims` flagged `true` through the sharded batch
-/// engine and hands every simulation back in input order. Dropping the
-/// warm-up run's reports performs exactly the metric reset
-/// [`Simulation::warmup`] does, so each lane continues bit-identically to a
-/// scalar `warmup` call (the batch determinism contract).
-pub fn warmup_sims_batch(sims: Vec<(Simulation, bool)>, warmup_slots: u64) -> Vec<Simulation> {
-    let mut lanes: Vec<Option<Simulation>> = Vec::with_capacity(sims.len());
-    let mut warm = Vec::new();
-    let mut warm_at = Vec::new();
-    for (i, (sim, needs_warmup)) in sims.into_iter().enumerate() {
-        if needs_warmup && warmup_slots > 0 {
-            warm_at.push(i);
-            warm.push(sim);
-            lanes.push(None);
-        } else {
-            lanes.push(Some(sim));
-        }
-    }
-    if !warm.is_empty() {
-        let warmed = hbm_core::run_sharded(warm, warmup_slots).sims;
-        for (i, sim) in warm_at.into_iter().zip(warmed) {
-            lanes[i] = Some(sim);
-        }
-    }
-    lanes.into_iter().map(|s| s.expect("lane")).collect()
-}
-
-/// Runs pre-built simulations through the sharded batch engine as one
-/// batch: the lanes flagged `true` (learning policies) warm up together
-/// first via [`warmup_sims_batch`], then every lane runs the measured
-/// horizon in lockstep. Reports come back in input order, byte-identical to
-/// a scalar [`Simulation::warmup`] (when flagged) plus [`Simulation::run`]
-/// of each simulation alone.
-pub fn run_sims_batch(
-    sims: Vec<(Simulation, bool)>,
-    warmup_slots: u64,
-    slots: u64,
-) -> Vec<SimReport> {
-    let warmed = warmup_sims_batch(sims, warmup_slots);
-    hbm_core::run_sharded(warmed, slots).reports
-}
-
 /// The canonical trio of repeated-attack policies at their default
 /// settings (shared with `hbm-serve` via [`hbm_core::scenario`]).
 pub fn default_policies(config: &ColoConfig, opts: &Options) -> Vec<(String, Policy, bool)> {
@@ -324,7 +282,7 @@ pub fn summary_line(name: &str, m: &Metrics) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbm_core::{ForesightedPolicy, MyopicPolicy};
+    use hbm_core::{run_sims_batch, ForesightedPolicy, MyopicPolicy};
     use hbm_units::Power;
 
     fn parse(flags: &[&str]) -> Result<(Options, Vec<String>), String> {

@@ -3,16 +3,13 @@
 
 use hbm_battery::BatterySpec;
 use hbm_core::{
-    AttackAction, ColoConfig, CostModel, ForesightedPolicy, MyopicPolicy, OneShotPolicy, Policy,
-    RandomPolicy, Simulation, SlotRecord,
+    run_sims_batch, warmup_sims_batch, AttackAction, ColoConfig, CostModel, ForesightedPolicy,
+    MyopicPolicy, OneShotPolicy, Policy, RandomPolicy, Simulation, SlotRecord,
 };
 use hbm_units::Power;
 use hbm_workload::TraceShape;
 
-use crate::common::{
-    close_trace, heading, run_sims_batch, summary_line, trace_recorder, warmup_sims_batch,
-    write_csv, Options, Sink,
-};
+use crate::common::{close_trace, heading, summary_line, trace_recorder, write_csv, Options, Sink};
 use crate::outln;
 
 /// Fig. 8: one-shot attack demonstration (30-minute window).

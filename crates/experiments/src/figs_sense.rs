@@ -1,10 +1,10 @@
 //! Sensitivity figures: 11a and 12a–e.
 
-use hbm_core::{ColoConfig, ForesightedPolicy, MyopicPolicy, Simulation};
+use hbm_core::{run_sims_batch, ColoConfig, ForesightedPolicy, MyopicPolicy, Simulation};
 use hbm_thermal::{CoolingSystem, ZoneModel};
 use hbm_units::{Energy, Power, Temperature};
 
-use crate::common::{heading, run_sims_batch, write_csv, Options, Sink};
+use crate::common::{heading, write_csv, Options, Sink};
 use crate::outln;
 
 /// Fig. 11a: time for the inlet to exceed 32 °C vs cooling overload, for

@@ -94,15 +94,11 @@ impl ScenarioCache {
         (result, !computed)
     }
 
-    /// Returns the cached result for `key` if one is already resident
-    /// (counting a hit), without creating or claiming a cell. Used by the
-    /// batch path to split a request into cached sites and sites still to
-    /// compute; a cell another thread is mid-computing reads as absent.
-    pub fn lookup(&self, key: &str) -> Option<Result<Arc<String>, String>> {
-        let cell = self.map.lock().expect("cache poisoned").get(key).cloned()?;
-        let result = cell.get()?.clone();
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(result)
+    /// Whether `key` has a cell, resident or still being computed, without
+    /// counting a hit or creating a cell. A simulate job asks this to skip
+    /// later sites another request already answers.
+    pub fn contains(&self, key: &str) -> bool {
+        self.map.lock().expect("cache poisoned").contains_key(key)
     }
 
     /// Snapshot of the hit/miss counters and resident entry count.

@@ -18,8 +18,8 @@
 //!   responds with the same metrics JSON line the CLI's `simulate`
 //!   subcommand prints (byte-identical for the same canonical config).
 //! * `POST /v1/batch-simulate` — a scenario template plus `count`,
-//!   answered by the batch engine, site-for-site cache-compatible with
-//!   single simulates.
+//!   site-for-site cache-compatible with single simulates: both routes
+//!   are one job, and `/v1/simulate` is its batch of one.
 //! * `GET /v1/health`, `GET /v1/metrics` — liveness and flat-JSON
 //!   counters.
 //!

@@ -105,35 +105,47 @@ impl Default for ServeConfig {
 /// What a queued job asks a worker to do. Every variant was fully
 /// validated on the accept thread; workers only see well-formed work.
 enum JobKind {
-    /// Run (or serve from cache) one scenario.
+    /// Run (or serve from cache) the seed-staggered sites of `scenario`,
+    /// the site-0 template: one site for `/v1/simulate` (`count: None`),
+    /// `count` sites for `/v1/batch-simulate`.
     Simulate {
         scenario: Scenario,
-        canonical: String,
+        count: Option<u64>,
     },
-    /// Run a seed-staggered batch (`scenario` is the site-0 template).
-    Batch { scenario: Scenario, count: u64 },
+    /// Operate on the experiment platform.
+    Experiment(ExperimentOp),
+}
+
+/// One experiment lifecycle operation.
+enum ExperimentOp {
     /// Create an experiment (runs warm-up, writes the first checkpoint).
-    ExperimentCreate { scenario: Scenario },
+    Create { scenario: Scenario },
     /// Step an experiment by `slots`.
-    ExperimentStep { id: String, slots: u64 },
+    Step { id: String, slots: u64 },
     /// Apply a mid-run perturbation to an experiment.
-    ExperimentPerturb {
+    Perturb {
         id: String,
         perturbation: Perturbation,
     },
     /// Add a branch to an experiment's what-if tree (rooting the tree at
     /// the current state on the first fork).
-    ExperimentFork {
+    Fork {
         id: String,
         label: Option<String>,
         perturbation: Perturbation,
     },
     /// Advance every branch of an experiment's tree in lockstep.
-    ExperimentBranchStep { id: String, slots: u64 },
+    BranchStep { id: String, slots: u64 },
     /// Drop an experiment's branch tree.
-    ExperimentBranchDelete { id: String },
+    BranchDelete { id: String },
     /// Delete an experiment and its on-disk state.
-    ExperimentDelete { id: String },
+    Delete { id: String },
+}
+
+impl From<ExperimentOp> for JobKind {
+    fn from(op: ExperimentOp) -> Self {
+        JobKind::Experiment(op)
+    }
 }
 
 /// One accepted request, parked in the queue until a worker picks it up
@@ -367,8 +379,8 @@ fn dispatch(
     match (request.method.as_str(), pattern) {
         ("GET", "/v1/health") => respond(&mut stream, 200, &health_body(shared, workers)),
         ("GET", "/v1/metrics") => respond(&mut stream, 200, &metrics_body(shared, workers)),
-        ("POST", "/v1/simulate") => simulate(shared, request, stream),
-        ("POST", "/v1/batch-simulate") => batch_simulate(shared, request, stream),
+        ("POST", "/v1/simulate") => simulate(shared, request, stream, false),
+        ("POST", "/v1/batch-simulate") => simulate(shared, request, stream, true),
         ("GET", "/v1/experiments") => {
             sweep_experiments(shared);
             respond(&mut stream, 200, &experiment_list_body(shared));
@@ -376,7 +388,7 @@ fn dispatch(
         ("POST", "/v1/experiments") => experiment_create(shared, request, stream),
         ("DELETE", "/v1/experiments/{id}") => enqueue(
             shared,
-            JobKind::ExperimentDelete {
+            ExperimentOp::Delete {
                 id: id.expect("route binds id"),
             },
             stream,
@@ -402,7 +414,7 @@ fn dispatch(
         }
         ("DELETE", "/v1/experiments/{id}/branches") => enqueue(
             shared,
-            JobKind::ExperimentBranchDelete {
+            ExperimentOp::BranchDelete {
                 id: id.expect("route binds id"),
             },
             stream,
@@ -451,8 +463,11 @@ fn sweep_experiments(shared: &Shared) {
 }
 
 /// Queues a validated job, shedding with `503` when the queue is full.
-fn enqueue(shared: &Shared, kind: JobKind, stream: TcpStream) {
-    let job = Job { kind, stream };
+fn enqueue(shared: &Shared, kind: impl Into<JobKind>, stream: TcpStream) {
+    let job = Job {
+        kind: kind.into(),
+        stream,
+    };
     match shared.queue.try_push(job) {
         Ok(()) => ServeMetrics::bump(&shared.metrics.simulate_accepted),
         Err(mut job) => {
@@ -518,54 +533,34 @@ fn within_horizon_limit(
     None
 }
 
-/// Validates a `/v1/simulate` body and enqueues the job.
-fn simulate(shared: &Shared, request: Request, mut stream: TcpStream) {
-    match parse_scenario(&request.body) {
-        Ok(scenario) => {
-            if let Some(stream) = within_horizon_limit(shared, &scenario, stream) {
-                enqueue(
-                    shared,
-                    JobKind::Simulate {
-                        canonical: scenario.config_canonical(),
-                        scenario,
-                    },
-                    stream,
-                );
-            }
-        }
-        Err(message) => respond_api_error(shared, &mut stream, (400, message)),
-    }
-}
-
-/// Validates a `/v1/batch-simulate` body and enqueues the job: one
-/// scenario template plus a site count, rejected with `413` when the count
-/// exceeds [`ServeConfig::max_batch`] or a site's horizon exceeds
-/// [`ServeConfig::max_step_slots`]. The worker runs the sites through the
-/// batch engine.
-fn batch_simulate(shared: &Shared, request: Request, mut stream: TcpStream) {
+/// Validates a `/v1/simulate` body (one scenario) or, when `batch`, a
+/// `/v1/batch-simulate` body (a scenario template plus a site count) and
+/// enqueues the job. Answers `413` when a batch's count exceeds
+/// [`ServeConfig::max_batch`] or a site's horizon exceeds
+/// [`ServeConfig::max_step_slots`].
+fn simulate(shared: &Shared, request: Request, mut stream: TcpStream, batch: bool) {
     let parsed = body_text(&request.body)
-        .and_then(BatchScenario::from_flat_json)
-        .and_then(|batch| runnable(&batch.scenario).map(|()| batch));
-    let batch = match parsed {
-        Ok(batch) => batch,
+        .and_then(|text| {
+            if batch {
+                BatchScenario::from_flat_json(text).map(|b| (b.scenario, Some(b.count)))
+            } else {
+                Scenario::from_flat_json(text).map(|scenario| (scenario, None))
+            }
+        })
+        .and_then(|(scenario, count)| runnable(&scenario).map(|()| (scenario, count)));
+    let (scenario, count) = match parsed {
+        Ok(job) => job,
         Err(message) => return respond_api_error(shared, &mut stream, (400, message)),
     };
-    if batch.count > shared.config.max_batch as u64 {
+    if let Some(count) = count.filter(|&n| n > shared.config.max_batch as u64) {
         let message = format!(
-            "count {} exceeds the batch limit {}",
-            batch.count, shared.config.max_batch
+            "count {count} exceeds the batch limit {}",
+            shared.config.max_batch
         );
         return respond_api_error(shared, &mut stream, (413, message));
     }
-    if let Some(stream) = within_horizon_limit(shared, &batch.scenario, stream) {
-        enqueue(
-            shared,
-            JobKind::Batch {
-                scenario: batch.scenario,
-                count: batch.count,
-            },
-            stream,
-        );
+    if let Some(stream) = within_horizon_limit(shared, &scenario, stream) {
+        enqueue(shared, JobKind::Simulate { scenario, count }, stream);
     }
 }
 
@@ -576,7 +571,7 @@ fn experiment_create(shared: &Shared, request: Request, mut stream: TcpStream) {
     match parse_scenario(&request.body) {
         Ok(scenario) => {
             if let Some(stream) = within_horizon_limit(shared, &scenario, stream) {
-                enqueue(shared, JobKind::ExperimentCreate { scenario }, stream);
+                enqueue(shared, ExperimentOp::Create { scenario }, stream);
             }
         }
         Err(message) => respond_api_error(shared, &mut stream, (400, message)),
@@ -620,7 +615,7 @@ fn validated_slots(
 /// enqueues the step.
 fn experiment_step(shared: &Shared, id: String, request: Request, stream: TcpStream) {
     if let Some((slots, stream)) = validated_slots(shared, &request, stream) {
-        enqueue(shared, JobKind::ExperimentStep { id, slots }, stream);
+        enqueue(shared, ExperimentOp::Step { id, slots }, stream);
     }
 }
 
@@ -628,7 +623,7 @@ fn experiment_step(shared: &Shared, id: String, request: Request, stream: TcpStr
 /// enqueues the lockstep branch step.
 fn experiment_branch_step(shared: &Shared, id: String, request: Request, stream: TcpStream) {
     if let Some((slots, stream)) = validated_slots(shared, &request, stream) {
-        enqueue(shared, JobKind::ExperimentBranchStep { id, slots }, stream);
+        enqueue(shared, ExperimentOp::BranchStep { id, slots }, stream);
     }
 }
 
@@ -661,7 +656,7 @@ fn experiment_fork(shared: &Shared, id: String, request: Request, mut stream: Tc
     match parse_fork_body(&request.body) {
         Ok((label, perturbation)) => enqueue(
             shared,
-            JobKind::ExperimentFork {
+            ExperimentOp::Fork {
                 id,
                 label,
                 perturbation,
@@ -685,151 +680,164 @@ fn experiment_perturb(shared: &Shared, id: String, request: Request, mut stream:
             }
         });
     match parsed {
-        Ok(perturbation) => enqueue(
-            shared,
-            JobKind::ExperimentPerturb { id, perturbation },
-            stream,
-        ),
+        Ok(perturbation) => enqueue(shared, ExperimentOp::Perturb { id, perturbation }, stream),
         Err(message) => respond_api_error(shared, &mut stream, (400, message)),
     }
 }
 
-/// Runs one batch job: cached sites are answered from the scenario cache
-/// (the per-site canonical strings are exactly the single-simulate keys),
-/// the rest run together through the batch engine, and freshly computed
-/// sites are inserted back so later single or batch requests hit.
-///
-/// Returns the assembled response body and whether every site was a hit.
-fn run_batch_job(
-    shared: &Shared,
-    scenario: &Scenario,
-    count: u64,
-) -> Result<(String, bool), String> {
-    ServeMetrics::bump(&shared.metrics.batch_requests);
-    let sites: Vec<Scenario> = (0..count).map(|i| scenario.site(i)).collect();
-    let canonicals: Vec<String> = sites.iter().map(Scenario::config_canonical).collect();
-    let mut bodies: Vec<Option<std::sync::Arc<String>>> = vec![None; sites.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    for (i, canonical) in canonicals.iter().enumerate() {
-        match shared.cache.lookup(canonical) {
-            Some(Ok(body)) => bodies[i] = Some(body),
-            _ => missing.push(i),
-        }
-    }
-    let all_hit = missing.is_empty();
-    if !all_hit {
-        ServeMetrics::add(&shared.metrics.batch_lanes_simulated, missing.len() as u64);
-        let span = timing::start();
-        let miss_sites: Vec<Scenario> = missing.iter().map(|&i| sites[i].clone()).collect();
-        let reports = run_scenarios_batch(&miss_sites)?;
-        timing::record_span("serve.batch-simulate", span);
-        for (&i, report) in missing.iter().zip(&reports) {
-            let body = metrics_json(&canonicals[i], &report.metrics) + "\n";
-            let (result, _) = shared.cache.get_or_compute(&canonicals[i], || Ok(body));
-            bodies[i] = Some(result?);
-        }
-    }
-    let mut out = format!("{{\"count\":{count},\"sites\":[");
-    for (i, body) in bodies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(body.as_ref().expect("every site filled").trim_end());
-    }
-    out.push_str("]}\n");
-    Ok((out, all_hit))
-}
-
 /// One worker: pop jobs until the queue closes; serve each from the cache
-/// or by running the scenario / experiment operation.
+/// or by running the scenarios / experiment operation.
 fn worker_loop(shared: &Shared) {
     while let Some(mut job) = shared.queue.pop() {
         let _busy = BusyGuard::new(&shared.metrics.workers_busy);
         match job.kind {
-            JobKind::Simulate {
-                scenario,
-                canonical,
-            } => run_simulate_job(shared, &scenario, &canonical, &mut job.stream),
-            JobKind::Batch { scenario, count } => match run_batch_job(shared, &scenario, count) {
-                Ok((body, all_hit)) => {
-                    ServeMetrics::bump(&shared.metrics.simulate_ok);
-                    let extra = [
-                        ("X-Cache", if all_hit { "hit" } else { "miss" }.to_string()),
-                        ("X-Config-Hash", scenario.config_hash()),
-                    ];
-                    let _ = http::write_response(&mut job.stream, 200, &extra, body.as_bytes());
-                }
-                Err(message) => {
-                    let _ = http::write_response(
-                        &mut job.stream,
-                        500,
-                        &[],
-                        &http::error_body(&message),
-                    );
-                }
-            },
-            kind => run_experiment_job(shared, kind, &mut job.stream),
+            JobKind::Simulate { scenario, count } => {
+                run_simulate_job(shared, &scenario, count, &mut job.stream)
+            }
+            JobKind::Experiment(op) => run_experiment_job(shared, op, &mut job.stream),
         }
     }
 }
 
-/// Runs one `/v1/simulate` job through the cache.
-fn run_simulate_job(shared: &Shared, scenario: &Scenario, canonical: &str, stream: &mut TcpStream) {
-    let (result, hit) = shared.cache.get_or_compute(canonical, || {
-        let span = timing::start();
-        let started = Instant::now();
-        let report = scenario.run()?;
-        timing::record_span("serve.simulate", span);
-        if let Some(dir) = &shared.config.manifest_dir {
-            write_job_manifest(
-                dir,
-                scenario,
-                canonical,
-                shared.config.workers,
-                started.elapsed().as_millis() as u64,
-            );
-        }
-        Ok(metrics_json(canonical, &report.metrics) + "\n")
-    });
-    match result {
-        Ok(body) => {
-            ServeMetrics::bump(&shared.metrics.simulate_ok);
-            let mut extra = vec![
-                ("X-Cache", if hit { "hit" } else { "miss" }.to_string()),
-                ("X-Config-Hash", scenario.config_hash()),
-            ];
-            if let Some(tier) = thermal_tier_label(shared.config.surrogate.as_deref(), scenario) {
-                extra.push(("X-Thermal-Tier", tier.to_string()));
-            }
-            let _ = http::write_response(stream, 200, &extra, body.as_bytes());
-        }
+/// Runs one simulate job and writes its response: the bare site body for
+/// `/v1/simulate` (`count: None`), the `{"count":n,"sites":[…]}` wrapper
+/// for `/v1/batch-simulate`. `X-Cache` is `hit` only when every site was.
+fn run_simulate_job(
+    shared: &Shared,
+    scenario: &Scenario,
+    count: Option<u64>,
+    stream: &mut TcpStream,
+) {
+    if count.is_some() {
+        ServeMetrics::bump(&shared.metrics.batch_requests);
+    }
+    let (bodies, all_hit) = match claim_sites(shared, scenario, count) {
+        Ok(claimed) => claimed,
         Err(message) => {
             let _ = http::write_response(stream, 500, &[], &http::error_body(&message));
+            return;
         }
+    };
+    ServeMetrics::bump(&shared.metrics.simulate_ok);
+    let wrapped;
+    let body = match count {
+        None => bodies[0].as_str(),
+        Some(count) => {
+            let sites: Vec<&str> = bodies.iter().map(|body| body.trim_end()).collect();
+            wrapped = format!("{{\"count\":{count},\"sites\":[{}]}}\n", sites.join(","));
+            &wrapped
+        }
+    };
+    let mut extra = vec![
+        ("X-Cache", if all_hit { "hit" } else { "miss" }.to_string()),
+        ("X-Config-Hash", scenario.config_hash()),
+    ];
+    // The tier query ignores the seed, so the template's label holds for
+    // every site.
+    if let Some(tier) = thermal_tier_label(shared.config.surrogate.as_deref(), scenario) {
+        extra.push(("X-Thermal-Tier", tier.to_string()));
     }
+    let _ = http::write_response(stream, 200, &extra, body.as_bytes());
+}
+
+/// Claims every site of a simulate job through the scenario cache, in site
+/// order, returning the site bodies and whether every site was a hit.
+///
+/// The first site that misses simulates itself together with every later
+/// site not yet in the cache ([`run_scenarios_batch`]), and keeps their
+/// bodies for their own claims, so each site is computed once and
+/// concurrent requests for a site wait for one computation. Every
+/// computed site writes its manifest.
+fn claim_sites(
+    shared: &Shared,
+    scenario: &Scenario,
+    count: Option<u64>,
+) -> Result<(Vec<Arc<String>>, bool), String> {
+    let sites: Vec<Scenario> = (0..count.unwrap_or(1)).map(|i| scenario.site(i)).collect();
+    let canonicals: Vec<String> = sites.iter().map(Scenario::config_canonical).collect();
+    let mut computed: Vec<Option<String>> = vec![None; sites.len()];
+    let mut bodies = Vec::with_capacity(sites.len());
+    let mut all_hit = true;
+    for i in 0..sites.len() {
+        let (body, hit) = shared.cache.get_or_compute(&canonicals[i], || {
+            if computed[i].is_none() {
+                let todo: Vec<usize> = std::iter::once(i)
+                    .chain((i + 1..sites.len()).filter(|&j| !shared.cache.contains(&canonicals[j])))
+                    .collect();
+                let fresh = simulate_sites(shared, &sites, &canonicals, &todo, count.is_some())?;
+                for (j, body) in todo.into_iter().zip(fresh) {
+                    computed[j] = Some(body);
+                }
+            }
+            Ok(computed[i].take().expect("site was just simulated"))
+        });
+        bodies.push(body?);
+        all_hit &= hit;
+    }
+    Ok((bodies, all_hit))
+}
+
+/// Simulates the sites at indices `todo` together, writes each one's
+/// manifest, and returns their response bodies in `todo` order. `batch`
+/// selects the route's span and lane counter.
+fn simulate_sites(
+    shared: &Shared,
+    sites: &[Scenario],
+    canonicals: &[String],
+    todo: &[usize],
+    batch: bool,
+) -> Result<Vec<String>, String> {
+    let todo_sites: Vec<Scenario> = todo.iter().map(|&j| sites[j].clone()).collect();
+    if batch {
+        ServeMetrics::add(&shared.metrics.batch_lanes_simulated, todo.len() as u64);
+    }
+    let span = timing::start();
+    let started = Instant::now();
+    let reports = run_scenarios_batch(&todo_sites)?;
+    let span_name = if batch {
+        "serve.batch-simulate"
+    } else {
+        "serve.simulate"
+    };
+    timing::record_span(span_name, span);
+    let wall_clock_ms = started.elapsed().as_millis() as u64;
+    Ok(todo
+        .iter()
+        .zip(&reports)
+        .map(|(&j, report)| {
+            if let Some(dir) = &shared.config.manifest_dir {
+                write_job_manifest(
+                    dir,
+                    &sites[j],
+                    &canonicals[j],
+                    shared.config.workers,
+                    wall_clock_ms,
+                );
+            }
+            metrics_json(&canonicals[j], &report.metrics) + "\n"
+        })
+        .collect())
 }
 
 /// Runs one experiment lifecycle job against the supervisor.
-fn run_experiment_job(shared: &Shared, kind: JobKind, stream: &mut TcpStream) {
+fn run_experiment_job(shared: &Shared, op: ExperimentOp, stream: &mut TcpStream) {
     let span = timing::start();
-    match kind {
-        JobKind::ExperimentCreate { scenario } => {
-            match shared.supervisor.create(scenario.clone()) {
-                Ok(outcome) => {
-                    ServeMetrics::bump(&shared.metrics.experiments_created);
-                    let mut o = JsonObject::new();
-                    o.str("id", &outcome.id)
-                        .str("policy", &scenario.policy)
-                        .u64("warmup_slots", outcome.warmup_slots)
-                        .u64("slots", 0);
-                    let extra = [("Location", format!("/v1/experiments/{}", outcome.id))];
-                    let body = o.finish() + "\n";
-                    let _ = http::write_response(stream, 201, &extra, body.as_bytes());
-                }
-                Err(e) => respond_api_error(shared, stream, e),
+    match op {
+        ExperimentOp::Create { scenario } => match shared.supervisor.create(scenario.clone()) {
+            Ok(outcome) => {
+                ServeMetrics::bump(&shared.metrics.experiments_created);
+                let mut o = JsonObject::new();
+                o.str("id", &outcome.id)
+                    .str("policy", &scenario.policy)
+                    .u64("warmup_slots", outcome.warmup_slots)
+                    .u64("slots", 0);
+                let extra = [("Location", format!("/v1/experiments/{}", outcome.id))];
+                let body = o.finish() + "\n";
+                let _ = http::write_response(stream, 201, &extra, body.as_bytes());
             }
-        }
-        JobKind::ExperimentStep { id, slots } => match shared.supervisor.step(&id, slots) {
+            Err(e) => respond_api_error(shared, stream, e),
+        },
+        ExperimentOp::Step { id, slots } => match shared.supervisor.step(&id, slots) {
             Ok(outcome) => {
                 ServeMetrics::bump(&shared.metrics.experiment_steps);
                 shared
@@ -845,7 +853,7 @@ fn run_experiment_job(shared: &Shared, kind: JobKind, stream: &mut TcpStream) {
             }
             Err(e) => respond_api_error(shared, stream, e),
         },
-        JobKind::ExperimentPerturb { id, perturbation } => {
+        ExperimentOp::Perturb { id, perturbation } => {
             match shared.supervisor.perturb(&id, &perturbation) {
                 Ok(scenario_json) => {
                     ServeMetrics::bump(&shared.metrics.experiment_perturbs);
@@ -855,7 +863,7 @@ fn run_experiment_job(shared: &Shared, kind: JobKind, stream: &mut TcpStream) {
                 Err(e) => respond_api_error(shared, stream, e),
             }
         }
-        JobKind::ExperimentFork {
+        ExperimentOp::Fork {
             id,
             label,
             perturbation,
@@ -879,24 +887,22 @@ fn run_experiment_job(shared: &Shared, kind: JobKind, stream: &mut TcpStream) {
             }
             Err(e) => respond_api_error(shared, stream, e),
         },
-        JobKind::ExperimentBranchStep { id, slots } => {
-            match shared.supervisor.branch_step(&id, slots) {
-                Ok(outcome) => {
-                    ServeMetrics::bump(&shared.metrics.experiment_branch_steps);
-                    let mut o = JsonObject::new();
-                    o.str("id", &outcome.id)
-                        .u64("stepped", outcome.stepped)
-                        .u64("branches", outcome.branches);
-                    if let Some(slot) = outcome.first_divergence {
-                        o.u64("first_divergence", slot);
-                    }
-                    let body = o.finish() + "\n";
-                    let _ = http::write_response(stream, 200, &[], body.as_bytes());
+        ExperimentOp::BranchStep { id, slots } => match shared.supervisor.branch_step(&id, slots) {
+            Ok(outcome) => {
+                ServeMetrics::bump(&shared.metrics.experiment_branch_steps);
+                let mut o = JsonObject::new();
+                o.str("id", &outcome.id)
+                    .u64("stepped", outcome.stepped)
+                    .u64("branches", outcome.branches);
+                if let Some(slot) = outcome.first_divergence {
+                    o.u64("first_divergence", slot);
                 }
-                Err(e) => respond_api_error(shared, stream, e),
+                let body = o.finish() + "\n";
+                let _ = http::write_response(stream, 200, &[], body.as_bytes());
             }
-        }
-        JobKind::ExperimentBranchDelete { id } => match shared.supervisor.branch_delete(&id) {
+            Err(e) => respond_api_error(shared, stream, e),
+        },
+        ExperimentOp::BranchDelete { id } => match shared.supervisor.branch_delete(&id) {
             Ok(branches) => {
                 let mut o = JsonObject::new();
                 o.str("id", &id).u64("deleted_branches", branches);
@@ -905,7 +911,7 @@ fn run_experiment_job(shared: &Shared, kind: JobKind, stream: &mut TcpStream) {
             }
             Err(e) => respond_api_error(shared, stream, e),
         },
-        JobKind::ExperimentDelete { id } => match shared.supervisor.delete(&id) {
+        ExperimentOp::Delete { id } => match shared.supervisor.delete(&id) {
             Ok(()) => {
                 ServeMetrics::bump(&shared.metrics.experiments_deleted);
                 let mut o = JsonObject::new();
@@ -915,9 +921,6 @@ fn run_experiment_job(shared: &Shared, kind: JobKind, stream: &mut TcpStream) {
             }
             Err(e) => respond_api_error(shared, stream, e),
         },
-        JobKind::Simulate { .. } | JobKind::Batch { .. } => {
-            unreachable!("simulation jobs are handled in worker_loop")
-        }
     }
     timing::record_span("serve.experiment", span);
 }

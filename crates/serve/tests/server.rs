@@ -484,9 +484,54 @@ fn manifest_written_per_computed_scenario() {
         modified
     );
 
+    // Every site a batch computes writes its own manifest, under the hash
+    // a single request for that site would report.
+    let batch = "{\"policy\":\"random\",\"days\":1,\"warmup_days\":0,\"seed\":10,\"count\":2}";
+    let (status, _, body) = post_batch_simulate(addr, batch);
+    assert_eq!(status, 200, "body: {body}");
+    for seed in [10, 11] {
+        let mut site = hbm_core::Scenario::new("random");
+        site.days = 1;
+        site.warmup_days = 0;
+        site.seed = seed;
+        let path = dir.join(site.config_hash()).join("manifest.json");
+        let text = std::fs::read_to_string(&path).expect("site manifest written");
+        let fields = hbm_telemetry::deterministic_manifest_fields(&text).expect("parseable");
+        assert!(fields
+            .iter()
+            .any(|(k, v)| k == "config_hash" && v.as_str() == Some(site.config_hash().as_str())));
+    }
+
     handle.stop();
     thread.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_identical_misses_compute_once() {
+    // Four workers take four identical requests at once: one computes,
+    // the other three wait on its cache cell and answer the same bytes.
+    let (addr, handle, thread) = boot(ServeConfig {
+        workers: 4,
+        ..ServeConfig::default()
+    });
+    let request = "{\"policy\":\"myopic\",\"days\":20,\"warmup_days\":0,\"seed\":5}";
+    let clients: Vec<_> = (0..4)
+        .map(|_| std::thread::spawn(move || post_simulate(addr, request)))
+        .collect();
+    let results: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    for (status, _, body) in &results {
+        assert_eq!(*status, 200, "body: {body}");
+        assert_eq!(*body, results[0].2);
+    }
+
+    let (_, _, metrics) = get(addr, "/v1/metrics");
+    assert_eq!(json_u64(&metrics, "cache_misses"), 1, "metrics: {metrics}");
+    assert_eq!(json_u64(&metrics, "cache_hits"), 3, "metrics: {metrics}");
+    assert_eq!(json_u64(&metrics, "simulate_ok"), 4, "metrics: {metrics}");
+
+    handle.stop();
+    thread.join().unwrap();
 }
 
 /// A short experiment scenario shared by the lifecycle tests.
@@ -839,9 +884,9 @@ fn every_route_is_documented_in_service_md() {
 }
 
 /// The `X-Thermal-Tier` header of each of a simulate (in-region), a
-/// fork (in-region) and a simulate at an out-of-region `utilization`,
-/// followed by the server's `/v1/metrics` body.
-fn tier_probe(addr: SocketAddr) -> ([Option<String>; 3], String) {
+/// fork (in-region), a simulate at an out-of-region `utilization` and a
+/// two-site batch (in-region), followed by the server's `/v1/metrics` body.
+fn tier_probe(addr: SocketAddr) -> ([Option<String>; 4], String) {
     let label = |headers: &[(String, String)]| header(headers, "x-thermal-tier").map(String::from);
     let (status, headers, body) = post_simulate(
         addr,
@@ -878,9 +923,16 @@ fn tier_probe(addr: SocketAddr) -> ([Option<String>; 3], String) {
     assert_eq!(status, 200, "body: {body}");
     let outside = label(&headers);
 
+    let (status, headers, body) = post_batch_simulate(
+        addr,
+        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":4,\"count\":2}",
+    );
+    assert_eq!(status, 200, "body: {body}");
+    let batch = label(&headers);
+
     let (status, _, metrics) = get(addr, "/v1/metrics");
     assert_eq!(status, 200);
-    ([simulate, fork, outside], metrics)
+    ([simulate, fork, outside, batch], metrics)
 }
 
 #[test]
@@ -931,10 +983,12 @@ fn surrogate_tier_labels_responses_and_metrics() {
             (tiered.join().unwrap(), plain.join().unwrap())
         });
 
-    let expected = ["surrogate", "surrogate", "extracted"].map(|l| Some(l.to_string()));
+    let expected =
+        ["surrogate", "surrogate", "extracted", "surrogate"].map(|l| Some(l.to_string()));
     assert_eq!(tier_labels, expected);
+    // One tier decision per response, a batch included.
     for (key, want) in [
-        ("surrogate_hits", 2),
+        ("surrogate_hits", 3),
         ("surrogate_misses", 0),
         ("surrogate_fallbacks", 1),
     ] {
@@ -942,7 +996,7 @@ fn surrogate_tier_labels_responses_and_metrics() {
     }
     assert_eq!(json_f64(&tier_metrics, "surrogate_bound_c"), bound);
 
-    assert_eq!(plain_labels, [None, None, None]);
+    assert_eq!(plain_labels, [None, None, None, None]);
     for key in ["surrogate_hits", "surrogate_misses", "surrogate_fallbacks"] {
         assert_eq!(json_u64(&plain_metrics, key), 0, "{key}: {plain_metrics}");
     }
