@@ -32,8 +32,10 @@ pub fn config_canonical_base(ids: &str, days: u64, warmup_days: u64, seed: u64) 
     format!("ids={ids};days={days};warmup_days={warmup_days};seed={seed}")
 }
 
-/// Builds one attack policy by name at its paper-default settings,
-/// returning the policy and whether it needs a learning warm-up.
+/// Builds one attack policy by name, sized to `config` (its attack load,
+/// slot, capacity and battery), returning the policy and whether it needs
+/// a learning warm-up. At [`ColoConfig::paper_default`] these are the
+/// paper's Table I attackers.
 ///
 /// # Errors
 ///
@@ -45,8 +47,24 @@ pub fn build_policy(name: &str, config: &ColoConfig, seed: u64) -> Result<(Polic
             RandomPolicy::new(0.08, config.attack_load, config.slot, seed).into(),
             false,
         )),
-        "myopic" => Ok((MyopicPolicy::new(Power::from_kilowatts(7.4)).into(), false)),
-        "foresighted" => Ok((ForesightedPolicy::paper_default(14.0, seed).into(), true)),
+        "myopic" => Ok((
+            MyopicPolicy::with_attack(Power::from_kilowatts(7.4), config.attack_load, config.slot)
+                .into(),
+            false,
+        )),
+        "foresighted" => Ok((
+            ForesightedPolicy::new(
+                14.0,
+                config.capacity,
+                config.battery.capacity,
+                config.battery.max_charge_rate,
+                config.attack_load,
+                config.slot,
+                seed,
+            )
+            .into(),
+            true,
+        )),
         other => Err(format!(
             "unknown policy {other:?} (expected one of {})",
             POLICY_NAMES.join(", ")
@@ -602,6 +620,49 @@ mod tests {
         assert_eq!(
             s.config_canonical(),
             "ids=myopic;days=1;warmup_days=0;seed=7;util=0.5;cap_w=100"
+        );
+    }
+
+    #[test]
+    fn policies_are_sized_to_the_scenario_attack_load_and_battery() {
+        // An `attack_load_kw` or `battery_kwh` override must reach the
+        // attacker itself, as in the Fig. 12 sweeps, not only the plant:
+        // a 0.5 kW myopic attacker that budgets 1 kW per slot quits with
+        // charge left, and a foresighted one learns on the wrong grid.
+        let mut s = golden();
+        s.attack_load_kw = Some(0.5);
+        s.battery_kwh = Some(0.4);
+        let config = s.build_config().unwrap();
+        let sized = |policy: Policy| format!("{policy:?}");
+        let myopic =
+            MyopicPolicy::with_attack(Power::from_kilowatts(7.4), config.attack_load, config.slot);
+        let foresighted = ForesightedPolicy::new(
+            14.0,
+            config.capacity,
+            config.battery.capacity,
+            config.battery.max_charge_rate,
+            config.attack_load,
+            config.slot,
+            s.seed,
+        );
+        for (name, expected) in [
+            ("myopic", myopic.into()),
+            ("foresighted", foresighted.into()),
+        ] {
+            let (policy, _) = build_policy(name, &config, s.seed).unwrap();
+            assert_eq!(sized(policy), sized(expected), "{name}");
+        }
+        // At the paper default they are Table I's attackers.
+        let config = ColoConfig::paper_default();
+        let (myopic, _) = build_policy("myopic", &config, 3).unwrap();
+        assert_eq!(
+            sized(myopic),
+            sized(MyopicPolicy::new(Power::from_kilowatts(7.4)).into())
+        );
+        let (foresighted, _) = build_policy("foresighted", &config, 3).unwrap();
+        assert_eq!(
+            sized(foresighted),
+            sized(ForesightedPolicy::paper_default(14.0, 3).into())
         );
     }
 

@@ -16,12 +16,9 @@
 //! the same tooling that consumes `experiments simulate` lines. Non-2xx
 //! responses print the server's error to stderr and exit non-zero.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
-
 use crate::common::Options;
 use hbm_core::{Perturbation, Scenario};
+use hbm_serve::http::{request_bytes, roundtrip};
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7070";
 
@@ -34,43 +31,6 @@ pub const USAGE: &str = "usage: experiments client [--addr HOST:PORT] <action>
   state <id>
   metrics <id>
   delete <id>";
-
-/// Sends one request and returns `(status, body)`, reading to EOF (the
-/// server always answers `Connection: close`).
-fn roundtrip(addr: &str, request: &[u8]) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .map_err(|e| e.to_string())?;
-    stream
-        .write_all(request)
-        .map_err(|e| format!("send: {e}"))?;
-    let mut response = String::new();
-    BufReader::new(stream)
-        .read_to_string(&mut response)
-        .map_err(|e| format!("recv: {e}"))?;
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed response {response:?}"))?;
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
-
-fn request_bytes(method: &str, path: &str, body: Option<&str>) -> Vec<u8> {
-    match body {
-        Some(body) => format!(
-            "{method} {path} HTTP/1.1\r\nHost: client\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-        None => format!("{method} {path} HTTP/1.1\r\nHost: client\r\n\r\n"),
-    }
-    .into_bytes()
-}
 
 /// Sends one request and prints the response body; 2xx → `Ok`.
 fn call(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result<(), String> {

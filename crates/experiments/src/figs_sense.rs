@@ -1,6 +1,7 @@
 //! Sensitivity figures: 11a and 12a–e.
 
-use hbm_core::{run_sims_batch, ColoConfig, ForesightedPolicy, MyopicPolicy, Simulation};
+use hbm_core::scenario::build_policy;
+use hbm_core::{run_sims_batch, ColoConfig, ForesightedPolicy, Simulation};
 use hbm_thermal::{CoolingSystem, ZoneModel};
 use hbm_units::{Energy, Power, Temperature};
 
@@ -69,24 +70,18 @@ fn sweep<K: std::fmt::Display + Copy>(
         "  {knob_name:>14}   myopic emerg%   foresighted emerg%"
     );
     // Every knob value contributes an independent Myopic lane (no warm-up)
-    // and Foresighted lane (warmed up); all of them run on the batch engine
-    // and the reports come back in lane order, two per knob value.
+    // and Foresighted lane (warmed up), built by `build_policy` exactly as a
+    // served scenario with the same override is; all of them run on the
+    // batch engine and the reports come back in lane order, two per knob
+    // value.
     let mut lanes: Vec<(Simulation, bool)> = Vec::with_capacity(2 * values.len());
     for &v in values {
         let config = configure(v);
-        let myopic =
-            MyopicPolicy::with_attack(Power::from_kilowatts(7.4), config.attack_load, config.slot);
-        let foresighted = ForesightedPolicy::new(
-            14.0,
-            config.capacity,
-            config.battery.capacity,
-            config.battery.max_charge_rate,
-            config.attack_load,
-            config.slot,
-            opts.seed,
-        );
-        lanes.push((opts.simulation(config.clone(), myopic), false));
-        lanes.push((opts.simulation(config, foresighted), true));
+        for name in ["myopic", "foresighted"] {
+            let (policy, warmup) =
+                build_policy(name, &config, opts.seed).expect("built-in policies always build");
+            lanes.push((opts.simulation(config.clone(), policy), warmup));
+        }
     }
     let reports = run_sims_batch(lanes, opts.warmup_slots(), opts.slots());
     let mut rows = Vec::new();

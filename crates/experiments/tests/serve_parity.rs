@@ -152,3 +152,79 @@ fn unsupported_harness_flags_exit_two_with_usage() {
         assert!(stderr.contains("usage:"), "{flag}: no usage in: {stderr}");
     }
 }
+
+/// Runs `experiments client --addr ADDR ARGS…`, returning the exit code
+/// and stdout.
+fn client(addr: &str, args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["client", "--addr", addr])
+        .args(args)
+        .output()
+        .expect("experiments binary runs");
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
+    (output.status.code(), stdout)
+}
+
+#[test]
+fn client_drives_an_experiment_lifecycle() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = server.handle();
+    let thread = std::thread::spawn(move || server.run().expect("server runs"));
+
+    let (code, created) = client(
+        &addr,
+        &[
+            "create",
+            "--policy",
+            "myopic",
+            "--days",
+            "2",
+            "--warmup-days",
+            "0",
+            "--seed",
+            "7",
+        ],
+    );
+    assert_eq!(code, Some(0), "create printed {created}");
+    assert_eq!(
+        created,
+        "{\"id\":\"exp-000001\",\"policy\":\"myopic\",\"warmup_slots\":0,\"slots\":0}\n"
+    );
+    let (code, stepped) = client(&addr, &["step", "exp-000001", "--slots", "90"]);
+    assert_eq!(code, Some(0), "step printed {stepped}");
+    assert_eq!(
+        stepped,
+        "{\"id\":\"exp-000001\",\"stepped\":90,\"slots\":90}\n"
+    );
+
+    // `state` prints the body of GET …/state verbatim.
+    let (code, state) = client(&addr, &["state", "exp-000001"]);
+    assert_eq!(code, Some(0));
+    let (status, body) = hbm_serve::http::roundtrip(
+        &addr,
+        &hbm_serve::http::request_bytes("GET", "/v1/experiments/exp-000001/state", None),
+    )
+    .expect("state read");
+    assert_eq!(status, 200);
+    assert_eq!(state, body);
+
+    let (code, metrics) = client(&addr, &["metrics", "exp-000001"]);
+    assert_eq!(code, Some(0));
+    assert!(
+        metrics.contains("\"slots\":90"),
+        "metrics printed {metrics}"
+    );
+    let (code, deleted) = client(&addr, &["delete", "exp-000001"]);
+    assert_eq!(code, Some(0));
+    assert_eq!(deleted, "{\"deleted\":\"exp-000001\"}\n");
+
+    // An error answer exits 2 and prints nothing to stdout.
+    assert_eq!(
+        client(&addr, &["state", "exp-000001"]),
+        (Some(2), String::new())
+    );
+
+    handle.stop();
+    thread.join().unwrap();
+}

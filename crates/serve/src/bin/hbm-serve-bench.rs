@@ -28,13 +28,13 @@
 //! measurement (the durable configuration `docs/OPERATIONS.md`
 //! recommends).
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hbm_serve::http::{request_bytes, roundtrip};
 use hbm_serve::{ServeConfig, Server};
+use hbm_telemetry::json::Fields;
 
 const USAGE: &str = "usage: hbm-serve-bench [--addr HOST:PORT] [--connections N] [--duration-secs S] \
 [--policy NAME] [--days N] [--warmup-days N] [--seed N] [--distinct K] [--workers N] [--queue N] [--json FILE] \
@@ -128,73 +128,11 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Sends one request and returns `(status, body)`, reading to EOF (the
-/// server always answers `Connection: close`).
-fn roundtrip(addr: &str, request: &[u8]) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .map_err(|e| e.to_string())?;
-    stream
-        .write_all(request)
-        .map_err(|e| format!("send: {e}"))?;
-    let mut response = String::new();
-    BufReader::new(stream)
-        .read_to_string(&mut response)
-        .map_err(|e| format!("recv: {e}"))?;
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed response {response:?}"))?;
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
-
 fn simulate_request(policy: &str, days: u64, warmup_days: u64, seed: u64) -> Vec<u8> {
     let body = format!(
         "{{\"policy\":\"{policy}\",\"days\":{days},\"warmup_days\":{warmup_days},\"seed\":{seed}}}"
     );
-    format!(
-        "POST /v1/simulate HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
-}
-
-fn get_request(path: &str) -> Vec<u8> {
-    format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").into_bytes()
-}
-
-fn post_request(path: &str, body: &str) -> Vec<u8> {
-    format!(
-        "POST {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
-}
-
-fn delete_request(path: &str) -> Vec<u8> {
-    format!("DELETE {path} HTTP/1.1\r\nHost: bench\r\n\r\n").into_bytes()
-}
-
-/// Pulls a `"key":"value"` string out of a flat-JSON body.
-fn json_str(body: &str, key: &str) -> Option<String> {
-    let start = body.find(&format!("\"{key}\":\""))? + key.len() + 4;
-    body[start..].split('"').next().map(str::to_string)
-}
-
-/// Pulls a `"key":123` number out of a flat-JSON body.
-fn json_u64(body: &str, key: &str) -> Option<u64> {
-    let start = body.find(&format!("\"{key}\":"))? + key.len() + 3;
-    let digits: String = body[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+    request_bytes("POST", "/v1/simulate", Some(&body))
 }
 
 /// Everything one sessionful client thread needs: where to connect, the
@@ -227,8 +165,13 @@ fn session_client(client: &SessionClient) -> Vec<u64> {
             "{{\"policy\":\"{}\",\"days\":{},\"warmup_days\":{},\"seed\":{seed}}}",
             client.policy, client.days, client.warmup_days
         );
-        match roundtrip(&client.addr, &post_request("/v1/experiments", &body)) {
-            Ok((201, body)) => json_str(&body, "id"),
+        match roundtrip(
+            &client.addr,
+            &request_bytes("POST", "/v1/experiments", Some(&body)),
+        ) {
+            Ok((201, body)) => Fields::parse(body.trim())
+                .and_then(|mut f| f.str("id"))
+                .ok(),
             Ok((503, _)) => {
                 client.shed.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(Duration::from_millis(10));
@@ -241,10 +184,8 @@ fn session_client(client: &SessionClient) -> Vec<u64> {
         }
     };
     let retire = |id: &str| {
-        let _ = roundtrip(
-            &client.addr,
-            &delete_request(&format!("/v1/experiments/{id}")),
-        );
+        let path = format!("/v1/experiments/{id}");
+        let _ = roundtrip(&client.addr, &request_bytes("DELETE", &path, None));
     };
 
     let mut samples = Vec::new();
@@ -262,16 +203,19 @@ fn session_client(client: &SessionClient) -> Vec<u64> {
                 None => continue,
             },
         };
-        let step = post_request(
+        let step = request_bytes(
+            "POST",
             &format!("/v1/experiments/{id}/step"),
-            &format!("{{\"slots\":{}}}", client.session_slots),
+            Some(&format!("{{\"slots\":{}}}", client.session_slots)),
         );
         let sent = Instant::now();
         match roundtrip(&client.addr, &step) {
             Ok((200, body)) => {
                 samples.push(sent.elapsed().as_nanos() as u64);
                 client.ok.fetch_add(1, Ordering::Relaxed);
-                let stepped = json_u64(&body, "stepped").unwrap_or(0);
+                let stepped = Fields::parse(body.trim())
+                    .and_then(|mut f| f.u64("stepped"))
+                    .unwrap_or(0);
                 client.slots.fetch_add(stepped, Ordering::Relaxed);
             }
             Ok((503, _)) => {
@@ -461,7 +405,7 @@ fn main() {
     };
     let elapsed = started.elapsed();
 
-    let server_metrics = roundtrip(&addr, &get_request("/v1/metrics"))
+    let server_metrics = roundtrip(&addr, &request_bytes("GET", "/v1/metrics", None))
         .map(|(_, body)| body.trim().to_string())
         .unwrap_or_default();
     if let Some((handle, thread)) = spawned {

@@ -5,8 +5,13 @@
 //! `Connection: close` responses. Every limit is explicit so a client can
 //! never make the server allocate unboundedly, and every malformed input
 //! maps to a 4xx/5xx [`HttpError`] — parsing never panics.
+//!
+//! [`roundtrip`] is the matching client side, shared by the
+//! `experiments client` CLI and `hbm-serve-bench`.
 
 use std::io::{BufRead, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// Longest accepted request line, bytes (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -223,6 +228,53 @@ pub fn error_body(message: &str) -> Vec<u8> {
     let mut body = o.finish().into_bytes();
     body.push(b'\n');
     body
+}
+
+/// How long [`roundtrip`] waits for a response: longer than a cold
+/// year-long simulate takes.
+pub const CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// One request's bytes; a `body` comes with its `Content-Length`.
+pub fn request_bytes(method: &str, path: &str, body: Option<&str>) -> Vec<u8> {
+    match body {
+        Some(body) => format!(
+            "{method} {path} HTTP/1.1\r\nHost: hbm-serve\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+        None => format!("{method} {path} HTTP/1.1\r\nHost: hbm-serve\r\n\r\n"),
+    }
+    .into_bytes()
+}
+
+/// Sends one request to `addr` and returns `(status, body)`, reading to
+/// EOF (the server always answers `Connection: close`).
+///
+/// # Errors
+///
+/// A message naming the failed connect, send or receive, or a response
+/// without a status line.
+pub fn roundtrip(addr: &str, request: &[u8]) -> Result<(u16, String), String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_read_timeout(Some(CLIENT_TIMEOUT))
+        .map_err(|e| e.to_string())?;
+    stream
+        .write_all(request)
+        .map_err(|e| format!("send: {e}"))?;
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .map_err(|e| format!("recv: {e}"))?;
+    let status: u16 = response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("malformed response {response:?}"))?;
+    let body = response
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
+    Ok((status, body))
 }
 
 #[cfg(test)]

@@ -1,11 +1,48 @@
 //! The daemon's route table — one declarative source of truth.
 //!
-//! Routing used to be an ad-hoc `match` that answered 404 for a wrong
-//! method on a known path. This table fixes that (wrong method → `405`
-//! with an `Allow` header listing what the path accepts) and doubles as
-//! the machine-readable route inventory: `docs/SERVICE.md` must document
-//! every entry, and `crates/serve/tests/server.rs` enumerates [`ROUTES`]
-//! to enforce it.
+//! [`ROUTES`] maps every served method of every path to an [`Endpoint`],
+//! which the server matches exhaustively. A known path with a wrong
+//! method answers `405` with an `Allow` header listing what the path
+//! accepts. The table doubles as the machine-readable route inventory:
+//! `docs/SERVICE.md` must document every entry, and
+//! `crates/serve/tests/server.rs` enumerates [`ROUTES`] to enforce it.
+
+/// What a routed request asks the daemon to do: one variant per
+/// (method, route) pair of [`ROUTES`], so the server matches it
+/// exhaustively.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Endpoint {
+    /// `GET /v1/health`.
+    Health,
+    /// `GET /v1/metrics`.
+    Metrics,
+    /// `POST /v1/simulate`.
+    Simulate,
+    /// `POST /v1/batch-simulate`.
+    BatchSimulate,
+    /// `GET /v1/experiments`.
+    List,
+    /// `POST /v1/experiments`.
+    Create,
+    /// `DELETE /v1/experiments/{id}`.
+    Delete,
+    /// `POST /v1/experiments/{id}/step`.
+    Step,
+    /// `POST /v1/experiments/{id}/perturb`.
+    Perturb,
+    /// `POST /v1/experiments/{id}/fork`.
+    Fork,
+    /// `GET /v1/experiments/{id}/branches`.
+    Branches,
+    /// `DELETE /v1/experiments/{id}/branches`.
+    BranchDelete,
+    /// `POST /v1/experiments/{id}/branches/step`.
+    BranchStep,
+    /// `GET /v1/experiments/{id}/state`.
+    State,
+    /// `GET /v1/experiments/{id}/metrics`.
+    ExperimentMetrics,
+}
 
 /// One served route: a path pattern and the methods it accepts.
 ///
@@ -15,63 +52,67 @@
 pub struct Route {
     /// Path pattern, e.g. `/v1/experiments/{id}/step`.
     pub pattern: &'static str,
-    /// Accepted methods in `Allow`-header order.
-    pub methods: &'static [&'static str],
+    /// Accepted methods in `Allow`-header order, each with the endpoint it
+    /// serves.
+    pub methods: &'static [(&'static str, Endpoint)],
 }
 
 /// Every route the daemon serves. Ordering is documentation order.
 pub const ROUTES: &[Route] = &[
     Route {
         pattern: "/v1/health",
-        methods: &["GET"],
+        methods: &[("GET", Endpoint::Health)],
     },
     Route {
         pattern: "/v1/metrics",
-        methods: &["GET"],
+        methods: &[("GET", Endpoint::Metrics)],
     },
     Route {
         pattern: "/v1/simulate",
-        methods: &["POST"],
+        methods: &[("POST", Endpoint::Simulate)],
     },
     Route {
         pattern: "/v1/batch-simulate",
-        methods: &["POST"],
+        methods: &[("POST", Endpoint::BatchSimulate)],
     },
     Route {
         pattern: "/v1/experiments",
-        methods: &["GET", "POST"],
+        methods: &[("GET", Endpoint::List), ("POST", Endpoint::Create)],
     },
     Route {
         pattern: "/v1/experiments/{id}",
-        methods: &["DELETE"],
+        methods: &[("DELETE", Endpoint::Delete)],
     },
     Route {
         pattern: "/v1/experiments/{id}/step",
-        methods: &["POST"],
+        methods: &[("POST", Endpoint::Step)],
     },
     Route {
         pattern: "/v1/experiments/{id}/perturb",
-        methods: &["POST"],
+        methods: &[("POST", Endpoint::Perturb)],
     },
     Route {
         pattern: "/v1/experiments/{id}/fork",
-        methods: &["POST"],
+        methods: &[("POST", Endpoint::Fork)],
     },
     Route {
         pattern: "/v1/experiments/{id}/branches",
-        methods: &["GET", "DELETE"],
+        methods: &[
+            ("GET", Endpoint::Branches),
+            ("DELETE", Endpoint::BranchDelete),
+        ],
     },
     Route {
         pattern: "/v1/experiments/{id}/branches/step",
-        methods: &["POST"],
+        methods: &[("POST", Endpoint::BranchStep)],
     },
     Route {
         pattern: "/v1/experiments/{id}/state",
-        methods: &["GET"],
+        methods: &[("GET", Endpoint::State)],
     },
     Route {
         pattern: "/v1/experiments/{id}/metrics",
-        methods: &["GET"],
+        methods: &[("GET", Endpoint::ExperimentMetrics)],
     },
 ];
 
@@ -82,6 +123,8 @@ pub enum RouteMatch<'a> {
     Ok {
         /// The matched pattern (identity-comparable against [`ROUTES`]).
         pattern: &'static str,
+        /// What the request asks for.
+        endpoint: Endpoint,
         /// The `{id}` segment, when the pattern has one.
         id: Option<&'a str>,
     },
@@ -117,14 +160,15 @@ pub fn route<'a>(method: &str, target: &'a str) -> RouteMatch<'a> {
     let mut matched: Option<RouteMatch<'a>> = None;
     for r in ROUTES {
         if let Some(id) = match_pattern(r.pattern, target) {
-            if r.methods.contains(&method) && matched.is_none() {
-                matched = Some(RouteMatch::Ok {
-                    pattern: r.pattern,
-                    id,
-                });
-            }
-            for m in r.methods {
-                if !allowed.contains(m) {
+            for &(m, endpoint) in r.methods {
+                if m == method && matched.is_none() {
+                    matched = Some(RouteMatch::Ok {
+                        pattern: r.pattern,
+                        endpoint,
+                        id,
+                    });
+                }
+                if !allowed.contains(&m) {
                     allowed.push(m);
                 }
             }
@@ -149,6 +193,7 @@ mod tests {
             route("GET", "/v1/health"),
             RouteMatch::Ok {
                 pattern: "/v1/health",
+                endpoint: Endpoint::Health,
                 id: None
             }
         );
@@ -156,6 +201,7 @@ mod tests {
             route("POST", "/v1/simulate"),
             RouteMatch::Ok {
                 pattern: "/v1/simulate",
+                endpoint: Endpoint::Simulate,
                 id: None
             }
         );
@@ -183,6 +229,7 @@ mod tests {
             route("POST", "/v1/experiments/exp-000001/step"),
             RouteMatch::Ok {
                 pattern: "/v1/experiments/{id}/step",
+                endpoint: Endpoint::Step,
                 id: Some("exp-000001")
             }
         );
@@ -203,9 +250,14 @@ mod tests {
     fn every_route_matches_itself_with_a_sample_id() {
         for r in ROUTES {
             let sample = r.pattern.replace("{id}", "exp-000042");
-            for method in r.methods {
-                assert!(
-                    matches!(route(method, &sample), RouteMatch::Ok { pattern, .. } if pattern == r.pattern),
+            for &(method, endpoint) in r.methods {
+                assert_eq!(
+                    route(method, &sample),
+                    RouteMatch::Ok {
+                        pattern: r.pattern,
+                        endpoint,
+                        id: r.pattern.contains("{id}").then_some("exp-000042"),
+                    },
                     "{method} {sample} must route"
                 );
             }

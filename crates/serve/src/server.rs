@@ -1,11 +1,13 @@
 //! The daemon: accept loop, routing, worker pool, and shutdown.
 //!
-//! Requests route through the declarative table in [`crate::routes`].
-//! Fast endpoints (health, metrics, experiment reads) answer inline on
-//! the accept thread; everything that runs or mutates a simulation —
-//! one-shot scenarios, batches, and the experiment lifecycle — is
-//! validated up front and parked in the bounded queue for the worker
-//! pool, so the accept loop never blocks on simulation work.
+//! Every request takes one path: the route table in [`crate::routes`]
+//! names its [`Endpoint`], [`parse`] turns endpoint, id and body into an
+//! [`Op`] (answering `400`/`413` itself), and [`answer`] writes the
+//! response. Fast operations (health, metrics, experiment reads) answer
+//! inline on the accept thread; everything that runs or mutates a
+//! simulation — one-shot scenarios, batches, and the experiment lifecycle
+//! — is parked in the bounded queue for the worker pool, so the accept
+//! loop never blocks on simulation work.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -17,15 +19,15 @@ use std::time::{Duration, Instant};
 use hbm_core::scenario::{metrics_json, run_scenarios_batch, BatchScenario};
 use hbm_core::{Perturbation, Scenario};
 use hbm_surrogate::TieredExtractor;
-use hbm_telemetry::json::{Fields, JsonObject};
+use hbm_telemetry::json::{push_json_str, Fields, JsonObject};
 use hbm_telemetry::{timing, RunManifest};
 
 use crate::cache::ScenarioCache;
-use crate::experiment::{Supervisor, SupervisorConfig};
-use crate::http::{self, HttpError, Request};
+use crate::experiment::{json_array, ApiError, Supervisor, SupervisorConfig};
+use crate::http::{self, HttpError};
 use crate::metrics::{BusyGuard, ServeMetrics};
 use crate::queue::BoundedQueue;
-use crate::routes::{self, RouteMatch};
+use crate::routes::{self, Endpoint, RouteMatch};
 use crate::store::ExperimentStore;
 
 /// Tuning knobs of one [`Server`].
@@ -102,9 +104,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// What a queued job asks a worker to do. Every variant was fully
-/// validated on the accept thread; workers only see well-formed work.
-enum JobKind {
+/// One parsed request, built only by [`parse`]: every operation arrives
+/// validated, so workers only see well-formed work.
+enum Op {
+    Health,
+    Metrics,
     /// Run (or serve from cache) the seed-staggered sites of `scenario`,
     /// the site-0 template: one site for `/v1/simulate` (`count: None`),
     /// `count` sites for `/v1/batch-simulate`.
@@ -112,16 +116,15 @@ enum JobKind {
         scenario: Scenario,
         count: Option<u64>,
     },
-    /// Operate on the experiment platform.
-    Experiment(ExperimentOp),
-}
-
-/// One experiment lifecycle operation.
-enum ExperimentOp {
+    List,
     /// Create an experiment (runs warm-up, writes the first checkpoint).
-    Create { scenario: Scenario },
-    /// Step an experiment by `slots`.
-    Step { id: String, slots: u64 },
+    Create(Scenario),
+    /// Delete an experiment and its on-disk state.
+    Delete(String),
+    Step {
+        id: String,
+        slots: u64,
+    },
     /// Apply a mid-run perturbation to an experiment.
     Perturb {
         id: String,
@@ -134,24 +137,38 @@ enum ExperimentOp {
         label: Option<String>,
         perturbation: Perturbation,
     },
+    Branches(String),
     /// Advance every branch of an experiment's tree in lockstep.
-    BranchStep { id: String, slots: u64 },
+    BranchStep {
+        id: String,
+        slots: u64,
+    },
     /// Drop an experiment's branch tree.
-    BranchDelete { id: String },
-    /// Delete an experiment and its on-disk state.
-    Delete { id: String },
+    BranchDelete(String),
+    State(String),
+    ExperimentMetrics(String),
 }
 
-impl From<ExperimentOp> for JobKind {
-    fn from(op: ExperimentOp) -> Self {
-        JobKind::Experiment(op)
+impl Op {
+    /// Whether a worker runs this operation: simulations and experiment
+    /// mutations queue, reads answer inline from published state.
+    fn queued(&self) -> bool {
+        !matches!(
+            self,
+            Op::Health
+                | Op::Metrics
+                | Op::List
+                | Op::Branches(_)
+                | Op::State(_)
+                | Op::ExperimentMetrics(_)
+        )
     }
 }
 
 /// One accepted request, parked in the queue until a worker picks it up
 /// and writes the response.
 struct Job {
-    kind: JobKind,
+    op: Op,
     stream: TcpStream,
 }
 
@@ -301,7 +318,7 @@ impl Server {
                 break;
             }
             match stream {
-                Ok(stream) => handle_connection(&self.shared, stream, workers),
+                Ok(stream) => handle_connection(&self.shared, stream),
                 Err(_) => continue,
             }
         }
@@ -317,11 +334,9 @@ impl Server {
     }
 }
 
-/// Parses one request off `stream` and routes it through the route table.
-/// Fast endpoints answer inline on the accept thread; simulation and
-/// experiment mutations are validated here and then queued (or shed) —
-/// the worker writes those responses.
-fn handle_connection(shared: &Shared, stream: TcpStream, workers: usize) {
+/// Parses one request off `stream` and routes it through the route table
+/// to [`dispatch`]; routing failures answer `404`/`405` here.
+fn handle_connection(shared: &Shared, stream: TcpStream) {
     let span = timing::start();
     let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
@@ -356,99 +371,44 @@ fn handle_connection(shared: &Shared, stream: TcpStream, workers: usize) {
             ));
             let _ = http::write_response(&mut stream, 405, &[("Allow", allow)], &body);
         }
-        RouteMatch::Ok { pattern, id } => {
-            let id = id.map(str::to_string);
-            dispatch(shared, pattern, id, request, stream, workers);
+        RouteMatch::Ok { endpoint, id, .. } => {
+            // Only `{id}` routes read the id, and those always bind one.
+            dispatch(
+                shared,
+                endpoint,
+                id.unwrap_or_default(),
+                &request.body,
+                stream,
+            );
         }
     }
     timing::record_span("serve.request", span);
 }
 
-/// Serves one route-matched request (see [`handle_connection`]).
-fn dispatch(
-    shared: &Shared,
-    pattern: &'static str,
-    id: Option<String>,
-    request: Request,
-    mut stream: TcpStream,
-    workers: usize,
-) {
-    let respond = |stream: &mut TcpStream, status: u16, body: &[u8]| {
-        let _ = http::write_response(stream, status, &[], body);
-    };
-    match (request.method.as_str(), pattern) {
-        ("GET", "/v1/health") => respond(&mut stream, 200, &health_body(shared, workers)),
-        ("GET", "/v1/metrics") => respond(&mut stream, 200, &metrics_body(shared, workers)),
-        ("POST", "/v1/simulate") => simulate(shared, request, stream, false),
-        ("POST", "/v1/batch-simulate") => simulate(shared, request, stream, true),
-        ("GET", "/v1/experiments") => {
-            sweep_experiments(shared);
-            respond(&mut stream, 200, &experiment_list_body(shared));
-        }
-        ("POST", "/v1/experiments") => experiment_create(shared, request, stream),
-        ("DELETE", "/v1/experiments/{id}") => enqueue(
-            shared,
-            ExperimentOp::Delete {
-                id: id.expect("route binds id"),
-            },
-            stream,
-        ),
-        ("POST", "/v1/experiments/{id}/step") => {
-            experiment_step(shared, id.expect("route binds id"), request, stream)
-        }
-        ("POST", "/v1/experiments/{id}/perturb") => {
-            experiment_perturb(shared, id.expect("route binds id"), request, stream)
-        }
-        ("POST", "/v1/experiments/{id}/fork") => {
-            experiment_fork(shared, id.expect("route binds id"), request, stream)
-        }
-        ("POST", "/v1/experiments/{id}/branches/step") => {
-            experiment_branch_step(shared, id.expect("route binds id"), request, stream)
-        }
-        ("GET", "/v1/experiments/{id}/branches") => {
-            sweep_experiments(shared);
-            match shared.supervisor.branches_of(&id.expect("route binds id")) {
-                Ok(report) => respond(&mut stream, 200, format!("{report}\n").as_bytes()),
-                Err(e) => respond_api_error(shared, &mut stream, e),
-            }
-        }
-        ("DELETE", "/v1/experiments/{id}/branches") => enqueue(
-            shared,
-            ExperimentOp::BranchDelete {
-                id: id.expect("route binds id"),
-            },
-            stream,
-        ),
-        ("GET", "/v1/experiments/{id}/state") => {
-            sweep_experiments(shared);
-            match shared.supervisor.state_of(&id.expect("route binds id")) {
-                Ok(snapshot) => respond(&mut stream, 200, format!("{snapshot}\n").as_bytes()),
-                Err(e) => respond_api_error(shared, &mut stream, e),
-            }
-        }
-        ("GET", "/v1/experiments/{id}/metrics") => {
-            sweep_experiments(shared);
-            match shared.supervisor.metrics_of(&id.expect("route binds id")) {
-                Ok((metrics, hash)) => {
-                    let extra = [("X-Config-Hash", hash)];
-                    let _ = http::write_response(
-                        &mut stream,
-                        200,
-                        &extra,
-                        format!("{metrics}\n").as_bytes(),
-                    );
-                }
-                Err(e) => respond_api_error(shared, &mut stream, e),
-            }
-        }
-        // The route table only yields (method, pattern) pairs listed in
-        // ROUTES; anything else here is a routing bug.
-        (method, pattern) => unreachable!("unrouted {method} {pattern}"),
+/// Serves one routed request: parses it into its [`Op`], then queues it
+/// for a worker or answers it inline.
+fn dispatch(shared: &Shared, endpoint: Endpoint, id: &str, body: &[u8], mut stream: TcpStream) {
+    // Creates and reads first evict idle experiments (see
+    // ServeConfig::experiment_ttl).
+    if matches!(
+        endpoint,
+        Endpoint::Create
+            | Endpoint::List
+            | Endpoint::Branches
+            | Endpoint::State
+            | Endpoint::ExperimentMetrics
+    ) {
+        sweep_experiments(shared);
+    }
+    match parse(&shared.config, endpoint, id, body) {
+        Ok(op) if op.queued() => enqueue(shared, op, stream),
+        Ok(op) => answer(shared, op, &mut stream),
+        Err(e) => respond_api_error(shared, &mut stream, e),
     }
 }
 
 /// Writes a supervisor error, counting 4xx as bad requests.
-fn respond_api_error(shared: &Shared, stream: &mut TcpStream, (status, message): (u16, String)) {
+fn respond_api_error(shared: &Shared, stream: &mut TcpStream, (status, message): ApiError) {
     if (400..500).contains(&status) {
         ServeMetrics::bump(&shared.metrics.bad_requests);
     }
@@ -462,13 +422,10 @@ fn sweep_experiments(shared: &Shared) {
     }
 }
 
-/// Queues a validated job, shedding with `503` when the queue is full.
-fn enqueue(shared: &Shared, kind: impl Into<JobKind>, stream: TcpStream) {
-    let job = Job {
-        kind: kind.into(),
-        stream,
-    };
-    match shared.queue.try_push(job) {
+/// Queues a validated operation, shedding with `503` when the queue is
+/// full.
+fn enqueue(shared: &Shared, op: Op, stream: TcpStream) {
+    match shared.queue.try_push(Job { op, stream }) {
         Ok(()) => ServeMetrics::bump(&shared.metrics.simulate_accepted),
         Err(mut job) => {
             ServeMetrics::bump(&shared.metrics.shed_total);
@@ -480,6 +437,67 @@ fn enqueue(shared: &Shared, kind: impl Into<JobKind>, stream: TcpStream) {
             );
         }
     }
+}
+
+/// Parses a routed request into its operation — the one place request
+/// bodies are read and checked against the server's limits: `400` for a
+/// malformed body, `413` past a limit. `id` is the bound `{id}` segment
+/// (empty on routes without one).
+fn parse(config: &ServeConfig, endpoint: Endpoint, id: &str, body: &[u8]) -> Result<Op, ApiError> {
+    let bad = |message: String| (400, message);
+    let id = id.to_string();
+    Ok(match endpoint {
+        Endpoint::Health => Op::Health,
+        Endpoint::Metrics => Op::Metrics,
+        Endpoint::Simulate => Op::Simulate {
+            scenario: within_horizon(config, parse_scenario(body).map_err(bad)?)?,
+            count: None,
+        },
+        Endpoint::BatchSimulate => {
+            let batch = body_text(body)
+                .and_then(BatchScenario::from_flat_json)
+                .map_err(bad)?;
+            runnable(&batch.scenario).map_err(bad)?;
+            if batch.count > config.max_batch as u64 {
+                let message = format!(
+                    "count {} exceeds the batch limit {}",
+                    batch.count, config.max_batch
+                );
+                return Err((413, message));
+            }
+            Op::Simulate {
+                scenario: within_horizon(config, batch.scenario)?,
+                count: Some(batch.count),
+            }
+        }
+        Endpoint::List => Op::List,
+        Endpoint::Create => Op::Create(within_horizon(config, parse_scenario(body).map_err(bad)?)?),
+        Endpoint::Delete => Op::Delete(id),
+        Endpoint::Step => Op::Step {
+            slots: parse_slots_body(body, config.max_step_slots)?,
+            id,
+        },
+        Endpoint::Perturb => Op::Perturb {
+            perturbation: parse_perturb_body(body).map_err(bad)?,
+            id,
+        },
+        Endpoint::Fork => {
+            let (label, perturbation) = parse_fork_body(body).map_err(bad)?;
+            Op::Fork {
+                id,
+                label,
+                perturbation,
+            }
+        }
+        Endpoint::Branches => Op::Branches(id),
+        Endpoint::BranchStep => Op::BranchStep {
+            slots: parse_slots_body(body, config.max_step_slots)?,
+            id,
+        },
+        Endpoint::BranchDelete => Op::BranchDelete(id),
+        Endpoint::State => Op::State(id),
+        Endpoint::ExperimentMetrics => Op::ExperimentMetrics(id),
+    })
 }
 
 /// A request body as trimmed UTF-8 text.
@@ -512,118 +530,38 @@ fn parse_scenario(body: &[u8]) -> Result<Scenario, String> {
     Ok(scenario)
 }
 
-/// Answers `413` (counted as a bad request) when a scenario's warm-up
-/// plus measured slots exceed [`ServeConfig::max_step_slots`], so one
-/// request cannot pin a worker for hours; otherwise hands the stream back.
-fn within_horizon_limit(
-    shared: &Shared,
-    scenario: &Scenario,
-    mut stream: TcpStream,
-) -> Option<TcpStream> {
+/// `413` when a scenario's warm-up plus measured slots exceed
+/// [`ServeConfig::max_step_slots`], so one request cannot pin a worker
+/// for hours.
+fn within_horizon(config: &ServeConfig, scenario: Scenario) -> Result<Scenario, ApiError> {
     // Parsed scenarios never overflow; saturate rather than trust that.
     let slots = scenario.total_slots().unwrap_or(u64::MAX);
-    if slots <= shared.config.max_step_slots {
-        return Some(stream);
+    if slots <= config.max_step_slots {
+        return Ok(scenario);
     }
     let message = format!(
         "horizon of {slots} warm-up plus measured slots exceeds the step limit {}",
-        shared.config.max_step_slots
+        config.max_step_slots
     );
-    respond_api_error(shared, &mut stream, (413, message));
-    None
+    Err((413, message))
 }
 
-/// Validates a `/v1/simulate` body (one scenario) or, when `batch`, a
-/// `/v1/batch-simulate` body (a scenario template plus a site count) and
-/// enqueues the job. Answers `413` when a batch's count exceeds
-/// [`ServeConfig::max_batch`] or a site's horizon exceeds
-/// [`ServeConfig::max_step_slots`].
-fn simulate(shared: &Shared, request: Request, mut stream: TcpStream, batch: bool) {
-    let parsed = body_text(&request.body)
-        .and_then(|text| {
-            if batch {
-                BatchScenario::from_flat_json(text).map(|b| (b.scenario, Some(b.count)))
-            } else {
-                Scenario::from_flat_json(text).map(|scenario| (scenario, None))
-            }
-        })
-        .and_then(|(scenario, count)| runnable(&scenario).map(|()| (scenario, count)));
-    let (scenario, count) = match parsed {
-        Ok(job) => job,
-        Err(message) => return respond_api_error(shared, &mut stream, (400, message)),
+/// Parses a `{"slots": N}` body: `400` unless `N ≥ 1` and integral, `413`
+/// past `limit`.
+fn parse_slots_body(body: &[u8], limit: u64) -> Result<u64, ApiError> {
+    let read = || -> Result<u64, String> {
+        let mut f = Fields::parse(body_text(body)?)?;
+        let slots = f.u64("slots")?;
+        f.finish()?;
+        Ok(slots)
     };
-    if let Some(count) = count.filter(|&n| n > shared.config.max_batch as u64) {
-        let message = format!(
-            "count {count} exceeds the batch limit {}",
-            shared.config.max_batch
-        );
-        return respond_api_error(shared, &mut stream, (413, message));
-    }
-    if let Some(stream) = within_horizon_limit(shared, &scenario, stream) {
-        enqueue(shared, JobKind::Simulate { scenario, count }, stream);
-    }
-}
-
-/// Validates a `POST /v1/experiments` body and enqueues the create (the
-/// worker runs the warm-up, which can be long).
-fn experiment_create(shared: &Shared, request: Request, mut stream: TcpStream) {
-    sweep_experiments(shared);
-    match parse_scenario(&request.body) {
-        Ok(scenario) => {
-            if let Some(stream) = within_horizon_limit(shared, &scenario, stream) {
-                enqueue(shared, ExperimentOp::Create { scenario }, stream);
-            }
+    match read() {
+        Ok(0) => Err((400, "slots must be a positive integer".into())),
+        Ok(slots) if slots > limit => {
+            Err((413, format!("slots {slots} exceeds the step limit {limit}")))
         }
-        Err(message) => respond_api_error(shared, &mut stream, (400, message)),
-    }
-}
-
-/// Parses a `{"slots": N}` body, `N ≥ 1` and integral.
-fn parse_slots_body(body: &[u8]) -> Result<u64, String> {
-    let mut f = Fields::parse(body_text(body)?)?;
-    let slots = f.u64("slots")?;
-    f.finish()?;
-    if slots == 0 {
-        return Err("slots must be a positive integer".into());
-    }
-    Ok(slots)
-}
-
-/// Validates a slots body against `max_step_slots`, answering `400`/`413`
-/// itself; `Some(slots, stream)` when the job should be enqueued.
-fn validated_slots(
-    shared: &Shared,
-    request: &Request,
-    mut stream: TcpStream,
-) -> Option<(u64, TcpStream)> {
-    let status = match parse_slots_body(&request.body) {
-        Ok(slots) if slots <= shared.config.max_step_slots => return Some((slots, stream)),
-        Ok(slots) => (
-            413,
-            format!(
-                "slots {slots} exceeds the step limit {}",
-                shared.config.max_step_slots
-            ),
-        ),
-        Err(message) => (400, message),
-    };
-    respond_api_error(shared, &mut stream, status);
-    None
-}
-
-/// Validates a step body (`{"slots": N}`, `1 ..= max_step_slots`) and
-/// enqueues the step.
-fn experiment_step(shared: &Shared, id: String, request: Request, stream: TcpStream) {
-    if let Some((slots, stream)) = validated_slots(shared, &request, stream) {
-        enqueue(shared, ExperimentOp::Step { id, slots }, stream);
-    }
-}
-
-/// Validates a branch-step body (same shape and limit as a step) and
-/// enqueues the lockstep branch step.
-fn experiment_branch_step(shared: &Shared, id: String, request: Request, stream: TcpStream) {
-    if let Some((slots, stream)) = validated_slots(shared, &request, stream) {
-        enqueue(shared, ExperimentOp::BranchStep { id, slots }, stream);
+        Ok(slots) => Ok(slots),
+        Err(message) => Err((400, message)),
     }
 }
 
@@ -651,51 +589,86 @@ fn parse_fork_body(body: &[u8]) -> Result<(Option<String>, Perturbation), String
     Ok((label, perturbation))
 }
 
-/// Validates a fork body ([`parse_fork_body`]) and enqueues the fork.
-fn experiment_fork(shared: &Shared, id: String, request: Request, mut stream: TcpStream) {
-    match parse_fork_body(&request.body) {
-        Ok((label, perturbation)) => enqueue(
-            shared,
-            ExperimentOp::Fork {
-                id,
-                label,
-                perturbation,
-            },
-            stream,
-        ),
-        Err(message) => respond_api_error(shared, &mut stream, (400, message)),
+/// Parses a perturb body: [`Perturbation`] flat JSON, at least one field.
+fn parse_perturb_body(body: &[u8]) -> Result<Perturbation, String> {
+    let perturbation = Perturbation::from_flat_json(body_text(body)?)?;
+    if perturbation.is_empty() {
+        return Err("perturbation must set at least one field".into());
     }
+    Ok(perturbation)
 }
 
-/// Validates a perturb body ([`Perturbation`] flat JSON, at least one
-/// field) and enqueues the perturb.
-fn experiment_perturb(shared: &Shared, id: String, request: Request, mut stream: TcpStream) {
-    let parsed = body_text(&request.body)
-        .and_then(Perturbation::from_flat_json)
-        .and_then(|p| {
-            if p.is_empty() {
-                Err("perturbation must set at least one field".into())
-            } else {
-                Ok(p)
-            }
-        });
-    match parsed {
-        Ok(perturbation) => enqueue(shared, ExperimentOp::Perturb { id, perturbation }, stream),
-        Err(message) => respond_api_error(shared, &mut stream, (400, message)),
-    }
-}
-
-/// One worker: pop jobs until the queue closes; serve each from the cache
-/// or by running the scenarios / experiment operation.
+/// One worker: pop operations until the queue closes and answer each.
 fn worker_loop(shared: &Shared) {
     while let Some(mut job) = shared.queue.pop() {
         let _busy = BusyGuard::new(&shared.metrics.workers_busy);
-        match job.kind {
-            JobKind::Simulate { scenario, count } => {
-                run_simulate_job(shared, &scenario, count, &mut job.stream)
-            }
-            JobKind::Experiment(op) => run_experiment_job(shared, op, &mut job.stream),
+        let span = timing::start();
+        let experiment = !matches!(job.op, Op::Simulate { .. });
+        answer(shared, job.op, &mut job.stream);
+        if experiment {
+            timing::record_span("serve.experiment", span);
         }
+    }
+}
+
+/// Answers one operation — the one place each operation calls the
+/// supervisor, picks its status and headers, and bumps its counter.
+/// Simulations write their own responses ([`run_simulate_job`]).
+fn answer(shared: &Shared, op: Op, stream: &mut TcpStream) {
+    let sup = &shared.supervisor;
+    let m = &shared.metrics;
+    let ok = |body: String| (200, Vec::new(), body);
+    let reply = match op {
+        Op::Health => Ok(ok(health_body(shared))),
+        Op::Metrics => Ok(ok(metrics_body(shared))),
+        Op::Simulate { scenario, count } => {
+            return run_simulate_job(shared, &scenario, count, stream)
+        }
+        Op::List => Ok(ok(experiment_list_body(sup))),
+        Op::Create(scenario) => sup.create(scenario).map(|(id, body)| {
+            ServeMetrics::bump(&m.experiments_created);
+            let location = ("Location", format!("/v1/experiments/{id}"));
+            (201, vec![location], body)
+        }),
+        Op::Delete(id) => sup.delete(&id).map(|body| {
+            ServeMetrics::bump(&m.experiments_deleted);
+            ok(body)
+        }),
+        Op::Step { id, slots } => sup.step(&id, slots).map(|body| {
+            ServeMetrics::bump(&m.experiment_steps);
+            ServeMetrics::add(&m.experiment_slots, slots);
+            ok(body)
+        }),
+        Op::Perturb { id, perturbation } => sup.perturb(&id, &perturbation).map(|body| {
+            ServeMetrics::bump(&m.experiment_perturbs);
+            ok(body)
+        }),
+        Op::Fork {
+            id,
+            label,
+            perturbation,
+        } => sup.fork(&id, label, &perturbation).map(|(body, branch)| {
+            ServeMetrics::bump(&m.experiment_forks);
+            let tier = thermal_tier_label(shared.config.surrogate.as_deref(), &branch);
+            let headers = tier.map(|t| ("X-Thermal-Tier", t.to_string()));
+            (200, headers.into_iter().collect(), body)
+        }),
+        Op::Branches(id) => sup.branches_of(&id).map(|report| ok(report.to_string())),
+        Op::BranchStep { id, slots } => sup.branch_step(&id, slots).map(|body| {
+            ServeMetrics::bump(&m.experiment_branch_steps);
+            ok(body)
+        }),
+        Op::BranchDelete(id) => sup.branch_delete(&id).map(ok),
+        Op::State(id) => sup.state_of(&id).map(ok),
+        Op::ExperimentMetrics(id) => sup
+            .metrics_of(&id)
+            .map(|(body, hash)| (200, vec![("X-Config-Hash", hash)], body)),
+    };
+    match reply {
+        Ok((status, headers, body)) => {
+            let _ = http::write_response(stream, status, &headers, (body + "\n").as_bytes());
+        }
+        Err(e) => respond_api_error(shared, stream, e),
     }
 }
 
@@ -819,112 +792,6 @@ fn simulate_sites(
         .collect())
 }
 
-/// Runs one experiment lifecycle job against the supervisor.
-fn run_experiment_job(shared: &Shared, op: ExperimentOp, stream: &mut TcpStream) {
-    let span = timing::start();
-    match op {
-        ExperimentOp::Create { scenario } => match shared.supervisor.create(scenario.clone()) {
-            Ok(outcome) => {
-                ServeMetrics::bump(&shared.metrics.experiments_created);
-                let mut o = JsonObject::new();
-                o.str("id", &outcome.id)
-                    .str("policy", &scenario.policy)
-                    .u64("warmup_slots", outcome.warmup_slots)
-                    .u64("slots", 0);
-                let extra = [("Location", format!("/v1/experiments/{}", outcome.id))];
-                let body = o.finish() + "\n";
-                let _ = http::write_response(stream, 201, &extra, body.as_bytes());
-            }
-            Err(e) => respond_api_error(shared, stream, e),
-        },
-        ExperimentOp::Step { id, slots } => match shared.supervisor.step(&id, slots) {
-            Ok(outcome) => {
-                ServeMetrics::bump(&shared.metrics.experiment_steps);
-                shared
-                    .metrics
-                    .experiment_slots
-                    .fetch_add(outcome.stepped, std::sync::atomic::Ordering::Relaxed);
-                let mut o = JsonObject::new();
-                o.str("id", &outcome.id)
-                    .u64("stepped", outcome.stepped)
-                    .u64("slots", outcome.slots);
-                let body = o.finish() + "\n";
-                let _ = http::write_response(stream, 200, &[], body.as_bytes());
-            }
-            Err(e) => respond_api_error(shared, stream, e),
-        },
-        ExperimentOp::Perturb { id, perturbation } => {
-            match shared.supervisor.perturb(&id, &perturbation) {
-                Ok(scenario_json) => {
-                    ServeMetrics::bump(&shared.metrics.experiment_perturbs);
-                    let body = scenario_json + "\n";
-                    let _ = http::write_response(stream, 200, &[], body.as_bytes());
-                }
-                Err(e) => respond_api_error(shared, stream, e),
-            }
-        }
-        ExperimentOp::Fork {
-            id,
-            label,
-            perturbation,
-        } => match shared.supervisor.fork(&id, label, &perturbation) {
-            Ok(outcome) => {
-                ServeMetrics::bump(&shared.metrics.experiment_forks);
-                let mut o = JsonObject::new();
-                o.str("id", &outcome.id)
-                    .u64("branch", outcome.branch)
-                    .str("label", &outcome.label)
-                    .u64("fork_slot", outcome.fork_slot)
-                    .u64("branches", outcome.branches);
-                let body = o.finish() + "\n";
-                let mut extra = Vec::new();
-                if let Some(tier) =
-                    thermal_tier_label(shared.config.surrogate.as_deref(), &outcome.scenario)
-                {
-                    extra.push(("X-Thermal-Tier", tier.to_string()));
-                }
-                let _ = http::write_response(stream, 200, &extra, body.as_bytes());
-            }
-            Err(e) => respond_api_error(shared, stream, e),
-        },
-        ExperimentOp::BranchStep { id, slots } => match shared.supervisor.branch_step(&id, slots) {
-            Ok(outcome) => {
-                ServeMetrics::bump(&shared.metrics.experiment_branch_steps);
-                let mut o = JsonObject::new();
-                o.str("id", &outcome.id)
-                    .u64("stepped", outcome.stepped)
-                    .u64("branches", outcome.branches);
-                if let Some(slot) = outcome.first_divergence {
-                    o.u64("first_divergence", slot);
-                }
-                let body = o.finish() + "\n";
-                let _ = http::write_response(stream, 200, &[], body.as_bytes());
-            }
-            Err(e) => respond_api_error(shared, stream, e),
-        },
-        ExperimentOp::BranchDelete { id } => match shared.supervisor.branch_delete(&id) {
-            Ok(branches) => {
-                let mut o = JsonObject::new();
-                o.str("id", &id).u64("deleted_branches", branches);
-                let body = o.finish() + "\n";
-                let _ = http::write_response(stream, 200, &[], body.as_bytes());
-            }
-            Err(e) => respond_api_error(shared, stream, e),
-        },
-        ExperimentOp::Delete { id } => match shared.supervisor.delete(&id) {
-            Ok(()) => {
-                ServeMetrics::bump(&shared.metrics.experiments_deleted);
-                let mut o = JsonObject::new();
-                o.str("deleted", &id);
-                let body = o.finish() + "\n";
-                let _ = http::write_response(stream, 200, &[], body.as_bytes());
-            }
-            Err(e) => respond_api_error(shared, stream, e),
-        },
-    }
-    timing::record_span("serve.experiment", span);
-}
-
 /// Writes the per-run manifest for a freshly computed scenario; failures
 /// are reported on stderr but never fail the request.
 fn write_job_manifest(
@@ -969,7 +836,8 @@ fn write_job_manifest(
     }
 }
 
-fn health_body(shared: &Shared, workers: usize) -> Vec<u8> {
+fn health_body(shared: &Shared) -> String {
+    let workers = shared.config.workers.max(1);
     let mut o = JsonObject::new();
     o.str("status", "ok")
         .str("version", crate::VERSION)
@@ -978,36 +846,27 @@ fn health_body(shared: &Shared, workers: usize) -> Vec<u8> {
         .u64("cache_capacity", shared.config.cache_capacity as u64)
         .u64("max_experiments", shared.config.max_experiments as u64)
         .bool("experiments_durable", shared.config.state_dir.is_some());
-    let mut body = o.finish().into_bytes();
-    body.push(b'\n');
-    body
+    o.finish()
 }
 
-/// `GET /v1/experiments`: parallel `ids`/`slots` arrays, flat-JSON
-/// parseable (ids are server-generated and need no escaping).
-fn experiment_list_body(shared: &Shared) -> Vec<u8> {
-    let rows = shared.supervisor.list();
-    let mut out = format!("{{\"count\":{},\"ids\":[", rows.len());
-    for (i, (id, _)) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(id);
-        out.push('"');
-    }
-    out.push_str("],\"slots\":[");
-    for (i, (_, slots)) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&slots.to_string());
-    }
-    out.push_str("]}\n");
-    out.into_bytes()
+/// `GET /v1/experiments`: parallel `ids`/`slots` arrays.
+fn experiment_list_body(supervisor: &Supervisor) -> String {
+    let rows = supervisor.list();
+    let mut o = JsonObject::new();
+    o.u64("count", rows.len() as u64)
+        .raw(
+            "ids",
+            &json_array(&rows, |out, (id, _)| push_json_str(out, id)),
+        )
+        .raw(
+            "slots",
+            &json_array(&rows, |out, (_, slots)| out.push_str(&slots.to_string())),
+        );
+    o.finish()
 }
 
-fn metrics_body(shared: &Shared, workers: usize) -> Vec<u8> {
+fn metrics_body(shared: &Shared) -> String {
+    let workers = shared.config.workers.max(1);
     let cache = shared.cache.stats();
     let busy = ServeMetrics::get(&shared.metrics.workers_busy);
     let mut o = JsonObject::new();
@@ -1043,7 +902,7 @@ fn metrics_body(shared: &Shared, workers: usize) -> Vec<u8> {
     .u64("queue_capacity", shared.queue.capacity() as u64)
     .u64("workers", workers as u64)
     .u64("workers_busy", busy)
-    .f64("worker_utilization", busy as f64 / workers.max(1) as f64)
+    .f64("worker_utilization", busy as f64 / workers as f64)
     .u64("experiments_active", shared.supervisor.active() as u64)
     .u64(
         "experiments_created",
@@ -1091,9 +950,7 @@ fn metrics_body(shared: &Shared, workers: usize) -> Vec<u8> {
         .u64("surrogate_misses", tier_stats.map_or(0, |s| s.misses))
         .u64("surrogate_fallbacks", tier_stats.map_or(0, |s| s.fallbacks))
         .f64("surrogate_bound_c", tier_stats.map_or(0.0, |s| s.bound_c));
-    let mut body = o.finish().into_bytes();
-    body.push(b'\n');
-    body
+    o.finish()
 }
 
 #[cfg(test)]
@@ -1109,7 +966,8 @@ mod tests {
         let (label, p) = parse_fork_body(FORK.as_bytes()).unwrap();
         assert_eq!(label.as_deref(), Some("hot-1"));
         assert_eq!((p.attack_load_kw, p.cap_w), (Some(3.0), Some(95.5)));
-        assert_eq!(parse_slots_body(SLOTS.as_bytes()), Ok(300));
+        assert_eq!(parse_slots_body(SLOTS.as_bytes(), 300), Ok(300));
+        assert_eq!(parse_slots_body(SLOTS.as_bytes(), 299).unwrap_err().0, 413);
     }
 
     #[test]
@@ -1120,7 +978,7 @@ mod tests {
                     let mut body = valid.as_bytes().to_vec();
                     body[i] = byte;
                     let _ = parse_fork_body(&body);
-                    let _ = parse_slots_body(&body);
+                    let _ = parse_slots_body(&body, u64::MAX);
                 }
             }
         }
@@ -1137,8 +995,8 @@ mod tests {
             let err = parse_fork_body(dup.as_bytes()).unwrap_err();
             assert!(err.contains("duplicate field"), "{dup}: {err}");
         }
-        let err = parse_slots_body(br#"{"slots":300,"slots":3}"#).unwrap_err();
-        assert!(err.contains("duplicate field"), "{err}");
+        let (status, err) = parse_slots_body(br#"{"slots":300,"slots":3}"#, u64::MAX).unwrap_err();
+        assert!(status == 400 && err.contains("duplicate field"), "{err}");
     }
 
     proptest! {
@@ -1147,11 +1005,11 @@ mod tests {
         #[test]
         fn body_readers_answer_random_bytes(raw in prop::collection::vec(0u8..255, 0..64)) {
             let _ = parse_fork_body(&raw);
-            let _ = parse_slots_body(&raw);
+            let _ = parse_slots_body(&raw, u64::MAX);
             let mut braced = b"{".to_vec();
             braced.extend(&raw);
             let _ = parse_fork_body(&braced);
-            let _ = parse_slots_body(&braced);
+            let _ = parse_slots_body(&braced, u64::MAX);
         }
     }
 }

@@ -11,36 +11,40 @@
 //! warm-up length, op counters) and the *effective* scenario (base scenario
 //! with every applied perturbation folded in, via
 //! [`hbm_core::Scenario::to_flat_json`]). `checkpoint.json` is the latest
-//! [`hbm_core::Simulation::snapshot_json`] line. Together they are enough
-//! to rebuild the experiment bit-exactly: rebuild from the scenario,
+//! [`Snapshot::to_json`] line. Together they are one [`ExperimentRecord`],
+//! enough to rebuild the experiment bit-exactly: rebuild from the scenario,
 //! restore from the checkpoint.
 //!
-//! Every write goes through a temp file + `rename`, so a crash mid-write
-//! leaves the previous consistent pair in place, never a torn file.
+//! Each file is replaced through a temp file + `rename`, so a crash never
+//! leaves a torn file. The pair is not replaced atomically: a crash
+//! between the two renames leaves the new manifest beside the previous
+//! checkpoint (see `docs/OPERATIONS.md`).
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use hbm_core::Snapshot;
 use hbm_telemetry::json::{Fields, JsonObject};
 
 /// Schema tag of the manifest meta line.
 pub const MANIFEST_SCHEMA: &str = "hbm-experiment-v1";
 
-/// One experiment as read back from disk during crash recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PersistedExperiment {
-    /// Experiment id (the directory name).
-    pub id: String,
+/// One experiment as persisted: what the write-behind queue holds (with
+/// the snapshot still binary, serialized by the writer thread) and what
+/// crash recovery reads back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExperimentRecord {
     /// Warm-up slots run at creation.
     pub warmup_slots: u64,
     /// Completed step operations.
     pub steps: u64,
     /// Applied perturbations.
     pub perturbs: u64,
-    /// The effective scenario, as one flat-JSON line.
-    pub scenario_json: String,
-    /// The latest checkpoint line.
-    pub snapshot: String,
+    /// The effective scenario, one flat-JSON line (shared, not copied).
+    pub scenario_json: Arc<String>,
+    /// The dynamic state; `checkpoint.json` holds its JSON line.
+    pub snapshot: Arc<Snapshot>,
 }
 
 /// The experiment directory of one state dir.
@@ -65,34 +69,24 @@ impl ExperimentStore {
         self.root.join(id)
     }
 
-    /// Atomically writes the manifest and checkpoint for `id`.
+    /// Writes the manifest, then the checkpoint, of `id`, each atomically.
     ///
     /// # Errors
     ///
     /// Returns the first underlying filesystem error.
-    pub fn save(
-        &self,
-        id: &str,
-        warmup_slots: u64,
-        steps: u64,
-        perturbs: u64,
-        scenario_json: &str,
-        snapshot: &str,
-    ) -> io::Result<()> {
+    pub fn save(&self, id: &str, record: &ExperimentRecord) -> io::Result<()> {
         let dir = self.dir(id);
         std::fs::create_dir_all(&dir)?;
         let mut meta = JsonObject::new();
         meta.str("schema", MANIFEST_SCHEMA)
             .str("id", id)
-            .u64("warmup_slots", warmup_slots)
-            .u64("steps", steps)
-            .u64("perturbs", perturbs);
-        let manifest = format!("{}\n{scenario_json}\n", meta.finish());
+            .u64("warmup_slots", record.warmup_slots)
+            .u64("steps", record.steps)
+            .u64("perturbs", record.perturbs);
+        let manifest = format!("{}\n{}\n", meta.finish(), record.scenario_json);
         write_atomic(&dir.join("manifest.json"), manifest.as_bytes())?;
-        write_atomic(
-            &dir.join("checkpoint.json"),
-            format!("{snapshot}\n").as_bytes(),
-        )
+        let checkpoint = record.snapshot.to_json() + "\n";
+        write_atomic(&dir.join("checkpoint.json"), checkpoint.as_bytes())
     }
 
     /// Removes `id`'s directory; absent is not an error.
@@ -107,10 +101,11 @@ impl ExperimentStore {
         }
     }
 
-    /// Reads every recoverable experiment, in id order. Unreadable or
-    /// malformed entries are skipped with a warning on stderr — recovery
-    /// restores what it can rather than refusing to boot.
-    pub fn load_all(&self) -> Vec<PersistedExperiment> {
+    /// Reads every recoverable experiment as `(id, record)`, in id order.
+    /// Unreadable or malformed entries are skipped with a warning on
+    /// stderr — recovery restores what it can rather than refusing to
+    /// boot.
+    pub fn load_all(&self) -> Vec<(String, ExperimentRecord)> {
         let mut out = Vec::new();
         let entries = match std::fs::read_dir(&self.root) {
             Ok(entries) => entries,
@@ -124,14 +119,14 @@ impl ExperimentStore {
         ids.sort();
         for id in ids {
             match self.load_one(&id) {
-                Ok(p) => out.push(p),
+                Ok(record) => out.push((id, record)),
                 Err(e) => eprintln!("warning: skipping experiment {id:?}: {e}"),
             }
         }
         out
     }
 
-    fn load_one(&self, id: &str) -> Result<PersistedExperiment, String> {
+    fn load_one(&self, id: &str) -> Result<ExperimentRecord, String> {
         let dir = self.dir(id);
         let manifest = std::fs::read_to_string(dir.join("manifest.json"))
             .map_err(|e| format!("reading manifest.json: {e}"))?;
@@ -143,20 +138,16 @@ impl ExperimentStore {
             .to_string();
         let (warmup_slots, steps, perturbs) =
             read_meta(meta_line).map_err(|e| format!("manifest meta line: {e}"))?;
-        let snapshot = std::fs::read_to_string(dir.join("checkpoint.json"))
-            .map_err(|e| format!("reading checkpoint.json: {e}"))?
-            .trim_end()
-            .to_string();
-        if snapshot.is_empty() {
-            return Err("checkpoint.json is empty".into());
-        }
-        Ok(PersistedExperiment {
-            id: id.to_string(),
+        let checkpoint = std::fs::read_to_string(dir.join("checkpoint.json"))
+            .map_err(|e| format!("reading checkpoint.json: {e}"))?;
+        let snapshot = Snapshot::from_json(checkpoint.trim_end())
+            .map_err(|e| format!("checkpoint.json: {e}"))?;
+        Ok(ExperimentRecord {
             warmup_slots,
             steps,
             perturbs,
-            scenario_json,
-            snapshot,
+            scenario_json: Arc::new(scenario_json),
+            snapshot: Arc::new(snapshot),
         })
     }
 }
@@ -188,8 +179,27 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use hbm_core::Scenario;
+
+    /// A real record: a one-day myopic run stepped `slots` slots, with
+    /// `slots` as its step counter.
+    pub(crate) fn record(slots: u64) -> ExperimentRecord {
+        let mut s = Scenario::new("myopic");
+        s.days = 1;
+        s.warmup_days = 0;
+        s.seed = 3;
+        let (mut sim, _) = s.build_sim().unwrap();
+        sim.run(slots);
+        ExperimentRecord {
+            warmup_slots: 0,
+            steps: slots,
+            perturbs: 0,
+            scenario_json: Arc::new(s.to_flat_json()),
+            snapshot: Arc::new(sim.snapshot()),
+        }
+    }
 
     fn temp_store(tag: &str) -> (PathBuf, ExperimentStore) {
         let dir = std::env::temp_dir().join(format!("hbm_store_{tag}_{}", std::process::id()));
@@ -201,34 +211,19 @@ mod tests {
     #[test]
     fn save_load_remove_round_trip() {
         let (dir, store) = temp_store("rt");
-        store
-            .save(
-                "exp-000001",
-                10,
-                3,
-                1,
-                "{\"policy\":\"myopic\"}",
-                "{\"s\":1}",
-            )
-            .unwrap();
-        store
-            .save(
-                "exp-000002",
-                0,
-                0,
-                0,
-                "{\"policy\":\"random\"}",
-                "{\"s\":2}",
-            )
-            .unwrap();
+        let first = ExperimentRecord {
+            warmup_slots: 10,
+            perturbs: 1,
+            ..record(3)
+        };
+        store.save("exp-000001", &first).unwrap();
+        store.save("exp-000002", &record(0)).unwrap();
         let all = store.load_all();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0].id, "exp-000001");
-        assert_eq!(all[0].warmup_slots, 10);
-        assert_eq!(all[0].steps, 3);
-        assert_eq!(all[0].perturbs, 1);
-        assert_eq!(all[0].scenario_json, "{\"policy\":\"myopic\"}");
-        assert_eq!(all[0].snapshot, "{\"s\":1}");
+        assert_eq!(all[0], ("exp-000001".to_string(), first.clone()));
+        let checkpoint =
+            std::fs::read_to_string(dir.join("experiments/exp-000001/checkpoint.json")).unwrap();
+        assert_eq!(checkpoint, first.snapshot.to_json() + "\n");
 
         store.remove("exp-000001").unwrap();
         store.remove("exp-000001").unwrap(); // absent is fine
@@ -239,23 +234,21 @@ mod tests {
     #[test]
     fn corrupt_entries_are_skipped_not_fatal() {
         let (dir, store) = temp_store("corrupt");
-        store
-            .save(
-                "exp-000001",
-                0,
-                0,
-                0,
-                "{\"policy\":\"myopic\"}",
-                "{\"s\":1}",
-            )
-            .unwrap();
-        // A directory with a torn manifest and one with no checkpoint.
+        store.save("exp-000001", &record(0)).unwrap();
+        // A directory with a torn manifest, one with no checkpoint, and
+        // one whose checkpoint is not a snapshot.
         std::fs::create_dir_all(dir.join("experiments/exp-000002")).unwrap();
         std::fs::write(dir.join("experiments/exp-000002/manifest.json"), "{bad").unwrap();
         std::fs::create_dir_all(dir.join("experiments/exp-000003")).unwrap();
+        store.save("exp-000004", &record(0)).unwrap();
+        std::fs::write(
+            dir.join("experiments/exp-000004/checkpoint.json"),
+            "{\"s\":1}\n",
+        )
+        .unwrap();
         let all = store.load_all();
         assert_eq!(all.len(), 1);
-        assert_eq!(all[0].id, "exp-000001");
+        assert_eq!(all[0].0, "exp-000001");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -285,7 +278,7 @@ mod tests {
                 "\"warmup_slots\":0,\"steps\":4,\"perturbs\":0",
             ),
         ] {
-            store.save(id, 0, 0, 0, "{}", "{\"s\":1}").unwrap();
+            store.save(id, &record(0)).unwrap();
             let manifest =
                 format!("{{\"schema\":\"{MANIFEST_SCHEMA}\",\"id\":\"{id}\",{meta}}}\n{{}}\n");
             std::fs::write(
@@ -296,7 +289,7 @@ mod tests {
         }
         let all = store.load_all();
         assert_eq!(all.len(), 1, "{all:?}");
-        assert_eq!((all[0].id.as_str(), all[0].steps), ("exp-000005", 4));
+        assert_eq!((all[0].0.as_str(), all[0].1.steps), ("exp-000005", 4));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -325,14 +318,10 @@ mod tests {
     #[test]
     fn rewrites_are_atomic_renames() {
         let (dir, store) = temp_store("atomic");
-        store
-            .save("exp-000001", 0, 1, 0, "{}", "{\"v\":1}")
-            .unwrap();
-        store
-            .save("exp-000001", 0, 2, 0, "{}", "{\"v\":2}")
-            .unwrap();
+        store.save("exp-000001", &record(1)).unwrap();
+        store.save("exp-000001", &record(2)).unwrap();
         let all = store.load_all();
-        assert_eq!(all[0].snapshot, "{\"v\":2}");
+        assert_eq!(all[0].1, record(2));
         // No temp litter left behind.
         let leftovers: Vec<_> = std::fs::read_dir(dir.join("experiments/exp-000001"))
             .unwrap()

@@ -1,15 +1,13 @@
 //! Write-behind checkpointing: a dedicated thread turns in-memory
 //! snapshots into on-disk checkpoints off the request path.
 //!
-//! The supervisor used to serialize and `fsync`-rename two files inside
-//! every mutating operation — the dominant cost of a session step. A
-//! [`CheckpointWriter`] replaces that with a *latest-wins* queue: each
-//! enqueue coalesces onto any still-pending save for the same experiment
-//! (only the newest snapshot matters — checkpoints are recovery points,
-//! not a journal), and a single writer thread serializes the snapshot and
-//! writes both files. The queue is bounded by construction: at most one
-//! pending save per live experiment, so its size never exceeds the
-//! supervisor's experiment capacity.
+//! A [`CheckpointWriter`] is a *latest-wins* queue: each enqueue coalesces
+//! onto any still-pending save for the same experiment (only the newest
+//! record matters — checkpoints are recovery points, not a journal), and a
+//! single writer thread serializes the snapshot and writes both files. The
+//! queue is bounded by construction: at most one pending save per live
+//! experiment, so its size never exceeds the supervisor's experiment
+//! capacity.
 //!
 //! Durability contract: [`CheckpointWriter::flush`] drains the queue and
 //! any in-flight write; the server calls it before `run()` returns, and
@@ -26,29 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use hbm_core::Snapshot;
-
-use crate::store::ExperimentStore;
-
-/// One coalescable save: everything [`ExperimentStore::save`] needs, with
-/// the snapshot still binary — the writer thread serializes it.
-pub struct PendingSave {
-    /// Warm-up slots run at creation.
-    pub warmup_slots: u64,
-    /// Completed step operations.
-    pub steps: u64,
-    /// Applied perturbations.
-    pub perturbs: u64,
-    /// The effective scenario, one flat-JSON line (shared, not copied).
-    pub scenario_json: Arc<String>,
-    /// The binary snapshot; serialized to `hbm-checkpoint-v1` JSON on the
-    /// writer thread, not the caller's.
-    pub snapshot: Arc<Snapshot>,
-}
+use crate::store::{ExperimentRecord, ExperimentStore};
 
 struct WriterState {
     /// Latest pending save per experiment id (latest wins).
-    pending: HashMap<String, PendingSave>,
+    pending: HashMap<String, ExperimentRecord>,
     /// The id whose save is being written right now, if any.
     writing: Option<String>,
     /// Set once on shutdown; the thread drains `pending` and exits.
@@ -95,10 +75,10 @@ impl CheckpointWriter {
         }
     }
 
-    /// Queues (or replaces) the save for `id` — latest wins.
-    pub fn enqueue(&self, id: &str, save: PendingSave) {
+    /// Queues (or replaces) the save of `id` — latest wins.
+    pub fn enqueue(&self, id: &str, record: ExperimentRecord) {
         let mut state = self.inner.state.lock().unwrap();
-        state.pending.insert(id.to_string(), save);
+        state.pending.insert(id.to_string(), record);
         self.inner.cond.notify_all();
     }
 
@@ -143,13 +123,13 @@ impl Drop for CheckpointWriter {
 
 fn writer_loop(inner: &Inner) {
     loop {
-        let (id, save) = {
+        let (id, record) = {
             let mut state = inner.state.lock().unwrap();
             loop {
                 if let Some(id) = state.pending.keys().next().cloned() {
-                    let save = state.pending.remove(&id).expect("key just seen");
+                    let record = state.pending.remove(&id).expect("key just seen");
                     state.writing = Some(id.clone());
-                    break (id, save);
+                    break (id, record);
                 }
                 if state.closing {
                     return;
@@ -159,15 +139,7 @@ fn writer_loop(inner: &Inner) {
         };
         // Serialize and write outside the lock: enqueues keep landing (and
         // coalescing) while the files go down.
-        let snapshot_line = save.snapshot.to_json();
-        if let Err(e) = inner.store.save(
-            &id,
-            save.warmup_slots,
-            save.steps,
-            save.perturbs,
-            &save.scenario_json,
-            &snapshot_line,
-        ) {
+        if let Err(e) = inner.store.save(&id, &record) {
             inner.failures.fetch_add(1, Ordering::Relaxed);
             eprintln!("warning: cannot checkpoint experiment {id}: {e}");
         }
@@ -180,18 +152,8 @@ fn writer_loop(inner: &Inner) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbm_core::Scenario;
+    use crate::store::tests::record;
     use std::path::PathBuf;
-
-    fn snapshot_pair() -> (Arc<String>, Arc<Snapshot>) {
-        let mut s = Scenario::new("myopic");
-        s.days = 1;
-        s.warmup_days = 0;
-        s.seed = 3;
-        let (mut sim, _) = s.build_sim().unwrap();
-        sim.run(50);
-        (Arc::new(s.to_flat_json()), Arc::new(sim.snapshot()))
-    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hbm_writer_{tag}_{}", std::process::id()));
@@ -204,25 +166,22 @@ mod tests {
         let dir = temp_dir("flush");
         let store = Arc::new(ExperimentStore::open(&dir).unwrap());
         let writer = CheckpointWriter::new(Arc::clone(&store));
-        let (scenario_json, snapshot) = snapshot_pair();
+        let saved = record(50);
         // Many enqueues for one id: only the last must survive.
         for steps in 0..50 {
             writer.enqueue(
                 "exp-000001",
-                PendingSave {
-                    warmup_slots: 0,
+                ExperimentRecord {
                     steps,
-                    perturbs: 0,
-                    scenario_json: Arc::clone(&scenario_json),
-                    snapshot: Arc::clone(&snapshot),
+                    ..saved.clone()
                 },
             );
         }
         writer.flush();
         let all = store.load_all();
         assert_eq!(all.len(), 1);
-        assert_eq!(all[0].steps, 49);
-        assert_eq!(all[0].snapshot, snapshot.to_json());
+        assert_eq!(all[0].1.steps, 49);
+        assert_eq!(all[0].1.snapshot, saved.snapshot);
         assert_eq!(writer.failures(), 0);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -231,35 +190,17 @@ mod tests {
     fn drop_flushes_and_forget_discards() {
         let dir = temp_dir("drop");
         let store = Arc::new(ExperimentStore::open(&dir).unwrap());
-        let (scenario_json, snapshot) = snapshot_pair();
+        let (first, second) = (record(1), record(2));
         {
             let writer = CheckpointWriter::new(Arc::clone(&store));
-            writer.enqueue(
-                "exp-000001",
-                PendingSave {
-                    warmup_slots: 0,
-                    steps: 1,
-                    perturbs: 0,
-                    scenario_json: Arc::clone(&scenario_json),
-                    snapshot: Arc::clone(&snapshot),
-                },
-            );
-            writer.enqueue(
-                "exp-000002",
-                PendingSave {
-                    warmup_slots: 0,
-                    steps: 2,
-                    perturbs: 0,
-                    scenario_json,
-                    snapshot,
-                },
-            );
+            writer.enqueue("exp-000001", first);
+            writer.enqueue("exp-000002", second);
             writer.forget("exp-000002");
             // Dropping the writer drains exp-000001 (orderly shutdown).
         }
         let all = store.load_all();
         assert_eq!(all.len(), 1, "forgotten save must not be written");
-        assert_eq!(all[0].id, "exp-000001");
+        assert_eq!(all[0].0, "exp-000001");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -268,20 +209,10 @@ mod tests {
         let dir = temp_dir("fail");
         let store = Arc::new(ExperimentStore::open(&dir).unwrap());
         let writer = CheckpointWriter::new(Arc::clone(&store));
-        let (scenario_json, snapshot) = snapshot_pair();
         // Make the experiment's directory path unusable: a *file* where
         // the store wants a directory.
         std::fs::write(dir.join("experiments/exp-000009"), b"not a dir").unwrap();
-        writer.enqueue(
-            "exp-000009",
-            PendingSave {
-                warmup_slots: 0,
-                steps: 1,
-                perturbs: 0,
-                scenario_json,
-                snapshot,
-            },
-        );
+        writer.enqueue("exp-000009", record(1));
         writer.flush();
         assert_eq!(writer.failures(), 1);
         let _ = std::fs::remove_dir_all(dir);

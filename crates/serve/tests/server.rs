@@ -873,7 +873,7 @@ fn every_route_is_documented_in_service_md() {
     // it fails here.
     let doc = include_str!("../../../docs/SERVICE.md");
     for route in hbm_serve::routes::ROUTES {
-        for method in route.methods {
+        for (method, _) in route.methods {
             let needle = format!("{method} {}", route.pattern);
             assert!(
                 doc.contains(&needle),
@@ -1006,4 +1006,87 @@ fn surrogate_tier_labels_responses_and_metrics() {
         handle.stop();
         thread.join().unwrap();
     }
+}
+
+/// The raw bytes of one response to `method path` with `body`.
+fn raw_response(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes()).expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    response
+}
+
+#[test]
+fn experiment_routes_answer_a_byte_exact_transcript() {
+    // One experiment lifecycle through every experiment route and each
+    // error answer. Responses carry no date and ids are sequential, so
+    // every status line, header and body is pinned byte for byte against
+    // `fixtures/experiment_transcript.txt`: a `> METHOD PATH BODY` line
+    // before each raw response.
+    let (addr, handle, thread) = boot(ServeConfig {
+        workers: 1,
+        max_experiments: 1,
+        max_branch_slots: 100,
+        ..ServeConfig::default()
+    });
+    let exp = "/v1/experiments/exp-000001";
+    let at = |suffix: &str| format!("{exp}{suffix}");
+    let exchanges: Vec<(&str, String, &str)> = vec![
+        ("POST", "/v1/experiments".into(), EXP_SCENARIO),
+        ("POST", "/v1/experiments".into(), EXP_SCENARIO),
+        ("POST", "/v1/experiments".into(), "{\"policy\":\"nope\"}"),
+        ("PATCH", "/v1/experiments".into(), ""),
+        ("POST", at("/step"), "{\"slots\":0}"),
+        ("POST", at("/step"), "{\"slots\":120}"),
+        (
+            "POST",
+            "/v1/experiments/exp-999999/step".into(),
+            "{\"slots\":1}",
+        ),
+        ("POST", at("/perturb"), "{}"),
+        ("POST", at("/perturb"), "{\"threshold_c\":30.5}"),
+        ("GET", at("/branches"), ""),
+        ("POST", at("/branches/step"), "{\"slots\":10}"),
+        ("POST", at("/fork"), "{\"label\":\"no spaces!\"}"),
+        ("POST", at("/fork"), ""),
+        (
+            "POST",
+            at("/fork"),
+            "{\"label\":\"hot\",\"attack_load_kw\":3.0,\"battery_kwh\":1.0}",
+        ),
+        ("POST", at("/branches/step"), "{\"slots\":101}"),
+        ("POST", at("/branches/step"), "{\"slots\":60}"),
+        ("GET", at("/branches"), ""),
+        ("GET", at("/state"), ""),
+        ("GET", at("/metrics"), ""),
+        ("GET", "/v1/experiments".into(), ""),
+        ("DELETE", at("/branches"), ""),
+        ("DELETE", at("/branches"), ""),
+        ("DELETE", exp.into(), ""),
+        ("GET", at("/state"), ""),
+        ("DELETE", exp.into(), ""),
+        ("GET", "/v1/metrics".into(), ""),
+    ];
+    let mut transcript = String::new();
+    for (method, path, body) in &exchanges {
+        transcript.push_str(&format!("> {method} {path} {body}\n"));
+        transcript.push_str(&raw_response(addr, method, path, body));
+    }
+    handle.stop();
+    thread.join().unwrap();
+
+    let expected = include_str!("fixtures/experiment_transcript.txt");
+    for (i, (got, want)) in transcript.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(got, want, "transcript line {}", i + 1);
+    }
+    assert_eq!(transcript.lines().count(), expected.lines().count());
+    assert_eq!(transcript, expected);
 }
