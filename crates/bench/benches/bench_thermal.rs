@@ -1,6 +1,7 @@
 //! Thermal-substrate benchmarks (Figs. 7a, 11a, 14a): the zone model, the
-//! CFD-lite transient, heat-matrix extraction, year-long trace synthesis,
-//! and end-to-end simulator throughput.
+//! CFD-lite transient, heat-matrix extraction, year-long trace synthesis
+//! (alone and as a batch's lockstep heads), and end-to-end simulator
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -16,7 +17,7 @@ use hbm_surrogate::{
 use hbm_telemetry::MemoryRecorder;
 use hbm_thermal::{extract_heat_matrix, CfdConfig, CfdModel, HeatMatrixModel, ZoneModel};
 use hbm_units::{Duration, Power, Temperature};
-use hbm_workload::{generate, TraceConfig};
+use hbm_workload::{generate, generate_heads, TraceConfig};
 
 fn zone_model(c: &mut Criterion) {
     c.bench_function("zone_step_one_minute", |b| {
@@ -326,10 +327,18 @@ fn learning_fleet_throughput(c: &mut Criterion) {
 /// One year of 1-minute default-shape benign power (525 600 slots): the
 /// trace synthesis every simulator construction pays, and what a
 /// `fork_vs_rerun/rerun` pays that a fork does not.
+///
+/// Then the traces of a served 8-site, one-day batch: 8 paper-default
+/// years (seeds 1–8) synthesized in one lockstep pass, each keeping only
+/// the 1440 slots the run reads.
 fn trace_synthesis(c: &mut Criterion) {
     c.bench_function("trace_year_generation", |b| {
         let config = TraceConfig::paper_default_year(1);
         b.iter(|| generate(black_box(&config)).mean());
+    });
+    c.bench_function("trace_heads_8_sites_one_day", |b| {
+        let configs: Vec<TraceConfig> = (1..=8).map(TraceConfig::paper_default_year).collect();
+        b.iter(|| generate_heads(black_box(&configs), 1440).len());
     });
 }
 

@@ -15,8 +15,9 @@ use std::sync::Arc;
 use hbm_telemetry::fnv1a64;
 use hbm_telemetry::json::{Fields, JsonObject};
 use hbm_units::{Energy, Power, Temperature};
+use hbm_workload::generate_heads;
 
-use crate::traces::TraceKey;
+use crate::traces::{effective_trace_config, TraceKey};
 use crate::{
     ColoConfig, ForesightedPolicy, Metrics, MyopicPolicy, Policy, RandomPolicy, SimReport,
     Simulation,
@@ -293,14 +294,19 @@ impl Scenario {
     }
 
     /// Builds the configuration and policy, runs the simulation (warming
-    /// up learning policies), and returns the report.
+    /// up learning policies), and returns the report. The report is
+    /// bit-identical to [`Scenario::build_sim`] plus warm-up and run, but
+    /// the simulation synthesizes its trace through [`generate_heads`] and
+    /// holds only the slots it reads, not the whole year.
     ///
     /// # Errors
     ///
     /// Returns a message for an unknown policy or invalid configuration;
     /// never panics on bad input.
     pub fn run(&self) -> Result<SimReport, String> {
-        let (mut sim, needs_warmup) = self.build_sim()?;
+        let (mut sim, needs_warmup) = bounded_sims(std::slice::from_ref(self))?
+            .pop()
+            .expect("one scenario builds one simulation");
         if needs_warmup {
             sim.warmup(self.warmup_slots());
         }
@@ -502,19 +508,41 @@ impl BatchScenario {
 /// batch steps slower than a lone simulation. Two or more run in lockstep
 /// on the sharded batch engine ([`crate::run_sims_batch`]), so they may
 /// differ in seed, overrides and policy but must share the horizon; the
-/// lanes whose policy learns warm up together first.
+/// lanes whose policy learns warm up together first. Their traces are
+/// synthesized in one lockstep [`generate_heads`] pass, and each holds only
+/// the horizon's slots.
 ///
 /// # Errors
 ///
 /// Returns a message for an empty batch, mismatched horizons, an unknown
 /// policy, or an invalid configuration.
 pub fn run_scenarios_batch(sites: &[Scenario]) -> Result<Vec<SimReport>, String> {
-    let first = match sites {
-        [] => return Err("batch needs at least one scenario".into()),
-        [only] => return Ok(vec![only.run()?]),
-        [first, ..] => first,
-    };
-    let mut sims = Vec::with_capacity(sites.len());
+    match sites {
+        [] => Err("batch needs at least one scenario".into()),
+        [only] => Ok(vec![only.run()?]),
+        [first, ..] => Ok(crate::run_sims_batch(
+            bounded_sims(sites)?,
+            first.warmup_slots(),
+            first.slots(),
+        )),
+    }
+}
+
+/// The simulations of a bounded run of `sites`, with their `needs_warmup`
+/// flags: each built as [`Scenario::build_sim`] builds it, but over a head
+/// trace that holds only the slots the run reads (warm-up plus measured),
+/// all synthesized in one [`generate_heads`] pass. A head trace wraps
+/// early, so these simulations must step no further than the horizon and
+/// never leave this module.
+///
+/// # Errors
+///
+/// Returns a message for mismatched horizons, an unknown policy, or an
+/// invalid configuration, naming the first failing site.
+fn bounded_sims(sites: &[Scenario]) -> Result<Vec<(Simulation, bool)>, String> {
+    let first = &sites[0];
+    let mut built = Vec::with_capacity(sites.len());
+    let mut traces = Vec::with_capacity(sites.len());
     for (i, site) in sites.iter().enumerate() {
         if (site.days, site.warmup_days) != (first.days, first.warmup_days) {
             return Err(format!(
@@ -522,13 +550,21 @@ pub fn run_scenarios_batch(sites: &[Scenario]) -> Result<Vec<SimReport>, String>
                 site.days, site.warmup_days, first.days, first.warmup_days
             ));
         }
-        sims.push(site.build_sim()?);
+        let config = site.build_config()?;
+        let (policy, needs_warmup) = build_policy(&site.policy, &config, site.seed)?;
+        traces.push(effective_trace_config(&config.trace, site.seed));
+        built.push((config, policy, site.seed, needs_warmup));
     }
-    Ok(crate::run_sims_batch(
-        sims,
-        first.warmup_slots(),
-        first.slots(),
-    ))
+    let keep = first.warmup_slots().saturating_add(first.slots());
+    let heads = generate_heads(&traces, usize::try_from(keep).unwrap_or(usize::MAX));
+    Ok(built
+        .into_iter()
+        .zip(heads)
+        .map(|((config, policy, seed, needs_warmup), head)| {
+            let sim = Simulation::with_trace(config, policy, seed, Arc::new(head));
+            (sim, needs_warmup)
+        })
+        .collect())
 }
 
 /// Serializes a run's aggregate metrics as one flat JSON line — the

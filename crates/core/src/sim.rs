@@ -388,7 +388,9 @@ impl Simulation {
     /// passing exactly the trace [`Simulation::new`] would generate for
     /// this `config`/`seed` pair: [`crate::TraceStore`] and
     /// [`crate::Scenario::build_sim_sharing_trace`] key it by the effective
-    /// trace configuration.
+    /// trace configuration. A bounded run ([`crate::Scenario::run`]) may
+    /// pass that trace's head instead (`hbm_workload::generate_heads`),
+    /// since it reads no slot past the head's `keep`.
     pub(crate) fn with_trace(
         config: ColoConfig,
         policy: Policy,

@@ -608,36 +608,80 @@ fn short_scenario(policy: &str, seed: u64) -> Scenario {
     s
 }
 
+/// The full-trace oracle of a bounded run: [`Scenario::build_sim`] with
+/// its whole-year trace, warm-up when the policy learns, then the measured
+/// days. [`Scenario::run`] and [`run_scenarios_batch`] hold only a head of
+/// the trace, so they are checked against this path, not each other.
+fn full_trace_run(site: &Scenario) -> SimReport {
+    let (mut sim, needs_warmup) = site.build_sim().unwrap();
+    if needs_warmup {
+        sim.warmup(site.warmup_slots());
+    }
+    sim.run(site.slots())
+}
+
+/// `run_scenarios_batch` over `sites`, and `Scenario::run` of each, match
+/// the full-trace oracle site for site, in input order. (A one-site batch
+/// is `Scenario::run` itself.)
+fn assert_bounded_runs_match_full_traces(sites: &[Scenario]) {
+    let batch = run_scenarios_batch(sites).unwrap();
+    assert_eq!(batch.len(), sites.len());
+    for (site, report) in sites.iter().zip(&batch) {
+        let oracle = format!("{:?}", full_trace_run(site));
+        let what = site.config_canonical();
+        assert_eq!(format!("{report:?}"), oracle, "batch: {what}");
+        if sites.len() > 1 {
+            assert_eq!(format!("{:?}", site.run().unwrap()), oracle, "run: {what}");
+        }
+    }
+}
+
 #[test]
 fn one_scenario_batch_is_the_scalar_run() {
-    let site = short_scenario("foresighted", 3);
-    let batch = run_scenarios_batch(std::slice::from_ref(&site)).unwrap();
-    let scalar = site.run().unwrap();
-    assert_eq!(batch.len(), 1);
-    assert_eq!(format!("{:?}", batch[0]), format!("{scalar:?}"));
+    // The one-site arm, on a learning site that warms up.
+    assert_bounded_runs_match_full_traces(&[short_scenario("foresighted", 3)]);
 }
 
 #[test]
 fn scenario_batch_mixes_learning_and_fixed_policies() {
     // Only the foresighted sites warm up; every site still matches its
-    // own scalar run, in input order.
-    let sites = [
+    // own full-trace run, in input order.
+    assert_bounded_runs_match_full_traces(&[
         short_scenario("myopic", 1),
         short_scenario("foresighted", 2),
         short_scenario("random", 3),
         short_scenario("foresighted", 4),
-    ];
-    let batch = run_scenarios_batch(&sites).unwrap();
-    assert_eq!(batch.len(), sites.len());
-    for (site, report) in sites.iter().zip(&batch) {
-        let scalar = site.run().unwrap();
-        assert_eq!(
-            format!("{report:?}"),
-            format!("{scalar:?}"),
-            "{}",
-            site.policy
-        );
-    }
+    ]);
+}
+
+#[test]
+fn bounded_sites_with_different_trace_means_match_full_traces() {
+    // Utilization rescales each trace to its own mean; the sites still
+    // share shape, slot and length, so they synthesize in one lockstep
+    // group.
+    let sites: Vec<Scenario> = [0.55, 0.75, 0.9]
+        .into_iter()
+        .zip(["myopic", "foresighted", "myopic"])
+        .enumerate()
+        .map(|(i, (utilization, policy))| {
+            let mut s = short_scenario(policy, 10 + i as u64);
+            s.utilization = Some(utilization);
+            s
+        })
+        .collect();
+    assert_bounded_runs_match_full_traces(&sites);
+}
+
+#[test]
+fn bounded_run_past_the_year_matches_full_traces() {
+    // 366 measured days read past the year's 525 600 slots, so the head
+    // clamps to the whole year and wraps exactly like the full trace. One
+    // site (the scalar arm) keeps the debug-build cost to two year-long
+    // runs; both arms build through the same head-trace helper.
+    let mut site = short_scenario("myopic", 20);
+    site.days = 366;
+    site.warmup_days = 0;
+    assert_bounded_runs_match_full_traces(&[site]);
 }
 
 #[test]

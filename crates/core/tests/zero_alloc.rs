@@ -1,5 +1,6 @@
 //! Proof that the simulator's steady loop performs zero heap allocations
-//! per slot, and that building a batch copies no trace.
+//! per slot, that building a batch copies no trace, and that a bounded run
+//! holds no year-long trace.
 //!
 //! A counting wrapper around the system allocator measures `Simulation::step`
 //! after construction and warm-up. This lives in its own integration-test
@@ -14,7 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use hbm_core::{BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, Simulation};
+use hbm_core::scenario::run_scenarios_batch;
+use hbm_core::{BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, Scenario, Simulation};
 use hbm_units::Power;
 
 struct CountingAllocator;
@@ -190,5 +192,38 @@ fn batch_new_copies_no_trace() {
     assert!(
         bytes < 1 << 20,
         "BatchSim::new allocated {bytes} bytes over 8 lanes"
+    );
+}
+
+/// A bounded run synthesizes its traces but stores only their heads: a
+/// `run_scenarios_batch` of 8 one-day myopic sites, and a `Scenario::run`
+/// of one, each allocate less than one year-long trace (525 600 samples of
+/// 8 bytes, 4.2 MB). Holding full traces, the batch would allocate at
+/// least 8 of them (33.6 MB).
+#[test]
+fn bounded_runs_hold_no_year_trace() {
+    const YEAR_TRACE_BYTES: u64 = 365 * 1440 * 8;
+    let _counting = counting();
+    let mut site = Scenario::new("myopic");
+    site.days = 1;
+    site.warmup_days = 0;
+    let sites: Vec<Scenario> = (0..8).map(|i| site.site(i)).collect();
+
+    let before = allocated_bytes();
+    let reports = run_scenarios_batch(&sites).expect("batch runs");
+    let batch = allocated_bytes() - before;
+    std::hint::black_box(&reports);
+    assert!(
+        batch < YEAR_TRACE_BYTES,
+        "run_scenarios_batch of 8 one-day sites allocated {batch} bytes"
+    );
+
+    let before = allocated_bytes();
+    let report = site.run().expect("site runs");
+    let single = allocated_bytes() - before;
+    std::hint::black_box(&report);
+    assert!(
+        single < YEAR_TRACE_BYTES,
+        "Scenario::run of one one-day site allocated {single} bytes"
     );
 }

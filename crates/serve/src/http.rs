@@ -182,6 +182,7 @@ pub fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
+        409 => "Conflict",
         410 => "Gone",
         413 => "Payload Too Large",
         414 => "URI Too Long",

@@ -10,7 +10,9 @@
 //! * [`generate`] produces seeded, reproducible power traces with diurnal and
 //!   weekly seasonality, autocorrelated noise, and load bursts
 //!   ([`TraceShape::FacebookBaidu`]), or a flatter, spikier cluster profile
-//!   ([`TraceShape::Google`]).
+//!   ([`TraceShape::Google`]). [`generate_heads`] synthesizes many traces in
+//!   one lockstep pass and keeps only each one's first slots, for runs that
+//!   read no further.
 //! * [`latency`] models the 95th-percentile response time of an interactive
 //!   service as a function of the power cap and offered load, calibrated to
 //!   the paper's anchor (≈4× latency at a 60 % power cap — Fig. 14b/15).
@@ -43,7 +45,7 @@ pub mod queue;
 mod trace;
 
 pub use io::ParseTraceError;
-pub use trace::{generate, PowerTrace, TraceConfig, TraceShape};
+pub use trace::{generate, generate_heads, PowerTrace, TraceConfig, TraceShape};
 
 /// Crate-internal percentile (linear interpolation between closest ranks).
 pub(crate) fn stats_percentile(samples: &[f64], p: f64) -> f64 {

@@ -1,7 +1,9 @@
 //! Property-based tests of trace generation and the latency model.
 
 use hbm_units::{Duration, Power};
-use hbm_workload::{generate, latency::LatencyModel, PowerTrace, TraceConfig, TraceShape};
+use hbm_workload::{
+    generate, generate_heads, latency::LatencyModel, PowerTrace, TraceConfig, TraceShape,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -91,6 +93,24 @@ fn reference_generate(config: &TraceConfig) -> PowerTrace {
     PowerTrace::new(config.slot, raw).rescale(config.mean, config.peak)
 }
 
+/// Fails at the first slot where `got` and `want` differ in length or in
+/// bits.
+fn same_bits(got: &[Power], want: &[Power], what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "{} length", what);
+    for (k, (a, b)) in got.iter().zip(want).enumerate() {
+        prop_assert_eq!(
+            a.as_watts().to_bits(),
+            b.as_watts().to_bits(),
+            "{} slot {} differs: {} vs {}",
+            what,
+            k,
+            a,
+            b
+        );
+    }
+    Ok(())
+}
+
 /// 64-bit FNV-1a over the little-endian bits of every sample.
 fn fnv1a_samples(trace: &PowerTrace) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
@@ -127,35 +147,46 @@ const ALTERNATE_YEAR_DIGEST: u64 = 0xefd2_0b88_061f_d517;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `generate` matches the reference loop sample for sample. 1 s slots
+    /// `generate_heads` matches the reference loop lane for lane over each
+    /// head (the first `min(keep, len)` samples), and `generate`, its
+    /// one-lane call that keeps every sample, matches it in full. Lanes
+    /// draw their own seeds, means and peaks. `mix` 0 gives every lane
+    /// `shape`; 1 gives each its own shape; 2 also halves the odd lanes'
+    /// length, so the lanes fall into several lockstep groups. 1 s slots
     /// put a day's positions past the diurnal memo's 2^15-entry cap (so the
     /// "evaluate directly" path runs), 7 s slots shift every day's phases
     /// against the stored ones, and 2-day slots start a new day every slot.
     #[test]
     fn generate_matches_reference_bit_for_bit(
+        lanes in prop::collection::vec((any_shape(), 0u64..u64::MAX, 3.0..6.5f64, 0.2..2.0f64), 1..10),
         shape in any_shape(),
-        seed in 0u64..u64::MAX,
+        mix in 0u8..3,
         len in prop_oneof![1usize..100, 100usize..50_000],
         slot_s in prop_oneof![Just(1.0), Just(7.0), Just(60.0), Just(300.0), Just(172_800.0)],
-        mean_kw in 3.0..6.5f64,
+        keep_pick in 0usize..usize::MAX,
     ) {
-        let config = TraceConfig {
-            shape,
-            seed,
-            slot: Duration::from_seconds(slot_s),
-            len,
-            mean: Power::from_kilowatts(mean_kw),
-            peak: Power::from_kilowatts(7.2),
-        };
-        let fast = generate(&config);
-        let reference = reference_generate(&config);
-        prop_assert_eq!(fast.len(), reference.len());
-        for (k, (a, b)) in fast.iter().zip(&reference).enumerate() {
-            prop_assert_eq!(
-                a.as_watts().to_bits(),
-                b.as_watts().to_bits(),
-                "slot {} differs: {} vs {}", k, a, b
-            );
+        let keep = 1 + keep_pick % (len + 5);
+        let configs: Vec<TraceConfig> = lanes
+            .iter()
+            .enumerate()
+            .map(|(i, &(own_shape, seed, mean_kw, headroom_kw))| TraceConfig {
+                shape: if mix == 0 { shape } else { own_shape },
+                seed,
+                slot: Duration::from_seconds(slot_s),
+                len: if mix == 2 && i % 2 == 1 { len / 2 + 1 } else { len },
+                mean: Power::from_kilowatts(mean_kw),
+                peak: Power::from_kilowatts(mean_kw + headroom_kw),
+            })
+            .collect();
+        let heads = generate_heads(&configs, keep);
+        prop_assert_eq!(heads.len(), configs.len());
+        for (i, (config, head)) in configs.iter().zip(&heads).enumerate() {
+            let reference = reference_generate(config);
+            let kept = keep.min(config.len);
+            same_bits(head.samples(), &reference.samples()[..kept], &format!("lane {i}"))?;
+            if i == 0 {
+                same_bits(generate(config).samples(), reference.samples(), "generate")?;
+            }
         }
     }
 

@@ -10,6 +10,8 @@
 #   * heat-matrix model step
 #   * heat-matrix extraction vs surrogate predict
 #   * year-long benign trace synthesis (trace_year_generation)
+#   * an 8-site one-day batch's lockstep trace heads
+#     (trace_heads_8_sites_one_day) vs 8 full years one by one
 #
 # A short traced fig9 run then contributes its kernel timing spans
 # (entries named span/<name>, same shape), and a short hbm-serve-bench
@@ -168,6 +170,10 @@ awk -F'"' '
         if (year > 0)
             printf "year-long trace synthesis (525600 slots): %.1f ms (%.0f ns/slot)\n",
                 year / 1e6, year / 525600
+        heads = median["trace_heads_8_sites_one_day"]
+        if (heads > 0 && year > 0)
+            printf "8-site one-day batch traces: lockstep heads %.1f ms vs 8 full years %.1f ms  ->  %.1fx\n",
+                heads / 1e6, 8 * year / 1e6, 8 * year / heads
         fork = median["fork_vs_rerun/fork"]
         rerun = median["fork_vs_rerun/rerun"]
         if (fork > 0 && rerun > 0)

@@ -11,6 +11,7 @@
 #   * fork_vs_rerun/fork                   (what-if fork cost, median_ns)
 #   * fork_vs_rerun/rerun                  (rerun-from-0 baseline, median_ns)
 #   * trace_year_generation                (one year of benign power, median_ns)
+#   * trace_heads_8_sites_one_day          (8-site one-day batch traces, median_ns)
 #   * surrogate/predict_4_servers          (surrogate-tier predict, median_ns)
 #
 # Smoke runs on shared CI runners are noisy, hence the wide default
@@ -71,6 +72,7 @@ guard "serve/session_slot_ns" slot_ns
 guard "fork_vs_rerun/fork" median_ns
 guard "fork_vs_rerun/rerun" median_ns
 guard "trace_year_generation" median_ns
+guard "trace_heads_8_sites_one_day" median_ns
 guard "surrogate/predict_4_servers" median_ns
 
 exit $status
