@@ -11,9 +11,6 @@ use hbm_core::{
     BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, Perturbation, Scenario, Simulation,
     StateTree,
 };
-use hbm_surrogate::{
-    ExtractionSettings, FitOptions, SurrogateDomain, SurrogateModel, SurrogateQuery,
-};
 use hbm_telemetry::MemoryRecorder;
 use hbm_thermal::{extract_heat_matrix, CfdConfig, CfdModel, HeatMatrixModel, ZoneModel};
 use hbm_units::{Duration, Power, Temperature};
@@ -157,39 +154,6 @@ fn cfd_model(c: &mut Criterion) {
     };
     group.bench_function("heat_matrix_extraction_4_servers_cold", |b| {
         b.iter(|| extract(&small));
-    });
-    group.finish();
-}
-
-/// Surrogate-tier predict against the extraction it replaces: the same
-/// 4-server family, 120 W spike, and 1-minute lag schedule as the `matrix`
-/// group, so `surrogate/predict_4_servers` reads directly against
-/// `matrix/heat_matrix_extraction_4_servers_cold` in BENCH_thermal.json.
-fn surrogate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("surrogate");
-    let settings = ExtractionSettings {
-        config: CfdConfig {
-            racks: 1,
-            servers_per_rack: 4,
-            ..CfdConfig::paper_default()
-        },
-        spike: Power::from_watts(120.0),
-        window: Duration::from_minutes(5.0),
-        lag_step: Duration::from_minutes(1.0),
-    };
-    let domain = SurrogateDomain {
-        lo: [100.0, 24.0, 0.02],
-        hi: [200.0, 30.0, 0.12],
-    };
-    let model =
-        SurrogateModel::fit(settings, domain, FitOptions::default()).expect("bench surrogate fits");
-    let query = SurrogateQuery {
-        baseline_w: 150.0,
-        supply_c: 27.0,
-        leakage: 0.08,
-    };
-    group.bench_function("predict_4_servers", |b| {
-        b.iter(|| model.predict(black_box(&query)));
     });
     group.finish();
 }
@@ -395,7 +359,6 @@ criterion_group!(
     benches,
     zone_model,
     cfd_model,
-    surrogate,
     sim_throughput,
     fleet_throughput,
     learning_fleet_throughput,

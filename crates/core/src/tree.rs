@@ -101,12 +101,6 @@ impl StateTree {
         self.fork_slot
     }
 
-    /// The scenario the tree was rooted with — the base every branch
-    /// perturbation applies to.
-    pub fn scenario(&self) -> &Scenario {
-        &self.base_scenario
-    }
-
     /// Number of branches.
     pub fn len(&self) -> usize {
         self.branches.len()

@@ -10,7 +10,6 @@
 //!                      [--threshold-c F] [--cap-w F]
 //! experiments client [--addr HOST:PORT] <create|list|step|perturb|state|metrics|delete> ...
 //! experiments whatif --policy NAME [--fork-at SLOT] [--slots N] [--variant key=value[,...]]...
-//! experiments surrogate <fit|validate|sweep> --model FILE [...]
 //! ```
 //!
 //! Each experiment prints a summary table and writes the full data series
@@ -31,11 +30,6 @@
 //! lockstep comparison — where the futures diverge and how their
 //! outcomes differ — without re-simulating the shared prefix (see
 //! [`whatif`]).
-//!
-//! `surrogate` fits, validates, and error-sweeps the polynomial
-//! surrogate tier for heat-matrix extraction (see [`surrogate_cmd`] and
-//! `docs/SURROGATE.md`); the fitted artifact plugs into `hbm-serve
-//! --surrogate`.
 //!
 //! `--jobs N` runs independent experiments on up to `N` threads (0 = one
 //! per core); sweeps inside an experiment parallelize too, all drawing
@@ -58,7 +52,6 @@ mod figs_extra;
 mod figs_infra;
 mod figs_perf;
 mod figs_sense;
-mod surrogate_cmd;
 mod whatif;
 
 use common::{Options, Sink};
@@ -102,7 +95,6 @@ fn usage() {
     eprintln!("       experiments simulate --policy NAME [--days N] [--warmup-days N] [--seed N] [--util F] [--attack-load-kw F] [--battery-kwh F] [--threshold-c F] [--cap-w F]");
     eprintln!("       experiments client [--addr HOST:PORT] <create|list|step|perturb|state|metrics|delete> ...");
     eprintln!("       experiments whatif --policy NAME [--fork-at SLOT] [--slots N] [--variant key=value[,...]]...");
-    eprintln!("       experiments surrogate <fit|validate|sweep> --model FILE [...]");
     eprintln!("available experiments:");
     for (name, _) in EXPERIMENTS {
         eprintln!("  {name}");
@@ -201,43 +193,6 @@ fn main() {
         }
         return;
     }
-    if ids[0] == "surrogate" {
-        // Same contract as whatif for flags the subcommand ignores;
-        // --timings/--timings-json are honored (fits record spans).
-        const UNSUPPORTED: &[&str] = &["--out", "--jobs", "--trace"];
-        if let Some(flag) = raw.iter().find(|a| UNSUPPORTED.contains(&a.as_str())) {
-            eprintln!("error: surrogate does not support {flag}");
-            eprintln!("{}", surrogate_cmd::USAGE);
-            std::process::exit(2);
-        }
-        if opts.timings {
-            hbm_telemetry::timing::set_timings_enabled(true);
-            for span in ["surrogate.fit", "surrogate.predict", "heat_matrix.extract"] {
-                hbm_telemetry::timing::declare_span(span);
-            }
-        }
-        if let Err(e) = surrogate_cmd::run_surrogate(&opts, &ids[1..]) {
-            eprintln!("error: {e}");
-            eprintln!("{}", surrogate_cmd::USAGE);
-            std::process::exit(2);
-        }
-        if opts.timings {
-            println!("\n=== kernel timing report ===");
-            println!("{}", hbm_telemetry::timing::render_timing_report());
-            if let Some(path) = &opts.timings_json {
-                let json = hbm_telemetry::timing::timing_report_bench_json();
-                if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-                if let Err(e) = std::fs::write(path, json + "\n") {
-                    eprintln!("error: cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-                println!("  [json] {}", path.display());
-            }
-        }
-        return;
-    }
     if ids[0] == "client" {
         if let Err(e) = client::run_client(&opts, &ids[1..]) {
             eprintln!("error: {e}");
@@ -278,8 +233,6 @@ fn main() {
             "sim.step",
             "rl.batch_update",
             "rl.q_update",
-            "surrogate.fit",
-            "surrogate.predict",
         ] {
             hbm_telemetry::timing::declare_span(span);
         }

@@ -38,6 +38,17 @@ fn largest_seed_derives_defense_roc_noise_seeds() {
     );
 }
 
+#[test]
+fn removed_surrogate_subcommand_is_an_unknown_experiment() {
+    let output = experiments(&["surrogate", "fit", "--model", "m.json"]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("unknown experiment \"surrogate\""),
+        "{stderr}"
+    );
+}
+
 /// Runs a one-day fig8 traced into a fresh `dir`, after `plant` has put
 /// something at `dir/fig8.jsonl`; the run must exit 1 and name the file.
 fn assert_trace_failure_is_reported(dir: &str, plant: impl FnOnce(&Path)) {

@@ -485,8 +485,7 @@ impl Supervisor {
     /// perturbation is the control branch (a plain state fork); a
     /// non-empty one rebuilds from the perturbed scenario with the fork
     /// point's snapshot transplanted in. Branches are memory-only. Returns
-    /// the response body and the branch's effective scenario (for the
-    /// server's thermal-tier header).
+    /// the response body.
     ///
     /// # Errors
     ///
@@ -497,7 +496,7 @@ impl Supervisor {
         id: &str,
         label: Option<String>,
         perturbation: &Perturbation,
-    ) -> Result<(String, Scenario), ApiError> {
+    ) -> Result<String, ApiError> {
         self.live(id, |slot, state| {
             let rooted_now = state.tree.is_none();
             let tree = state
@@ -531,7 +530,7 @@ impl Supervisor {
                 .u64("fork_slot", tree.fork_slot())
                 .u64("branches", tree.len() as u64);
             slot.publish_branches(Some(branches_report(&slot.id, tree)));
-            Ok((o.finish(), perturbation.apply(tree.scenario())))
+            Ok(o.finish())
         })
     }
 
@@ -935,24 +934,22 @@ mod tests {
         assert_eq!(sup.branch_step(&id, 10).unwrap_err().0, 409);
 
         // Control + a heavier-attack variant fork at slot 300.
-        let (control, branch) = sup.fork(&id, None, &Perturbation::default()).unwrap();
+        let control = sup.fork(&id, None, &Perturbation::default()).unwrap();
         assert_eq!(
             control,
             r#"{"id":"exp-000001","branch":0,"label":"branch-0","fork_slot":300,"branches":1}"#
         );
-        assert_eq!(branch, scenario());
         let hot = Perturbation {
             attack_load_kw: Some(3.0),
             battery_kwh: Some(1.0),
             ..Perturbation::default()
         };
-        let (variant, branch) = sup.fork(&id, Some("hot".into()), &hot).unwrap();
+        let variant = sup.fork(&id, Some("hot".into()), &hot).unwrap();
         assert_eq!(
             (field(&variant, "branch"), field(&variant, "branches")),
             ("1".into(), "2".into())
         );
         assert_eq!(field(&variant, "fork_slot"), "300");
-        assert_eq!(branch, hot.apply(&scenario()));
 
         let out = sup.branch_step(&id, 1440).unwrap();
         assert_eq!(

@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 
 use hbm_core::scenario::{metrics_json, run_scenarios_batch, BatchScenario};
 use hbm_core::{Perturbation, Scenario};
-use hbm_surrogate::TieredExtractor;
 use hbm_telemetry::json::{push_json_str, Fields, JsonObject};
 use hbm_telemetry::{timing, RunManifest};
 
@@ -77,10 +76,6 @@ pub struct ServeConfig {
     /// Largest cumulative slot horizon the branches of one experiment may
     /// advance; branch steps beyond it answer `413`.
     pub max_branch_slots: u64,
-    /// When set, simulate and fork responses carry an `X-Thermal-Tier`
-    /// header naming the tier that would answer the scenario's thermal
-    /// query, and `/v1/metrics` reports this tier's decision counters.
-    pub surrogate: Option<Arc<TieredExtractor>>,
 }
 
 impl Default for ServeConfig {
@@ -99,7 +94,6 @@ impl Default for ServeConfig {
             max_step_slots: 1_000_000,
             max_branches: 16,
             max_branch_slots: 100_000,
-            surrogate: None,
         }
     }
 }
@@ -220,25 +214,6 @@ pub fn declare_spans() {
     timing::declare_span("serve.simulate");
     timing::declare_span("serve.batch-simulate");
     timing::declare_span("serve.experiment");
-}
-
-/// Which tier would answer `scenario`'s thermal query, as a response
-/// header value — `None` when the server has no surrogate tier (the
-/// default), so responses are byte-identical to a tier-less build.
-///
-/// The query is the scenario's mean per-server power (benign trace mean
-/// plus attacker standby, spread over the container) at the tier's own
-/// supply and leakage. Deciding bumps the hit/miss/fallback counters
-/// `/v1/metrics` reports; no heat-matrix model is built.
-fn thermal_tier_label(tier: Option<&TieredExtractor>, scenario: &Scenario) -> Option<&'static str> {
-    let tier = tier?;
-    // An invalid scenario or mapped config never blocks the response;
-    // the header is simply omitted.
-    let config = scenario.build_config().ok()?;
-    let per_server_w =
-        (config.trace.mean + config.standby_power).as_watts() / config.server_count() as f64;
-    let query = tier.query_for_baseline(per_server_w);
-    tier.tier_for(&query).ok().map(|kind| kind.as_str())
 }
 
 impl Server {
@@ -647,11 +622,9 @@ fn answer(shared: &Shared, op: Op, stream: &mut TcpStream) {
             id,
             label,
             perturbation,
-        } => sup.fork(&id, label, &perturbation).map(|(body, branch)| {
+        } => sup.fork(&id, label, &perturbation).map(|body| {
             ServeMetrics::bump(&m.experiment_forks);
-            let tier = thermal_tier_label(shared.config.surrogate.as_deref(), &branch);
-            let headers = tier.map(|t| ("X-Thermal-Tier", t.to_string()));
-            (200, headers.into_iter().collect(), body)
+            ok(body)
         }),
         Op::Branches(id) => sup.branches_of(&id).map(|report| ok(report.to_string())),
         Op::BranchStep { id, slots } => sup.branch_step(&id, slots).map(|body| {
@@ -701,15 +674,10 @@ fn run_simulate_job(
             &wrapped
         }
     };
-    let mut extra = vec![
+    let extra = [
         ("X-Cache", if all_hit { "hit" } else { "miss" }.to_string()),
         ("X-Config-Hash", scenario.config_hash()),
     ];
-    // The tier query ignores the seed, so the template's label holds for
-    // every site.
-    if let Some(tier) = thermal_tier_label(shared.config.surrogate.as_deref(), scenario) {
-        extra.push(("X-Thermal-Tier", tier.to_string()));
-    }
     let _ = http::write_response(stream, 200, &extra, body.as_bytes());
 }
 
@@ -944,12 +912,6 @@ fn metrics_body(shared: &Shared) -> String {
         "checkpoint_failures",
         shared.supervisor.checkpoint_failures(),
     );
-    // This server's surrogate tier decisions; all-zero without a tier.
-    let tier_stats = shared.config.surrogate.as_ref().map(|t| t.stats());
-    o.u64("surrogate_hits", tier_stats.map_or(0, |s| s.hits))
-        .u64("surrogate_misses", tier_stats.map_or(0, |s| s.misses))
-        .u64("surrogate_fallbacks", tier_stats.map_or(0, |s| s.fallbacks))
-        .f64("surrogate_bound_c", tier_stats.map_or(0.0, |s| s.bound_c));
     o.finish()
 }
 

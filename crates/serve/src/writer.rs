@@ -85,6 +85,11 @@ impl CheckpointWriter {
     /// Drops any pending save for `id` and waits for an in-flight write of
     /// it to finish, so the caller can remove the directory without racing
     /// a write that would recreate it.
+    ///
+    /// Contract: when `forget` returns, no save of `id` is pending or in
+    /// flight. A save the writer thread already took is *written*, not
+    /// discarded; removing the directory after `forget` is what deletes
+    /// it, and until `id` is enqueued again nothing can write it back.
     pub fn forget(&self, id: &str) {
         let mut state = self.inner.state.lock().unwrap();
         state.pending.remove(id);
@@ -186,6 +191,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// Mirrors a supervisor delete: forget, then remove the directory.
+    /// Whether the writer took the second save before `forget` or not,
+    /// only the first experiment may be on disk afterwards.
     #[test]
     fn drop_flushes_and_forget_discards() {
         let dir = temp_dir("drop");
@@ -196,10 +204,16 @@ mod tests {
             writer.enqueue("exp-000001", first);
             writer.enqueue("exp-000002", second);
             writer.forget("exp-000002");
+            {
+                let state = writer.inner.state.lock().unwrap();
+                assert!(!state.pending.contains_key("exp-000002"), "still pending");
+                assert_ne!(state.writing.as_deref(), Some("exp-000002"), "in flight");
+            }
+            store.remove("exp-000002").unwrap();
             // Dropping the writer drains exp-000001 (orderly shutdown).
         }
         let all = store.load_all();
-        assert_eq!(all.len(), 1, "forgotten save must not be written");
+        assert_eq!(all.len(), 1, "a forgotten save outlived its removal");
         assert_eq!(all[0].0, "exp-000001");
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -166,11 +166,6 @@ fn golden_scenario_parity_cache_and_metrics() {
     assert_eq!(json_u64(&metrics, "cache_misses"), 1);
     assert!(json_u64(&metrics, "simulate_ok") >= 2);
     assert!(json_u64(&metrics, "requests_total") >= 3);
-    // Tier counters are per server, and this one has no tier.
-    for key in ["surrogate_hits", "surrogate_misses", "surrogate_fallbacks"] {
-        assert_eq!(json_u64(&metrics, key), 0, "{key}: {metrics}");
-    }
-    assert_eq!(json_f64(&metrics, "surrogate_bound_c"), 0.0, "{metrics}");
 
     handle.stop();
     thread.join().unwrap();
@@ -880,131 +875,6 @@ fn every_route_is_documented_in_service_md() {
                 "docs/SERVICE.md does not document {needle:?}"
             );
         }
-    }
-}
-
-/// The `X-Thermal-Tier` header of each of a simulate (in-region), a
-/// fork (in-region), a simulate at an out-of-region `utilization` and a
-/// two-site batch (in-region), followed by the server's `/v1/metrics` body.
-fn tier_probe(addr: SocketAddr) -> ([Option<String>; 4], String) {
-    let label = |headers: &[(String, String)]| header(headers, "x-thermal-tier").map(String::from);
-    let (status, headers, body) = post_simulate(
-        addr,
-        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":3}",
-    );
-    assert_eq!(status, 200, "body: {body}");
-    let simulate = label(&headers);
-
-    let (status, _, body) = req(addr, "POST", "/v1/experiments", EXP_SCENARIO);
-    assert_eq!(status, 201, "body: {body}");
-    let id = json_str(&body, "id");
-    let (status, _, _) = req(
-        addr,
-        "POST",
-        &format!("/v1/experiments/{id}/step"),
-        "{\"slots\":10}",
-    );
-    assert_eq!(status, 200);
-    let (status, headers, body) = req(
-        addr,
-        "POST",
-        &format!("/v1/experiments/{id}/fork"),
-        "{\"label\":\"hot\",\"attack_load_kw\":2.0}",
-    );
-    assert_eq!(status, 200, "body: {body}");
-    let fork = label(&headers);
-
-    // 10 % utilization puts the per-server operating point below the
-    // trust region's 50 W floor.
-    let (status, headers, body) = post_simulate(
-        addr,
-        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":3,\"utilization\":0.1}",
-    );
-    assert_eq!(status, 200, "body: {body}");
-    let outside = label(&headers);
-
-    let (status, headers, body) = post_batch_simulate(
-        addr,
-        "{\"policy\":\"myopic\",\"days\":1,\"warmup_days\":0,\"seed\":4,\"count\":2}",
-    );
-    assert_eq!(status, 200, "body: {body}");
-    let batch = label(&headers);
-
-    let (status, _, metrics) = get(addr, "/v1/metrics");
-    assert_eq!(status, 200);
-    ([simulate, fork, outside, batch], metrics)
-}
-
-#[test]
-fn surrogate_tier_labels_responses_and_metrics() {
-    // Fit a tiny real surrogate whose trust region covers the paper
-    // default's per-server operating point (~130 W) and give it to one of
-    // two servers running side by side in this process.
-    let settings = hbm_surrogate::ExtractionSettings {
-        config: hbm_thermal::CfdConfig {
-            racks: 1,
-            servers_per_rack: 2,
-            ..hbm_thermal::CfdConfig::paper_default()
-        },
-        spike: hbm_units::Power::from_watts(120.0),
-        window: hbm_units::Duration::from_minutes(5.0),
-        lag_step: hbm_units::Duration::from_minutes(1.0),
-    };
-    let model = hbm_surrogate::SurrogateModel::fit(
-        settings,
-        hbm_surrogate::SurrogateDomain {
-            lo: [50.0, 25.0, 0.03],
-            hi: [250.0, 29.0, 0.10],
-        },
-        hbm_surrogate::FitOptions {
-            grid_points: 3,
-            holdout_every: 3,
-            lambda: 1e-8,
-        },
-    )
-    .expect("surrogate fits");
-    let bound = model.max_abs_err_inlet_c();
-
-    let (tier_addr, tier_handle, tier_thread) = boot(ServeConfig {
-        workers: 2,
-        surrogate: Some(std::sync::Arc::new(
-            hbm_surrogate::TieredExtractor::with_model(model, f64::INFINITY),
-        )),
-        ..ServeConfig::default()
-    });
-    let (plain_addr, plain_handle, plain_thread) = boot(ServeConfig {
-        workers: 2,
-        ..ServeConfig::default()
-    });
-    let ((tier_labels, tier_metrics), (plain_labels, plain_metrics)) =
-        std::thread::scope(|scope| {
-            let tiered = scope.spawn(|| tier_probe(tier_addr));
-            let plain = scope.spawn(|| tier_probe(plain_addr));
-            (tiered.join().unwrap(), plain.join().unwrap())
-        });
-
-    let expected =
-        ["surrogate", "surrogate", "extracted", "surrogate"].map(|l| Some(l.to_string()));
-    assert_eq!(tier_labels, expected);
-    // One tier decision per response, a batch included.
-    for (key, want) in [
-        ("surrogate_hits", 3),
-        ("surrogate_misses", 0),
-        ("surrogate_fallbacks", 1),
-    ] {
-        assert_eq!(json_u64(&tier_metrics, key), want, "{key}: {tier_metrics}");
-    }
-    assert_eq!(json_f64(&tier_metrics, "surrogate_bound_c"), bound);
-
-    assert_eq!(plain_labels, [None, None, None, None]);
-    for key in ["surrogate_hits", "surrogate_misses", "surrogate_fallbacks"] {
-        assert_eq!(json_u64(&plain_metrics, key), 0, "{key}: {plain_metrics}");
-    }
-    assert_eq!(json_f64(&plain_metrics, "surrogate_bound_c"), 0.0);
-
-    for (handle, thread) in [(tier_handle, tier_thread), (plain_handle, plain_thread)] {
-        handle.stop();
-        thread.join().unwrap();
     }
 }
 

@@ -241,8 +241,8 @@ pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String>
 pub const MAX_EXACT_INT: u64 = (1 << 53) - 1;
 
 /// The fields of one flat JSON object, read by key through typed
-/// accessors — the one reader for request bodies, checkpoints, manifests
-/// and surrogate artifacts.
+/// accessors — the one reader for request bodies, checkpoints and
+/// manifests.
 ///
 /// Construction rejects duplicate keys. Each accessor takes its key, so a
 /// key is read at most once, and its error names the key: a required key

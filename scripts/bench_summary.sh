@@ -8,7 +8,6 @@
 #
 #   * CFD substep (the flat-buffer kernel)
 #   * heat-matrix model step
-#   * heat-matrix extraction vs surrogate predict
 #   * year-long benign trace synthesis (trace_year_generation)
 #   * an 8-site one-day batch's lockstep trace heads
 #     (trace_heads_8_sites_one_day) vs 8 full years one by one
@@ -106,11 +105,6 @@ awk -F'"' '
         flat = median["cfd_step_one_minute_40_servers"]
         if (flat > 0)
             printf "CFD substep: %.1f us per simulated minute\n", flat / 1000
-        cold = median["matrix/heat_matrix_extraction_4_servers_cold"]
-        sur = median["surrogate/predict_4_servers"]
-        if (cold > 0 && sur > 0)
-            printf "surrogate predict vs cold extraction: %.3f us vs %.1f us  ->  %.0fx cheaper\n",
-                sur / 1000, cold / 1000, cold / sur
         step = median["heat_matrix_model_step_40_servers"]
         gat = median["heat_matrix_model_step_40_servers_gather_baseline"]
         if (step > 0 && gat > 0)

@@ -12,7 +12,6 @@
 #   * fork_vs_rerun/rerun                  (rerun-from-0 baseline, median_ns)
 #   * trace_year_generation                (one year of benign power, median_ns)
 #   * trace_heads_8_sites_one_day          (8-site one-day batch traces, median_ns)
-#   * surrogate/predict_4_servers          (surrogate-tier predict, median_ns)
 #
 # Smoke runs on shared CI runners are noisy, hence the wide default
 # guardband (2x): the guard catches structural regressions — lost
@@ -73,6 +72,5 @@ guard "fork_vs_rerun/fork" median_ns
 guard "fork_vs_rerun/rerun" median_ns
 guard "trace_year_generation" median_ns
 guard "trace_heads_8_sites_one_day" median_ns
-guard "surrogate/predict_4_servers" median_ns
 
 exit $status
