@@ -1,13 +1,15 @@
 //! Batched fleet-scale simulation engine.
 //!
-//! [`BatchSim`] advances a whole batch of scenarios in lockstep: per-slot
-//! state lives in structure-of-arrays form so the hot kernels — the zone
-//! thermal sub-steps ([`ZoneLanes`]) and the side channel's Box–Muller noise
-//! pass ([`box_muller_slice`]) — run as tight, SIMD-friendly inner loops over
-//! the batch dimension instead of re-entering one `Simulation` at a time.
-//! Every other phase of a lane's slot — the benign cap, the estimate filter,
-//! the policy's learn/decide, act and settle — calls the same function
-//! [`Simulation::step`] calls, so the slot is written once.
+//! [`BatchSim`] advances a whole batch of scenarios in lockstep. Its lanes
+//! are the [`Simulation`]s themselves, held in one `Vec`, and each lane runs
+//! the same three slot phases [`Simulation::step`] runs: open the slot (the
+//! benign cap), the attacker's turn (estimate filter, learn, decide, act)
+//! and close the slot (protocol, metrics, telemetry), so the slot is written
+//! once. Only what gains from packing lives in structure-of-arrays columns:
+//! the side channel's RNG draws and measurement ([`ChannelLanes`], with the
+//! Box–Muller pass [`box_muller_slice`]) and the zone thermal sub-steps
+//! ([`ZoneLanes`]), which run as tight, SIMD-friendly loops over the batch
+//! dimension between the phases.
 //!
 //! # Determinism contract
 //!
@@ -15,8 +17,8 @@
 //! metrics to running the same [`Simulation`] alone:
 //!
 //! * every lane applies exactly the op-for-op IEEE-754 sequence of
-//!   [`Simulation::step`] (the shared kernels are the single source of truth
-//!   for the math);
+//!   [`Simulation::step`]: the slot phases are the same methods, and the
+//!   packed columns share their arithmetic kernels with the scalar models;
 //! * lanes never interact — each carries its own side-channel RNG, battery,
 //!   protocol, and policy, and reads its trace (which lanes built from one
 //!   [`crate::TraceStore`] may share, since traces are immutable) at its own
@@ -30,23 +32,17 @@
 
 use std::sync::Arc;
 
-use hbm_battery::Battery;
-use hbm_power::EmergencyProtocol;
 use hbm_sidechannel::math::box_muller_slice;
-use hbm_sidechannel::{ChannelLanes, VoltageSideChannel, NORMALS_PER_ESTIMATE};
-use hbm_telemetry::Recorder;
-use hbm_thermal::{ZoneLanes, ZoneModel};
-use hbm_units::{Duration, Power, Temperature};
-use hbm_workload::PowerTrace;
+use hbm_sidechannel::{ChannelLanes, NORMALS_PER_ESTIMATE};
+use hbm_thermal::ZoneLanes;
+use hbm_units::{Duration, Power};
 
-use crate::sim::{
-    act, benign_cap, emit_sample, filter_estimate, settle, settle_outage, AttackerPower,
-    PendingTransition, SlotParams,
-};
-use crate::{ColoConfig, Metrics, Observation, Policy, SimReport, Simulation, SlotRecord};
+use crate::sim::AttackerPower;
+use crate::{Metrics, SimReport, Simulation, SlotRecord};
 
-/// A batch of simulations advanced in lockstep over structure-of-arrays
-/// state (see the module docs for the determinism contract).
+/// A batch of simulations advanced in lockstep, with the side channel and
+/// the zone physics packed across lanes (see the module docs for the
+/// determinism contract).
 ///
 /// Build one from fully constructed [`Simulation`]s with [`BatchSim::new`],
 /// drive it with [`step_all`](BatchSim::step_all) or
@@ -54,32 +50,18 @@ use crate::{ColoConfig, Metrics, Observation, Policy, SimReport, Simulation, Slo
 /// [`take_reports`](BatchSim::take_reports) and hand the scenarios back with
 /// [`into_sims`](BatchSim::into_sims).
 pub struct BatchSim {
-    // ---- Per-lane scenario state, one entry per lane. ----
-    configs: Vec<ColoConfig>,
-    /// Each lane's slot-kernel parameters.
-    params: Vec<SlotParams>,
-    traces: Vec<Arc<PowerTrace>>,
-    /// Parameter template per lane; live inlet state is in `zones`.
-    zone_models: Vec<ZoneModel>,
-    protocols: Vec<EmergencyProtocol>,
-    batteries: Vec<Battery>,
-    side_channels: Vec<VoltageSideChannel>,
-    policies: Vec<Policy>,
-    slot_indices: Vec<u64>,
-    metrics: Vec<Metrics>,
-    pendings: Vec<Option<PendingTransition>>,
-    outage_remainings: Vec<Option<Duration>>,
-    prev_cappings: Vec<bool>,
-    estimate_filters: Vec<Option<Power>>,
-    recorders: Vec<Option<Box<dyn Recorder>>>,
+    /// The lanes, each a whole simulation that runs its own slot phases.
+    /// While batched, a lane's `zone` and `side_channel` are cold
+    /// templates: the live inlet is in `zones` and the live noise state in
+    /// `sc_lanes`, synced back by [`into_sims`](BatchSim::into_sims).
+    lanes: Vec<Simulation>,
     /// Where phase 1 reads each slot's benign demand.
     trace_rows: TraceRows,
 
     // ---- SoA hot state. ----
     zones: ZoneLanes,
     /// Side-channel RNG/wander/params in column-wise form; the authoritative
-    /// noise state while batched (`side_channels` holds the cold template,
-    /// re-synced on [`into_sims`](BatchSim::into_sims)).
+    /// noise state while batched.
     sc_lanes: ChannelLanes,
 
     // ---- Shared batch invariants. ----
@@ -173,15 +155,15 @@ impl TraceWindow {
 
     /// Loads the next `SLOTS` samples of every lane, wrapping each at its
     /// trace's end (a trace shorter than the window wraps more than once).
-    fn refill(&mut self, traces: &[Arc<PowerTrace>]) {
+    fn refill(&mut self, lanes: &[Simulation]) {
         const G: usize = TraceWindow::GROUP;
         let tiles = self.block.chunks_exact_mut(G * Self::SLOTS);
-        for ((tile, traces), cursors) in tiles.zip(traces.chunks(G)).zip(self.cursors.chunks_mut(G))
-        {
-            let runs: Option<[&[Power]; G]> = (traces.len() == G).then(|| {
+        for ((tile, lanes), cursors) in tiles.zip(lanes.chunks(G)).zip(self.cursors.chunks_mut(G)) {
+            let runs: Option<[&[Power]; G]> = (lanes.len() == G).then(|| {
                 std::array::from_fn(|k| {
                     let from = cursors[k] as usize;
-                    traces[k]
+                    lanes[k]
+                        .trace
                         .samples()
                         .get(from..from + Self::SLOTS)
                         .unwrap_or_default()
@@ -198,13 +180,13 @@ impl TraceWindow {
                             *sample = run[j];
                         }
                     }
-                    for (cursor, trace) in cursors.iter_mut().zip(traces) {
-                        *cursor = ((*cursor as usize + Self::SLOTS) % trace.len()) as u32;
+                    for (cursor, lane) in cursors.iter_mut().zip(lanes) {
+                        *cursor = ((*cursor as usize + Self::SLOTS) % lane.trace.len()) as u32;
                     }
                 }
                 _ => {
-                    for (k, (cursor, trace)) in cursors.iter_mut().zip(traces).enumerate() {
-                        let samples = trace.samples();
+                    for (k, (cursor, lane)) in cursors.iter_mut().zip(lanes).enumerate() {
+                        let samples = lane.trace.samples();
                         let mut pos = *cursor as usize;
                         for line in tile.chunks_exact_mut(G) {
                             line[k] = samples[pos];
@@ -234,104 +216,67 @@ impl BatchSim {
     ///
     /// Panics if `sims` is empty or the scenarios disagree on the slot
     /// length (the batch advances all lanes by one shared slot at a time).
-    pub fn new(sims: Vec<Simulation>) -> BatchSim {
-        assert!(!sims.is_empty(), "batch needs at least one scenario");
-        let lanes = sims.len();
-        let mut configs = Vec::with_capacity(lanes);
-        let mut params = Vec::with_capacity(lanes);
-        let mut traces = Vec::with_capacity(lanes);
-        let mut zone_models = Vec::with_capacity(lanes);
-        let mut protocols = Vec::with_capacity(lanes);
-        let mut batteries = Vec::with_capacity(lanes);
-        let mut side_channels = Vec::with_capacity(lanes);
-        let mut policies = Vec::with_capacity(lanes);
-        let mut slot_indices = Vec::with_capacity(lanes);
-        // Copied in lane order, so the lanes' histogram bins lie in lane
-        // order in memory. The bins of separately built simulations are
-        // scattered, and phase 6 of a 1000-lane learning fleet then ran
-        // ~1.5x slower, missing the cache on most histogram updates.
-        let metrics: Vec<Metrics> = sims.iter().map(|sim| sim.metrics.clone()).collect();
-        let mut pendings = Vec::with_capacity(lanes);
-        let mut outage_remainings = Vec::with_capacity(lanes);
-        let mut prev_cappings = Vec::with_capacity(lanes);
-        let mut estimate_filters = Vec::with_capacity(lanes);
-        let mut recorders = Vec::with_capacity(lanes);
-        for sim in sims {
-            configs.push(sim.config);
-            params.push(sim.params);
-            traces.push(sim.trace);
-            zone_models.push(sim.zone);
-            protocols.push(sim.protocol);
-            batteries.push(sim.battery);
-            side_channels.push(sim.side_channel);
-            policies.push(sim.policy);
-            slot_indices.push(sim.slot_index);
-            pendings.push(sim.pending);
-            outage_remainings.push(sim.outage_remaining);
-            prev_cappings.push(sim.prev_capping);
-            estimate_filters.push(sim.estimate_filter);
-            recorders.push(sim.recorder);
-        }
-        let slot = configs[0].slot;
+    pub fn new(mut lanes: Vec<Simulation>) -> BatchSim {
+        assert!(!lanes.is_empty(), "batch needs at least one scenario");
+        let slot = lanes[0].config.slot;
         assert!(
-            configs.iter().all(|c| c.slot == slot),
+            lanes.iter().all(|lane| lane.config.slot == slot),
             "all lanes must share the slot length"
         );
-        let zones = ZoneLanes::from_models(&zone_models);
-        let sc_lanes = ChannelLanes::from_channels(&side_channels);
-        let cursors: Vec<u32> = slot_indices
+        // Re-cloned in lane order, so the lanes' histogram bins lie in lane
+        // order in memory. The bins of separately built simulations are
+        // scattered, and phase 6 of a 1000-lane learning fleet then ran
+        // ~1.5x slower, missing the cache on most histogram updates. Every
+        // clone is made before any original is dropped: replacing them one
+        // by one lets each clone reuse the block the previous lane just
+        // freed, which scatters the bins again.
+        let metrics: Vec<Metrics> = lanes.iter().map(|lane| lane.metrics.clone()).collect();
+        for (lane, metrics) in lanes.iter_mut().zip(metrics) {
+            lane.metrics = metrics;
+        }
+        let zones = ZoneLanes::from_models(lanes.iter().map(|lane| &lane.zone));
+        let sc_lanes = ChannelLanes::from_channels(lanes.iter().map(|lane| &lane.side_channel));
+        let cursors: Vec<u32> = lanes
             .iter()
-            .zip(&traces)
-            .map(|(&k, t)| (k % t.len() as u64) as u32)
+            .map(|lane| (lane.slot_index % lane.trace.len() as u64) as u32)
             .collect();
-        let shared = traces.iter().all(|t| Arc::ptr_eq(t, &traces[0]))
+        let shared = lanes
+            .iter()
+            .all(|lane| Arc::ptr_eq(&lane.trace, &lanes[0].trace))
             && cursors.iter().all(|&p| p == cursors[0]);
         let trace_rows = if shared {
             TraceRows::Shared { pos: cursors[0] }
         } else {
             TraceRows::Window(TraceWindow::new(cursors))
         };
+        let n = lanes.len();
         BatchSim {
-            configs,
-            params,
-            traces,
-            zone_models,
-            protocols,
-            batteries,
-            side_channels,
-            policies,
-            slot_indices,
-            metrics,
-            pendings,
-            outage_remainings,
-            prev_cappings,
-            estimate_filters,
-            recorders,
+            lanes,
             trace_rows,
             zones,
             sc_lanes,
             slot,
-            active: Vec::with_capacity(lanes),
-            loads_w: vec![0.0; lanes],
-            u1: vec![0.0; lanes * NORMALS_PER_ESTIMATE],
-            u2: vec![0.0; lanes * NORMALS_PER_ESTIMATE],
-            z: vec![0.0; lanes * NORMALS_PER_ESTIMATE],
-            benign_w: vec![0.0; lanes],
-            sensed_w: vec![0.0; lanes],
-            raw_estimates: vec![Power::ZERO; lanes],
-            attackers: vec![AttackerPower::default(); lanes],
-            records: vec![SlotRecord::blank(); lanes],
+            active: Vec::with_capacity(n),
+            loads_w: vec![0.0; n],
+            u1: vec![0.0; n * NORMALS_PER_ESTIMATE],
+            u2: vec![0.0; n * NORMALS_PER_ESTIMATE],
+            z: vec![0.0; n * NORMALS_PER_ESTIMATE],
+            benign_w: vec![0.0; n],
+            sensed_w: vec![0.0; n],
+            raw_estimates: vec![Power::ZERO; n],
+            attackers: vec![AttackerPower::default(); n],
+            records: vec![SlotRecord::blank(); n],
         }
     }
 
     /// Number of lanes (scenarios) in the batch.
     pub fn len(&self) -> usize {
-        self.configs.len()
+        self.lanes.len()
     }
 
     /// Whether the batch is empty (never true for constructed batches).
     pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
+        self.lanes.is_empty()
     }
 
     /// The shared slot length.
@@ -356,69 +301,54 @@ impl BatchSim {
     /// Advances every lane by one slot and returns the number of lanes that
     /// spent the slot in outage downtime.
     ///
-    /// Each lane runs the slot kernels [`Simulation::step`] runs, in its
+    /// Each lane runs the slot phases [`Simulation::step`] runs, in its
     /// order; only the RNG draws, the side-channel measurement and the zone
     /// physics are packed across lanes:
     ///
-    /// 1. slot bookkeeping and the benign cap;
+    /// 1. open the slot: bookkeeping and the benign cap;
     /// 2. side-channel uniform draws, compacted over non-outage lanes;
     /// 3. one packed Box–Muller pass over all lanes' normals (vectorized);
-    /// 4. estimate → filter → learn → decide → act (each lane's
-    ///    [`Policy`], called as [`Simulation::step`] calls it);
+    /// 4. the estimate, then the attacker's turn: filter, learn, decide,
+    ///    act;
     /// 5. zone thermal pass over the whole batch ([`ZoneLanes::step_all`]);
-    /// 6. settle: protocol, metrics, and the record's inlet.
+    /// 6. close the slot: protocol, metrics, the record's inlet.
     pub fn step_all(&mut self) -> u32 {
         let started = hbm_telemetry::timing::start();
         let slot = self.slot;
         let lanes = self.len();
         self.active.clear();
-        // ---- Phase 1: slot bookkeeping + benign tenants. ----
+        // ---- Phase 1: open the slot. ----
         let demand = match &mut self.trace_rows {
             TraceRows::Shared { pos } => {
+                let trace = &self.lanes[0].trace;
                 let at = *pos as usize;
                 *pos += 1;
-                if *pos as usize == self.traces[0].len() {
+                if *pos as usize == trace.len() {
                     *pos = 0;
                 }
-                DemandRow::Shared(self.traces[0].samples()[at])
+                DemandRow::Shared(trace.samples()[at])
             }
             TraceRows::Window(window) => {
                 if window.row == TraceWindow::SLOTS {
-                    window.refill(&self.traces);
+                    window.refill(&self.lanes);
                 }
                 window.row += 1;
                 DemandRow::Window(&window.block, window.row - 1)
             }
         };
-        for i in 0..lanes {
-            let k = self.slot_indices[i];
-            self.slot_indices[i] += 1;
+        for (i, (lane, r)) in self.lanes.iter_mut().zip(&mut self.records).enumerate() {
             let benign_demand = match demand {
                 DemandRow::Shared(demand) => demand,
                 DemandRow::Window(block, row) => block[TraceWindow::at(i, row)],
             };
-            if self.outage_remainings[i].is_some() {
-                // The zone pass cools the lane at zero load; phase 6 fills
-                // in the inlet and settles the books.
+            if lane.open_slot(benign_demand, r) {
+                self.active.push(i as u32);
+                self.benign_w[i] = r.benign_actual.as_watts();
+            } else {
+                // Down: the zone pass cools the lane at zero load, and
+                // nothing is sensed.
                 self.loads_w[i] = 0.0;
                 self.raw_estimates[i] = Power::ZERO;
-                let soc = self.batteries[i].state_of_charge();
-                self.records[i] = SlotRecord::outage(k, soc, Temperature::from_celsius(0.0));
-            } else {
-                self.active.push(i as u32);
-                // `prev_cappings` is invariantly the protocol's capping
-                // state as of the end of the previous slot (phase 6 keeps
-                // it), so the protocol itself stays untouched until then.
-                let capping = self.prev_cappings[i];
-                debug_assert_eq!(capping, self.protocols[i].state().is_capping());
-                let benign_actual = benign_cap(&self.params[i], benign_demand, capping);
-                self.benign_w[i] = benign_actual.as_watts();
-                let r = &mut self.records[i];
-                r.slot = k;
-                r.benign_demand = benign_demand;
-                r.benign_actual = benign_actual;
-                r.capping = capping;
-                r.outage = false;
             }
         }
 
@@ -453,7 +383,7 @@ impl BatchSim {
             &mut self.z[..packed],
         );
 
-        // ---- Phase 4: estimate, filter, learn, decide, act. ----
+        // ---- Phase 4: the estimate and the attacker's turn. ----
         if dense {
             // Packed measurement-model pass over all lanes (inputs were laid
             // down column-wise by phase 1).
@@ -462,7 +392,6 @@ impl BatchSim {
         }
         for j in 0..n_active {
             let i = self.active[j] as usize;
-            let p = &self.params[i];
             let r = &mut self.records[i];
             let sensed = if dense {
                 Power::from_watts(self.sensed_w[i])
@@ -472,77 +401,25 @@ impl BatchSim {
                 z4.copy_from_slice(&self.z[at..at + NORMALS_PER_ESTIMATE]);
                 self.sc_lanes.estimate_lane(i, r.benign_actual, &z4)
             };
-            let (raw_estimate, estimated_total) =
-                filter_estimate(p, &mut self.estimate_filters[i], sensed, r.capping);
-            let battery = &mut self.batteries[i];
-            let observation = Observation {
-                slot: r.slot,
-                battery_soc: battery.state_of_charge(),
-                battery_stored: battery.stored(),
-                estimated_total,
-                inlet: self.zones.inlet(i),
-                capping: r.capping,
-            };
-            // Complete last slot's transition now that the new estimate
-            // exists, then decide, exactly as `Simulation::step` does.
-            if let Some(pending) = self.pendings[i] {
-                let transition = pending.complete(estimated_total, r.capping, p);
-                self.policies[i].learn(&transition);
-            }
-            let action = self.policies[i].decide(&observation);
-            r.estimated_total = estimated_total;
-            r.action = action;
-            self.attackers[i] = act(p, battery, r);
-            self.loads_w[i] = r.actual_total.as_watts();
+            let (attacker, raw_estimate) = self.lanes[i].act_slot(sensed, self.zones.inlet(i), r);
+            self.attackers[i] = attacker;
             self.raw_estimates[i] = raw_estimate;
-            // Defer the learning feedback to the next slot; phase 6 fills in
-            // the inlet the zone pass produces.
-            self.pendings[i] = Some(PendingTransition {
-                observation,
-                action,
-                inlet: Temperature::from_celsius(0.0),
-                next_battery_soc: r.battery_soc,
-                next_battery_stored: battery.stored(),
-            });
+            self.loads_w[i] = r.actual_total.as_watts();
         }
 
         // ---- Phase 5: zone thermal pass over the whole batch. ----
         self.zones.step_all(&self.loads_w, slot);
 
-        // ---- Phase 6: settle. ----
+        // ---- Phase 6: close the slot. ----
         let mut down: u32 = 0;
-        for i in 0..lanes {
-            let inlet = self.zones.inlet(i);
-            let r = &mut self.records[i];
-            r.inlet = inlet;
-            if r.outage {
-                down += 1;
-                settle_outage(
-                    &self.params[i],
-                    inlet,
-                    &mut self.protocols[i],
-                    &mut self.prev_cappings[i],
-                    &mut self.outage_remainings[i],
-                    &mut self.metrics[i],
-                );
-                self.pendings[i] = None; // the attacker's episode is over
-            } else {
-                settle(
-                    &self.params[i],
-                    r,
-                    self.attackers[i],
-                    &mut self.protocols[i],
-                    &mut self.prev_cappings[i],
-                    &mut self.outage_remainings[i],
-                    &mut self.metrics[i],
-                );
-                if let Some(pending) = &mut self.pendings[i] {
-                    pending.inlet = inlet;
-                }
-            }
-            if let Some(rec) = self.recorders[i].as_mut() {
-                emit_sample(rec.as_mut(), r, self.raw_estimates[i]);
-            }
+        for (i, (lane, r)) in self.lanes.iter_mut().zip(&mut self.records).enumerate() {
+            down += u32::from(r.outage);
+            lane.close_slot(
+                r,
+                self.attackers[i],
+                self.raw_estimates[i],
+                self.zones.inlet(i),
+            );
         }
         hbm_telemetry::timing::record_span_units("batch.step", started, lanes as u64);
         down
@@ -579,48 +456,26 @@ impl BatchSim {
     /// Per-lane reports, taking each lane's metrics *by move* (the lane
     /// continues with fresh metrics, as after [`Simulation::warmup`]).
     pub fn take_reports(&mut self) -> Vec<SimReport> {
-        self.metrics
+        self.lanes
             .iter_mut()
-            .zip(&self.policies)
-            .map(|(metrics, policy)| SimReport {
-                policy: policy.name().to_string(),
-                metrics: std::mem::replace(metrics, Metrics::new(self.slot)),
+            .map(|lane| SimReport {
+                policy: lane.policy.name().to_string(),
+                metrics: std::mem::replace(&mut lane.metrics, Metrics::new(self.slot)),
             })
             .collect()
     }
 
-    /// Disassembles the batch back into standalone simulations, each
-    /// carrying its full state (zone inlet synced from the SoA lanes) so it
-    /// can keep stepping scalar from exactly where the batch left off.
+    /// Hands the lanes back as standalone simulations, each carrying its
+    /// full state (zone inlet and side-channel noise synced from the packed
+    /// lanes) so it can keep stepping scalar from exactly where the batch
+    /// left off.
     pub fn into_sims(mut self) -> Vec<Simulation> {
-        let lanes = self.len();
-        // The column-wise RNG/wander state is authoritative while batched;
-        // flow it back before handing the scenarios out.
-        self.sc_lanes.sync_back(&mut self.side_channels);
-        let mut sims = Vec::with_capacity(lanes);
-        for i in (0..lanes).rev() {
-            let mut zone = self.zone_models[i];
-            zone.set_inlet(self.zones.inlet(i));
-            sims.push(Simulation {
-                config: self.configs.pop().expect("lane"),
-                params: self.params[i],
-                trace: self.traces.pop().expect("lane"),
-                zone,
-                protocol: self.protocols.pop().expect("lane"),
-                battery: self.batteries.pop().expect("lane"),
-                side_channel: self.side_channels.pop().expect("lane"),
-                policy: self.policies.pop().expect("lane"),
-                slot_index: self.slot_indices[i],
-                metrics: self.metrics.pop().expect("lane"),
-                pending: self.pendings[i],
-                outage_remaining: self.outage_remainings[i],
-                prev_capping: self.prev_cappings[i],
-                estimate_filter: self.estimate_filters[i],
-                recorder: self.recorders.pop().expect("lane"),
-            });
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            lane.zone.set_inlet(self.zones.inlet(i));
         }
-        sims.reverse();
-        sims
+        self.sc_lanes
+            .sync_back(self.lanes.iter_mut().map(|lane| &mut lane.side_channel));
+        self.lanes
     }
 }
 

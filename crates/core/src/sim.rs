@@ -90,8 +90,8 @@ impl PendingTransition {
 }
 
 /// Per-slot scalars derived once from a [`ColoConfig`]: everything the slot
-/// kernels read. Both engines hold one per scenario (the batch as a column),
-/// so the hot path never walks the multi-cache-line config.
+/// phases read. Each [`Simulation`] holds one (a batched lane included), so
+/// the hot path never walks the multi-cache-line config.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SlotParams {
     slot: Duration,
@@ -142,141 +142,6 @@ pub(crate) struct AttackerPower {
     actual: Power,
 }
 
-/// Benign tenants' actual power: their demand, capped to the emergency
-/// share while the operator is capping.
-#[inline]
-pub(crate) fn benign_cap(p: &SlotParams, demand: Power, capping: bool) -> Power {
-    let limit = if capping {
-        p.benign_emergency_cap
-    } else {
-        p.benign_cap
-    };
-    demand.min(limit)
-}
-
-/// The attacker's raw estimate (side-channel reading of the benign load plus
-/// its own subscription) and the EMA-filtered estimate it acts on.
-#[inline]
-pub(crate) fn filter_estimate(
-    p: &SlotParams,
-    filter: &mut Option<Power>,
-    sensed: Power,
-    capping: bool,
-) -> (Power, Power) {
-    let raw = sensed + p.attacker_cap;
-    let filtered = match *filter {
-        // Capped slots carry no information about the underlying demand;
-        // freeze the filter so the attacker's view of the load survives
-        // the 5-minute capping episodes.
-        Some(prev) if capping => prev,
-        Some(prev) => prev * (1.0 - p.ema_alpha) + raw * p.ema_alpha,
-        None => raw,
-    };
-    *filter = Some(filtered);
-    (raw, filtered)
-}
-
-/// Act: draws or charges the battery for `r.action` and splits the slot's
-/// power into metered and actual, filling `r`'s power fields and end-of-slot
-/// state of charge (`r.benign_actual`, `r.capping` and `r.action` are read).
-#[inline]
-pub(crate) fn act(p: &SlotParams, battery: &mut Battery, r: &mut SlotRecord) -> AttackerPower {
-    let metered_limit = if r.capping {
-        p.attacker_emergency_cap
-    } else {
-        p.attacker_cap
-    };
-    let (metered, actual, battery_attack) = match r.action {
-        AttackAction::Attack => {
-            let delivered = battery.discharge(p.attack_load, p.slot);
-            (metered_limit, metered_limit + delivered, delivered)
-        }
-        AttackAction::Charge => {
-            let headroom = (metered_limit - p.standby).positive_part();
-            let drawn = battery.charge(p.max_charge_rate.min(headroom), p.slot);
-            let standby = p.standby.min(metered_limit);
-            // Charging draws extra metered power; only conversion losses
-            // of it become heat — the rest is stored chemistry.
-            let loss = drawn * (1.0 - p.charge_efficiency);
-            (standby + drawn, standby + loss, Power::ZERO)
-        }
-        AttackAction::Standby => {
-            let standby = p.standby.min(metered_limit);
-            (standby, standby, Power::ZERO)
-        }
-    };
-    r.metered_total = r.benign_actual + metered;
-    r.actual_total = r.benign_actual + actual;
-    r.attack_load = battery_attack;
-    r.battery_soc = battery.state_of_charge();
-    AttackerPower { metered, actual }
-}
-
-/// Settle a slot that ran: steps the operator protocol on `r.inlet`,
-/// records emergency/outage edges, and accumulates the slot into `metrics`.
-#[inline]
-pub(crate) fn settle(
-    p: &SlotParams,
-    r: &SlotRecord,
-    attacker: AttackerPower,
-    protocol: &mut EmergencyProtocol,
-    prev_capping: &mut bool,
-    outage_remaining: &mut Option<Duration>,
-    metrics: &mut Metrics,
-) {
-    let next_state = protocol.step(r.inlet, p.slot);
-    if next_state.is_outage() {
-        metrics.outage_events += 1;
-        *outage_remaining = Some(p.outage_downtime);
-    }
-    let capping_next = next_state.is_capping();
-    if capping_next && !*prev_capping {
-        metrics.emergency_events += 1;
-    }
-    *prev_capping = capping_next;
-
-    metrics.slots += 1;
-    if r.capping {
-        metrics.emergency_slots += 1;
-        let u_inst = (r.benign_demand / p.benign_cap).clamp(0.0, 1.0);
-        let load_frac = p.latency.rated_load() * u_inst;
-        metrics.degradation_sum += p.latency.degradation(p.emergency_cap_fraction, load_frac);
-        metrics.degradation_slots += 1;
-    }
-    if r.attack_load > Power::ZERO {
-        metrics.attack_slots += 1;
-        metrics.attack_energy += r.attack_load * p.slot;
-    }
-    metrics.delta_t_sum += (r.inlet - p.supply).positive_part();
-    metrics.inlet_histogram.add(r.inlet.as_celsius());
-    metrics.attacker_metered_energy += attacker.metered * p.slot;
-    metrics.attacker_actual_energy += attacker.actual * p.slot;
-}
-
-/// [`settle`]'s outage twin: a slot of downtime counts down the outage,
-/// after which the protocol restarts from normal.
-#[inline]
-pub(crate) fn settle_outage(
-    p: &SlotParams,
-    inlet: Temperature,
-    protocol: &mut EmergencyProtocol,
-    prev_capping: &mut bool,
-    outage_remaining: &mut Option<Duration>,
-    metrics: &mut Metrics,
-) {
-    metrics.slots += 1;
-    metrics.outage_slots += 1;
-    metrics.inlet_histogram.add(inlet.as_celsius());
-    let left = outage_remaining.expect("settle_outage on a lane that is up") - p.slot;
-    if left > Duration::ZERO {
-        *outage_remaining = Some(left);
-    } else {
-        *outage_remaining = None;
-        protocol.reset();
-    }
-    *prev_capping = false;
-}
-
 impl SlotRecord {
     /// An all-zero record: the placeholder a slot's phases fill in.
     pub(crate) fn blank() -> SlotRecord {
@@ -309,10 +174,8 @@ impl SlotRecord {
 }
 
 /// Emits one telemetry sample for a finished slot. Channel names mirror
-/// the figure CSV columns (`docs/TELEMETRY.md`). Shared by
-/// [`Simulation::step`] and the batch engine so traced slots look
-/// identical regardless of which engine produced them.
-pub(crate) fn emit_sample(rec: &mut dyn Recorder, r: &SlotRecord, raw_estimate: Power) {
+/// the figure CSV columns (`docs/TELEMETRY.md`).
+fn emit_sample(rec: &mut dyn Recorder, r: &SlotRecord, raw_estimate: Power) {
     let action = match r.action {
         AttackAction::Attack => "attack",
         AttackAction::Charge => "charge",
@@ -345,7 +208,7 @@ pub(crate) fn emit_sample(rec: &mut dyn Recorder, r: &SlotRecord, raw_estimate: 
 /// serialize and restore the dynamic state bit-exactly.
 pub struct Simulation {
     pub(crate) config: ColoConfig,
-    /// The slot kernels' view of `config` (derived once; the config is
+    /// The slot phases' view of `config` (derived once; the config is
     /// never mutated after construction).
     pub(crate) params: SlotParams,
     /// The benign workload trace. Behind an [`Arc`] because it is the one
@@ -511,97 +374,211 @@ impl Simulation {
     /// Simulates one slot and returns its record.
     pub fn step(&mut self) -> SlotRecord {
         let started = hbm_telemetry::timing::start();
-        let (record, raw_estimate) = self.step_inner();
+        let mut r = SlotRecord::blank();
+        let demand = self.trace.get(self.slot_index as usize);
+        let (attacker, raw_estimate) = if self.open_slot(demand, &mut r) {
+            let sensed = self.side_channel.estimate(r.benign_actual);
+            self.act_slot(sensed, self.zone.inlet(), &mut r)
+        } else {
+            (AttackerPower::default(), Power::ZERO)
+        };
+        let inlet = self.zone.step(r.actual_total, self.params.slot);
+        self.close_slot(&mut r, attacker, raw_estimate, inlet);
         hbm_telemetry::timing::record_span("sim.step", started);
-        if self.recorder.is_some() {
-            self.record_slot(&record, raw_estimate);
-        }
-        record
+        r
     }
 
-    /// Emits one telemetry sample for a finished slot (see [`emit_sample`]).
-    fn record_slot(&mut self, r: &SlotRecord, raw_estimate: Power) {
-        if let Some(rec) = self.recorder.as_mut() {
-            emit_sample(rec.as_mut(), r, raw_estimate);
-        }
-    }
+    // The slot body, in three phases both engines run per lane: the batch
+    // engine packs only the side-channel measurement between `open_slot`
+    // and `act_slot`, and the zone physics between `act_slot` and
+    // `close_slot`. Each phase reads nothing of `zone` or `side_channel`,
+    // which are cold templates while a lane is batched.
 
-    /// The slot body; returns the record plus the unfiltered side-channel
-    /// estimate (zero during outages, when nothing can be sensed).
-    fn step_inner(&mut self) -> (SlotRecord, Power) {
-        let p = &self.params;
+    /// Opens slot `self.slot_index` with the trace's `demand`: advances the
+    /// slot index and fills `r` with the slot, the demand and the benign
+    /// tenants' actual power (capped to the emergency share while the
+    /// operator caps). Returns `false`, with `r` an outage record, when the
+    /// colocation is down this slot: nothing is sensed or decided, and the
+    /// zone cools at zero load.
+    #[inline]
+    pub(crate) fn open_slot(&mut self, demand: Power, r: &mut SlotRecord) -> bool {
         let k = self.slot_index;
         self.slot_index += 1;
-
         if self.outage_remaining.is_some() {
-            let inlet = self.zone.step(Power::ZERO, p.slot);
-            settle_outage(
-                p,
-                inlet,
-                &mut self.protocol,
-                &mut self.prev_capping,
-                &mut self.outage_remaining,
-                &mut self.metrics,
-            );
-            self.pending = None; // the attacker's episode is over
-            let record = SlotRecord::outage(k, self.battery.state_of_charge(), inlet);
-            return (record, Power::ZERO);
+            let soc = self.battery.state_of_charge();
+            *r = SlotRecord::outage(k, soc, Temperature::from_celsius(0.0));
+            return false;
         }
-
-        let capping = self.protocol.state().is_capping();
-        let benign_demand = self.trace.get(k as usize);
-        let benign_actual = benign_cap(p, benign_demand, capping);
-
-        // ------ Attacker: observe, decide, act. ------
-        let sensed = self.side_channel.estimate(benign_actual);
-        let (raw_estimate, estimated_total) =
-            filter_estimate(p, &mut self.estimate_filter, sensed, capping);
-        let observation = Observation {
-            slot: k,
-            battery_soc: self.battery.state_of_charge(),
-            battery_stored: self.battery.stored(),
-            estimated_total,
-            inlet: self.zone.inlet(),
-            capping,
+        // `prev_capping` is invariantly the protocol's capping state as of
+        // the end of the previous slot (`close_slot` keeps it, and a
+        // checkpoint that breaks it does not parse).
+        let capping = self.prev_capping;
+        debug_assert_eq!(capping, self.protocol.state().is_capping());
+        let p = &self.params;
+        let limit = if capping {
+            p.benign_emergency_cap
+        } else {
+            p.benign_cap
         };
-        // Complete last slot's transition now that the new estimate exists.
-        if let Some(pending) = self.pending.take() {
-            let transition = pending.complete(estimated_total, capping, p);
-            self.policy.learn(&transition);
-        }
-        let action = self.policy.decide(&observation);
-        let mut record = SlotRecord {
+        *r = SlotRecord {
             slot: k,
-            benign_demand,
-            benign_actual,
-            estimated_total,
-            action,
+            benign_demand: demand,
+            benign_actual: demand.min(limit),
             capping,
             ..SlotRecord::blank()
         };
-        let attacker = act(p, &mut self.battery, &mut record);
+        true
+    }
 
-        // ------ Physics, protocol, metrics. ------
-        record.inlet = self.zone.step(record.actual_total, p.slot);
-        settle(
-            p,
-            &record,
-            attacker,
-            &mut self.protocol,
-            &mut self.prev_capping,
-            &mut self.outage_remaining,
-            &mut self.metrics,
-        );
+    /// The attacker's turn in an open slot, given the side channel's
+    /// `sensed` benign load and the slot's starting `inlet`: filters the
+    /// estimate, completes last slot's transition and learns from it,
+    /// decides, then draws or charges the battery and splits the slot's
+    /// power into metered and actual (filling the rest of `r` but its
+    /// inlet). Returns the attacker's power and the raw estimate.
+    #[inline]
+    pub(crate) fn act_slot(
+        &mut self,
+        sensed: Power,
+        inlet: Temperature,
+        r: &mut SlotRecord,
+    ) -> (AttackerPower, Power) {
+        let p = &self.params;
+        let raw_estimate = sensed + p.attacker_cap;
+        let estimated_total = match self.estimate_filter {
+            // Capped slots carry no information about the underlying
+            // demand; freeze the filter so the attacker's view of the load
+            // survives the 5-minute capping episodes.
+            Some(prev) if r.capping => prev,
+            Some(prev) => prev * (1.0 - p.ema_alpha) + raw_estimate * p.ema_alpha,
+            None => raw_estimate,
+        };
+        self.estimate_filter = Some(estimated_total);
+        let observation = Observation {
+            slot: r.slot,
+            battery_soc: self.battery.state_of_charge(),
+            battery_stored: self.battery.stored(),
+            estimated_total,
+            inlet,
+            capping: r.capping,
+        };
+        // Complete last slot's transition now that the new estimate exists.
+        if let Some(pending) = self.pending.take() {
+            let transition = pending.complete(estimated_total, r.capping, p);
+            self.policy.learn(&transition);
+        }
+        let action = self.policy.decide(&observation);
+        r.estimated_total = estimated_total;
+        r.action = action;
 
-        // ------ Defer the learning feedback to the next slot. ------
+        let metered_limit = if r.capping {
+            p.attacker_emergency_cap
+        } else {
+            p.attacker_cap
+        };
+        let battery = &mut self.battery;
+        let (metered, actual, battery_attack) = match action {
+            AttackAction::Attack => {
+                let delivered = battery.discharge(p.attack_load, p.slot);
+                (metered_limit, metered_limit + delivered, delivered)
+            }
+            AttackAction::Charge => {
+                let headroom = (metered_limit - p.standby).positive_part();
+                let drawn = battery.charge(p.max_charge_rate.min(headroom), p.slot);
+                let standby = p.standby.min(metered_limit);
+                // Charging draws extra metered power; only conversion
+                // losses of it become heat — the rest is stored chemistry.
+                let loss = drawn * (1.0 - p.charge_efficiency);
+                (standby + drawn, standby + loss, Power::ZERO)
+            }
+            AttackAction::Standby => {
+                let standby = p.standby.min(metered_limit);
+                (standby, standby, Power::ZERO)
+            }
+        };
+        r.metered_total = r.benign_actual + metered;
+        r.actual_total = r.benign_actual + actual;
+        r.attack_load = battery_attack;
+        r.battery_soc = battery.state_of_charge();
+
+        // Defer the learning feedback to the next slot; `close_slot` fills
+        // in the inlet the zone reaches.
         self.pending = Some(PendingTransition {
             observation,
             action,
-            inlet: record.inlet,
-            next_battery_soc: record.battery_soc,
-            next_battery_stored: self.battery.stored(),
+            inlet: Temperature::from_celsius(0.0),
+            next_battery_soc: r.battery_soc,
+            next_battery_stored: battery.stored(),
         });
-        (record, raw_estimate)
+        (AttackerPower { metered, actual }, raw_estimate)
+    }
+
+    /// Closes the slot at the `inlet` the zone reached: steps the operator
+    /// protocol, records emergency and outage edges, accumulates the slot
+    /// into the metrics and emits its telemetry sample. A slot of outage
+    /// downtime instead counts the outage down, after which the protocol
+    /// restarts from normal, and ends the attacker's episode.
+    #[inline]
+    pub(crate) fn close_slot(
+        &mut self,
+        r: &mut SlotRecord,
+        attacker: AttackerPower,
+        raw_estimate: Power,
+        inlet: Temperature,
+    ) {
+        let p = &self.params;
+        let metrics = &mut self.metrics;
+        r.inlet = inlet;
+        metrics.slots += 1;
+        if r.outage {
+            metrics.outage_slots += 1;
+            metrics.inlet_histogram.add(inlet.as_celsius());
+            let left = self
+                .outage_remaining
+                .expect("an outage slot of a lane that is up")
+                - p.slot;
+            if left > Duration::ZERO {
+                self.outage_remaining = Some(left);
+            } else {
+                self.outage_remaining = None;
+                self.protocol.reset();
+            }
+            self.prev_capping = false;
+            self.pending = None; // the attacker's episode is over
+        } else {
+            let next_state = self.protocol.step(inlet, p.slot);
+            if next_state.is_outage() {
+                metrics.outage_events += 1;
+                self.outage_remaining = Some(p.outage_downtime);
+            }
+            let capping_next = next_state.is_capping();
+            if capping_next && !self.prev_capping {
+                metrics.emergency_events += 1;
+            }
+            self.prev_capping = capping_next;
+            if r.capping {
+                metrics.emergency_slots += 1;
+                let u_inst = (r.benign_demand / p.benign_cap).clamp(0.0, 1.0);
+                let load_frac = p.latency.rated_load() * u_inst;
+                metrics.degradation_sum +=
+                    p.latency.degradation(p.emergency_cap_fraction, load_frac);
+                metrics.degradation_slots += 1;
+            }
+            if r.attack_load > Power::ZERO {
+                metrics.attack_slots += 1;
+                metrics.attack_energy += r.attack_load * p.slot;
+            }
+            metrics.delta_t_sum += (inlet - p.supply).positive_part();
+            metrics.inlet_histogram.add(inlet.as_celsius());
+            metrics.attacker_metered_energy += attacker.metered * p.slot;
+            metrics.attacker_actual_energy += attacker.actual * p.slot;
+            if let Some(pending) = &mut self.pending {
+                pending.inlet = inlet;
+            }
+        }
+        if let Some(rec) = self.recorder.as_mut() {
+            emit_sample(rec.as_mut(), r, raw_estimate);
+        }
     }
 
     /// A deep copy of the live simulation that continues bit-identically

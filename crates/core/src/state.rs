@@ -309,8 +309,11 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed JSON, a schema mismatch, or a
-    /// missing, duplicate, unknown or malformed field (see [`Fields`]).
+    /// Returns a message on malformed JSON, a schema mismatch, a missing,
+    /// duplicate, unknown or malformed field (see [`Fields`]), or a state no
+    /// run can reach: `prev_capping` must equal the protocol's capping
+    /// state, and `outage_secs` must be set exactly when the protocol is in
+    /// outage.
     /// Shape and policy-kind mismatches against a concrete simulation
     /// surface later, in [`Simulation::restore`].
     pub fn from_json(line: &str) -> Result<Snapshot, String> {
@@ -364,6 +367,24 @@ impl Snapshot {
             policy_name,
         };
         f.finish()?;
+        // Both hold at every slot boundary of a real run, and the slot
+        // phases rely on them: the next slot caps on `prev_capping` and
+        // goes down on `outage_secs`, while the protocol steps on. A line
+        // that breaks either would run a slot the protocol never ordered
+        // (and fail `open_slot`'s debug assertion).
+        let state = snapshot.protocol;
+        if snapshot.prev_capping != state.is_capping() {
+            return Err(format!(
+                "checkpoint has prev_capping {} in protocol state {state:?}",
+                snapshot.prev_capping
+            ));
+        }
+        if snapshot.outage_remaining.is_some() != state.is_outage() {
+            return Err(format!(
+                "checkpoint has outage_secs {:?} in protocol state {state:?}",
+                snapshot.outage_remaining.map(Duration::as_seconds)
+            ));
+        }
         Ok(snapshot)
     }
 

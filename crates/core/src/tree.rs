@@ -161,13 +161,10 @@ impl StateTree {
         if self.sims.is_empty() || slots == 0 {
             return;
         }
-        let sims = std::mem::take(&mut self.sims);
-        let mut batch = BatchSim::new(sims);
-        for _ in 0..slots {
-            batch.step_all();
-            for (lane, r) in batch.records().iter().enumerate() {
-                self.records[lane].push(*r);
-            }
+        let mut batch = BatchSim::new(std::mem::take(&mut self.sims));
+        let (_, records) = batch.run_recorded(slots);
+        for (branch, new) in self.records.iter_mut().zip(records) {
+            branch.extend(new);
         }
         self.sims = batch.into_sims();
     }

@@ -3,12 +3,15 @@
 //! same [`Simulation`] alone, and the sharded runner is thread-count
 //! invariant.
 
+use std::sync::{Arc, Mutex};
+
 use hbm_battery::BatterySpec;
 use hbm_core::scenario::run_scenarios_batch;
 use hbm_core::{
     run_sharded, BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, OneShotPolicy, Policy,
     RandomPolicy, Scenario, SimReport, Simulation, SlotRecord, TraceStore,
 };
+use hbm_telemetry::{sample_to_jsonl, Recorder, Sample};
 use hbm_units::Power;
 
 /// A policy/config mix covering every slot-body path: attacking and quiet
@@ -499,6 +502,117 @@ fn handed_back_lanes_checkpoint_like_scalar_ones() {
             "the {} lane checkpoints differently after the batch",
             scalar.policy().name()
         );
+    }
+}
+
+/// A lane's telemetry, one JSONL line per sample.
+type Lines = Arc<Mutex<Vec<String>>>;
+
+/// Keeps every sample as its JSONL line, in a list the test holds too.
+struct LineRecorder(Lines);
+
+impl Recorder for LineRecorder {
+    fn record(&mut self, sample: &Sample<'_>) {
+        self.0.lock().unwrap().push(sample_to_jsonl(sample));
+    }
+}
+
+/// A one-shot lane that goes through outage downtime, a myopic 7.4 kW lane
+/// that triggers emergencies and a learning lane, each with a recorder
+/// whose lines are returned alongside.
+fn traced_hand_off_lanes() -> (Vec<Simulation>, Vec<Lines>) {
+    let base = ColoConfig::paper_default().with_trace_len(7 * 1440);
+    let mut outage = base.clone();
+    outage.battery = BatterySpec::one_shot();
+    outage.attack_load = Power::from_kilowatts(3.0);
+    let mut sims = vec![
+        Simulation::new(outage, OneShotPolicy::new(Power::from_kilowatts(7.6)), 1),
+        Simulation::new(
+            base.clone(),
+            MyopicPolicy::new(Power::from_kilowatts(7.4)),
+            1,
+        ),
+        Simulation::new(base, ForesightedPolicy::paper_default(14.0, 4), 4),
+    ];
+    let lines: Vec<_> = sims.iter().map(|_| Arc::default()).collect();
+    for (sim, lines) in sims.iter_mut().zip(&lines) {
+        sim.set_recorder(Box::new(LineRecorder(Arc::clone(lines))));
+    }
+    (sims, lines)
+}
+
+/// Lanes that alternate between the engines in co-prime chunks (7 slots
+/// batched, 5 scalar) step exactly as a scalar run: the same records, the
+/// same telemetry lines and the same final checkpoint. The chunks hand
+/// lanes over mid-emergency and mid-outage, in both directions.
+#[test]
+fn lanes_hand_off_between_engines_in_any_state() {
+    const SLOTS: usize = 2 * 1440;
+    const BATCHED: usize = 7;
+    const SCALAR: usize = 5;
+    let (mut reference, want_lines) = traced_hand_off_lanes();
+    let want: Vec<Vec<SlotRecord>> = reference
+        .iter_mut()
+        .map(|sim| sim.run_recorded(SLOTS as u64).1)
+        .collect();
+    let outage_slots = want[0].iter().filter(|r| r.outage).count();
+    assert!(outage_slots > 0, "the one-shot lane must go down");
+    assert!(
+        !want[0].last().unwrap().outage,
+        "the run must outlast the outage downtime"
+    );
+
+    let (mut sims, got_lines) = traced_hand_off_lanes();
+    let mut got: Vec<Vec<SlotRecord>> = vec![Vec::new(); sims.len()];
+    // Slot boundaries at which the lanes entered a batch, and left one.
+    let (mut batched_at, mut unbatched_at) = (Vec::new(), Vec::new());
+    let mut t = 0;
+    while t < SLOTS {
+        batched_at.push(t);
+        let n = BATCHED.min(SLOTS - t);
+        let mut batch = BatchSim::new(sims);
+        let (_, records) = batch.run_recorded(n as u64);
+        sims = batch.into_sims();
+        for (lane, records) in got.iter_mut().zip(records) {
+            lane.extend(records);
+        }
+        t += n;
+        unbatched_at.push(t);
+        let n = SCALAR.min(SLOTS - t);
+        for (sim, lane) in sims.iter_mut().zip(&mut got) {
+            lane.extend(sim.run_recorded(n as u64).1);
+        }
+        t += n;
+    }
+    for (lane, (got, want)) in got.iter().zip(&want).enumerate() {
+        for (k, (got, want)) in got.iter().zip(want).enumerate() {
+            assert_eq!(got, want, "lane {lane} diverged at slot {k}");
+        }
+        assert_eq!(got.len(), want.len());
+    }
+    for (sim, want) in sims.iter().zip(&reference) {
+        assert_eq!(sim.snapshot_json(), want.snapshot_json());
+    }
+    for (got, want) in got_lines.iter().zip(&want_lines) {
+        let (got, want) = (got.lock().unwrap(), want.lock().unwrap());
+        assert_eq!(got.len(), SLOTS);
+        assert_eq!(*got, *want, "the engines traced a lane differently");
+    }
+
+    // The slot after a boundary shows the state the lanes crossed it in:
+    // `capping` is the carried `prev_capping`, and an outage slot that
+    // follows one means the lane was down through the boundary.
+    let crossed = |at: &[usize], state: fn(&SlotRecord, &SlotRecord) -> bool| {
+        at.iter()
+            .filter(|&&t| t > 0 && t < SLOTS)
+            .any(|&t| want.iter().any(|lane| state(&lane[t - 1], &lane[t])))
+    };
+    let mid_outage: fn(&SlotRecord, &SlotRecord) -> bool =
+        |before, after| before.outage && after.outage;
+    let capping: fn(&SlotRecord, &SlotRecord) -> bool = |_, after| after.capping;
+    for (at, engine) in [(&batched_at, "re-batched"), (&unbatched_at, "handed back")] {
+        assert!(crossed(at, mid_outage), "no lane was {engine} mid-outage");
+        assert!(crossed(at, capping), "no lane was {engine} while capping");
     }
 }
 

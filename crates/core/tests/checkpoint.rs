@@ -147,6 +147,13 @@ fn golden_checkpoint_fixture_stays_stable() {
     assert_lockstep(&mut reference, &mut restored, 240);
 }
 
+/// Replaces the value of `key` in a checkpoint line.
+fn with_field(line: &str, key: &str, value: &str) -> String {
+    let at = line.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+    let end = at + line[at..].find(',').unwrap();
+    format!("{}{value}{}", &line[..at], &line[end..])
+}
+
 #[test]
 fn restore_rejects_mismatches_loudly() {
     let myopic = short("myopic", 1);
@@ -174,10 +181,8 @@ fn restore_rejects_mismatches_loudly() {
         .contains("missing"));
 
     // An inlet that parses to an infinity fails closed instead of panicking.
-    let at = snap.find("\"inlet_c\":").unwrap() + "\"inlet_c\":".len();
-    let end = at + snap[at..].find(',').unwrap();
     for inlet in ["1e999", "-1e999"] {
-        let bad = format!("{}{inlet}{}", &snap[..at], &snap[end..]);
+        let bad = with_field(&snap, "inlet_c", inlet);
         let (mut e, _) = myopic.build_sim().unwrap();
         let err = e.restore_from_json(&bad).unwrap_err();
         assert!(err.contains("inlet_c"), "{inlet}: {err}");
@@ -188,6 +193,47 @@ fn restore_rejects_mismatches_loudly() {
     let (mut g, _) = myopic.build_sim().unwrap();
     let err = g.restore_from_json(&dup).unwrap_err();
     assert!(err.contains("duplicate field \"slot_index\""), "{err}");
+}
+
+/// A checkpoint must hold a state some run reaches: at every slot boundary
+/// `prev_capping` equals the protocol's capping state and `outage_secs` is
+/// set exactly while the protocol is in outage. Lines taken mid-run in each
+/// protocol state parse, and each with one rule broken is refused.
+#[test]
+fn restore_refuses_states_no_run_reaches() {
+    let mut config = ColoConfig::paper_default().with_trace_len(3 * 1440);
+    config.battery = hbm_battery::BatterySpec::one_shot();
+    config.attack_load = Power::from_kilowatts(3.0);
+    let mut sim = Simulation::new(config, OneShotPolicy::new(Power::from_kilowatts(7.6)), 1);
+    sim.run(120);
+    let normal = sim.snapshot_json();
+    let mut line_in = |protocol: &str| loop {
+        assert!(sim.metrics().slots < 3 * 1440, "never reached {protocol}");
+        sim.step();
+        let line = sim.snapshot_json();
+        if line.contains(&format!("\"protocol\":\"{protocol}\"")) {
+            break line;
+        }
+    };
+    let emergency = line_in("emergency");
+    let outage = line_in("outage");
+    for line in [&normal, &emergency, &outage] {
+        Snapshot::from_json(line).unwrap();
+    }
+
+    let broken = [
+        (with_field(&normal, "prev_capping", "true"), "prev_capping"),
+        (
+            with_field(&emergency, "prev_capping", "false"),
+            "prev_capping",
+        ),
+        (with_field(&normal, "outage_secs", "600.0"), "outage_secs"),
+        (with_field(&outage, "outage_secs", "null"), "outage_secs"),
+    ];
+    for (line, field) in broken {
+        let err = Snapshot::from_json(&line).unwrap_err();
+        assert!(err.contains(field), "{field}: {err}");
+    }
 }
 
 #[test]

@@ -224,7 +224,12 @@ impl ChannelLanes {
     /// Captures the state of `channels` column-wise. The source channels are
     /// left untouched (their RNG/wander become stale copies; sync fresh
     /// state back with [`sync_back`](ChannelLanes::sync_back)).
-    pub fn from_channels(channels: &[VoltageSideChannel]) -> Self {
+    pub fn from_channels<'a, I>(channels: I) -> Self
+    where
+        I: IntoIterator<Item = &'a VoltageSideChannel>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let channels = channels.into_iter();
         let n = channels.len();
         let mut lanes = ChannelLanes {
             s0: Vec::with_capacity(n),
@@ -302,9 +307,14 @@ impl ChannelLanes {
     /// # Panics
     ///
     /// Panics if `channels` and the batch disagree on length.
-    pub fn sync_back(&self, channels: &mut [VoltageSideChannel]) {
+    pub fn sync_back<'a, I>(&self, channels: I)
+    where
+        I: IntoIterator<Item = &'a mut VoltageSideChannel>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let channels = channels.into_iter();
         assert_eq!(channels.len(), self.len(), "lane count mismatch");
-        for (i, ch) in channels.iter_mut().enumerate() {
+        for (i, ch) in channels.enumerate() {
             ch.restore_noise_state(
                 [self.s0[i], self.s1[i], self.s2[i], self.s3[i]],
                 self.wander[i],

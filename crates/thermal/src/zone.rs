@@ -258,8 +258,8 @@ impl ZoneLanes {
         self.pulldown_w_per_k.push(model.pulldown_w_per_k);
     }
 
-    /// Builds a batch from a slice of zone models.
-    pub fn from_models(models: &[ZoneModel]) -> Self {
+    /// Builds a batch from zone models, one lane each.
+    pub fn from_models<'a>(models: impl IntoIterator<Item = &'a ZoneModel>) -> Self {
         let mut lanes = ZoneLanes::new();
         for model in models {
             lanes.push(model);
