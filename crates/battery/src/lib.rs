@@ -30,10 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bank;
 mod validation;
 
-pub use bank::BatteryBank;
 pub use validation::{ups_experiment, UpsExperiment, UpsSample};
 
 use hbm_units::{Duration, Energy, Power};
@@ -88,20 +86,6 @@ impl BatterySpec {
     /// Returns a copy with a different maximum discharge rate (Fig. 12c).
     pub fn with_max_discharge_rate(mut self, rate: Power) -> Self {
         self.max_discharge_rate = rate;
-        self
-    }
-
-    /// Returns a copy with a different maximum charge rate.
-    pub fn with_max_charge_rate(mut self, rate: Power) -> Self {
-        self.max_charge_rate = rate;
-        self
-    }
-
-    /// Returns a copy with ideal (lossless) conversion, matching the paper's
-    /// plain linear model exactly.
-    pub fn lossless(mut self) -> Self {
-        self.charge_efficiency = 1.0;
-        self.discharge_efficiency = 1.0;
         self
     }
 
@@ -304,6 +288,15 @@ mod tests {
         Duration::from_minutes(1.0)
     }
 
+    /// The paper default with ideal conversion: the plain linear model.
+    fn lossless() -> BatterySpec {
+        BatterySpec {
+            charge_efficiency: 1.0,
+            discharge_efficiency: 1.0,
+            ..BatterySpec::paper_default()
+        }
+    }
+
     #[test]
     fn full_battery_delivers_requested_power() {
         let mut b = Battery::full(BatterySpec::paper_default());
@@ -335,7 +328,7 @@ mod tests {
 
     #[test]
     fn charge_tapers_at_capacity() {
-        let spec = BatterySpec::paper_default().lossless();
+        let spec = lossless();
         let mut b = Battery::new(spec, spec.capacity - Energy::from_kilowatt_hours(0.001));
         // 0.2 kW for a minute would add 0.00333 kWh; only 0.001 kWh fits.
         let drawn = b.charge(Power::from_kilowatts(0.2), minute());
@@ -345,7 +338,7 @@ mod tests {
 
     #[test]
     fn lossless_round_trip_conserves_energy() {
-        let spec = BatterySpec::paper_default().lossless();
+        let spec = lossless();
         let mut b = Battery::empty(spec);
         for _ in 0..60 {
             b.charge(Power::from_kilowatts(0.2), minute());
@@ -418,7 +411,11 @@ mod tests {
             Err(BatterySpecError::NonPositiveCapacity)
         );
         assert_eq!(
-            good.with_max_charge_rate(Power::ZERO).validate(),
+            BatterySpec {
+                max_charge_rate: Power::ZERO,
+                ..good
+            }
+            .validate(),
             Err(BatterySpecError::NonPositiveChargeRate)
         );
         assert_eq!(

@@ -1,6 +1,6 @@
 //! Property-based tests of the battery invariants.
 
-use hbm_battery::{Battery, BatteryBank, BatterySpec};
+use hbm_battery::{Battery, BatterySpec};
 use hbm_units::{Duration, Energy, Power};
 use proptest::prelude::*;
 
@@ -97,26 +97,6 @@ proptest! {
             delivered <= bound + battery.stored(),
             "delivered {delivered} vs drawn {drawn}"
         );
-    }
-
-    #[test]
-    fn bank_soc_equals_mean_of_packs(
-        spec in arbitrary_spec(),
-        packs in 1usize..8,
-        requests in request_sequence(),
-    ) {
-        let mut bank = BatteryBank::full(spec, packs);
-        let dt = Duration::from_minutes(1.0);
-        for r in requests {
-            if r >= 0.0 {
-                bank.charge(Power::from_kilowatts(r), dt);
-            } else {
-                bank.discharge(Power::from_kilowatts(-r), dt);
-            }
-        }
-        let mean_soc: f64 =
-            bank.iter().map(Battery::state_of_charge).sum::<f64>() / packs as f64;
-        prop_assert!((bank.state_of_charge() - mean_soc).abs() < 1e-9);
     }
 
     #[test]

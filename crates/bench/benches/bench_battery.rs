@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use hbm_battery::{ups_experiment, Battery, BatteryBank, BatterySpec, UpsExperiment};
+use hbm_battery::{ups_experiment, Battery, BatterySpec, UpsExperiment};
 use hbm_units::{Duration, Power};
 
 fn battery(c: &mut Criterion) {
@@ -20,25 +20,6 @@ fn battery(c: &mut Criterion) {
                     battery.discharge(black_box(Power::from_kilowatts(1.0)), dt);
                 }
                 battery.stored()
-            },
-            BatchSize::SmallInput,
-        );
-    });
-
-    c.bench_function("battery_bank_discharge_4_packs", |b| {
-        b.iter_batched(
-            || {
-                BatteryBank::full(
-                    BatterySpec::paper_default()
-                        .with_capacity(hbm_units::Energy::from_kilowatt_hours(0.05)),
-                    4,
-                )
-            },
-            |mut bank| {
-                bank.discharge(
-                    black_box(Power::from_kilowatts(1.0)),
-                    Duration::from_minutes(1.0),
-                )
             },
             BatchSize::SmallInput,
         );

@@ -109,11 +109,6 @@ impl ColoConfig {
         self.protocol.cap_per_server * self.attacker_servers as f64
     }
 
-    /// Energy one slot of attacking drains from the battery.
-    pub fn attack_energy_per_slot(&self) -> Energy {
-        self.attack_load * self.slot
-    }
-
     /// The emergency cap as a fraction of benign server peak (0.6 at
     /// defaults), which is the power axis of the latency model.
     pub fn emergency_cap_fraction(&self) -> f64 {
@@ -281,7 +276,6 @@ mod tests {
         assert_eq!(c.benign_emergency_cap(), Power::from_kilowatts(4.32));
         assert_eq!(c.attacker_emergency_cap(), Power::from_watts(480.0));
         assert!((c.emergency_cap_fraction() - 0.6).abs() < 1e-12);
-        assert!((c.attack_energy_per_slot().as_kilowatt_hours() - 1.0 / 60.0).abs() < 1e-12);
     }
 
     #[test]

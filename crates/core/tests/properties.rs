@@ -4,7 +4,7 @@
 //! the physical/accounting invariants that must hold for *any* attacker
 //! behaviour.
 
-use hbm_core::{ColoConfig, MyopicPolicy, RandomPolicy, Simulation};
+use hbm_core::{AttackAction, ColoConfig, MyopicPolicy, RandomPolicy, Simulation};
 use hbm_units::{Power, Temperature};
 use proptest::prelude::*;
 
@@ -32,6 +32,29 @@ proptest! {
             // Behind-the-meter gap only ever comes from the battery.
             let gap = r.actual_total - r.metered_total;
             prop_assert!(gap <= config.attack_load + Power::from_watts(1.0));
+            if r.outage {
+                continue;
+            }
+            // The one metering model: each side's draw is held to its
+            // subscription, or to its emergency cap while the operator caps.
+            let (benign_limit, attacker_limit) = if r.capping {
+                (config.benign_emergency_cap(), config.attacker_emergency_cap())
+            } else {
+                (config.benign_capacity(), config.attacker_capacity)
+            };
+            prop_assert!(r.benign_actual <= benign_limit);
+            let attacker_metered = r.metered_total - r.benign_actual;
+            prop_assert!(attacker_metered <= attacker_limit + Power::from_watts(1e-6));
+            // What the meter misses is exactly the battery's output while
+            // attacking, nothing on standby, and never positive on charge
+            // (only conversion losses of the metered charge become heat).
+            match r.action {
+                AttackAction::Attack => {
+                    prop_assert!((gap - r.attack_load).abs() <= Power::from_watts(1e-6));
+                }
+                AttackAction::Standby => prop_assert_eq!(gap, Power::ZERO),
+                AttackAction::Charge => prop_assert!(gap <= Power::ZERO),
+            }
         }
         // Metrics are internally consistent.
         let m = &report.metrics;

@@ -16,8 +16,8 @@
 //! the same tooling that consumes `experiments simulate` lines. Non-2xx
 //! responses print the server's error to stderr and exit non-zero.
 
-use crate::common::Options;
-use hbm_core::{Perturbation, Scenario};
+use crate::common::{take_override, Options};
+use hbm_core::Perturbation;
 use hbm_serve::http::{request_bytes, roundtrip};
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7070";
@@ -54,19 +54,8 @@ fn parse_overrides(args: &[String]) -> Result<(Perturbation, Vec<String>), Strin
     let mut rest = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut take_f64 = |name: &str| -> Result<f64, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))?
-                .parse()
-                .map_err(|e| format!("{name}: {e}"))
-        };
-        match arg.as_str() {
-            "--util" => p.utilization = Some(take_f64("--util")?),
-            "--attack-load-kw" => p.attack_load_kw = Some(take_f64("--attack-load-kw")?),
-            "--battery-kwh" => p.battery_kwh = Some(take_f64("--battery-kwh")?),
-            "--threshold-c" => p.threshold_c = Some(take_f64("--threshold-c")?),
-            "--cap-w" => p.cap_w = Some(take_f64("--cap-w")?),
-            other => rest.push(other.to_string()),
+        if !take_override(&mut p, arg, &mut it)? {
+            rest.push(arg.clone());
         }
     }
     Ok((p, rest))
@@ -102,10 +91,7 @@ pub fn run_client(opts: &Options, args: &[String]) -> Result<(), String> {
     };
     match action.as_str() {
         "create" => {
-            let mut scenario = Scenario::new("");
-            scenario.days = opts.days;
-            scenario.warmup_days = opts.warmup_days;
-            scenario.seed = opts.seed;
+            let mut scenario = opts.scenario();
             let (p, extra) = parse_overrides(action_args)?;
             let mut it = extra.iter();
             while let Some(arg) = it.next() {

@@ -7,7 +7,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hbm_core::{scenario, ColoConfig, Metrics, Policy, Simulation, TraceStore};
+use hbm_core::{
+    scenario, ColoConfig, Metrics, Perturbation, Policy, Scenario, Simulation, TraceStore,
+};
 
 /// Count of I/O failures (CSV, manifest, timings JSON) across the whole
 /// run; the driver exits nonzero when any write failed, so automation
@@ -137,12 +139,61 @@ impl Options {
         self.traces.simulation(config, policy, self.seed)
     }
 
+    /// A scenario with no policy yet at this run's horizon and seed: the
+    /// base that `simulate`, `whatif` and `client create` fill in.
+    pub fn scenario(&self) -> Scenario {
+        let mut scenario = Scenario::new("");
+        scenario.days = self.days;
+        scenario.warmup_days = self.warmup_days;
+        scenario.seed = self.seed;
+        scenario
+    }
+
     /// Canonical one-line description of the run configuration, hashed into
     /// the manifest's `config_hash`. Delegates to the shared
     /// [`hbm_core::scenario`] form so CLI and `hbm-serve` keys never drift.
     pub fn config_canonical(&self, ids: &[String]) -> String {
         scenario::config_canonical_base(&ids.join("+"), self.days, self.warmup_days, self.seed)
     }
+}
+
+/// The field of `p` that the scenario override `name` sets: `util`,
+/// `attack-load-kw`, `battery-kwh`, `threshold-c` or `cap-w` (the command
+/// flags without their `--`, and the `whatif --variant` keys).
+pub(crate) fn override_field<'p>(
+    p: &'p mut Perturbation,
+    name: &str,
+) -> Option<&'p mut Option<f64>> {
+    Some(match name {
+        "util" => &mut p.utilization,
+        "attack-load-kw" => &mut p.attack_load_kw,
+        "battery-kwh" => &mut p.battery_kwh,
+        "threshold-c" => &mut p.threshold_c,
+        "cap-w" => &mut p.cap_w,
+        _ => return None,
+    })
+}
+
+/// Reads one scenario-override flag (`--util F`, `--attack-load-kw F`,
+/// `--battery-kwh F`, `--threshold-c F`, `--cap-w F`) into `p`, taking
+/// its value from `values`. Returns `Ok(false)`, taking nothing, when
+/// `arg` is not an override flag.
+pub(crate) fn take_override<'a>(
+    p: &mut Perturbation,
+    arg: &str,
+    values: &mut impl Iterator<Item = &'a String>,
+) -> Result<bool, String> {
+    let Some(field) = arg
+        .strip_prefix("--")
+        .and_then(|name| override_field(p, name))
+    else {
+        return Ok(false);
+    };
+    let value = values
+        .next()
+        .ok_or_else(|| format!("{arg} requires a value"))?;
+    *field = Some(value.parse().map_err(|e| format!("{arg}: {e}"))?);
+    Ok(true)
 }
 
 /// Opens a per-run JSONL trace sink at `<trace>/<name>.jsonl`, or `None`

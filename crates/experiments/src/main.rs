@@ -107,33 +107,23 @@ fn usage() {
 /// `hbm-serve`'s `POST /v1/simulate`, so the printed line is
 /// byte-identical to the served response body for the same configuration.
 fn run_simulate(opts: &Options, args: &[String]) -> Result<(), String> {
-    let mut scenario = hbm_core::Scenario::new("");
-    scenario.days = opts.days;
-    scenario.warmup_days = opts.warmup_days;
-    scenario.seed = opts.seed;
+    let mut scenario = opts.scenario();
+    let mut overrides = hbm_core::Perturbation::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next()
+        if arg == "--policy" {
+            scenario.policy = it
+                .next()
                 .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        let mut take_f64 = |name: &str| -> Result<f64, String> {
-            take(name)?.parse().map_err(|e| format!("{name}: {e}"))
-        };
-        match arg.as_str() {
-            "--policy" => scenario.policy = take("--policy")?,
-            "--util" => scenario.utilization = Some(take_f64("--util")?),
-            "--attack-load-kw" => scenario.attack_load_kw = Some(take_f64("--attack-load-kw")?),
-            "--battery-kwh" => scenario.battery_kwh = Some(take_f64("--battery-kwh")?),
-            "--threshold-c" => scenario.threshold_c = Some(take_f64("--threshold-c")?),
-            "--cap-w" => scenario.cap_w = Some(take_f64("--cap-w")?),
-            other => return Err(format!("unknown simulate argument {other:?}")),
+                .ok_or_else(|| "--policy requires a value".to_string())?;
+        } else if !common::take_override(&mut overrides, arg, &mut it)? {
+            return Err(format!("unknown simulate argument {arg:?}"));
         }
     }
     if scenario.policy.is_empty() {
         return Err("simulate requires --policy NAME".into());
     }
+    let scenario = overrides.apply(&scenario);
     let report = scenario.run()?;
     println!(
         "{}",

@@ -10,8 +10,8 @@
 //! `POST /v1/experiments/{id}/fork` (see `docs/SERVICE.md`) — forking a
 //! 5-day run costs a state copy, not a 5-day re-simulation.
 
-use crate::common::Options;
-use hbm_core::{Perturbation, Scenario, StateTree};
+use crate::common::{override_field, take_override, Options};
+use hbm_core::{Perturbation, StateTree};
 
 /// Usage text printed on argument errors.
 pub const USAGE: &str = "usage: experiments whatif --policy NAME [--days N] [--warmup-days N] [--seed N]
@@ -32,30 +32,25 @@ fn parse_variant(spec: &str, index: usize) -> Result<(String, Perturbation), Str
         let (key, value) = pair
             .split_once('=')
             .ok_or_else(|| format!("variant pair {pair:?} is not key=value"))?;
-        let num = || -> Result<f64, String> {
+        if key == "label" {
+            label = value.to_string();
+            continue;
+        }
+        let field =
+            override_field(&mut p, key).ok_or_else(|| format!("unknown variant key {key:?}"))?;
+        *field = Some(
             value
                 .parse()
-                .map_err(|e| format!("variant {key}={value}: {e}"))
-        };
-        match key {
-            "label" => label = value.to_string(),
-            "util" => p.utilization = Some(num()?),
-            "attack-load-kw" => p.attack_load_kw = Some(num()?),
-            "battery-kwh" => p.battery_kwh = Some(num()?),
-            "threshold-c" => p.threshold_c = Some(num()?),
-            "cap-w" => p.cap_w = Some(num()?),
-            other => return Err(format!("unknown variant key {other:?}")),
-        }
+                .map_err(|e| format!("variant {key}={value}: {e}"))?,
+        );
     }
     Ok((label, p))
 }
 
 /// `experiments whatif ...`: fork one scenario, compare its futures.
 pub fn run_whatif(opts: &Options, args: &[String]) -> Result<(), String> {
-    let mut scenario = Scenario::new("");
-    scenario.days = opts.days;
-    scenario.warmup_days = opts.warmup_days;
-    scenario.seed = opts.seed;
+    let mut scenario = opts.scenario();
+    let mut overrides = Perturbation::default();
     let mut fork_at: Option<u64> = None;
     let mut slots: u64 = 1440;
     let mut variants: Vec<(String, Perturbation)> = Vec::new();
@@ -69,18 +64,6 @@ pub fn run_whatif(opts: &Options, args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--policy" => scenario.policy = take("--policy")?,
-            "--util" => scenario.utilization = Some(parse_f64(&take("--util")?, "--util")?),
-            "--attack-load-kw" => {
-                scenario.attack_load_kw =
-                    Some(parse_f64(&take("--attack-load-kw")?, "--attack-load-kw")?)
-            }
-            "--battery-kwh" => {
-                scenario.battery_kwh = Some(parse_f64(&take("--battery-kwh")?, "--battery-kwh")?)
-            }
-            "--threshold-c" => {
-                scenario.threshold_c = Some(parse_f64(&take("--threshold-c")?, "--threshold-c")?)
-            }
-            "--cap-w" => scenario.cap_w = Some(parse_f64(&take("--cap-w")?, "--cap-w")?),
             "--fork-at" => {
                 fork_at = Some(
                     take("--fork-at")?
@@ -97,9 +80,14 @@ pub fn run_whatif(opts: &Options, args: &[String]) -> Result<(), String> {
                 let spec = take("--variant")?;
                 variants.push(parse_variant(&spec, variants.len() + 1)?);
             }
-            other => return Err(format!("unknown whatif argument {other:?}")),
+            other => {
+                if !take_override(&mut overrides, other, &mut it)? {
+                    return Err(format!("unknown whatif argument {other:?}"));
+                }
+            }
         }
     }
+    let scenario = overrides.apply(&scenario);
     if scenario.policy.is_empty() {
         return Err("whatif requires --policy NAME".into());
     }
@@ -152,8 +140,4 @@ pub fn run_whatif(opts: &Options, args: &[String]) -> Result<(), String> {
         None => println!("first divergence: none (all branches agree so far)"),
     }
     Ok(())
-}
-
-fn parse_f64(value: &str, name: &str) -> Result<f64, String> {
-    value.parse().map_err(|e| format!("{name}: {e}"))
 }

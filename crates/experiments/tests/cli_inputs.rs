@@ -84,3 +84,41 @@ fn uncreatable_trace_names_the_file_and_exits_one() {
         std::fs::create_dir(file).unwrap();
     });
 }
+
+#[test]
+fn override_flags_reject_missing_and_non_numeric_values() {
+    const FLAGS: [&str; 5] = [
+        "--util",
+        "--attack-load-kw",
+        "--battery-kwh",
+        "--threshold-c",
+        "--cap-w",
+    ];
+    // Every command that takes the scenario overrides, with the arguments
+    // that precede the flag. `client` fails on the flag before it dials.
+    let commands: [&[&str]; 4] = [
+        &["simulate", "--policy", "myopic"],
+        &["whatif", "--policy", "myopic"],
+        &["client", "create", "--policy", "myopic"],
+        &["client", "perturb", "exp-1"],
+    ];
+    for command in commands {
+        for flag in FLAGS {
+            for (value, expected) in [
+                (None, format!("{flag} requires a value")),
+                (Some("warm"), format!("{flag}: invalid float literal")),
+            ] {
+                let mut args = command.to_vec();
+                args.push(flag);
+                args.extend(value);
+                let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+                    .args(&args)
+                    .output()
+                    .expect("experiments binary runs");
+                let stderr = String::from_utf8_lossy(&output.stderr);
+                assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+                assert!(stderr.contains(&expected), "{args:?}: {stderr}");
+            }
+        }
+    }
+}

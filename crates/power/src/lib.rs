@@ -1,15 +1,14 @@
-//! Power-delivery substrate of the edge colocation.
+//! Power substrate of the edge colocation: the server power models and the
+//! operator's thermal-emergency power-capping protocol.
 //!
-//! Models the paper's tree hierarchy (utility → UPS → PDU → servers), the
-//! per-tenant power metering the operator uses both for capacity enforcement
-//! and — crucially for the attack — as a *proxy for cooling load*, plus the
-//! server power models and the thermal-emergency power-capping protocol.
-//!
-//! The central observation of the paper lives here: the operator meters what
+//! The central observation of the paper is that the operator meters what
 //! flows out of the PDU, but a server with a built-in battery can consume
-//! *more* than its metered draw. [`Pdu::meter`] therefore reports metered
-//! power, while the simulator separately tracks actual (heat-producing)
-//! power; the gap is the "behind the meter" cooling load.
+//! *more* than its metered draw. Metering and subscription enforcement live
+//! in one place, the simulator's slot (`hbm_core::Simulation`): the benign
+//! tenants' draw is capped at their subscription (or the emergency cap), and
+//! the attacker's power is split into a metered part, held to its
+//! subscription, and an actual, heat-producing part; the gap is the
+//! "behind the meter" cooling load.
 //!
 //! # Examples
 //!
@@ -30,13 +29,7 @@
 #![warn(missing_docs)]
 
 mod capping;
-mod pdu;
 mod server;
-mod tenant;
-mod ups;
 
 pub use capping::{EmergencyProtocol, ProtocolState};
-pub use pdu::{MeterReading, Pdu};
 pub use server::ServerSpec;
-pub use tenant::{Tenant, TenantId};
-pub use ups::Ups;

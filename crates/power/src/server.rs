@@ -43,15 +43,6 @@ impl ServerSpec {
         }
     }
 
-    /// The attacker's one-shot server: 950 W peak via multiple power-hungry
-    /// GPUs (e.g. 3 × RTX-3080-class cards).
-    pub fn attacker_one_shot() -> Self {
-        ServerSpec {
-            idle: Power::from_watts(90.0),
-            peak: Power::from_watts(950.0),
-        }
-    }
-
     /// Validates physical plausibility.
     ///
     /// # Errors
@@ -129,7 +120,6 @@ mod tests {
     #[test]
     fn attacker_specs_exceed_subscription() {
         assert!(ServerSpec::attacker_repeated().peak > Power::from_watts(200.0));
-        assert!(ServerSpec::attacker_one_shot().peak > Power::from_watts(900.0));
     }
 
     #[test]

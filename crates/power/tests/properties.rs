@@ -1,7 +1,7 @@
 //! Property-based tests of the power-infrastructure substrate.
 
-use hbm_power::{EmergencyProtocol, Pdu, ProtocolState, ServerSpec, Tenant, TenantId};
-use hbm_units::{Duration, Power, Temperature};
+use hbm_power::{EmergencyProtocol, ProtocolState, ServerSpec};
+use hbm_units::{Duration, Temperature};
 use proptest::prelude::*;
 
 fn temp_sequence() -> impl Strategy<Value = Vec<f64>> {
@@ -18,39 +18,6 @@ proptest! {
         prop_assert!(p >= s.idle && p <= s.peak);
         // Inverse is consistent.
         prop_assert!((s.utilization_for(p) - u).abs() < 1e-9);
-    }
-
-    #[test]
-    fn metering_clamps_and_sums(
-        req in prop::collection::vec(0.0..4.0f64, 4),
-    ) {
-        let mut tenants = vec![Tenant::uniform(
-            TenantId(0),
-            "attacker",
-            Power::from_kilowatts(0.8),
-            ServerSpec::attacker_repeated(),
-            4,
-        )];
-        for i in 1..=3 {
-            tenants.push(Tenant::uniform(
-                TenantId(i),
-                format!("benign-{i}"),
-                Power::from_kilowatts(2.4),
-                ServerSpec::paper_default(),
-                12,
-            ));
-        }
-        let pdu = Pdu::new(Power::from_kilowatts(8.0), tenants);
-        let requests: Vec<Power> = req.iter().map(|&k| Power::from_kilowatts(k)).collect();
-        let reading = pdu.meter(&requests);
-        // Each tenant clamped to its subscription, total ≤ capacity.
-        for (t, (id, p)) in pdu.tenants().iter().zip(reading.iter()) {
-            prop_assert_eq!(t.id, *id);
-            prop_assert!(*p <= t.subscribed + Power::from_watts(1e-9));
-        }
-        prop_assert!(reading.total() <= pdu.capacity() + Power::from_watts(1e-6));
-        let sum: Power = reading.iter().map(|(_, p)| *p).sum();
-        prop_assert!((sum - reading.total()).abs() < Power::from_watts(1e-6));
     }
 
     #[test]

@@ -78,15 +78,6 @@ impl QTable {
         self.visits[i] += 1;
     }
 
-    /// Number of updates applied to `(s, a)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub fn visit_count(&self, s: usize, a: usize) -> u64 {
-        self.visits[self.idx(s, a)]
-    }
-
     /// All action values of state `s` as one contiguous slice.
     ///
     /// Hot selection loops should index this row instead of calling
@@ -181,7 +172,7 @@ mod tests {
         assert_eq!(q.get(0, 1), 5.0);
         q.blend(0, 1, 10.0, 0.5);
         assert_eq!(q.get(0, 1), 7.5);
-        assert_eq!(q.visit_count(0, 1), 2);
+        assert_eq!(q.visits()[q.idx(0, 1)], 2);
     }
 
     #[test]

@@ -25,14 +25,11 @@ impl PduLine {
         }
     }
 
-    /// Total RMS current for a given aggregate power, in amperes.
-    pub fn current_amps(&self, total: Power) -> f64 {
-        total.as_watts() / self.nominal_volts
-    }
-
-    /// Voltage observed at a server outlet when `total` power flows.
+    /// Voltage observed at a server outlet when `total` power flows: the
+    /// total RMS current times the cable resistance below nominal.
     pub fn outlet_volts(&self, total: Power) -> f64 {
-        self.nominal_volts - self.current_amps(total) * self.cable_ohms
+        let amps = total.as_watts() / self.nominal_volts;
+        self.nominal_volts - amps * self.cable_ohms
     }
 
     /// Inverts [`PduLine::outlet_volts`]: the aggregate power that would

@@ -146,14 +146,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The element list, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// Appends a JSON array of floats (shortest-round-trip form, like
@@ -609,7 +601,9 @@ mod tests {
         let mut o = JsonObject::new();
         o.raw("q", &arr).u64("slot", 3);
         let fields = parse_flat_object(&o.finish()).unwrap();
-        let parsed = fields[0].1.as_array().unwrap();
+        let JsonValue::Arr(parsed) = &fields[0].1 else {
+            panic!("q is an array")
+        };
         assert_eq!(parsed.len(), values.len());
         for (p, v) in parsed.iter().zip(values) {
             assert_eq!(p.as_f64().unwrap().to_bits(), v.to_bits());
@@ -623,8 +617,10 @@ mod tests {
         push_json_u64_array(&mut arr, &[0, 1, 1 << 53]);
         assert_eq!(arr, "[0,1,9007199254740992]");
         let fields = parse_flat_object("{\"v\":[ ],\"w\":[true,null,\"s\"]}").unwrap();
-        assert!(fields[0].1.as_array().unwrap().is_empty());
-        let w = fields[1].1.as_array().unwrap();
+        assert_eq!(fields[0].1, JsonValue::Arr(Vec::new()));
+        let JsonValue::Arr(w) = &fields[1].1 else {
+            panic!("w is an array")
+        };
         assert_eq!(w[0].as_bool(), Some(true));
         assert_eq!(w[1], JsonValue::Null);
         assert_eq!(w[2].as_str(), Some("s"));

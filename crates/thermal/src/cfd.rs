@@ -230,12 +230,6 @@ impl CfdModel {
         Temperature::from_celsius(sum / n)
     }
 
-    /// Hottest server inlet.
-    pub fn max_inlet(&self) -> Temperature {
-        let m = self.cold.iter().cloned().fold(f64::MIN, f64::max);
-        Temperature::from_celsius(m)
-    }
-
     /// All inlet temperatures, rack-major.
     pub fn inlets(&self) -> Vec<Temperature> {
         self.cold

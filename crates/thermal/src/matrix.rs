@@ -64,13 +64,6 @@ impl HeatMatrix {
         self.data[(source * self.servers + receiver) * self.lags + lag]
     }
 
-    /// Total (summed over lags) impact of `source` on `receiver`, K/W.
-    pub fn total_response(&self, source: usize, receiver: usize) -> f64 {
-        (0..self.lags)
-            .map(|l| self.response(source, receiver, l))
-            .sum()
-    }
-
     /// Builds a matrix from raw impulse-response data (flattened
     /// `[source][receiver][lag]`, K/W) — for synthetic matrices in tests and
     /// reference kernels outside this crate; extraction-produced matrices
@@ -511,12 +504,19 @@ mod tests {
         assert_eq!(m.lag_step(), Duration::from_minutes(1.0));
     }
 
+    /// Total (summed over lags) impact of `source` on `receiver`, K/W.
+    fn total_response(m: &HeatMatrix, source: usize, receiver: usize) -> f64 {
+        (0..m.lag_count())
+            .map(|l| m.response(source, receiver, l))
+            .sum()
+    }
+
     #[test]
     fn self_response_is_positive() {
         let m = small_matrix();
         for s in 0..4 {
             assert!(
-                m.total_response(s, s) > 0.0,
+                total_response(&m, s, s) > 0.0,
                 "server {s} must warm its own inlet through leakage"
             );
         }
@@ -526,7 +526,7 @@ mod tests {
     fn cross_response_exists_under_shared_cooling() {
         let m = small_matrix();
         // A spike at the bottom server must affect the top server.
-        assert!(m.total_response(0, 3) > 0.0);
+        assert!(total_response(&m, 0, 3) > 0.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use crate::{Duration, Power, SECONDS_PER_HOUR};
+use crate::{Duration, Power};
 
 /// An energy quantity, stored internally in kilowatt-hours.
 ///
@@ -38,11 +38,6 @@ impl Energy {
         Energy(wh / 1e3)
     }
 
-    /// Creates an energy from joules.
-    pub fn from_joules(joules: f64) -> Self {
-        Energy(joules / (1e3 * SECONDS_PER_HOUR))
-    }
-
     /// Returns the value in kilowatt-hours.
     pub fn as_kilowatt_hours(self) -> f64 {
         self.0
@@ -51,11 +46,6 @@ impl Energy {
     /// Returns the value in watt-hours.
     pub fn as_watt_hours(self) -> f64 {
         self.0 * 1e3
-    }
-
-    /// Returns the value in joules.
-    pub fn as_joules(self) -> f64 {
-        self.0 * 1e3 * SECONDS_PER_HOUR
     }
 
     /// Returns the smaller of two energies.
@@ -193,8 +183,6 @@ mod tests {
     fn conversions_round_trip() {
         let e = Energy::from_kilowatt_hours(0.05);
         assert!((e.as_watt_hours() - 50.0).abs() < 1e-12);
-        assert!((e.as_joules() - 180_000.0).abs() < 1e-6);
-        assert!((Energy::from_joules(3_600_000.0).as_kilowatt_hours() - 1.0).abs() < 1e-12);
         assert!((Energy::from_watt_hours(200.0).as_kilowatt_hours() - 0.2).abs() < 1e-12);
     }
 

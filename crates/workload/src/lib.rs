@@ -39,12 +39,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod io;
 pub mod latency;
 pub mod queue;
 mod trace;
 
-pub use io::ParseTraceError;
 pub use trace::{generate, generate_heads, PowerTrace, TraceConfig, TraceShape};
 
 /// Crate-internal percentile (linear interpolation between closest ranks).
