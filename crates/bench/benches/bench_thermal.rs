@@ -11,7 +11,6 @@ use hbm_core::{
     BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, Perturbation, Scenario, Simulation,
     StateTree,
 };
-use hbm_telemetry::MemoryRecorder;
 use hbm_thermal::{extract_heat_matrix, CfdConfig, CfdModel, HeatMatrixModel, ZoneModel};
 use hbm_units::{Duration, Power, Temperature};
 use hbm_workload::{generate, generate_heads, TraceConfig};
@@ -170,14 +169,6 @@ fn sim_throughput(c: &mut Criterion) {
         let config = ColoConfig::paper_default().with_trace_len(2 * 1440);
         let mut sim = Simulation::new(config, ForesightedPolicy::paper_default(14.0, 1), 1);
         sim.warmup(1440);
-        b.iter(|| black_box(sim.step()));
-    });
-
-    group.bench_function("recorder_on", |b| {
-        let config = ColoConfig::paper_default().with_trace_len(2 * 1440);
-        let mut sim = Simulation::new(config, ForesightedPolicy::paper_default(14.0, 1), 1);
-        sim.warmup(1440);
-        sim.set_recorder(Box::new(MemoryRecorder::new()));
         b.iter(|| black_box(sim.step()));
     });
 

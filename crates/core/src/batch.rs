@@ -84,7 +84,6 @@ pub struct BatchSim {
     /// Sensed benign load in watts (dense-path output of the packed
     /// estimate).
     sensed_w: Vec<f64>,
-    raw_estimates: Vec<Power>,
     attackers: Vec<AttackerPower>,
     records: Vec<SlotRecord>,
 }
@@ -263,7 +262,6 @@ impl BatchSim {
             z: vec![0.0; n * NORMALS_PER_ESTIMATE],
             benign_w: vec![0.0; n],
             sensed_w: vec![0.0; n],
-            raw_estimates: vec![Power::ZERO; n],
             attackers: vec![AttackerPower::default(); n],
             records: vec![SlotRecord::blank(); n],
         }
@@ -348,7 +346,6 @@ impl BatchSim {
                 // Down: the zone pass cools the lane at zero load, and
                 // nothing is sensed.
                 self.loads_w[i] = 0.0;
-                self.raw_estimates[i] = Power::ZERO;
             }
         }
 
@@ -401,9 +398,7 @@ impl BatchSim {
                 z4.copy_from_slice(&self.z[at..at + NORMALS_PER_ESTIMATE]);
                 self.sc_lanes.estimate_lane(i, r.benign_actual, &z4)
             };
-            let (attacker, raw_estimate) = self.lanes[i].act_slot(sensed, self.zones.inlet(i), r);
-            self.attackers[i] = attacker;
-            self.raw_estimates[i] = raw_estimate;
+            self.attackers[i] = self.lanes[i].act_slot(sensed, self.zones.inlet(i), r);
             self.loads_w[i] = r.actual_total.as_watts();
         }
 
@@ -414,12 +409,7 @@ impl BatchSim {
         let mut down: u32 = 0;
         for (i, (lane, r)) in self.lanes.iter_mut().zip(&mut self.records).enumerate() {
             down += u32::from(r.outage);
-            lane.close_slot(
-                r,
-                self.attackers[i],
-                self.raw_estimates[i],
-                self.zones.inlet(i),
-            );
+            lane.close_slot(r, self.attackers[i], self.zones.inlet(i));
         }
         hbm_telemetry::timing::record_span_units("batch.step", started, lanes as u64);
         down

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use hbm_battery::Battery;
 use hbm_power::EmergencyProtocol;
 use hbm_sidechannel::VoltageSideChannel;
-use hbm_telemetry::{ChannelValue, Recorder, Sample};
+use hbm_telemetry::ChannelValue;
 use hbm_thermal::ZoneModel;
 use hbm_units::{Duration, Energy, Power, Temperature};
 use hbm_workload::latency::LatencyModel;
@@ -34,6 +34,9 @@ pub struct SlotRecord {
     pub battery_soc: f64,
     /// The attacker's side-channel estimate (incl. its own subscription).
     pub estimated_total: Power,
+    /// The unfiltered side-channel estimate the filtered one was updated
+    /// from (zero in outage slots, when nothing is sensed).
+    pub raw_estimate: Power,
     /// Action the attacker took.
     pub action: AttackAction,
     /// Server inlet temperature at the end of the slot.
@@ -154,6 +157,7 @@ impl SlotRecord {
             attack_load: Power::ZERO,
             battery_soc: 0.0,
             estimated_total: Power::ZERO,
+            raw_estimate: Power::ZERO,
             action: AttackAction::Standby,
             inlet: Temperature::from_celsius(0.0),
             capping: false,
@@ -171,34 +175,31 @@ impl SlotRecord {
             ..SlotRecord::blank()
         }
     }
-}
 
-/// Emits one telemetry sample for a finished slot. Channel names mirror
-/// the figure CSV columns (`docs/TELEMETRY.md`).
-fn emit_sample(rec: &mut dyn Recorder, r: &SlotRecord, raw_estimate: Power) {
-    let action = match r.action {
-        AttackAction::Attack => "attack",
-        AttackAction::Charge => "charge",
-        AttackAction::Standby => "standby",
-    };
-    let channels: [(&'static str, ChannelValue); 12] = [
-        ("benign_kw", r.benign_demand.as_kilowatts().into()),
-        ("benign_actual_kw", r.benign_actual.as_kilowatts().into()),
-        ("metered_kw", r.metered_total.as_kilowatts().into()),
-        ("actual_kw", r.actual_total.as_kilowatts().into()),
-        ("attack_kw", r.attack_load.as_kilowatts().into()),
-        ("soc", r.battery_soc.into()),
-        ("est_kw", r.estimated_total.as_kilowatts().into()),
-        ("raw_est_kw", raw_estimate.as_kilowatts().into()),
-        ("inlet_c", r.inlet.as_celsius().into()),
-        ("capping", r.capping.into()),
-        ("outage", r.outage.into()),
-        ("action", ChannelValue::Str(action)),
-    ];
-    rec.record(&Sample {
-        step: r.slot,
-        channels: &channels,
-    });
+    /// The record as its telemetry channels, in trace order; the names
+    /// mirror the figure CSV columns (`docs/TELEMETRY.md`). A trace line is
+    /// `hbm_telemetry::Sample { step: r.slot, channels: &r.channels() }`.
+    pub fn channels(&self) -> [(&'static str, ChannelValue); 12] {
+        let action = match self.action {
+            AttackAction::Attack => "attack",
+            AttackAction::Charge => "charge",
+            AttackAction::Standby => "standby",
+        };
+        [
+            ("benign_kw", self.benign_demand.as_kilowatts().into()),
+            ("benign_actual_kw", self.benign_actual.as_kilowatts().into()),
+            ("metered_kw", self.metered_total.as_kilowatts().into()),
+            ("actual_kw", self.actual_total.as_kilowatts().into()),
+            ("attack_kw", self.attack_load.as_kilowatts().into()),
+            ("soc", self.battery_soc.into()),
+            ("est_kw", self.estimated_total.as_kilowatts().into()),
+            ("raw_est_kw", self.raw_estimate.as_kilowatts().into()),
+            ("inlet_c", self.inlet.as_celsius().into()),
+            ("capping", self.capping.into()),
+            ("outage", self.outage.into()),
+            ("action", ChannelValue::Str(action)),
+        ]
+    }
 }
 
 /// The edge-colocation simulator (see the crate docs for the slot
@@ -227,10 +228,6 @@ pub struct Simulation {
     pub(crate) prev_capping: bool,
     /// EMA state of the attacker's filtered side-channel estimate.
     pub(crate) estimate_filter: Option<Power>,
-    /// Optional per-slot telemetry sink. `None` costs one branch per slot;
-    /// recording itself never touches any simulation RNG, so traced and
-    /// untraced runs produce identical trajectories.
-    pub(crate) recorder: Option<Box<dyn Recorder>>,
 }
 
 impl Simulation {
@@ -285,7 +282,6 @@ impl Simulation {
             outage_remaining: None,
             prev_capping: false,
             estimate_filter: None,
-            recorder: None,
         }
     }
 
@@ -318,22 +314,6 @@ impl Simulation {
     /// e.g. the learnt Foresighted policy for Fig. 10).
     pub fn policy(&self) -> &Policy {
         &self.policy
-    }
-
-    /// Attaches a telemetry recorder; every subsequent slot emits one
-    /// [`Sample`] (see `docs/TELEMETRY.md` for the channel schema).
-    ///
-    /// Recording observes state the simulator computes anyway and never
-    /// touches any RNG, so attaching a recorder cannot perturb the run.
-    /// Attach after [`Simulation::warmup`] to trace only measured slots.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Detaches and returns the recorder; [`Recorder::flush`] it to learn
-    /// whether every sample reached its sink.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder.take()
     }
 
     /// Runs `slots` slots and returns the accumulated report.
@@ -376,14 +356,14 @@ impl Simulation {
         let started = hbm_telemetry::timing::start();
         let mut r = SlotRecord::blank();
         let demand = self.trace.get(self.slot_index as usize);
-        let (attacker, raw_estimate) = if self.open_slot(demand, &mut r) {
+        let attacker = if self.open_slot(demand, &mut r) {
             let sensed = self.side_channel.estimate(r.benign_actual);
             self.act_slot(sensed, self.zone.inlet(), &mut r)
         } else {
-            (AttackerPower::default(), Power::ZERO)
+            AttackerPower::default()
         };
         let inlet = self.zone.step(r.actual_total, self.params.slot);
-        self.close_slot(&mut r, attacker, raw_estimate, inlet);
+        self.close_slot(&mut r, attacker, inlet);
         hbm_telemetry::timing::record_span("sim.step", started);
         r
     }
@@ -435,14 +415,14 @@ impl Simulation {
     /// estimate, completes last slot's transition and learns from it,
     /// decides, then draws or charges the battery and splits the slot's
     /// power into metered and actual (filling the rest of `r` but its
-    /// inlet). Returns the attacker's power and the raw estimate.
+    /// inlet). Returns the attacker's power.
     #[inline]
     pub(crate) fn act_slot(
         &mut self,
         sensed: Power,
         inlet: Temperature,
         r: &mut SlotRecord,
-    ) -> (AttackerPower, Power) {
+    ) -> AttackerPower {
         let p = &self.params;
         let raw_estimate = sensed + p.attacker_cap;
         let estimated_total = match self.estimate_filter {
@@ -469,6 +449,7 @@ impl Simulation {
         }
         let action = self.policy.decide(&observation);
         r.estimated_total = estimated_total;
+        r.raw_estimate = raw_estimate;
         r.action = action;
 
         let metered_limit = if r.capping {
@@ -510,20 +491,19 @@ impl Simulation {
             next_battery_soc: r.battery_soc,
             next_battery_stored: battery.stored(),
         });
-        (AttackerPower { metered, actual }, raw_estimate)
+        AttackerPower { metered, actual }
     }
 
     /// Closes the slot at the `inlet` the zone reached: steps the operator
-    /// protocol, records emergency and outage edges, accumulates the slot
-    /// into the metrics and emits its telemetry sample. A slot of outage
-    /// downtime instead counts the outage down, after which the protocol
-    /// restarts from normal, and ends the attacker's episode.
+    /// protocol, records emergency and outage edges and accumulates the
+    /// slot into the metrics. A slot of outage downtime instead counts the
+    /// outage down, after which the protocol restarts from normal, and ends
+    /// the attacker's episode.
     #[inline]
     pub(crate) fn close_slot(
         &mut self,
         r: &mut SlotRecord,
         attacker: AttackerPower,
-        raw_estimate: Power,
         inlet: Temperature,
     ) {
         let p = &self.params;
@@ -576,16 +556,13 @@ impl Simulation {
                 pending.inlet = inlet;
             }
         }
-        if let Some(rec) = self.recorder.as_mut() {
-            emit_sample(rec.as_mut(), r, raw_estimate);
-        }
     }
 
     /// A deep copy of the live simulation that continues bit-identically
     /// and independently: every piece of dynamic state (zone, protocol,
     /// battery, side-channel RNG, policy tables, metrics, pending learning
     /// transition) is cloned, while the immutable workload trace is shared
-    /// via [`Arc`]. The fork starts without a recorder.
+    /// via [`Arc`].
     ///
     /// This is the cheap branching primitive behind [`crate::StateTree`]
     /// and the serve layer's `/fork` endpoint: forking costs a state copy
@@ -607,7 +584,6 @@ impl Simulation {
             outage_remaining: self.outage_remaining,
             prev_capping: self.prev_capping,
             estimate_filter: self.estimate_filter,
-            recorder: None,
         }
     }
 }

@@ -3,15 +3,13 @@
 //! same [`Simulation`] alone, and the sharded runner is thread-count
 //! invariant.
 
-use std::sync::{Arc, Mutex};
-
 use hbm_battery::BatterySpec;
 use hbm_core::scenario::run_scenarios_batch;
 use hbm_core::{
     run_sharded, BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, OneShotPolicy, Policy,
     RandomPolicy, Scenario, SimReport, Simulation, SlotRecord, TraceStore,
 };
-use hbm_telemetry::{sample_to_jsonl, Recorder, Sample};
+use hbm_telemetry::{sample_to_jsonl, Sample};
 use hbm_units::Power;
 
 /// A policy/config mix covering every slot-body path: attacking and quiet
@@ -505,27 +503,28 @@ fn handed_back_lanes_checkpoint_like_scalar_ones() {
     }
 }
 
-/// A lane's telemetry, one JSONL line per sample.
-type Lines = Arc<Mutex<Vec<String>>>;
-
-/// Keeps every sample as its JSONL line, in a list the test holds too.
-struct LineRecorder(Lines);
-
-impl Recorder for LineRecorder {
-    fn record(&mut self, sample: &Sample<'_>) {
-        self.0.lock().unwrap().push(sample_to_jsonl(sample));
-    }
+/// A lane's records as their JSONL trace lines: comparing the lines is
+/// bit-level, where `==` on the records' `f64`s equates `-0.0` and `0.0`.
+fn trace_lines(records: &[SlotRecord]) -> Vec<String> {
+    records
+        .iter()
+        .map(|r| {
+            sample_to_jsonl(&Sample {
+                step: r.slot,
+                channels: &r.channels(),
+            })
+        })
+        .collect()
 }
 
 /// A one-shot lane that goes through outage downtime, a myopic 7.4 kW lane
-/// that triggers emergencies and a learning lane, each with a recorder
-/// whose lines are returned alongside.
-fn traced_hand_off_lanes() -> (Vec<Simulation>, Vec<Lines>) {
+/// that triggers emergencies and a learning lane.
+fn hand_off_lanes() -> Vec<Simulation> {
     let base = ColoConfig::paper_default().with_trace_len(7 * 1440);
     let mut outage = base.clone();
     outage.battery = BatterySpec::one_shot();
     outage.attack_load = Power::from_kilowatts(3.0);
-    let mut sims = vec![
+    vec![
         Simulation::new(outage, OneShotPolicy::new(Power::from_kilowatts(7.6)), 1),
         Simulation::new(
             base.clone(),
@@ -533,12 +532,7 @@ fn traced_hand_off_lanes() -> (Vec<Simulation>, Vec<Lines>) {
             1,
         ),
         Simulation::new(base, ForesightedPolicy::paper_default(14.0, 4), 4),
-    ];
-    let lines: Vec<_> = sims.iter().map(|_| Arc::default()).collect();
-    for (sim, lines) in sims.iter_mut().zip(&lines) {
-        sim.set_recorder(Box::new(LineRecorder(Arc::clone(lines))));
-    }
-    (sims, lines)
+    ]
 }
 
 /// Lanes that alternate between the engines in co-prime chunks (7 slots
@@ -550,7 +544,7 @@ fn lanes_hand_off_between_engines_in_any_state() {
     const SLOTS: usize = 2 * 1440;
     const BATCHED: usize = 7;
     const SCALAR: usize = 5;
-    let (mut reference, want_lines) = traced_hand_off_lanes();
+    let mut reference = hand_off_lanes();
     let want: Vec<Vec<SlotRecord>> = reference
         .iter_mut()
         .map(|sim| sim.run_recorded(SLOTS as u64).1)
@@ -562,7 +556,7 @@ fn lanes_hand_off_between_engines_in_any_state() {
         "the run must outlast the outage downtime"
     );
 
-    let (mut sims, got_lines) = traced_hand_off_lanes();
+    let mut sims = hand_off_lanes();
     let mut got: Vec<Vec<SlotRecord>> = vec![Vec::new(); sims.len()];
     // Slot boundaries at which the lanes entered a batch, and left one.
     let (mut batched_at, mut unbatched_at) = (Vec::new(), Vec::new());
@@ -593,10 +587,13 @@ fn lanes_hand_off_between_engines_in_any_state() {
     for (sim, want) in sims.iter().zip(&reference) {
         assert_eq!(sim.snapshot_json(), want.snapshot_json());
     }
-    for (got, want) in got_lines.iter().zip(&want_lines) {
-        let (got, want) = (got.lock().unwrap(), want.lock().unwrap());
+    for (got, want) in got.iter().zip(&want) {
         assert_eq!(got.len(), SLOTS);
-        assert_eq!(*got, *want, "the engines traced a lane differently");
+        assert_eq!(
+            trace_lines(got),
+            trace_lines(want),
+            "the engines traced a lane differently"
+        );
     }
 
     // The slot after a boundary shows the state the lanes crossed it in:

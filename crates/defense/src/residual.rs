@@ -1,6 +1,5 @@
 //! Power/temperature cross-check: the behind-the-meter heat detector.
 
-use hbm_telemetry::{ChannelValue, Recorder, Sample};
 use hbm_thermal::ZoneModel;
 use hbm_units::{Duration, Power, Temperature, TemperatureDelta};
 
@@ -104,31 +103,6 @@ impl ThermalResidualDetector {
         } else {
             false
         }
-    }
-
-    /// Like [`ThermalResidualDetector::observe`], but also emits one
-    /// telemetry [`Sample`] per slot (channels `residual_c`, `alarm`,
-    /// `alarms_total`; see `docs/TELEMETRY.md`). `slot_index` tags the
-    /// sample so detector traces align with simulator traces.
-    pub fn observe_recorded(
-        &mut self,
-        slot_index: u64,
-        metered: Power,
-        observed: Temperature,
-        dt: Duration,
-        recorder: &mut dyn Recorder,
-    ) -> bool {
-        let fired = self.observe(metered, observed, dt);
-        let channels: [(&'static str, ChannelValue); 3] = [
-            ("residual_c", self.last_residual.as_celsius().into()),
-            ("alarm", fired.into()),
-            ("alarms_total", ChannelValue::U64(self.alarms)),
-        ];
-        recorder.record(&Sample {
-            step: slot_index,
-            channels: &channels,
-        });
-        fired
     }
 
     /// Residual of the most recent observation.

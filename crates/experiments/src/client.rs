@@ -16,7 +16,7 @@
 //! the same tooling that consumes `experiments simulate` lines. Non-2xx
 //! responses print the server's error to stderr and exit non-zero.
 
-use crate::common::{take_override, Options};
+use crate::common::{take_override, take_policy, Options};
 use hbm_core::Perturbation;
 use hbm_serve::http::{request_bytes, roundtrip};
 
@@ -96,12 +96,7 @@ pub fn run_client(opts: &Options, args: &[String]) -> Result<(), String> {
             let mut it = extra.iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--policy" => {
-                        scenario.policy = it
-                            .next()
-                            .cloned()
-                            .ok_or_else(|| "--policy requires a value".to_string())?
-                    }
+                    "--policy" => scenario.policy = take_policy(&mut it)?,
                     other => return Err(format!("unknown create argument {other:?}")),
                 }
             }

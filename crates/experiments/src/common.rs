@@ -4,22 +4,19 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hbm_core::{
-    scenario, ColoConfig, Metrics, Perturbation, Policy, Scenario, Simulation, TraceStore,
+    scenario, ColoConfig, Metrics, Perturbation, Policy, Scenario, Simulation, SlotRecord,
+    TraceStore,
 };
+use hbm_telemetry::{JsonlRecorder, Sample};
 
-/// Count of I/O failures (CSV, manifest, timings JSON) across the whole
-/// run; the driver exits nonzero when any write failed, so automation
-/// never mistakes a partially written results directory for a clean run.
-pub static IO_ERRORS: AtomicUsize = AtomicUsize::new(0);
-
-/// Records one I/O failure: counted for the exit code and echoed through
-/// the sink so the message lands next to the experiment that hit it.
+/// Records one I/O failure (CSV, trace): counted in the sink for the
+/// driver's exit code and echoed through it, so the message lands next to
+/// the experiment that hit it.
 pub fn io_error(out: &mut Sink, message: String) {
-    IO_ERRORS.fetch_add(1, Ordering::Relaxed);
+    out.io_errors += 1;
     out.line(format!("error: {message}"));
 }
 
@@ -196,21 +193,28 @@ pub(crate) fn take_override<'a>(
     Ok(true)
 }
 
-/// Opens a per-run JSONL trace sink at `<trace>/<name>.jsonl`, or `None`
-/// when tracing is off (the untraced path costs one branch per slot). A
-/// file that cannot be created is an [`io_error`]; the run goes on
+/// Reads the value of `--policy` from `values`. A missing value and a
+/// following `--flag` are the same error, so `--policy --util 0.5` never
+/// takes `--util` as the policy name.
+pub(crate) fn take_policy<'a>(
+    values: &mut impl Iterator<Item = &'a String>,
+) -> Result<String, String> {
+    match values.next() {
+        Some(value) if !value.starts_with("--") => Ok(value.clone()),
+        _ => Err("--policy requires a value".into()),
+    }
+}
+
+/// Opens the JSONL trace `<trace>/<name>.jsonl`, or `None` when tracing is
+/// off. A file that cannot be created is an [`io_error`]; the run goes on
 /// untraced.
 ///
 /// Each run owns its own file, so `--jobs N` workers never contend and the
 /// traces are byte-identical whatever the thread count.
-pub fn trace_recorder(
-    opts: &Options,
-    out: &mut Sink,
-    name: &str,
-) -> Option<Box<hbm_telemetry::JsonlRecorder>> {
+pub fn trace_recorder(opts: &Options, out: &mut Sink, name: &str) -> Option<JsonlRecorder> {
     let path = trace_path(opts, name)?;
-    match hbm_telemetry::JsonlRecorder::create(&path) {
-        Ok(rec) => Some(Box::new(rec)),
+    match JsonlRecorder::create(&path) {
+        Ok(rec) => Some(rec),
         Err(e) => {
             io_error(out, format!("cannot create trace {}: {e}", path.display()));
             None
@@ -222,20 +226,30 @@ fn trace_path(opts: &Options, name: &str) -> Option<PathBuf> {
     Some(opts.trace.as_ref()?.join(format!("{name}.jsonl")))
 }
 
-/// Flushes a trace sink from [`trace_recorder`] once its run is over. A
-/// sample that could not be written is an [`io_error`] naming the file.
-pub fn close_trace<R: hbm_telemetry::Recorder + ?Sized>(
-    opts: &Options,
-    out: &mut Sink,
-    name: &str,
-    rec: Option<Box<R>>,
-) {
+/// Flushes a trace from [`trace_recorder`] once it is written. A sample
+/// that could not be written is an [`io_error`] naming the file.
+pub fn close_trace(opts: &Options, out: &mut Sink, name: &str, rec: Option<JsonlRecorder>) {
     let (Some(mut rec), Some(path)) = (rec, trace_path(opts, name)) else {
         return;
     };
     if let Err(e) = rec.flush() {
         io_error(out, format!("cannot write trace {}: {e}", path.display()));
     }
+}
+
+/// Writes a run's `records` as the JSONL trace `<trace>/<name>.jsonl`, one
+/// line of [`SlotRecord::channels`] per slot, when tracing is on.
+pub fn write_record_trace(opts: &Options, out: &mut Sink, name: &str, records: &[SlotRecord]) {
+    let Some(mut rec) = trace_recorder(opts, out, name) else {
+        return;
+    };
+    for r in records {
+        rec.record(&Sample {
+            step: r.slot,
+            channels: &r.channels(),
+        });
+    }
+    close_trace(opts, out, name, Some(rec));
 }
 
 /// Buffered console output of one experiment.
@@ -247,6 +261,8 @@ pub fn close_trace<R: hbm_telemetry::Recorder + ?Sized>(
 #[derive(Debug, Default)]
 pub struct Sink {
     lines: Vec<String>,
+    /// Output files this experiment failed to write ([`io_error`]s).
+    io_errors: usize,
 }
 
 impl Sink {
@@ -258,6 +274,13 @@ impl Sink {
     /// Appends one output line.
     pub fn line(&mut self, line: impl Into<String>) {
         self.lines.push(line.into());
+    }
+
+    /// How many [`io_error`]s were reported through this sink. The driver
+    /// exits nonzero when any write failed, so automation never mistakes a
+    /// partially written results directory for a clean run.
+    pub fn io_errors(&self) -> usize {
+        self.io_errors
     }
 
     /// Writes the buffered lines to stdout and clears the buffer.

@@ -9,7 +9,7 @@ use hbm_core::{
 use hbm_units::Power;
 use hbm_workload::TraceShape;
 
-use crate::common::{close_trace, heading, summary_line, trace_recorder, write_csv, Options, Sink};
+use crate::common::{heading, summary_line, write_csv, write_record_trace, Options, Sink};
 use crate::outln;
 
 /// Fig. 8: one-shot attack demonstration (30-minute window).
@@ -20,11 +20,8 @@ pub fn fig8(opts: &Options, out: &mut Sink) {
     config.attack_load = Power::from_kilowatts(3.0);
     let policy = OneShotPolicy::new(Power::from_kilowatts(7.6));
     let mut sim = opts.simulation(config, policy);
-    if let Some(rec) = trace_recorder(opts, out, "fig8") {
-        sim.set_recorder(rec);
-    }
     let (report, records) = sim.run_recorded(3 * 1440);
-    close_trace(opts, out, "fig8", sim.take_recorder());
+    write_record_trace(opts, out, "fig8", &records);
     let trigger = records
         .iter()
         .position(|r| r.attack_load > Power::ZERO)
@@ -79,27 +76,21 @@ pub fn fig9(opts: &Options, out: &mut Sink) {
         ),
     ];
     // The three policy runs are independent lanes of one sharded batch:
-    // warm up the learning lane, attach the trace recorders (after warm-up,
-    // so the JSONL lines up with the recorded days), then record every lane
-    // in lockstep.
+    // warm up the learning lane, then record every lane in lockstep (the
+    // traces hold the recorded days only).
     let names: Vec<&str> = policies.iter().map(|(name, _, _)| *name).collect();
     let lanes: Vec<(Simulation, bool)> = policies
         .into_iter()
         .map(|(_, policy, warmup)| (opts.simulation(config.clone(), policy), warmup))
         .collect();
-    let mut sims = warmup_sims_batch(lanes, opts.warmup_slots());
-    for (sim, name) in sims.iter_mut().zip(&names) {
-        if let Some(rec) = trace_recorder(opts, out, &format!("fig9_{name}")) {
-            sim.set_recorder(rec);
-        }
-    }
+    let sims = warmup_sims_batch(lanes, opts.warmup_slots());
     // Record a few days, then pick the most "interesting" 4-hour window
     // (most capping slots, then most attack slots) — the paper likewise
     // shows a snapshot "when the total power/cooling load is relatively
     // higher".
-    let mut run = hbm_core::run_sharded_recorded(sims, 4 * 1440);
-    for (sim, name) in run.sims.iter_mut().zip(&names) {
-        close_trace(opts, out, &format!("fig9_{name}"), sim.take_recorder());
+    let run = hbm_core::run_sharded_recorded(sims, 4 * 1440);
+    for (records, name) in run.records.iter().zip(&names) {
+        write_record_trace(opts, out, &format!("fig9_{name}"), records);
     }
     let results = names.into_iter().zip(run.records).map(|(name, all)| {
         let window_len = 4 * 60;

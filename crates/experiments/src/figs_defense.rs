@@ -5,6 +5,7 @@ use hbm_defense::{
     prevention::jamming_noise_for_accuracy, MoveInInspection, ServerCalorimeter, SlaMonitor,
     ThermalResidualDetector,
 };
+use hbm_telemetry::Sample;
 use hbm_thermal::ZoneModel;
 use hbm_units::{Power, TemperatureDelta};
 
@@ -51,12 +52,17 @@ pub fn defense(opts: &Options, out: &mut Sink) {
     let mut run_detected = false;
     let mut run_start = 0usize;
     for (i, r) in records.iter().enumerate() {
-        let alarm = match residual_trace.as_deref_mut() {
-            Some(rec) => {
-                detector.observe_recorded(r.slot, r.metered_total, r.inlet, config.slot, rec)
-            }
-            None => detector.observe(r.metered_total, r.inlet, config.slot),
-        };
+        let alarm = detector.observe(r.metered_total, r.inlet, config.slot);
+        if let Some(rec) = &mut residual_trace {
+            rec.record(&Sample {
+                step: r.slot,
+                channels: &[
+                    ("residual_c", detector.last_residual().as_celsius().into()),
+                    ("alarm", alarm.into()),
+                    ("alarms_total", detector.alarm_count().into()),
+                ],
+            });
+        }
         let attacking = r.attack_load > Power::ZERO;
         if attacking && !in_run {
             in_run = true;

@@ -112,10 +112,7 @@ fn run_simulate(opts: &Options, args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if arg == "--policy" {
-            scenario.policy = it
-                .next()
-                .cloned()
-                .ok_or_else(|| "--policy requires a value".to_string())?;
+            scenario.policy = common::take_policy(&mut it)?;
         } else if !common::take_override(&mut overrides, arg, &mut it)? {
             return Err(format!("unknown simulate argument {arg:?}"));
         }
@@ -229,6 +226,7 @@ fn main() {
     }
     let start = std::time::Instant::now();
     let count = runs.len();
+    let mut io_errors = 0;
     if opts.jobs <= 1 {
         // Serial path streams each experiment's output as it runs.
         let mut sink = Sink::new();
@@ -236,6 +234,7 @@ fn main() {
             f(&opts, &mut sink);
             sink.flush_to_stdout();
         }
+        io_errors += sink.io_errors();
     } else {
         // Parallel path: run buffered, then flush whole experiments in
         // submission order so tables never interleave.
@@ -246,6 +245,7 @@ fn main() {
         });
         for mut sink in sinks {
             sink.flush_to_stdout();
+            io_errors += sink.io_errors();
         }
     }
     if opts.timings {
@@ -259,19 +259,18 @@ fn main() {
             match std::fs::write(path, json + "\n") {
                 Ok(()) => println!("  [json] {}", path.display()),
                 Err(e) => {
-                    common::IO_ERRORS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    io_errors += 1;
                     eprintln!("error: cannot write {}: {e}", path.display());
                 }
             }
         }
     }
-    write_manifest(&opts, &ids, start.elapsed().as_millis() as u64);
+    io_errors += write_manifest(&opts, &ids, start.elapsed().as_millis() as u64);
     eprintln!(
         "\n[{count} experiment(s) in {:.1?}, --jobs {}]",
         start.elapsed(),
         opts.jobs
     );
-    let io_errors = common::IO_ERRORS.load(std::sync::atomic::Ordering::Relaxed);
     if io_errors > 0 {
         eprintln!("error: {io_errors} output file(s) could not be written");
         std::process::exit(1);
@@ -279,8 +278,9 @@ fn main() {
 }
 
 /// Emits `manifest.json` alongside the CSVs (and into the trace directory,
-/// when tracing) so every run records what produced it.
-fn write_manifest(opts: &Options, ids: &[String], wall_clock_ms: u64) {
+/// when tracing) so every run records what produced it. Returns how many
+/// of those files could not be written.
+fn write_manifest(opts: &Options, ids: &[String], wall_clock_ms: u64) -> usize {
     let mut manifest = hbm_telemetry::RunManifest::new("experiments", opts.seed);
     manifest.hash_config(&opts.config_canonical(ids));
     manifest
@@ -298,10 +298,12 @@ fn write_manifest(opts: &Options, ids: &[String], wall_clock_ms: u64) {
     }
     manifest.jobs = opts.jobs as u64;
     manifest.wall_clock_ms = wall_clock_ms;
+    let mut failed = 0;
     for dir in std::iter::once(&opts.out_dir).chain(opts.trace.as_ref()) {
         if let Err(e) = manifest.write_to_dir(dir) {
-            common::IO_ERRORS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            failed += 1;
             eprintln!("error: cannot write manifest to {}: {e}", dir.display());
         }
     }
+    failed
 }

@@ -10,7 +10,7 @@
 //! `POST /v1/experiments/{id}/fork` (see `docs/SERVICE.md`) — forking a
 //! 5-day run costs a state copy, not a 5-day re-simulation.
 
-use crate::common::{override_field, take_override, Options};
+use crate::common::{override_field, take_override, take_policy, Options};
 use hbm_core::{Perturbation, StateTree};
 
 /// Usage text printed on argument errors.
@@ -63,7 +63,7 @@ pub fn run_whatif(opts: &Options, args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match arg.as_str() {
-            "--policy" => scenario.policy = take("--policy")?,
+            "--policy" => scenario.policy = take_policy(&mut it)?,
             "--fork-at" => {
                 fork_at = Some(
                     take("--fork-at")?

@@ -122,3 +122,23 @@ fn override_flags_reject_missing_and_non_numeric_values() {
         }
     }
 }
+
+#[test]
+fn policy_followed_by_a_flag_is_a_missing_value() {
+    // Each command that takes `--policy`; `client` fails before it dials.
+    let commands: [&[&str]; 3] = [&["simulate"], &["whatif"], &["client", "create"]];
+    for command in commands {
+        let mut args = command.to_vec();
+        args.extend(["--policy", "--util", "0.5"]);
+        let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(&args)
+            .output()
+            .expect("experiments binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: --policy requires a value"),
+            "{args:?}: {stderr}"
+        );
+    }
+}

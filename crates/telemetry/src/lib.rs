@@ -1,16 +1,15 @@
 //! Observability layer of the *Heat Behind the Meter* workspace: per-step
-//! channel recorders, run manifests, and kernel timing spans.
+//! channel traces, run manifests, and kernel timing spans.
 //!
 //! The paper's evaluation lives on traceable per-step signals — tenant
 //! power, inlet temperature, battery state of charge, side-channel
 //! estimates, defense residuals. This crate gives every producer a uniform
 //! way to surface them without perturbing the simulation:
 //!
-//! * **[`Recorder`]** — a sink for per-step [`Sample`]s. Producers (most
-//!   importantly `hbm_core::Simulation`) hold an `Option<Box<dyn
-//!   Recorder>>`; detached, the hook is one `None` check. [`JsonlRecorder`]
-//!   streams one flat JSON object per step, [`MemoryRecorder`] keeps them
-//!   for programmatic inspection.
+//! * **[`Sample`]** — one step's named channels. A run returns its
+//!   per-step values (`hbm_core::SlotRecord`s, most importantly), and the
+//!   caller renders each as a sample into a [`JsonlRecorder`], which
+//!   writes one flat JSON object per step.
 //! * **[`RunManifest`]** — seed, configuration hash, parameters, crate
 //!   versions, git revision, and wall clock of a run, written as
 //!   `manifest.json` beside the CSVs it describes. Deterministic fields
@@ -28,9 +27,10 @@
 //! # Examples
 //!
 //! ```
-//! use hbm_telemetry::{ChannelValue, MemoryRecorder, Recorder, Sample};
+//! use hbm_telemetry::{parse_jsonl_line, ChannelValue, JsonlRecorder, Sample};
 //!
-//! let mut recorder = MemoryRecorder::new();
+//! let path = std::env::temp_dir().join("hbm_telemetry_doc_example.jsonl");
+//! let mut recorder = JsonlRecorder::create(&path)?;
 //! for step in 0..3u64 {
 //!     let channels = [
 //!         ("inlet_c", ChannelValue::F64(27.0 + step as f64 * 0.5)),
@@ -38,11 +38,14 @@
 //!     ];
 //!     recorder.record(&Sample { step, channels: &channels });
 //! }
-//! assert_eq!(recorder.samples().len(), 3);
-//! assert_eq!(
-//!     recorder.samples()[2].channel("inlet_c"),
-//!     Some(&ChannelValue::F64(28.0))
-//! );
+//! recorder.flush()?;
+//! let text = std::fs::read_to_string(&path)?;
+//! let lines: Vec<&str> = text.lines().collect();
+//! assert_eq!(lines.len(), 3);
+//! assert_eq!(lines[2], r#"{"step":2,"inlet_c":28.0,"capping":false}"#);
+//! let (step, channels) = parse_jsonl_line(lines[2]).unwrap();
+//! assert_eq!((step, channels[0].1.as_f64()), (2, Some(28.0)));
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,10 +60,7 @@ pub use json::JsonValue;
 pub use manifest::{
     deterministic_manifest_fields, fnv1a64, git_describe, RunManifest, MANIFEST_SCHEMA,
 };
-pub use record::{
-    parse_jsonl_line, sample_to_jsonl, ChannelValue, JsonlRecorder, MemoryRecorder, OwnedSample,
-    Recorder, Sample,
-};
+pub use record::{parse_jsonl_line, sample_to_jsonl, ChannelValue, JsonlRecorder, Sample};
 
 /// The crate version, for run manifests.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -113,13 +113,8 @@ awk -F'"' '
         else if (step > 0)
             printf "heat-matrix model step: %.1f us\n", step / 1000
         off = median["sim_step_slots_per_sec/recorder_off"]
-        on = median["sim_step_slots_per_sec/recorder_on"]
         if (off > 0)
-            printf "sim steady-loop throughput: %.2fM slots/s (recorder off)", 1000 / off
-        if (off > 0 && on > 0)
-            printf ", %.2fM slots/s (recorder on)", 1000 / on
-        if (off > 0)
-            printf "\n"
+            printf "sim steady-loop throughput: %.2fM slots/s\n", 1000 / off
         one = median["sim_step_slots_per_sec/one_lane_batch"]
         if (off > 0 && one > 0)
             printf "one-lane BatchSim: %.0f ns/slot vs scalar %.0f ns/slot  ->  %.2fx\n",
