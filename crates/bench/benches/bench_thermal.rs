@@ -286,9 +286,17 @@ fn learning_fleet_throughput(c: &mut Criterion) {
 /// Then the traces of a served 8-site, one-day batch: 8 paper-default
 /// years (seeds 1–8) synthesized in one lockstep pass, each keeping only
 /// the 1440 slots the run reads.
+///
+/// Then a fleet lane's week (Figs. 6b, 13a draw from the same synthesis):
+/// 10 080 default-shape slots, where the diurnal memo is still filling, so
+/// the `sin`/`tanh` calls of its misses dominate.
 fn trace_synthesis(c: &mut Criterion) {
     c.bench_function("trace_year_generation", |b| {
         let config = TraceConfig::paper_default_year(1);
+        b.iter(|| generate(black_box(&config)).mean());
+    });
+    c.bench_function("trace_week_generation", |b| {
+        let config = TraceConfig::paper_default_year(1).with_len(7 * 1440);
         b.iter(|| generate(black_box(&config)).mean());
     });
     c.bench_function("trace_heads_8_sites_one_day", |b| {

@@ -66,6 +66,14 @@ pub fn ablation(opts: &Options, out: &mut Sink) {
     );
 }
 
+/// One slot of a `defense_roc` run, as the residual detector replays it.
+#[derive(Clone, Copy)]
+struct RocSlot {
+    metered_total: Power,
+    inlet: Temperature,
+    attacking: bool,
+}
+
 /// Defense operating characteristic: sweep the residual-detector threshold
 /// and report detection of *sustained* attack runs (≥3 minutes — the only
 /// ones that can outlast the emergency dwell) against the false-alarm rate
@@ -77,14 +85,24 @@ pub fn defense_roc(opts: &Options, out: &mut Sink) {
     let horizon = opts.slots().min(90 * 1440);
     let sensor_noise_k = 0.2;
 
-    // Attack-campaign and clean (no-attack, same trace) records: two
-    // independent simulations, shared by every threshold below.
+    // Attack-campaign and clean (no-attack, same trace) slots: two
+    // independent simulations, shared by every threshold below. Each keeps
+    // only what the detector replays, not the whole `SlotRecord`.
     let mut recorded = hbm_par::par_map(vec![7.4, 99.0], |trigger_kw| {
         let mut sim = opts.simulation(
             config.clone(),
             MyopicPolicy::new(Power::from_kilowatts(trigger_kw)),
         );
-        sim.run_recorded(horizon).1
+        (0..horizon)
+            .map(|_| {
+                let r = sim.step();
+                RocSlot {
+                    metered_total: r.metered_total,
+                    inlet: r.inlet,
+                    attacking: r.attack_load > Power::ZERO,
+                }
+            })
+            .collect::<Vec<_>>()
     });
     let (clean_records, attack_records) = match (recorded.pop(), recorded.pop()) {
         (Some(clean), Some(attack)) => (clean, attack),
@@ -125,8 +143,7 @@ pub fn defense_roc(opts: &Options, out: &mut Sink) {
         let mut i = 0usize;
         while i < attack_records.len() {
             let r = &attack_records[i];
-            let attacking = r.attack_load > Power::ZERO;
-            if !attacking {
+            if !r.attacking {
                 let noisy =
                     r.inlet + TemperatureDelta::from_celsius(sensor_noise_k * normal(&mut rng));
                 detector.observe(r.metered_total, noisy, config.slot);
@@ -136,7 +153,7 @@ pub fn defense_roc(opts: &Options, out: &mut Sink) {
             // Measure the run length, then replay it through the detector.
             let len = attack_records[i..]
                 .iter()
-                .take_while(|r| r.attack_load > Power::ZERO)
+                .take_while(|r| r.attacking)
                 .count();
             let mut run_caught = None;
             for (j, r) in attack_records[i..i + len].iter().enumerate() {

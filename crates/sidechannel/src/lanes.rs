@@ -27,7 +27,7 @@
 //! Results are therefore bit-identical whether a lane is stepped here or on
 //! the source channel, at any batch width.
 
-use rand::rngs::StdRng;
+use rand::rngs::{xoshiro256pp, StdRng};
 
 use hbm_units::Power;
 
@@ -353,28 +353,14 @@ impl ChannelLanes {
                 let t2 = &mut self.t2[..n];
                 let t3 = &mut self.t3[..n];
                 for i in 0..n {
-                    let (mut a, mut b, mut c, mut d) = (s0[i], s1[i], s2[i], s3[i]);
                     // Two xoshiro256++ draws, exactly the scalar update.
-                    let r1 = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
-                    let t = b << 17;
-                    c ^= a;
-                    d ^= b;
-                    b ^= c;
-                    a ^= d;
-                    c ^= t;
-                    d = d.rotate_left(45);
-                    let r2 = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
-                    let t = b << 17;
-                    c ^= a;
-                    d ^= b;
-                    b ^= c;
-                    a ^= d;
-                    c ^= t;
-                    d = d.rotate_left(45);
-                    t0[i] = a;
-                    t1[i] = b;
-                    t2[i] = c;
-                    t3[i] = d;
+                    let mut s = [s0[i], s1[i], s2[i], s3[i]];
+                    let r1 = xoshiro256pp(&mut s);
+                    let r2 = xoshiro256pp(&mut s);
+                    t0[i] = s[0];
+                    t1[i] = s[1];
+                    t2[i] = s[2];
+                    t3[i] = s[3];
                     let h1 = r1 >> 11;
                     u1k[i] = h1 as f64 * U53_SCALE;
                     u2k[i] = (r2 >> 11) as f64 * U53_SCALE;

@@ -1,7 +1,7 @@
 //! Synthetic tenant power-trace generation.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::rngs::{xoshiro256pp, StdRng};
+use rand::SeedableRng;
 
 use hbm_units::{Duration, Power};
 
@@ -265,9 +265,10 @@ pub fn generate(config: &TraceConfig) -> PowerTrace {
 ///
 /// Every slot is still synthesized, since the rescale needs the whole
 /// trace's mean and peak, but only the head is stored. Configs that share
-/// shape, slot and length step in lockstep: the seed-independent profile
-/// (day, phase, diurnal value, weekly factor) is computed once per slot for
-/// all of them, and each draws its own noise from its own generator.
+/// shape, slot and length step in lockstep, up to eight side by side: the
+/// seed-independent profile (day, phase, diurnal value, weekly factor) is
+/// computed once per block of slots for all of them, and each draws its own
+/// noise from its own generator.
 ///
 /// A head trace wraps at its own length, not at `len`, so it drives a run
 /// exactly like the full trace only while the run reads at most `keep`
@@ -298,21 +299,17 @@ pub fn generate_heads(configs: &[TraceConfig], keep: usize) -> Vec<PowerTrace> {
     let mut order: Vec<usize> = (0..configs.len()).collect();
     order.sort_by_key(|&i| profile_key(&configs[i]));
     let mut traces = vec![None; configs.len()];
-    let mut finish = |i: usize, lane: Lane| traces[i] = Some(lane.finish(&configs[i]));
     for group in order.chunk_by(|&a, &b| profile_key(&configs[a]) == profile_key(&configs[b])) {
-        let first = &configs[group[0]];
-        let kept = keep.min(first.len);
-        let lane = |&i: &usize| Lane::new(&configs[i], kept);
-        // A lone lane steps in a stack array, where its state can stay in
-        // registers: from a `Vec`, one year took 3–8 % longer (medians of
-        // 61, four runs), and the array matches the old one-trace loop.
-        if let [only] = group {
-            let [done] = lockstep(first, [lane(only)], kept);
-            finish(*only, done);
-        } else {
-            let lanes = lockstep(first, group.iter().map(lane).collect::<Vec<_>>(), kept);
-            for (&i, done) in group.iter().zip(lanes) {
-                finish(i, done);
+        let kept = keep.min(configs[group[0]].len);
+        for chunk in group.chunks(GROUP_WIDTH) {
+            let lanes: Vec<&TraceConfig> = chunk.iter().map(|&i| &configs[i]).collect();
+            let done = if let [_] = chunk {
+                synthesize::<1>(&lanes, kept)
+            } else {
+                synthesize::<GROUP_WIDTH>(&lanes, kept)
+            };
+            for (&i, trace) in chunk.iter().zip(done) {
+                traces[i] = Some(trace);
             }
         }
     }
@@ -322,123 +319,215 @@ pub fn generate_heads(configs: &[TraceConfig], keep: usize) -> Vec<PowerTrace> {
         .collect()
 }
 
-/// One trace of a lockstep pass: its generator, noise state, running
-/// sum and peak, and the head stored so far.
-struct Lane {
-    rng: StdRng,
-    ar: f64,
-    burst: f64,
-    sum: Power,
-    peak: Power,
-    head: Vec<Power>,
+/// Lanes of the kernel for a lockstep group; a lone trace runs at width 1.
+const GROUP_WIDTH: usize = 8;
+
+/// Slots per block: the profile pass fills a block before the noise pass
+/// steps every lane through it.
+const BLOCK: usize = 64;
+
+/// Synthesizes `configs`, at most `W` that share shape, slot and length,
+/// side by side, and returns each one's first `kept` samples rescaled by
+/// its whole trace's mean and peak onto its targets.
+///
+/// Lane `i` holds one trace's generator words and noise state in column
+/// `i` of each array. Lanes past `configs.len()` replay the first config
+/// and their output is dropped.
+fn synthesize<const W: usize>(configs: &[&TraceConfig], kept: usize) -> Vec<PowerTrace> {
+    debug_assert!((1..=W).contains(&configs.len()));
+    let first = configs[0];
+    let params = ShapeParams::for_shape(first.shape);
+    let burst_chance = params.burst_rate_per_slot * first.slot.as_hours() * 60.0;
+    let mut profile = Profile::new(&params, first.slot.as_hours());
+    let mut rng = [[0u64; W]; 4];
+    for i in 0..W {
+        let config = configs.get(i).unwrap_or(&first);
+        let state = StdRng::seed_from_u64(config.seed ^ shape_salt(config.shape)).state();
+        for (words, word) in rng.iter_mut().zip(state) {
+            words[i] = word;
+        }
+    }
+    let (mut ar, mut burst) = ([0.0; W], [0.0; W]);
+    let (mut sum, mut peak) = ([0.0; W], [0.0; W]);
+    let mut heads: Vec<Vec<Power>> = configs.iter().map(|_| Vec::with_capacity(kept)).collect();
+    let mut block = [0.0; BLOCK];
+    // The block's samples, slot-major; stored into the heads after the
+    // block, so the slot loop makes no call and its state stays in
+    // registers.
+    let mut samples = [[0.0; W]; BLOCK];
+    for k0 in (0..first.len).step_by(BLOCK) {
+        let block = &mut block[..BLOCK.min(first.len - k0)];
+        profile.fill(k0, block);
+        for (&base, p) in block.iter().zip(&mut samples) {
+            let u = draw(&mut rng);
+            for i in 0..W {
+                ar[i] = params.ar_coeff * ar[i] + params.ar_sigma * u[i].mul_add(2.0, -1.0);
+            }
+            let u = draw(&mut rng);
+            let bursting: [bool; W] = std::array::from_fn(|i| u[i] < burst_chance);
+            if bursting.contains(&true) {
+                // The third draw advances only the lanes that burst.
+                let mut next = rng;
+                let u = draw(&mut next);
+                for i in (0..W).filter(|&i| bursting[i]) {
+                    for (words, next) in rng.iter_mut().zip(&next) {
+                        words[i] = next[i];
+                    }
+                    burst[i] += params.burst_height * (0.5 + u[i]);
+                }
+            }
+            for i in 0..W {
+                burst[i] *= params.burst_decay;
+                p[i] = (base + ar[i] + burst[i]).max(0.0);
+                sum[i] += p[i];
+                peak[i] = f64::max(peak[i], p[i]);
+            }
+        }
+        let stored = &samples[..kept.saturating_sub(k0).min(block.len())];
+        for (i, head) in heads.iter_mut().enumerate() {
+            head.extend(stored.iter().map(|p| Power::from_watts(p[i])));
+        }
+    }
+    configs
+        .iter()
+        .zip(heads)
+        .zip(sum.into_iter().zip(peak))
+        .map(|((config, mut head), (sum, peak))| {
+            let mean = Power::from_watts(sum) / config.len as f64;
+            let peak = Power::from_watts(peak);
+            rescale_in_place(&mut head, mean, peak, config.mean, config.peak);
+            PowerTrace::new(config.slot, head)
+        })
+        .collect()
 }
 
-impl Lane {
-    /// The lane of `config` before its first slot, with room for `kept`
-    /// samples.
-    fn new(config: &TraceConfig, kept: usize) -> Lane {
-        Lane {
-            rng: StdRng::seed_from_u64(config.seed ^ shape_salt(config.shape)),
-            ar: 0.0,
-            burst: 0.0,
-            sum: Power::ZERO,
-            peak: Power::ZERO,
-            head: Vec::with_capacity(kept),
+/// One xoshiro256++ step of every lane, as uniforms in `[0, 1)`: lane for
+/// lane exactly what `random::<f64>()` draws from that lane's generator.
+#[inline(always)]
+fn draw<const W: usize>(rng: &mut [[u64; W]; 4]) -> [f64; W] {
+    let mut u = [0.0; W];
+    for i in 0..W {
+        let mut s = [rng[0][i], rng[1][i], rng[2][i], rng[3][i]];
+        u[i] = (xoshiro256pp(&mut s) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        for (words, word) in rng.iter_mut().zip(s) {
+            words[i] = word;
+        }
+    }
+    u
+}
+
+/// The seed-independent part of every lane's samples, the diurnal profile
+/// scaled by the weekly factor, computed one block of slots at a time.
+///
+/// The diurnal values are memoized per call, indexed by the slot's position
+/// within its day and keyed by the exact bits of the day phase, so a cached
+/// value is the very value the profile would compute. Days that start on
+/// the same phase repeat their phases position for position (a year of
+/// 1-minute slots has ~12.4 k distinct phases against 525.6 k slots).
+///
+/// One entry per position; a phase that differs from the stored one
+/// replaces it. Positions past [`Profile::MAX_ENTRIES`] are evaluated
+/// directly, so memory stays bounded for very short slots.
+struct Profile<'a> {
+    params: &'a ShapeParams,
+    slot_hours: f64,
+    /// Memo keys: the phase bits stored at each position of the day.
+    keys: Vec<u64>,
+    /// Memo values: the diurnal profile at each stored phase.
+    values: Vec<f64>,
+    /// The current day, the next slot's position within it, and its weekly
+    /// factor.
+    day: u64,
+    at: usize,
+    weekly: f64,
+}
+
+impl<'a> Profile<'a> {
+    const MAX_ENTRIES: usize = 1 << 15;
+
+    fn new(params: &'a ShapeParams, slot_hours: f64) -> Self {
+        Profile {
+            params,
+            slot_hours,
+            keys: Vec::new(),
+            values: Vec::new(),
+            day: u64::MAX,
+            at: 0,
+            weekly: 1.0,
         }
     }
 
-    /// The head, rescaled by the whole trace's mean and peak onto
-    /// `config`'s targets.
-    fn finish(mut self, config: &TraceConfig) -> PowerTrace {
-        let mean = self.sum / config.len as f64;
-        rescale_in_place(&mut self.head, mean, self.peak, config.mean, config.peak);
-        PowerTrace::new(config.slot, self.head)
+    /// Fills `out` with the profile of slots `k0, k0 + 1, …`, which must
+    /// follow the slots of the previous call.
+    ///
+    /// A block inside one day whose phases all match the stored keys reads
+    /// its values in one comparison; any other block walks the memo slot by
+    /// slot.
+    fn fill(&mut self, k0: usize, out: &mut [f64]) {
+        let n = out.len();
+        // Floors stay `f64` here: a saturating `as u64` does not vectorize,
+        // so it runs once per block, or per slot off the fast path.
+        let mut phases = [0u64; BLOCK];
+        let mut days = [0.0; BLOCK];
+        for (k, (phase, day)) in (k0..).zip(phases.iter_mut().zip(&mut days)).take(n) {
+            let d = k as f64 * self.slot_hours / 24.0;
+            *phase = d.fract().to_bits();
+            *day = d.floor();
+        }
+        let (phases, days) = (&phases[..n], &days[..n]);
+        let (base, amplitude) = (self.params.base, self.params.amplitude);
+        if days[0] == days[n - 1] {
+            self.enter(days[0] as u64);
+            let span = self.at..self.at + n;
+            if self.keys.get(span.clone()) == Some(phases) {
+                for (o, &diurnal) in out.iter_mut().zip(&self.values[span]) {
+                    *o = (base + amplitude * diurnal) * self.weekly;
+                }
+                self.at += n;
+                return;
+            }
+        }
+        for ((o, &phase), &day) in out.iter_mut().zip(phases).zip(days) {
+            self.enter(day as u64);
+            let diurnal = self.diurnal(phase);
+            *o = (base + amplitude * diurnal) * self.weekly;
+        }
     }
-}
 
-/// Steps `lanes`, whose configs share `first`'s shape, slot and length,
-/// through every slot, storing each lane's samples of slots before `kept`.
-fn lockstep<L: AsMut<[Lane]>>(first: &TraceConfig, mut lanes: L, kept: usize) -> L {
-    let params = ShapeParams::for_shape(first.shape);
-    let slot_hours = first.slot.as_hours();
-    let burst_chance = params.burst_rate_per_slot * slot_hours * 60.0;
-    let mut memo = DiurnalMemo::default();
-    // The current day, the slot's position within it, and its weekly factor.
-    let mut day = u64::MAX;
-    let mut at = 0;
-    let mut weekly = 1.0;
-    for k in 0..first.len {
-        let days = k as f64 * slot_hours / 24.0;
-        let day_phase = days.fract();
-        let d = days.floor() as u64;
-        if d != day {
-            day = d;
-            at = 0;
-            weekly = if d % 7 >= 5 {
-                params.weekend_factor
+    /// Moves to day `d`, restarting the position count when it is a new day.
+    fn enter(&mut self, d: u64) {
+        if d != self.day {
+            self.day = d;
+            self.at = 0;
+            self.weekly = if d % 7 >= 5 {
+                self.params.weekend_factor
             } else {
                 1.0
             };
         }
-        let diurnal = memo.diurnal(&params, at, day_phase);
-        at += 1;
-        let profile = (params.base + params.amplitude * diurnal) * weekly;
-
-        for lane in lanes.as_mut() {
-            let rng = &mut lane.rng;
-            lane.ar = params.ar_coeff * lane.ar
-                + params.ar_sigma * rng.random::<f64>().mul_add(2.0, -1.0);
-            if rng.random::<f64>() < burst_chance {
-                lane.burst += params.burst_height * (0.5 + rng.random::<f64>());
-            }
-            lane.burst *= params.burst_decay;
-
-            let p = Power::from_watts((profile + lane.ar + lane.burst).max(0.0));
-            lane.sum += p;
-            lane.peak = lane.peak.max(p);
-            if k < kept {
-                lane.head.push(p);
-            }
-        }
     }
-    lanes
-}
 
-/// Per-call memo of [`ShapeParams::diurnal`], indexed by the slot's
-/// position within its day and keyed by the exact bits of the day phase,
-/// so a cached value is the very value the profile would compute. Days
-/// that start on the same phase repeat their phases position for position
-/// (a year of 1-minute slots has ~12.4 k distinct phases against 525.6 k
-/// slots), and the table is read in order.
-///
-/// One entry per position; a phase that differs from the stored one
-/// replaces it. Positions past [`DiurnalMemo::MAX_ENTRIES`] are evaluated
-/// directly, so memory stays bounded for very short slots.
-#[derive(Default)]
-struct DiurnalMemo {
-    entries: Vec<(u64, f64)>,
-}
-
-impl DiurnalMemo {
-    const MAX_ENTRIES: usize = 1 << 15;
-
-    /// The profile at `phase`, the day phase of the slot at position `at`
-    /// of its day. Positions run 0, 1, 2, … within each day.
-    fn diurnal(&mut self, params: &ShapeParams, at: usize, phase: f64) -> f64 {
-        let key = phase.to_bits();
-        match self.entries.get_mut(at) {
-            Some((k, value)) => {
+    /// The diurnal profile at the phase with bits `key`, the phase of the
+    /// slot at the current position, through the memo; moves to the next
+    /// position.
+    fn diurnal(&mut self, key: u64) -> f64 {
+        let at = self.at;
+        self.at += 1;
+        let phase = f64::from_bits(key);
+        match self.keys.get_mut(at) {
+            Some(k) => {
                 if *k != key {
                     *k = key;
-                    *value = params.diurnal(phase);
+                    self.values[at] = self.params.daily.at(phase);
                 }
-                *value
+                self.values[at]
             }
             None => {
-                let value = params.diurnal(phase);
+                let value = self.params.daily.at(phase);
                 if at < Self::MAX_ENTRIES {
-                    debug_assert_eq!(at, self.entries.len());
-                    self.entries.push((key, value));
+                    debug_assert_eq!(at, self.keys.len());
+                    self.keys.push(key);
+                    self.values.push(value);
                 }
                 value
             }
@@ -463,12 +552,7 @@ struct ShapeParams {
     burst_rate_per_slot: f64,
     burst_height: f64,
     burst_decay: f64,
-    /// Diurnal harmonics: (harmonic, weight, phase).
-    harmonics: &'static [(f64, f64, f64)],
-    /// Soft-saturation gain: larger values flatten the daily curve into the
-    /// load plateaus characteristic of interactive production traffic
-    /// (the paper's Fig. 6b hovers near capacity through the working day).
-    plateau_gain: f64,
+    daily: DailyCurve,
 }
 
 impl ShapeParams {
@@ -485,8 +569,7 @@ impl ShapeParams {
                 burst_decay: 0.93,
                 // Single dominant daily cycle peaking early afternoon, with
                 // a shoulder.
-                harmonics: &[(1.0, 1.0, -1.83), (2.0, 0.25, 0.4)],
-                plateau_gain: 2.2,
+                daily: DailyCurve::new(&[(1.0, 1.0, -1.83), (2.0, 0.25, 0.4)], 2.2),
             },
             TraceShape::Google => ShapeParams {
                 base: 120.0,
@@ -498,24 +581,48 @@ impl ShapeParams {
                 burst_height: 22.0,
                 burst_decay: 0.965,
                 // Weak daily cycle; load dominated by batch bursts.
-                harmonics: &[(1.0, 1.0, 0.2), (3.0, 0.35, 1.3)],
-                plateau_gain: 0.8,
+                daily: DailyCurve::new(&[(1.0, 1.0, 0.2), (3.0, 0.35, 1.3)], 0.8),
             },
         }
     }
+}
 
-    /// Diurnal profile in [-1, 1] at `phase` ∈ [0, 1) of the day.
-    fn diurnal(&self, phase: f64) -> f64 {
+/// A shape's diurnal profile: a sum of harmonics, soft-saturated.
+struct DailyCurve {
+    /// Diurnal harmonics: (harmonic, weight, phase).
+    harmonics: &'static [(f64, f64, f64)],
+    /// The harmonics' summed weight, which scales their sum into [-1, 1].
+    total_weight: f64,
+    /// Soft-saturation gain: larger values flatten the daily curve into the
+    /// load plateaus characteristic of interactive production traffic
+    /// (the paper's Fig. 6b hovers near capacity through the working day).
+    plateau_gain: f64,
+    /// `plateau_gain.tanh()`, which scales the saturated curve back onto
+    /// [-1, 1].
+    plateau_norm: f64,
+}
+
+impl DailyCurve {
+    fn new(harmonics: &'static [(f64, f64, f64)], plateau_gain: f64) -> Self {
+        DailyCurve {
+            harmonics,
+            total_weight: harmonics.iter().map(|h| h.1).sum(),
+            plateau_gain,
+            plateau_norm: plateau_gain.tanh(),
+        }
+    }
+
+    /// The profile in [-1, 1] at `phase` ∈ [0, 1) of the day.
+    fn at(&self, phase: f64) -> f64 {
         let two_pi = std::f64::consts::TAU;
-        let total_weight: f64 = self.harmonics.iter().map(|h| h.1).sum();
         let raw = self
             .harmonics
             .iter()
             .map(|&(harm, w, ph)| w * (two_pi * harm * phase + ph).sin())
             .sum::<f64>()
-            / total_weight;
+            / self.total_weight;
         // Soft saturation flattens the peaks into plateaus.
-        (self.plateau_gain * raw).tanh() / self.plateau_gain.tanh()
+        (self.plateau_gain * raw).tanh() / self.plateau_norm
     }
 }
 
@@ -619,14 +726,17 @@ mod tests {
         // the day's tail is evaluated directly and the table stops growing.
         let params = ShapeParams::for_shape(TraceShape::FacebookBaidu);
         let slot_hours = Duration::from_seconds(1.0).as_hours();
-        let per_day = 86_400;
-        let mut memo = DiurnalMemo::default();
-        for k in 0..2 * per_day {
-            let phase = (k as f64 * slot_hours / 24.0).fract();
-            let got = memo.diurnal(&params, k % per_day, phase);
-            assert_eq!(got.to_bits(), params.diurnal(phase).to_bits(), "slot {k}");
+        let mut profile = Profile::new(&params, slot_hours);
+        let mut block = [0.0; BLOCK];
+        for k0 in (0..2 * 86_400).step_by(BLOCK) {
+            profile.fill(k0, &mut block);
+            for (k, got) in (k0..).zip(block) {
+                let phase = (k as f64 * slot_hours / 24.0).fract();
+                let want = params.base + params.amplitude * params.daily.at(phase);
+                assert_eq!(got.to_bits(), want.to_bits(), "slot {k}");
+            }
         }
-        assert_eq!(memo.entries.len(), DiurnalMemo::MAX_ENTRIES);
+        assert_eq!(profile.keys.len(), Profile::MAX_ENTRIES);
     }
 
     #[test]

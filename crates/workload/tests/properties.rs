@@ -144,6 +144,32 @@ fn paper_year_traces_are_pinned() {
 const DEFAULT_YEAR_DIGEST: u64 = 0xdcb9_5a40_10e0_d822;
 const ALTERNATE_YEAR_DIGEST: u64 = 0xefd2_0b88_061f_d517;
 
+/// A 17-lane same-shape group (two full 8-lane chunks and a lone tail)
+/// gives, lane for lane and bit for bit, what 17 one-config calls give:
+/// the kernel at width 8 against itself at width 1.
+#[test]
+fn lockstep_group_matches_lone_lanes() {
+    for shape in TraceShape::ALL {
+        let configs: Vec<TraceConfig> = (0..17)
+            .map(|i| TraceConfig {
+                shape,
+                seed: 1000 + i,
+                slot: Duration::from_minutes(1.0),
+                len: 3 * 1440 + 17,
+                mean: Power::from_kilowatts(4.0 + 0.1 * i as f64),
+                peak: Power::from_kilowatts(7.2),
+            })
+            .collect();
+        let group = generate_heads(&configs, 2000);
+        for (i, (config, head)) in configs.iter().zip(&group).enumerate() {
+            let alone = generate_heads(std::slice::from_ref(config), 2000);
+            let bits =
+                |t: &PowerTrace| t.iter().map(|p| p.as_watts().to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(head), bits(&alone[0]), "{shape} lane {i}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -152,13 +178,14 @@ proptest! {
     /// one-lane call that keeps every sample, matches it in full. Lanes
     /// draw their own seeds, means and peaks. `mix` 0 gives every lane
     /// `shape`; 1 gives each its own shape; 2 also halves the odd lanes'
-    /// length, so the lanes fall into several lockstep groups. 1 s slots
+    /// length, so the lanes fall into several lockstep groups. Up to 20
+    /// lanes span two full 8-lane chunks of the kernel plus a tail. 1 s slots
     /// put a day's positions past the diurnal memo's 2^15-entry cap (so the
     /// "evaluate directly" path runs), 7 s slots shift every day's phases
     /// against the stored ones, and 2-day slots start a new day every slot.
     #[test]
     fn generate_matches_reference_bit_for_bit(
-        lanes in prop::collection::vec((any_shape(), 0u64..u64::MAX, 3.0..6.5f64, 0.2..2.0f64), 1..10),
+        lanes in prop::collection::vec((any_shape(), 0u64..u64::MAX, 3.0..6.5f64, 0.2..2.0f64), 1..21),
         shape in any_shape(),
         mix in 0u8..3,
         len in prop_oneof![1usize..100, 100usize..50_000],

@@ -8,7 +8,8 @@
 #
 #   * CFD substep (the flat-buffer kernel)
 #   * heat-matrix model step
-#   * year-long benign trace synthesis (trace_year_generation)
+#   * year-long benign trace synthesis (trace_year_generation) and a
+#     fleet lane's week (trace_week_generation)
 #   * an 8-site one-day batch's lockstep trace heads
 #     (trace_heads_8_sites_one_day) vs 8 full years one by one
 #
@@ -159,6 +160,10 @@ awk -F'"' '
         if (year > 0)
             printf "year-long trace synthesis (525600 slots): %.1f ms (%.0f ns/slot)\n",
                 year / 1e6, year / 525600
+        week = median["trace_week_generation"]
+        if (week > 0)
+            printf "fleet-lane week trace synthesis (10080 slots): %.2f ms (%.0f ns/slot)\n",
+                week / 1e6, week / 10080
         heads = median["trace_heads_8_sites_one_day"]
         if (heads > 0 && year > 0)
             printf "8-site one-day batch traces: lockstep heads %.1f ms vs 8 full years %.1f ms  ->  %.1fx\n",
