@@ -250,6 +250,31 @@ fn foresighted_q_tables_survive_the_round_trip() {
 }
 
 #[test]
+fn foresighted_checkpoint_line_is_pinned() {
+    // The learner's tables in their checkpoint order: Q and the visit
+    // counts row-major (state × action), V by state. A round trip alone
+    // cannot catch an export/import pair that permutes them the same way,
+    // so pin the bytes of a line whose tables are all non-zero.
+    let scenario = short("foresighted", 3);
+    let (mut sim, _) = scenario.build_sim().unwrap();
+    sim.run(2800);
+    let line = sim.snapshot_json();
+    for key in ["p_q_values", "p_q_visits", "p_post_values"] {
+        let at = line.find(&format!("\"{key}\":[")).unwrap() + key.len() + 4;
+        let table = &line[at..at + line[at..].find(']').unwrap()];
+        assert!(
+            table.split(',').any(|x| x.parse::<f64>().unwrap() != 0.0),
+            "{key} is all zero"
+        );
+    }
+    assert_eq!(
+        hbm_telemetry::fnv1a64(line.as_bytes()),
+        0xb3af_3a12_7713_fd9a,
+        "foresighted checkpoint line drifted"
+    );
+}
+
+#[test]
 fn fork_continues_bit_identically_and_independently() {
     for policy in ["random", "myopic", "foresighted"] {
         let scenario = short(policy, 5);
