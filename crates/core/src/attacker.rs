@@ -109,7 +109,9 @@ pub struct Transition {
 /// in order, and a box per policy costs a dependent cache miss per lane per
 /// slot. That keeps [`ForesightedPolicy`] within 256 bytes (clippy's
 /// `large_enum_variant` bound over the next-largest variant), which is why
-/// its fixed design parameters are associated constants, not fields.
+/// its fixed design parameters are associated constants, not fields, its
+/// load grid is rebuilt from the capacity, and the ablation's learner is
+/// boxed.
 #[derive(Debug, Clone)]
 pub enum Policy {
     /// See [`RandomPolicy`].
@@ -361,9 +363,11 @@ impl OneShotPolicy {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Learner {
     /// The paper's batch Q-learning (Eqns. 3–7).
-    Batch(BatchQLearning),
-    /// Classic tabular Q-learning.
-    Standard(QLearning),
+    Batch(BatchQLearning<{ AttackAction::COUNT }>),
+    /// Classic tabular Q-learning, boxed: it is only the ablation, and
+    /// inline it would push [`ForesightedPolicy`] past the size that keeps
+    /// policies inline (see [`Policy`]).
+    Standard(Box<QLearning>),
 }
 
 impl Learner {
@@ -417,17 +421,20 @@ impl Learner {
 #[derive(Debug, Clone)]
 pub struct ForesightedPolicy {
     agent: Learner,
-    load_grid: UniformGrid,
     w: f64,
     rng: StdRng,
     attack_load: Power,
     slot: Duration,
-    /// Colocation capacity (known to every tenant from its contract).
+    /// Colocation capacity (known to every tenant from its contract); it
+    /// also spans the load grid, see `load_grid`.
     capacity: Power,
-    /// State-of-charge delta of one slot of charging / attacking, used by
-    /// the deterministic post-state map (the paper's linear battery model).
-    charge_soc_per_slot: f64,
+    /// State-of-charge delta of one slot of attacking (the paper's linear
+    /// battery model), for `policy_matrix`'s feasibility test.
     attack_soc_per_slot: f64,
+    /// The battery bin each action leads to from each battery bin: the
+    /// deterministic post-state map `f(s, a)`, tabled once. See
+    /// `post_state`.
+    post_bins: PostBins,
     learning_enabled: bool,
     /// Bootstrap teacher (the paper's "initial attack policy" used to
     /// initialize the Q tables offline): a myopic threshold followed with
@@ -451,7 +458,16 @@ pub struct ForesightedPolicy {
     /// fresh `at` call; it is re-evaluated only when the day moves.
     epsilon_memo: (u64, f64),
     rate_memo: (u64, f64),
+    /// The last `state_of` input bits (SoC, estimated total W, inlet °C)
+    /// and its state. `learn` asks for the state `decide` computed in the
+    /// same slot, and the next `decide` for the one `learn` computed last,
+    /// so one state is computed per slot.
+    state_memo: Option<([u64; 3], usize)>,
 }
+
+/// Target battery bin per (battery bin, action index); see
+/// [`ForesightedPolicy`]'s `post_state`.
+type PostBins = [[u8; AttackAction::COUNT]; ForesightedPolicy::BATTERY_BINS];
 
 /// Execution state of a sustained attack campaign (the cycle the paper's
 /// Fig. 9 walks through: launch a sustained attack, stop at the emergency,
@@ -523,29 +539,31 @@ impl ForesightedPolicy {
             battery_capacity > Energy::ZERO,
             "battery capacity must be positive"
         );
-        // The decision-relevant load range is the top of the capacity band
-        // (everything below cannot overload the cooling even with the attack
-        // load on top); the grid clamps lower loads into its bottom bin.
-        let load_grid = UniformGrid::new(
-            capacity.as_kilowatts() * 0.70,
-            capacity.as_kilowatts() * 1.05,
-            Self::LOAD_BINS,
-        );
+        // A non-finite capacity fails here rather than on the first slot.
+        Self::load_grid(capacity);
+        let charge_soc = (charge_rate * slot) / battery_capacity;
+        let attack_soc = (attack_load * slot) / battery_capacity;
+        let post_bins = std::array::from_fn(|b| {
+            let soc = Self::BATTERY_GRID.center(b);
+            std::array::from_fn(|a| {
+                let soc_next = match AttackAction::from_index(a) {
+                    AttackAction::Charge => (soc + charge_soc).min(1.0),
+                    AttackAction::Attack => (soc - attack_soc).max(0.0),
+                    AttackAction::Standby => soc,
+                };
+                // BATTERY_BINS is 10, so every bin fits a byte.
+                Self::BATTERY_GRID.index(soc_next) as u8
+            })
+        });
         ForesightedPolicy {
-            agent: Learner::Batch(BatchQLearning::new(
-                Self::STATES,
-                AttackAction::COUNT,
-                Self::STATES,
-                0.99,
-            )),
-            load_grid,
+            agent: Learner::Batch(BatchQLearning::new(Self::STATES, 0.99)),
             w,
             rng: StdRng::seed_from_u64(seed),
             attack_load,
             slot,
             capacity,
-            charge_soc_per_slot: (charge_rate * slot) / battery_capacity,
-            attack_soc_per_slot: (attack_load * slot) / battery_capacity,
+            attack_soc_per_slot: attack_soc,
+            post_bins,
             learning_enabled: true,
             teacher_threshold: capacity * 0.945,
             teacher_days: 60,
@@ -558,6 +576,7 @@ impl ForesightedPolicy {
             decide_slots_per_day: (Duration::from_days(1.0) / slot) as u64,
             epsilon_memo: (0, Self::EPSILON.at(0)),
             rate_memo: (0, Self::LEARNING_RATE.at(0)),
+            state_memo: None,
         }
     }
 
@@ -577,7 +596,11 @@ impl ForesightedPolicy {
     /// Replaces the learning rule with classic Q-learning (the ablation
     /// baseline of the paper's batch variant); tables restart from zero.
     pub fn with_standard_q(mut self) -> Self {
-        self.agent = Learner::Standard(QLearning::new(Self::STATES, AttackAction::COUNT, 0.99));
+        self.agent = Learner::Standard(Box::new(QLearning::new(
+            Self::STATES,
+            AttackAction::COUNT,
+            0.99,
+        )));
         self
     }
 
@@ -604,12 +627,43 @@ impl ForesightedPolicy {
         self.teacher_days = days;
     }
 
+    /// The load coordinate of the state. The decision-relevant load range is
+    /// the top of the capacity band (everything below cannot overload the
+    /// cooling even with the attack load on top); the grid clamps lower
+    /// loads into its bottom bin. Rebuilt from the capacity on each use
+    /// rather than held, to keep the policy inline (see [`Policy`]); with
+    /// the state memo that is once a slot.
+    fn load_grid(capacity: Power) -> UniformGrid {
+        UniformGrid::new(
+            capacity.as_kilowatts() * 0.70,
+            capacity.as_kilowatts() * 1.05,
+            Self::LOAD_BINS,
+        )
+    }
+
     fn state_of(&self, soc: f64, estimated_total: Power, inlet: Temperature) -> usize {
         let b = Self::BATTERY_GRID.index(soc);
-        let u = self.load_grid.index(estimated_total.as_kilowatts());
+        let u = Self::load_grid(self.capacity).index(estimated_total.as_kilowatts());
         let rise = (inlet - Self::SETPOINT).positive_part().as_celsius();
         let t = Self::TEMP_GRID.index(rise);
         (b * Self::LOAD_BINS + u) * Self::TEMP_BINS + t
+    }
+
+    /// [`ForesightedPolicy::state_of`], memoized on its inputs' bits.
+    fn state(&mut self, soc: f64, estimated_total: Power, inlet: Temperature) -> usize {
+        let key = [
+            soc.to_bits(),
+            estimated_total.as_watts().to_bits(),
+            inlet.as_celsius().to_bits(),
+        ];
+        match self.state_memo {
+            Some((k, s)) if k == key => s,
+            _ => {
+                let s = self.state_of(soc, estimated_total, inlet);
+                self.state_memo = Some((key, s));
+                s
+            }
+        }
     }
 
     /// Actions available in a state. Order matters: greedy ties break to
@@ -641,24 +695,12 @@ impl ForesightedPolicy {
     }
 
     /// The deterministic post-state map `f(s, a)` (Eqn. 4): only the battery
-    /// coordinate moves; the load and temperature coordinates stay. A closure
-    /// over copied parameters, so it can run while the learner is borrowed
-    /// mutably.
-    fn post_map(&self) -> impl Fn(usize, usize) -> usize + Copy {
-        let (charge_soc, attack_soc) = (self.charge_soc_per_slot, self.attack_soc_per_slot);
-        move |s, a| {
-            let t = s % Self::TEMP_BINS;
-            let bu = s / Self::TEMP_BINS;
-            let b = bu / Self::LOAD_BINS;
-            let u = bu % Self::LOAD_BINS;
-            let soc = Self::BATTERY_GRID.center(b);
-            let soc_next = match AttackAction::from_index(a) {
-                AttackAction::Charge => (soc + charge_soc).min(1.0),
-                AttackAction::Attack => (soc - attack_soc).max(0.0),
-                AttackAction::Standby => soc,
-            };
-            (Self::BATTERY_GRID.index(soc_next) * Self::LOAD_BINS + u) * Self::TEMP_BINS + t
-        }
+    /// coordinate moves, to the bin `bins` holds for it; the load and
+    /// temperature coordinates stay. A function of the table rather than of
+    /// `self`, so it can run while the learner is borrowed mutably.
+    fn post_state(bins: &PostBins, s: usize, a: usize) -> usize {
+        const BATTERY_STRIDE: usize = ForesightedPolicy::LOAD_BINS * ForesightedPolicy::TEMP_BINS;
+        usize::from(bins[s / BATTERY_STRIDE][a]) * BATTERY_STRIDE + s % BATTERY_STRIDE
     }
 
     /// ε at `day`, memoized per day.
@@ -704,7 +746,8 @@ impl ForesightedPolicy {
                         // one slot; mirror `allowed_for_soc`.
                         let stored_ok = soc >= self.attack_soc_per_slot;
                         let allowed = self.allowed_for_soc(soc, stored_ok);
-                        let a = self.agent.select_greedy(s, &allowed, self.post_map());
+                        let post = |s, a| Self::post_state(&self.post_bins, s, a);
+                        let a = self.agent.select_greedy(s, &allowed, post);
                         AttackAction::from_index(a)
                     })
                     .collect()
@@ -766,7 +809,7 @@ impl ForesightedPolicy {
             }
             return AttackAction::Standby;
         }
-        let s = self.state_of(obs.battery_soc, obs.estimated_total, obs.inlet);
+        let s = self.state(obs.battery_soc, obs.estimated_total, obs.inlet);
         let stored_ok = can_attack(obs.battery_stored, self.attack_load, self.slot);
 
         // Campaign execution (Fig. 9's cycle): a campaign stands down when
@@ -835,7 +878,8 @@ impl ForesightedPolicy {
         let a = if eps > 0.0 && self.rng.random::<f64>() < eps {
             allowed[self.rng.random_range(0..allowed.len())]
         } else {
-            self.agent.select_greedy(s, &allowed, self.post_map())
+            let post = |s, a| Self::post_state(&self.post_bins, s, a);
+            self.agent.select_greedy(s, &allowed, post)
         };
         let action = AttackAction::from_index(a);
         if action == AttackAction::Attack {
@@ -860,19 +904,20 @@ impl ForesightedPolicy {
         // simulator freezes the attacker's load-estimate filter during
         // capping, so those rewards are credited to the (high-load) states
         // that earned them rather than to the capped metered load.
-        let s = self.state_of(
+        let s = self.state(
             t.observation.battery_soc,
             t.observation.estimated_total,
             t.observation.inlet,
         );
         // The inlet produced by this slot is the temperature coordinate the
         // attacker observes entering the next slot.
-        let s_next = self.state_of(t.next_battery_soc, t.next_estimated_total, t.inlet);
+        let s_next = self.state(t.next_battery_soc, t.next_estimated_total, t.inlet);
         let stored_ok = can_attack(t.next_battery_stored, self.attack_load, self.slot);
         let allowed_next = self.allowed_for_soc(t.next_battery_soc, stored_ok);
         let reward = self.reward(t.inlet, t.action);
         let delta = self.rate_at(t.day + 1);
-        let post = self.post_map();
+        let bins = &self.post_bins;
+        let post = |s, a| Self::post_state(bins, s, a);
         self.agent.update(
             s,
             t.action.index(),
@@ -886,9 +931,8 @@ impl ForesightedPolicy {
 
     /// The load-bin centers of the policy matrix columns, in kW.
     pub fn load_bin_centers_kw(&self) -> Vec<f64> {
-        (0..self.load_grid.len())
-            .map(|u| self.load_grid.center(u))
-            .collect()
+        let grid = Self::load_grid(self.capacity);
+        (0..grid.len()).map(|u| grid.center(u)).collect()
     }
 
     /// The battery-bin centers of the policy matrix rows (state of charge).
@@ -1112,6 +1156,90 @@ mod tests {
         assert_eq!(p.decide(&obs(0.4, 7.9, false)), AttackAction::Charge);
     }
 
+    /// Eqn. 4's post-state map as computed before it was tabled: from the
+    /// state's battery-bin center, in floating point, on every call.
+    fn post_by_formula(charge_soc: f64, attack_soc: f64, s: usize, a: usize) -> usize {
+        type P = ForesightedPolicy;
+        let t = s % P::TEMP_BINS;
+        let bu = s / P::TEMP_BINS;
+        let (b, u) = (bu / P::LOAD_BINS, bu % P::LOAD_BINS);
+        let soc = P::BATTERY_GRID.center(b);
+        let soc_next = match AttackAction::from_index(a) {
+            AttackAction::Charge => (soc + charge_soc).min(1.0),
+            AttackAction::Attack => (soc - attack_soc).max(0.0),
+            AttackAction::Standby => soc,
+        };
+        (P::BATTERY_GRID.index(soc_next) * P::LOAD_BINS + u) * P::TEMP_BINS + t
+    }
+
+    /// Checks the tabled map of a policy with these battery parameters
+    /// against [`post_by_formula`] at every (state, action). Returns how
+    /// many charges left their bin and how many attacks clamped at bin 0.
+    fn check_post_table(
+        battery_kwh: f64,
+        charge_kw: f64,
+        attack_kw: f64,
+        slot_min: f64,
+    ) -> Result<(usize, usize), String> {
+        let (capacity, slot) = (
+            Energy::from_kilowatt_hours(battery_kwh),
+            Duration::from_minutes(slot_min),
+        );
+        let (charge, attack) = (
+            Power::from_kilowatts(charge_kw),
+            Power::from_kilowatts(attack_kw),
+        );
+        let p = ForesightedPolicy::new(
+            14.0,
+            Power::from_kilowatts(8.0),
+            capacity,
+            charge,
+            attack,
+            slot,
+            1,
+        );
+        let (charge_soc, attack_soc) = ((charge * slot) / capacity, (attack * slot) / capacity);
+        const STRIDE: usize = ForesightedPolicy::LOAD_BINS * ForesightedPolicy::TEMP_BINS;
+        let (mut crossed, mut clamped) = (0, 0);
+        for s in 0..ForesightedPolicy::STATES {
+            for a in 0..AttackAction::COUNT {
+                let want = post_by_formula(charge_soc, attack_soc, s, a);
+                let got = ForesightedPolicy::post_state(&p.post_bins, s, a);
+                if got != want {
+                    return Err(format!("f({s}, {a}) = {got}, formula gives {want}"));
+                }
+                crossed += usize::from(a == 0 && got / STRIDE != s / STRIDE);
+                clamped += usize::from(a == 1 && s / STRIDE > 0 && got / STRIDE == 0);
+            }
+        }
+        Ok((crossed, clamped))
+    }
+
+    #[test]
+    fn post_table_covers_bin_crossings_and_clamps() {
+        // Table I: a slot's charge stays inside its bin, an attack from the
+        // lowest bins clamps at empty.
+        let (crossed, clamped) = check_post_table(0.2, 0.2, 1.0, 1.0).unwrap();
+        assert_eq!(crossed, 0);
+        assert!(clamped > 0);
+        // A small battery on 10-minute slots: a charge crosses bins.
+        let (crossed, clamped) = check_post_table(0.1, 0.2, 1.0, 10.0).unwrap();
+        assert!(crossed > 0 && clamped > 0, "{crossed} / {clamped}");
+    }
+
+    /// Finite values inside and outside `lo..hi`, zero, NaN and both
+    /// infinities.
+    fn edge_or(lo: f64, hi: f64) -> impl proptest::Strategy<Value = f64> {
+        proptest::prop_oneof![
+            lo..hi,
+            (2.0 * lo - hi)..(2.0 * hi - lo),
+            proptest::Just(0.0),
+            proptest::Just(f64::NAN),
+            proptest::Just(f64::INFINITY),
+            proptest::Just(f64::NEG_INFINITY),
+        ]
+    }
+
     proptest::proptest! {
         /// The per-day ε memo returns exactly the bits a fresh
         /// `EpsilonSchedule::at` call would, along any run of days (days
@@ -1127,6 +1255,38 @@ mod tests {
                 day += step;
                 let want = ForesightedPolicy::EPSILON.at(day);
                 proptest::prop_assert_eq!(p.epsilon_at(day).to_bits(), want.to_bits());
+            }
+        }
+
+        /// The tabled post-state map equals the formula at every (state,
+        /// action), across battery parameters where a charge stays in its
+        /// bin or crosses several and an attack clamps at bin 0.
+        #[test]
+        fn post_table_matches_the_formula(
+            battery_kwh in 0.02..2.0f64,
+            charge_kw in 0.02..2.0f64,
+            attack_kw in 0.1..4.0f64,
+            slot_min in 0.1..20.0f64,
+        ) {
+            check_post_table(battery_kwh, charge_kw, attack_kw, slot_min)?;
+        }
+
+        /// The state memo returns exactly `state_of`'s state along any
+        /// sequence of inputs: repeats (memo hits), values outside every
+        /// grid, NaN and ±∞.
+        #[test]
+        fn state_memo_is_bit_identical_to_state_of(
+            pool in proptest::prop::collection::vec(
+                (edge_or(0.0, 1.0), edge_or(5_000.0, 9_000.0), edge_or(20.0, 40.0)),
+                1..5,
+            ),
+            picks in proptest::prop::collection::vec(0usize..5, 1..200),
+        ) {
+            let mut p = ForesightedPolicy::paper_default(14.0, 1);
+            for i in picks {
+                let (soc, watts, celsius) = pool[i % pool.len()];
+                let (est, inlet) = (Power::from_watts(watts), Temperature::from_celsius(celsius));
+                proptest::prop_assert_eq!(p.state(soc, est, inlet), p.state_of(soc, est, inlet));
             }
         }
 

@@ -499,11 +499,14 @@ impl Simulation {
             Policy::Foresighted(p) => {
                 let (campaign_code, campaign_launch_w) = p.campaign_code();
                 let learner = match p.learner() {
-                    Learner::Batch(agent) => LearnerSnapshot::Batch {
-                        values: agent.q_table().values().to_vec(),
-                        visits: agent.q_table().visits().to_vec(),
-                        post: agent.post_values().to_vec(),
-                    },
+                    Learner::Batch(agent) => {
+                        let (values, visits, post) = agent.tables();
+                        LearnerSnapshot::Batch {
+                            values,
+                            visits,
+                            post,
+                        }
+                    }
                     Learner::Standard(agent) => LearnerSnapshot::Standard {
                         values: agent.table().values().to_vec(),
                         visits: agent.table().visits().to_vec(),
@@ -615,19 +618,7 @@ impl Simulation {
                             post,
                         },
                         Learner::Batch(agent),
-                    ) => {
-                        agent.q_table_mut().restore(values, visits)?;
-                        let slots = agent.post_values_mut();
-                        if post.len() != slots.len() {
-                            return Err(format!(
-                                "post-value shape mismatch: expected {} entries, got {}",
-                                slots.len(),
-                                post.len()
-                            ));
-                        }
-                        slots.copy_from_slice(post);
-                        Ok(())
-                    }
+                    ) => agent.restore(values, visits, post),
                     (LearnerSnapshot::Standard { values, visits }, Learner::Standard(agent)) => {
                         agent.table_mut().restore(values, visits)?;
                         Ok(())

@@ -25,14 +25,15 @@
 //! ```
 //! use hbm_rl::{BatchQLearning, LearningRate};
 //!
-//! // 4 states, 2 actions, 4 post states; deterministic post map f(s,a).
-//! let mut agent = BatchQLearning::new(4, 2, 4, 0.9);
+//! // 4 states, 2 actions; deterministic post map f(s,a) into the states.
+//! let mut agent = BatchQLearning::<2>::new(4, 0.9);
 //! let post = |s: usize, a: usize| (s + a) % 4;
 //! let s = 0;
 //! let a = agent.select_greedy(s, &[0, 1], post);
 //! let reward = 1.0;
 //! let s_next = post(s, a); // toy environment
 //! agent.update(s, a, reward, s_next, &[0, 1], post, 0.5);
+//! assert_eq!(agent.q(s, a), 0.5);
 //! ```
 
 #![forbid(unsafe_code)]

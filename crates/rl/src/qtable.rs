@@ -78,17 +78,13 @@ impl QTable {
         self.visits[i] += 1;
     }
 
-    /// All action values of state `s` as one contiguous slice.
-    ///
-    /// Hot selection loops should index this row instead of calling
-    /// [`QTable::get`] per action: `get` bounds-checks the state on *every*
-    /// call (an assert plus the slice's own check), while a row does it once
-    /// and leaves only the in-row slice indexing.
+    /// All action values of state `s` as one contiguous slice, so a scan
+    /// over actions checks the state once.
     ///
     /// # Panics
     ///
     /// Panics if `s` is out of range.
-    pub fn row(&self, s: usize) -> &[f64] {
+    fn row(&self, s: usize) -> &[f64] {
         assert!(s < self.states, "state index out of range");
         &self.values[s * self.actions..(s + 1) * self.actions]
     }

@@ -103,11 +103,14 @@ proptest! {
         qs in prop::collection::vec(-5.0..5.0f64, 3),
         vs in prop::collection::vec(-5.0..5.0f64, 3),
     ) {
-        let mut agent = BatchQLearning::new(1, 3, 3, 0.9);
+        // Post states share the state space, so V(0..3) lives in states 0..3.
+        let mut agent = BatchQLearning::<3>::new(3, 0.9);
         for (a, &q) in qs.iter().enumerate() {
-            agent.q_table_mut().set(0, a, q);
+            agent.set_q(0, a, q);
         }
-        agent.post_values_mut().copy_from_slice(&vs);
+        for (s, &v) in vs.iter().enumerate() {
+            agent.set_post_value(s, v);
+        }
         let post = |_s: usize, a: usize| a;
         let allowed = [0usize, 1, 2];
         let c = agent.state_value(0, &allowed, post);
@@ -123,10 +126,10 @@ proptest! {
         reward in -10.0..10.0f64,
         delta in 0.05..1.0f64,
     ) {
-        let mut agent = BatchQLearning::new(2, 2, 2, 0.9);
-        let before = agent.q_table().get(0, 1);
+        let mut agent = BatchQLearning::<2>::new(2, 0.9);
+        let before = agent.q(0, 1);
         agent.update(0, 1, reward, 1, &[0, 1], |_s, a| a % 2, delta);
-        let after = agent.q_table().get(0, 1);
+        let after = agent.q(0, 1);
         let (lo, hi) = if before <= reward { (before, reward) } else { (reward, before) };
         prop_assert!(after >= lo - 1e-9 && after <= hi + 1e-9);
     }
