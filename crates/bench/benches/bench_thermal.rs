@@ -1,7 +1,7 @@
 //! Thermal-substrate benchmarks (Figs. 7a, 11a, 14a): the zone model, the
 //! CFD-lite transient, heat-matrix extraction, year-long trace synthesis
-//! (alone and as a batch's lockstep heads), and end-to-end simulator
-//! throughput.
+//! (alone and as a batch's lockstep heads), building a fleet batch, and
+//! end-to-end simulator throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -280,7 +280,7 @@ fn learning_fleet_throughput(c: &mut Criterion) {
 }
 
 /// One year of 1-minute default-shape benign power (525 600 slots): the
-/// trace synthesis every simulator construction pays, and what a
+/// trace synthesis a lone simulation pays on its first step, and what a
 /// `fork_vs_rerun/rerun` pays that a fork does not.
 ///
 /// Then the traces of a served 8-site, one-day batch: 8 paper-default
@@ -303,6 +303,31 @@ fn trace_synthesis(c: &mut Criterion) {
         let configs: Vec<TraceConfig> = (1..=8).map(TraceConfig::paper_default_year).collect();
         b.iter(|| generate_heads(black_box(&configs), 1440).len());
     });
+}
+
+/// Building a 1000-lane myopic fleet on week-long traces (perfbench
+/// `fleet`'s set-up): 1000 `Simulation::new` calls, which synthesize
+/// nothing, plus the `BatchSim::new` that synthesizes every lane's trace,
+/// eight lanes side by side, so the diurnal profile is computed 125 times
+/// instead of 1000. Each sample also drops the batch it built.
+fn fleet_lane_setup(c: &mut Criterion) {
+    const LANES: usize = 1000;
+    let config = ColoConfig::paper_default().with_trace_len(7 * 1440);
+    let mut group = c.benchmark_group("fleet_lane_setup");
+    group.sample_size(10);
+    group.bench_function("1000_week_lanes", |b| {
+        b.iter(|| {
+            let lanes: Vec<Simulation> = (0..LANES)
+                .map(|i| {
+                    let seed = 1 + i as u64 * 1_299_721;
+                    let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
+                    Simulation::new(config.clone(), policy, seed)
+                })
+                .collect();
+            BatchSim::new(lanes)
+        });
+    });
+    group.finish();
 }
 
 /// What-if branching cost: answering "what if the attack intensifies at
@@ -362,6 +387,7 @@ criterion_group!(
     fleet_throughput,
     learning_fleet_throughput,
     trace_synthesis,
+    fleet_lane_setup,
     fork_vs_rerun
 );
 criterion_main!(benches);

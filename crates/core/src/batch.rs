@@ -27,6 +27,13 @@
 //!   order-independent per-slot down counts, so results are byte-identical
 //!   at any thread count, including fully sequential.
 //!
+//! Trace synthesis: [`BatchSim::new`] synthesizes the trace of every lane
+//! that has none yet (a [`Simulation::new`] lane never stepped) in one
+//! lockstep [`generate_heads`] pass, eight lanes of one shape, slot and
+//! length side by side, so the seed-independent diurnal profile is
+//! computed once per eight lanes instead of once per lane. Stepping never
+//! synthesizes: every lane holds its trace from construction on.
+//!
 //! Telemetry: each batch slot emits one `batch.step` span (one unit per
 //! lane), with the zone pass nested under `batch.zone`.
 
@@ -36,6 +43,7 @@ use hbm_sidechannel::math::box_muller_slice;
 use hbm_sidechannel::{ChannelLanes, NORMALS_PER_ESTIMATE};
 use hbm_thermal::ZoneLanes;
 use hbm_units::{Duration, Power};
+use hbm_workload::{generate_heads, PowerTrace, TraceConfig};
 
 use crate::sim::AttackerPower;
 use crate::{Metrics, SimReport, Simulation, SlotRecord};
@@ -161,8 +169,7 @@ impl TraceWindow {
             let runs: Option<[&[Power]; G]> = (lanes.len() == G).then(|| {
                 std::array::from_fn(|k| {
                     let from = cursors[k] as usize;
-                    lanes[k]
-                        .trace
+                    lane_trace(&lanes[k])
                         .samples()
                         .get(from..from + Self::SLOTS)
                         .unwrap_or_default()
@@ -180,12 +187,13 @@ impl TraceWindow {
                         }
                     }
                     for (cursor, lane) in cursors.iter_mut().zip(lanes) {
-                        *cursor = ((*cursor as usize + Self::SLOTS) % lane.trace.len()) as u32;
+                        *cursor =
+                            ((*cursor as usize + Self::SLOTS) % lane_trace(lane).len()) as u32;
                     }
                 }
                 _ => {
                     for (k, (cursor, lane)) in cursors.iter_mut().zip(lanes).enumerate() {
-                        let samples = lane.trace.samples();
+                        let samples = lane_trace(lane).samples();
                         let mut pos = *cursor as usize;
                         for line in tile.chunks_exact_mut(G) {
                             line[k] = samples[pos];
@@ -211,6 +219,14 @@ impl BatchSim {
 
     /// Builds a batch from fully constructed simulations (one lane each).
     ///
+    /// Lanes whose trace is not synthesized yet (built by
+    /// [`Simulation::new`] and never stepped) get it here, all in one
+    /// lockstep [`generate_heads`] pass that computes the diurnal profile
+    /// once per eight lanes of one shape, slot and length. Lanes that
+    /// already hold one (from a [`crate::TraceStore`], a shared donor or
+    /// an earlier step) keep it, and no trace is copied. After `new`,
+    /// every lane holds its trace, so stepping never synthesizes.
+    ///
     /// # Panics
     ///
     /// Panics if `sims` is empty or the scenarios disagree on the slot
@@ -222,6 +238,7 @@ impl BatchSim {
             lanes.iter().all(|lane| lane.config.slot == slot),
             "all lanes must share the slot length"
         );
+        synthesize_pending(&mut lanes);
         // Re-cloned in lane order, so the lanes' histogram bins lie in lane
         // order in memory. The bins of separately built simulations are
         // scattered, and phase 6 of a 1000-lane learning fleet then ran
@@ -237,11 +254,11 @@ impl BatchSim {
         let sc_lanes = ChannelLanes::from_channels(lanes.iter().map(|lane| &lane.side_channel));
         let cursors: Vec<u32> = lanes
             .iter()
-            .map(|lane| (lane.slot_index % lane.trace.len() as u64) as u32)
+            .map(|lane| (lane.slot_index % lane_trace(lane).len() as u64) as u32)
             .collect();
         let shared = lanes
             .iter()
-            .all(|lane| Arc::ptr_eq(&lane.trace, &lanes[0].trace))
+            .all(|lane| Arc::ptr_eq(lane_trace(lane), lane_trace(&lanes[0])))
             && cursors.iter().all(|&p| p == cursors[0]);
         let trace_rows = if shared {
             TraceRows::Shared { pos: cursors[0] }
@@ -318,7 +335,7 @@ impl BatchSim {
         // ---- Phase 1: open the slot. ----
         let demand = match &mut self.trace_rows {
             TraceRows::Shared { pos } => {
-                let trace = &self.lanes[0].trace;
+                let trace = lane_trace(&self.lanes[0]);
                 let at = *pos as usize;
                 *pos += 1;
                 if *pos as usize == trace.len() {
@@ -469,6 +486,34 @@ impl BatchSim {
     }
 }
 
+/// Gives every lane that holds no trace yet the one [`Simulation::trace`]
+/// would synthesize for it, all in one [`generate_heads`] call: the pending
+/// lanes' effective configurations are grouped by shape, slot and length
+/// and synthesized eight side by side, bit-identical to `generate` of each
+/// (every head keeps its whole trace, since `keep` is the longest length).
+fn synthesize_pending(lanes: &mut [Simulation]) {
+    let pending: Vec<&mut Simulation> = lanes
+        .iter_mut()
+        .filter(|lane| lane.trace.get().is_none())
+        .collect();
+    let configs: Vec<TraceConfig> = pending.iter().map(|lane| lane.trace_config()).collect();
+    let Some(longest) = configs.iter().map(|config| config.len).max() else {
+        return;
+    };
+    for (lane, trace) in pending.into_iter().zip(generate_heads(&configs, longest)) {
+        lane.trace = Arc::new(trace).into();
+    }
+}
+
+/// A batched lane's trace, which [`BatchSim::new`] synthesized if the lane
+/// had none: the batch reads traces only through here, so stepping never
+/// synthesizes.
+fn lane_trace(lane: &Simulation) -> &Arc<PowerTrace> {
+    lane.trace
+        .get()
+        .expect("BatchSim::new gives every lane its trace")
+}
+
 /// Outcome of a sharded batch run ([`run_sharded`] or
 /// [`run_sharded_recorded`]).
 pub struct BatchRun {
@@ -596,4 +641,26 @@ fn shard_lanes(sims: Vec<Simulation>) -> Vec<Vec<Simulation>> {
         shards.push(iter.by_ref().take(take).collect());
     }
     shards
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ColoConfig, MyopicPolicy};
+
+    /// `Simulation::new` leaves the trace to the batch, and `BatchSim::new`
+    /// leaves no lane without one, so `step_all` never synthesizes.
+    #[test]
+    fn new_gives_every_pending_lane_its_trace() {
+        let config = ColoConfig::paper_default().with_trace_len(1440);
+        let lanes: Vec<Simulation> = (0..10)
+            .map(|seed| {
+                let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
+                Simulation::new(config.clone(), policy, seed)
+            })
+            .collect();
+        assert!(lanes.iter().all(|lane| lane.trace.get().is_none()));
+        let batch = BatchSim::new(lanes);
+        assert!(batch.lanes.iter().all(|lane| lane.trace.get().is_some()));
+    }
 }

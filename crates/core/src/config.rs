@@ -199,6 +199,14 @@ impl ColoConfig {
         if !(0.0 < self.estimate_ema_alpha && self.estimate_ema_alpha <= 1.0) {
             return Err("estimate EMA alpha must be in (0, 1]".into());
         }
+        // Trace synthesis would panic on either; a simulation synthesizes
+        // its trace only when first stepped, so it is checked here.
+        if self.trace.len == 0 {
+            return Err("trace length must be positive".into());
+        }
+        if self.trace.slot.as_seconds().is_nan() || self.trace.slot <= Duration::ZERO {
+            return Err("trace slot must be positive".into());
+        }
         Ok(())
     }
 
@@ -308,5 +316,24 @@ mod tests {
         let mut c = ColoConfig::paper_default();
         c.standby_power = Power::from_kilowatts(1.0);
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_an_empty_trace() {
+        let c = ColoConfig::paper_default().with_trace_len(0);
+        assert_eq!(c.validate(), Err("trace length must be positive".into()));
+    }
+
+    #[test]
+    fn validation_rejects_a_non_positive_trace_slot() {
+        for seconds in [0.0, -60.0, f64::NAN] {
+            let mut c = ColoConfig::paper_default();
+            c.trace.slot = Duration::from_seconds(seconds);
+            assert_eq!(
+                c.validate(),
+                Err("trace slot must be positive".into()),
+                "slot of {seconds} s"
+            );
+        }
     }
 }

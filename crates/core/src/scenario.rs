@@ -286,7 +286,7 @@ impl Scenario {
         let sim = if TraceKey::new(&config.trace, self.seed)
             == TraceKey::new(&donor.config().trace, donor_seed)
         {
-            Simulation::with_trace(config, policy, self.seed, Arc::clone(&donor.trace))
+            Simulation::with_trace(config, policy, self.seed, Arc::clone(donor.shared_trace()))
         } else {
             Simulation::new(config, policy, self.seed)
         };

@@ -1,6 +1,6 @@
 //! The slotted colocation simulator.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use hbm_battery::Battery;
 use hbm_power::EmergencyProtocol;
@@ -9,7 +9,7 @@ use hbm_telemetry::ChannelValue;
 use hbm_thermal::ZoneModel;
 use hbm_units::{Duration, Energy, Power, Temperature};
 use hbm_workload::latency::LatencyModel;
-use hbm_workload::{generate, PowerTrace};
+use hbm_workload::{generate, PowerTrace, TraceConfig};
 
 use crate::traces::effective_trace_config;
 use crate::{AttackAction, ColoConfig, Metrics, Observation, Policy, Transition};
@@ -212,10 +212,15 @@ pub struct Simulation {
     /// The slot phases' view of `config` (derived once; the config is
     /// never mutated after construction).
     pub(crate) params: SlotParams,
-    /// The benign workload trace. Behind an [`Arc`] because it is the one
-    /// large piece of *static* state: [`Simulation::fork`] shares it
+    /// The benign workload trace, synthesized on first use unless the
+    /// simulation was built over one, or a [`crate::BatchSim`] built it
+    /// together with its other lanes'. Behind an [`Arc`] because it is the
+    /// one large piece of *static* state: [`Simulation::fork`] shares it
     /// instead of copying megabytes of samples per branch.
-    pub(crate) trace: Arc<PowerTrace>,
+    pub(crate) trace: OnceLock<Arc<PowerTrace>>,
+    /// The seed the simulation was built with; with `config.trace` it
+    /// names the trace ([`Simulation::trace_config`]).
+    pub(crate) seed: u64,
     pub(crate) zone: ZoneModel,
     pub(crate) protocol: EmergencyProtocol,
     pub(crate) battery: Battery,
@@ -235,12 +240,19 @@ impl Simulation {
     /// seed (which controls the workload trace and the side channel; the
     /// policy carries its own RNG).
     ///
+    /// The workload trace is not synthesized here: a lone simulation
+    /// synthesizes it on its first [`step`](Simulation::step) or
+    /// [`trace`](Simulation::trace) call, and [`crate::BatchSim::new`]
+    /// synthesizes every pending lane's together, so a fleet shares the
+    /// seed-independent diurnal profile across its lanes. Either way the
+    /// trace is bit-identical to `generate` of the effective configuration.
+    ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`ColoConfig::validate`].
+    /// Panics if `config` fails [`ColoConfig::validate`], which also
+    /// rejects a trace the synthesis could not build.
     pub fn new(config: ColoConfig, policy: impl Into<Policy>, seed: u64) -> Self {
-        let trace = Arc::new(generate(&effective_trace_config(&config.trace, seed)));
-        Self::with_trace(config, policy.into(), seed, trace)
+        Self::build(config, policy.into(), seed, OnceLock::new())
     }
 
     /// Like [`Simulation::new`], but with an already-generated workload
@@ -257,6 +269,15 @@ impl Simulation {
         seed: u64,
         trace: Arc<PowerTrace>,
     ) -> Self {
+        Self::build(config, policy, seed, OnceLock::from(trace))
+    }
+
+    fn build(
+        config: ColoConfig,
+        policy: Policy,
+        seed: u64,
+        trace: OnceLock<Arc<PowerTrace>>,
+    ) -> Self {
         config.validate().expect("invalid colocation config");
         let zone = ZoneModel::new(
             config.cooling,
@@ -271,6 +292,7 @@ impl Simulation {
             params: SlotParams::of(&config),
             config,
             trace,
+            seed,
             zone,
             protocol,
             battery,
@@ -290,9 +312,22 @@ impl Simulation {
         &self.config
     }
 
-    /// The benign workload trace in use.
+    /// The benign workload trace in use, synthesized now if no step or
+    /// batch has needed it yet.
     pub fn trace(&self) -> &PowerTrace {
-        &self.trace
+        self.shared_trace()
+    }
+
+    /// The trace's shared allocation, synthesized on first use.
+    pub(crate) fn shared_trace(&self) -> &Arc<PowerTrace> {
+        self.trace
+            .get_or_init(|| Arc::new(generate(&self.trace_config())))
+    }
+
+    /// The effective trace configuration: `config.trace` with the seed
+    /// added, the one [`crate::TraceStore`] keys by.
+    pub(crate) fn trace_config(&self) -> TraceConfig {
+        effective_trace_config(&self.config.trace, self.seed)
     }
 
     /// Current inlet temperature.
@@ -355,7 +390,7 @@ impl Simulation {
     pub fn step(&mut self) -> SlotRecord {
         let started = hbm_telemetry::timing::start();
         let mut r = SlotRecord::blank();
-        let demand = self.trace.get(self.slot_index as usize);
+        let demand = self.trace().get(self.slot_index as usize);
         let attacker = if self.open_slot(demand, &mut r) {
             let sensed = self.side_channel.estimate(r.benign_actual);
             self.act_slot(sensed, self.zone.inlet(), &mut r)
@@ -562,7 +597,8 @@ impl Simulation {
     /// and independently: every piece of dynamic state (zone, protocol,
     /// battery, side-channel RNG, policy tables, metrics, pending learning
     /// transition) is cloned, while the immutable workload trace is shared
-    /// via [`Arc`].
+    /// via [`Arc`] (synthesized first if the parent has not yet, so the
+    /// branches never synthesize it twice).
     ///
     /// This is the cheap branching primitive behind [`crate::StateTree`]
     /// and the serve layer's `/fork` endpoint: forking costs a state copy
@@ -572,7 +608,8 @@ impl Simulation {
         Simulation {
             config: self.config.clone(),
             params: self.params,
-            trace: Arc::clone(&self.trace),
+            trace: OnceLock::from(Arc::clone(self.shared_trace())),
+            seed: self.seed,
             zone: self.zone,
             protocol: self.protocol.clone(),
             battery: self.battery.clone(),

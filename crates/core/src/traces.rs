@@ -4,7 +4,7 @@
 //! sweeps of the paper run every attacker against the same one. A
 //! [`TraceStore`] synthesizes each distinct trace once and hands out one
 //! shared [`Arc`] per *effective* [`TraceConfig`]: the configured trace with
-//! the simulation seed added, exactly as [`Simulation::new`] computes it.
+//! the simulation seed added, exactly as a [`Simulation`] derives it.
 //! [`generate`] is a pure function of that configuration, so a shared trace
 //! has the same bits as a fresh one by construction.
 //!

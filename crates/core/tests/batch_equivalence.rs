@@ -6,11 +6,12 @@
 use hbm_battery::BatterySpec;
 use hbm_core::scenario::run_scenarios_batch;
 use hbm_core::{
-    run_sharded, BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy, OneShotPolicy, Policy,
-    RandomPolicy, Scenario, SimReport, Simulation, SlotRecord, TraceStore,
+    run_sharded, run_sharded_recorded, BatchSim, ColoConfig, ForesightedPolicy, MyopicPolicy,
+    OneShotPolicy, Policy, RandomPolicy, Scenario, SimReport, Simulation, SlotRecord, TraceStore,
 };
 use hbm_telemetry::{sample_to_jsonl, Sample};
 use hbm_units::Power;
+use hbm_workload::{generate, TraceConfig, TraceShape};
 
 /// A policy/config mix covering every slot-body path: attacking and quiet
 /// myopic, random, the learning foresighted attacker, and a one-shot
@@ -203,14 +204,15 @@ fn assert_batch_matches_sequential(make: impl Fn() -> Vec<Simulation>, slots: u6
     assert_batch_matches(make(), make(), slots, what);
 }
 
-/// Steps `reference` scalar and `batched` as one batch for `slots` slots and
-/// asserts every lane's records and report match, record for record.
+/// Steps `reference` scalar and `batched` as one batch for `slots` slots,
+/// asserts every lane's records and report match, record for record, and
+/// hands the batched lanes back.
 fn assert_batch_matches(
     reference: Vec<Simulation>,
     batched: Vec<Simulation>,
     slots: u64,
     what: &str,
-) {
+) -> Vec<Simulation> {
     let reference: Vec<(SimReport, Vec<SlotRecord>)> = reference
         .into_iter()
         .map(|mut sim| sim.run_recorded(slots))
@@ -231,6 +233,7 @@ fn assert_batch_matches(
     for (i, (want, _)) in reference.iter().enumerate() {
         assert_eq!(reports[i], want.clone(), "{what} lane {i} report diverged");
     }
+    batch.into_sims()
 }
 
 /// Classic-Q ablation lanes, teacher disabled.
@@ -466,6 +469,162 @@ fn shared_and_own_traces_mix_in_one_window() {
         .map(|&seed| Simulation::new(config.clone(), myopic(), seed))
         .collect();
     assert_batch_matches(reference, batched, THREE_WINDOWS, "shared-and-own");
+}
+
+/// Where a lane of [`pending_lanes`] or [`pending_and_held_lanes`] gets its
+/// trace before the batch is built.
+#[derive(Clone, Copy, PartialEq)]
+enum TraceSource {
+    /// None yet: `BatchSim::new` synthesizes it.
+    Pending,
+    /// A [`TraceStore`]'s.
+    Store,
+    /// The lane's own, forced before batching; the next lane is its fork.
+    Donor,
+    /// The previous (donor) lane's, shared through `fork`.
+    Fork,
+}
+
+/// Lane specs (config, seed, trace source) over two shapes and two
+/// lengths: nine week-long default-shape lanes fill a lockstep chunk of
+/// eight and a lone one, two alternate-shape and two shorter lanes form
+/// groups of their own.
+fn pending_lanes() -> Vec<(ColoConfig, u64, TraceSource)> {
+    let week = ColoConfig::paper_default().with_trace_len(7 * 1440);
+    let mut google = week.clone();
+    google.trace.shape = TraceShape::Google;
+    let short = ColoConfig::paper_default().with_trace_len(2 * 1440 + 17);
+    let mut lanes: Vec<_> = (1..=9)
+        .map(|seed| (week.clone(), seed, TraceSource::Pending))
+        .collect();
+    lanes.extend([1, 2].map(|seed| (google.clone(), seed, TraceSource::Pending)));
+    lanes.extend([3, 4].map(|seed| (short.clone(), seed, TraceSource::Pending)));
+    lanes
+}
+
+/// [`pending_lanes`] interleaved with lanes that already hold a trace: a
+/// [`TraceStore`]'s and a donor's shared with its fork.
+fn pending_and_held_lanes() -> Vec<(ColoConfig, u64, TraceSource)> {
+    let mut lanes = pending_lanes();
+    let week = lanes[0].0.clone();
+    let google = lanes[9].0.clone();
+    lanes.insert(3, (week, 20, TraceSource::Store));
+    lanes.insert(7, (google.clone(), 21, TraceSource::Donor));
+    lanes.insert(8, (google, 21, TraceSource::Fork));
+    lanes
+}
+
+/// Every third lane learns, so the batch mixes policy kinds.
+fn lane_policy(i: usize, seed: u64) -> Policy {
+    if i.is_multiple_of(3) {
+        ForesightedPolicy::paper_default(14.0, seed).into()
+    } else {
+        MyopicPolicy::new(Power::from_kilowatts(7.4)).into()
+    }
+}
+
+/// Builds `specs`, each lane from its trace source.
+fn build_lanes(specs: &[(ColoConfig, u64, TraceSource)], store: &TraceStore) -> Vec<Simulation> {
+    let mut lanes: Vec<Simulation> = Vec::with_capacity(specs.len());
+    for (i, (config, seed, source)) in specs.iter().enumerate() {
+        let policy = lane_policy(i, *seed);
+        let lane = match source {
+            TraceSource::Pending => Simulation::new(config.clone(), policy, *seed),
+            TraceSource::Store => store.simulation(config.clone(), policy, *seed),
+            TraceSource::Donor => {
+                let donor = Simulation::new(config.clone(), policy, *seed);
+                donor.trace();
+                donor
+            }
+            TraceSource::Fork => lanes.last().expect("a donor precedes its fork").fork(),
+        };
+        lanes.push(lane);
+    }
+    lanes
+}
+
+/// The trace a simulation of `config` built with `seed` runs on, as the
+/// workload crate synthesizes it alone.
+fn effective_trace(config: &ColoConfig, seed: u64) -> TraceConfig {
+    TraceConfig {
+        seed: config.trace.seed.wrapping_add(seed),
+        ..config.trace
+    }
+}
+
+/// Lanes that wait for their trace and lanes that hold one share a batch:
+/// `BatchSim::new` synthesizes the pending ones together, bit for bit the
+/// trace each would synthesize alone, leaves the held ones shared, and
+/// every lane reports like the same lane stepped alone.
+#[test]
+fn pending_and_held_traces_mix_in_one_batch() {
+    let specs = pending_and_held_lanes();
+    let store = TraceStore::new();
+    let batched = build_lanes(&specs, &store);
+    let reference = specs
+        .iter()
+        .enumerate()
+        .map(|(i, (config, seed, _))| Simulation::new(config.clone(), lane_policy(i, *seed), *seed))
+        .collect();
+    let lanes = assert_batch_matches(reference, batched, THREE_WINDOWS, "pending-and-held");
+    for (i, (lane, (config, seed, source))) in lanes.iter().zip(&specs).enumerate() {
+        let want = generate(&effective_trace(config, *seed));
+        let got = lane.trace();
+        assert_eq!(got.len(), want.len(), "lane {i} trace length");
+        for (k, (got, want)) in got.iter().zip(want.iter()).enumerate() {
+            assert_eq!(
+                got.as_watts().to_bits(),
+                want.as_watts().to_bits(),
+                "lane {i} trace sample {k}"
+            );
+        }
+        match source {
+            TraceSource::Store => assert!(std::ptr::eq(got, &*store.trace(&config.trace, *seed))),
+            TraceSource::Fork => assert!(std::ptr::eq(got, lanes[i - 1].trace())),
+            TraceSource::Pending | TraceSource::Donor => {}
+        }
+    }
+    assert_eq!(store.len(), 1);
+}
+
+/// A fork of a simulation that never stepped shares its parent's trace:
+/// forking synthesizes it once, in the parent, and both branches hold it.
+#[test]
+fn fork_of_a_never_stepped_simulation_shares_its_trace() {
+    let config = ColoConfig::paper_default().with_trace_len(1440);
+    let parent = Simulation::new(config, MyopicPolicy::new(Power::from_kilowatts(7.4)), 3);
+    let child = parent.fork();
+    let grandchild = child.fork();
+    assert!(std::ptr::eq(parent.trace(), child.trace()));
+    assert!(std::ptr::eq(parent.trace(), grandchild.trace()));
+}
+
+/// Sharding splits pending lanes across workers, each shard synthesizing
+/// its own lanes' traces in its own `BatchSim::new`: the results are
+/// byte-identical at one and two threads, and to the lanes stepped alone.
+#[test]
+fn sharded_pending_lanes_are_thread_count_invariant() {
+    const SLOTS: u64 = 1440;
+    let specs = pending_lanes();
+    let store = TraceStore::new();
+    let alone: Vec<String> = build_lanes(&specs, &store)
+        .into_iter()
+        .map(|mut sim| format!("{:?}", sim.run(SLOTS)))
+        .collect();
+    let mut runs = Vec::new();
+    for threads in [1usize, 2] {
+        hbm_par::configure_threads(threads);
+        let run = run_sharded_recorded(build_lanes(&specs, &store), SLOTS);
+        let reports: Vec<String> = run.reports.iter().map(|r| format!("{r:?}")).collect();
+        assert_eq!(reports, alone, "reports at {threads} threads");
+        runs.push((format!("{:?}", run.records), run.down_per_slot));
+    }
+    hbm_par::configure_threads(1);
+    assert!(
+        runs[0] == runs[1],
+        "records or down counts differ between 1 and 2 threads"
+    );
+    assert_eq!(store.len(), 0);
 }
 
 /// A checkpoint must not depend on which engine stepped the run: for every

@@ -1,6 +1,6 @@
 //! Proof that the simulator's steady loop performs zero heap allocations
-//! per slot, that building a batch copies no trace, and that a bounded run
-//! holds no year-long trace.
+//! per slot, that building a batch copies no trace and synthesizes each
+//! pending one once, and that a bounded run holds no year-long trace.
 //!
 //! A counting wrapper around the system allocator measures `Simulation::step`
 //! after construction and warm-up. This lives in its own integration-test
@@ -171,20 +171,30 @@ fn steady_loop_allocates_nothing() {
     );
 }
 
-/// `BatchSim::new` copies no trace: over 8 lanes of distinct year-long
-/// traces (4.2 MB each) it allocates only per-lane state and the trace
-/// window.
-#[test]
-fn batch_new_copies_no_trace() {
-    let _counting = counting();
+/// Eight myopic lanes of distinct year-long traces (525 600 samples of 8
+/// bytes, 4.2 MB each), none synthesized yet.
+fn pending_year_lanes() -> Vec<Simulation> {
     let config = ColoConfig::paper_default();
-    let sims: Vec<Simulation> = (0..8)
+    (0..8)
         .map(|i| {
             let policy = MyopicPolicy::new(Power::from_kilowatts(7.4));
             Simulation::new(config.clone(), policy, 1 + i)
         })
-        .collect();
-    assert_eq!(sims[0].trace().len(), 365 * 1440);
+        .collect()
+}
+
+const YEAR_TRACE_BYTES: u64 = 365 * 1440 * 8;
+
+/// `BatchSim::new` copies no trace: over 8 lanes that already hold distinct
+/// year-long traces (4.2 MB each) it allocates only per-lane state and the
+/// trace window.
+#[test]
+fn batch_new_copies_no_trace() {
+    let _counting = counting();
+    let sims = pending_year_lanes();
+    for sim in &sims {
+        assert_eq!(sim.trace().len(), 365 * 1440);
+    }
     let before = allocated_bytes();
     let batch = BatchSim::new(sims);
     let bytes = allocated_bytes() - before;
@@ -195,6 +205,23 @@ fn batch_new_copies_no_trace() {
     );
 }
 
+/// `BatchSim::new` synthesizes the traces of lanes that hold none yet,
+/// each allocated once and never copied: over 8 pending year-long lanes it
+/// allocates at most the 8 traces plus 1 MiB.
+#[test]
+fn batch_new_synthesizes_pending_traces_once() {
+    let _counting = counting();
+    let sims = pending_year_lanes();
+    let before = allocated_bytes();
+    let batch = BatchSim::new(sims);
+    let bytes = allocated_bytes() - before;
+    std::hint::black_box(&batch);
+    assert!(
+        bytes <= 8 * YEAR_TRACE_BYTES + (1 << 20),
+        "BatchSim::new allocated {bytes} bytes over 8 pending year lanes"
+    );
+}
+
 /// A bounded run synthesizes its traces but stores only their heads: a
 /// `run_scenarios_batch` of 8 one-day myopic sites, and a `Scenario::run`
 /// of one, each allocate less than one year-long trace (525 600 samples of
@@ -202,7 +229,6 @@ fn batch_new_copies_no_trace() {
 /// least 8 of them (33.6 MB).
 #[test]
 fn bounded_runs_hold_no_year_trace() {
-    const YEAR_TRACE_BYTES: u64 = 365 * 1440 * 8;
     let _counting = counting();
     let mut site = Scenario::new("myopic");
     site.days = 1;

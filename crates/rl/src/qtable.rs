@@ -118,11 +118,6 @@ impl QTable {
         self.row(s)[self.best_action(s, allowed)]
     }
 
-    /// Fills every entry with `v` (used for optimistic initialization).
-    pub fn fill(&mut self, v: f64) {
-        self.values.fill(v);
-    }
-
     /// The full value table in row-major (`state × action`) order, for
     /// checkpoint serialization.
     pub fn values(&self) -> &[f64] {
@@ -185,13 +180,6 @@ mod tests {
     fn ties_break_to_first_listed() {
         let q = QTable::new(1, 3);
         assert_eq!(q.best_action(0, &[2, 0, 1]), 2);
-    }
-
-    #[test]
-    fn fill_sets_everything() {
-        let mut q = QTable::new(2, 2);
-        q.fill(1.5);
-        assert_eq!(q.max(1, &[0, 1]), 1.5);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 #     fleet lane's week (trace_week_generation)
 #   * an 8-site one-day batch's lockstep trace heads
 #     (trace_heads_8_sites_one_day) vs 8 full years one by one
+#   * building a 1000-lane fleet on week traces
+#     (fleet_lane_setup/1000_week_lanes) vs 1000 lone week traces
 #
 # A short traced fig9 run then contributes its kernel timing spans
 # (entries named span/<name>, same shape), and a short hbm-serve-bench
@@ -168,6 +170,10 @@ awk -F'"' '
         if (heads > 0 && year > 0)
             printf "8-site one-day batch traces: lockstep heads %.1f ms vs 8 full years %.1f ms  ->  %.1fx\n",
                 heads / 1e6, 8 * year / 1e6, 8 * year / heads
+        setup = median["fleet_lane_setup/1000_week_lanes"]
+        if (setup > 0 && week > 0)
+            printf "1000-lane week fleet set-up (traces built in BatchSim::new): %.1f ms vs 1000 lone week traces %.1f ms  ->  %.1fx\n",
+                setup / 1e6, 1000 * week / 1e6, 1000 * week / setup
         fork = median["fork_vs_rerun/fork"]
         rerun = median["fork_vs_rerun/rerun"]
         if (fork > 0 && rerun > 0)
